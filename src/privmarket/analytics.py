@@ -17,18 +17,21 @@ Two variance coefficients are reported side by side:
   right normalizer for Monte Carlo comparisons.
 
 All degree expectations are exact finite sums over the truncated support;
-nothing in this module samples.
+nothing in this module samples.  `ReportLaw` keeps its per-degree terms as
+arrays, so a degree-law average costs O(|support|) and the realized-graph
+variance O(edges + wedges) array work.  Binomial masses come from the
+numpy recurrence in `graph.binomial_pmf`; the module imports no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
-from .graph import DegreeDistribution, Graph
+from .graph import DegreeDistribution, Graph, binomial_pmf
 from .mechanism import design_Z, design_Z0_Z1
 from .model import ModelParams
 from .strategy import equal_priors_tau
@@ -80,36 +83,29 @@ def binom_pmf(k: float, m: int, p: float) -> float:
     if p >= 1.0:
         return 1.0 if k == m else 0.0
     log_pmf = (
-        gammaln(m + 1)
-        - gammaln(k + 1)
-        - gammaln(m - k + 1)
+        math.lgamma(m + 1)
+        - math.lgamma(k + 1)
+        - math.lgamma(m - k + 1)
         + k * math.log(p)
         + (m - k) * math.log1p(-p)
     )
-    return float(np.exp(log_pmf))
+    return math.exp(log_pmf)
+
+
+def _lattice_mass(pmf: np.ndarray, k: float, l: float) -> float:
+    """Sum of pmf (mass at 0..len-1) over the integers in [k, l]; 0 when empty."""
+    lo = max(math.ceil(k - _INT_TOL), 0)
+    hi = min(math.floor(l + _INT_TOL), len(pmf) - 1)
+    if lo > hi:
+        return 0.0
+    return float(pmf[lo:hi + 1].sum())
 
 
 def binom_range(k: float, l: float, m: int, p: float) -> float:
     """Sum of the Binomial(m, p) mass over integers in [k, l]; 0 when empty."""
     if m < 0:
         raise AnalyticsError("m must be >= 0")
-    lo = max(math.ceil(k - _INT_TOL), 0)
-    hi = min(math.floor(l + _INT_TOL), m)
-    if lo > hi:
-        return 0.0
-    ks = np.arange(lo, hi + 1)
-    if p <= 0.0:
-        return 1.0 if lo == 0 else 0.0
-    if p >= 1.0:
-        return 1.0 if hi == m else 0.0
-    log_pmf = (
-        gammaln(m + 1)
-        - gammaln(ks + 1)
-        - gammaln(m - ks + 1)
-        + ks * math.log(p)
-        + (m - ks) * math.log1p(-p)
-    )
-    return float(np.exp(log_pmf).sum())
+    return _lattice_mass(binomial_pmf(m, p), k, l)
 
 
 def nu_values(d: int, tau: float, theta1: float) -> tuple[float, float]:
@@ -122,9 +118,19 @@ def nu_values(d: int, tau: float, theta1: float) -> tuple[float, float]:
         raise AnalyticsError("d must be >= 0")
     if tau < 0.0:
         raise AnalyticsError(f"tau must be >= 0, got {tau}")
-    nu_sr = binom_range(d / 2 - tau, d / 2 + tau, d, theta1)
-    nu_nd = binom_range(math.floor(d / 2 + tau + 1), d, d, theta1)
-    return nu_sr, nu_nd
+    return _band_tail(binomial_pmf(d, theta1), d, tau)
+
+
+def _band_tail(pmf: np.ndarray, d: int, tau: float, fixed: int = 0) -> tuple[float, float]:
+    """(band mass, upper-tail mass) of a degree-d user's group-signal sum.
+
+    The sum is `fixed` received bits set to 1 plus a count with mass `pmf`;
+    the band is d/2 +- tau.
+    """
+    return (
+        _lattice_mass(pmf, d / 2 - tau - fixed, d / 2 + tau - fixed),
+        _lattice_mass(pmf, math.floor(d / 2 + tau + 1 - fixed), d),
+    )
 
 
 def lambda_sr(epsilon: float, theta0: float) -> float:
@@ -137,7 +143,17 @@ class ReportLaw:
     """Conditional report law of one symmetric profile, given W = 1.
 
     Under equal priors the W = 0 law is the mirror image, so a single
-    conditional covers both hypotheses.  Per-degree quantities are cached.
+    conditional covers both hypotheses.  Per-degree quantities are cached
+    as arrays indexed by degree, built once for degrees 0..d and rebuilt
+    only when a larger degree is asked for:
+
+    * `mean[d]`    = Pr(X = 1 | degree d);
+    * `M[d, s, t]` = Pr(X = 1 | degree d, own signal s, one friend's signal t);
+    * `G[d, t]`    = the same with the own signal averaged out.
+
+    Every pair probability is a sum of products of one term per endpoint,
+    so degree averages of pair probabilities factor into products of
+    single-degree averages.
     """
 
     def __init__(self, params: ModelParams, tau: float, epsilon: float):
@@ -145,89 +161,104 @@ class ReportLaw:
         self.tau = float(tau)
         self.epsilon = float(epsilon)
         self.lam = lambda_sr(epsilon, params.theta0)
-        self._mean: dict[int, float] = {}
-        self._j: dict[tuple[int, int, int], float] = {}
-        self._adj: dict[tuple[int, int], float] = {}
-        self._wedge: dict[tuple[int, int], float] = {}
+        self._pr = (1.0 - params.theta0, params.theta0)  # Pr(signal = 0), Pr(signal = 1)
+        self._mean = np.empty(0)
+        self._M = np.empty((0, 2, 2))
+        self._G = np.empty((0, 2))
+
+    def _tables(self, d_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mean, M, G) covering degrees 0..d_max at least; row 0 of M and G is NaN.
+
+        A rebuild at least doubles the covered range, so asking for degrees
+        one at a time in increasing order costs O(d_max) pmf rows, not O(d_max^2).
+        """
+        if d_max >= len(self._mean):
+            d_max = max(d_max, 2 * len(self._mean))
+            th0, th1, alpha = self.params.theta0, self.params.theta1, self.params.alpha
+            tau = self.tau
+            ee = math.exp(self.epsilon)
+            # Pr(randomized report = 1 | own signal 0, 1)
+            c = np.array([1.0 / (ee + 1.0), ee / (ee + 1.0)])
+            mean = np.empty(d_max + 1)
+            j = np.full((d_max + 1, 2, 2), np.nan)  # [d, k, l]: own signal k, one received bit l
+            prev = None  # Binomial(d - 1, theta1) mass: the d - 1 other received bits
+            for d in range(d_max + 1):
+                pmf = binomial_pmf(d, th1)
+                nu_sr, nu_nd = _band_tail(pmf, d, tau)
+                mean[d] = nu_nd + self.lam * nu_sr
+                if prev is not None:
+                    for l in (0, 1):
+                        band, tail = _band_tail(prev, d, tau, fixed=l)
+                        j[d, :, l] = tail + c * band
+                prev = pmf
+            # The friend's bit arrives flipped with probability alpha.
+            m = (1.0 - alpha) * j + alpha * j[:, :, ::-1]
+            g = th0 * m[:, 1, :] + (1.0 - th0) * m[:, 0, :]
+            self._mean, self._M, self._G = mean, m, g
+        return self._mean, self._M, self._G
 
     # -- single-user -----------------------------------------------------
-    def nu(self, d: int) -> tuple[float, float]:
-        return nu_values(d, self.tau, self.params.theta1)
-
     def mean(self, d: int) -> float:
         """Pr(X = 1 | W = 1, degree d)."""
-        if d not in self._mean:
-            nu_sr, nu_nd = self.nu(d)
-            self._mean[d] = nu_nd + self.lam * nu_sr
-        return self._mean[d]
+        if d < 0:
+            raise AnalyticsError("d must be >= 0")
+        return float(self._tables(d)[0][d])
 
     def ensemble_mean(self, dist: DegreeDistribution) -> float:
         return dist.expect(self.mean)
 
     # -- pairwise --------------------------------------------------------
-    def _j_value(self, d: int, k: int, l: int) -> float:
-        """Pr(X = 1 | W = 1, degree d, own signal k, one received bit fixed to l)."""
-        key = (d, k, l)
-        if key not in self._j:
-            th1 = self.params.theta1
-            tail = binom_range(math.floor(d / 2 + self.tau + 1 - l), d - 1, d - 1, th1)
-            band = binom_range(d / 2 - self.tau - l, d / 2 + self.tau - l, d - 1, th1)
-            c_k = math.exp(self.epsilon) if k == 1 else 1.0
-            c_k /= math.exp(self.epsilon) + 1.0
-            self._j[key] = tail + c_k * band
-        return self._j[key]
+    def _pair_adjacent(self, lo, hi):
+        """pair_adjacent on degree arrays with lo <= hi elementwise (tables built)."""
+        m, pr = self._M, self._pr
+        total = 0
+        for si in (0, 1):
+            for sj in (0, 1):
+                total = total + pr[si] * pr[sj] * m[lo, si, sj] * m[hi, sj, si]
+        return total
 
-    def _m_value(self, d: int, s: int, t: int) -> float:
-        """Pr(X = 1 | W = 1, degree d, own signal s, friend's signal t)."""
-        alpha = self.params.alpha
-        return (1.0 - alpha) * self._j_value(d, s, t) + alpha * self._j_value(d, s, 1 - t)
-
-    def mean_given_friend_signal(self, d: int, t: int) -> float:
-        th0 = self.params.theta0
-        return th0 * self._m_value(d, 1, t) + (1.0 - th0) * self._m_value(d, 0, t)
+    def _pair_common_friend(self, lo, hi):
+        """pair_common_friend on degree arrays with lo <= hi elementwise (tables built)."""
+        g, pr = self._G, self._pr
+        return pr[0] * g[lo, 0] * g[hi, 0] + pr[1] * g[lo, 1] * g[hi, 1]
 
     def pair_adjacent(self, di: int, dj: int) -> float:
         """Pr(X_i = X_j = 1 | W = 1) for friends i, j with no common friend."""
-        key = (min(di, dj), max(di, dj))
-        if key not in self._adj:
-            th0 = self.params.theta0
-            pr = {1: th0, 0: 1.0 - th0}
-            self._adj[key] = sum(
-                pr[si] * pr[sj] * self._m_value(key[0], si, sj) * self._m_value(key[1], sj, si)
-                for si in (0, 1)
-                for sj in (0, 1)
-            )
-        return self._adj[key]
+        lo, hi = min(di, dj), max(di, dj)
+        if lo < 1:
+            raise AnalyticsError("a user with a friend has degree >= 1")
+        self._tables(hi)
+        return float(self._pair_adjacent(lo, hi))
 
     def pair_common_friend(self, di: int, dj: int) -> float:
         """Pr(X_i = X_j = 1 | W = 1) for non-friends sharing exactly one friend."""
-        key = (min(di, dj), max(di, dj))
-        if key not in self._wedge:
-            th0 = self.params.theta0
-            pr = {1: th0, 0: 1.0 - th0}
-            self._wedge[key] = sum(
-                pr[t]
-                * self.mean_given_friend_signal(key[0], t)
-                * self.mean_given_friend_signal(key[1], t)
-                for t in (0, 1)
-            )
-        return self._wedge[key]
+        lo, hi = min(di, dj), max(di, dj)
+        if lo < 1:
+            raise AnalyticsError("a user with a friend has degree >= 1")
+        self._tables(hi)
+        return float(self._pair_common_friend(lo, hi))
 
     def ensemble_pair_probs(self, dist: DegreeDistribution) -> tuple[float, float]:
         """Degree-averaged (adjacent, common-friend) pair probabilities.
 
         Both endpoints are weighted by the degree law conditioned on D > 0,
-        matching the closed-form treatment of linked users.
+        matching the closed-form treatment of linked users.  The two
+        endpoints are independent draws, so each average over pairs of
+        degrees is a product of averages over one degree, O(|support|).
         """
         rt = dist.rho_tilde()
-        supp = [int(d) for d, m in zip(rt.support, rt.mass) if m > 0]
-        mass = {int(d): m for d, m in zip(rt.support, rt.mass) if m > 0}
-        vs = sum(
-            mass[a] * mass[b] * self.pair_adjacent(a, b) for a in supp for b in supp
-        )
-        vst = sum(
-            mass[a] * mass[b] * self.pair_common_friend(a, b) for a in supp for b in supp
-        )
+        keep = rt.mass > 0
+        supp, mass = rt.support[keep], rt.mass[keep]
+        _, m, g = self._tables(int(supp.max()))
+
+        def avg(values: np.ndarray) -> float:
+            return math.fsum((mass * values).tolist())
+
+        em = [[avg(m[supp, s, t]) for t in (0, 1)] for s in (0, 1)]
+        eg = [avg(g[supp, t]) for t in (0, 1)]
+        pr = self._pr
+        vs = sum(pr[s] * pr[t] * em[s][t] * em[t][s] for s in (0, 1) for t in (0, 1))
+        vst = sum(pr[t] * eg[t] * eg[t] for t in (0, 1))
         return vs, vst
 
 
@@ -318,6 +349,44 @@ def nd_moments(params: ModelParams, dist: DegreeDistribution) -> MomentSummary:
     return _summary_from_law(nd_report_law(params), dist)
 
 
+_WEDGE_CHUNK = 1 << 16  # wedge terms gathered per step (plus at most d_max - 1)
+
+
+def _wedge_terms(graph: Graph, law: ReportLaw, means: np.ndarray):
+    """Per chunk: the list of 2 cov(X_a, X_b) over wedges a - c - b that are not edges.
+
+    Wedges are enumerated from the neighbor lists of each centre c as
+    (first, second) positions in the receiver-grouped directed view, in
+    chunks of first positions whose wedge count stays near _WEDGE_CHUNK.
+    Neighbor lists are ascending, so a < b, and a wedge closed by an edge
+    is found by binary search on the sorted edge keys a * n + b.
+    """
+    n, deg, nbr = graph.n, graph.degrees, graph.directed_send
+    edges = graph.edges()
+    edge_keys = edges[:, 0] * n + edges[:, 1]
+    # The entry at position e of centre c's list pairs with every later one.
+    centre_end = np.repeat(graph.recv_starts[1:], deg)
+    later = centre_end - np.arange(len(nbr)) - 1
+    ends = np.cumsum(later)
+    total = int(ends[-1]) if len(ends) else 0
+    bounds = np.searchsorted(ends, np.arange(_WEDGE_CHUNK, total, _WEDGE_CHUNK), side="right")
+    for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(nbr)]])):
+        counts = later[lo:hi]
+        first = np.repeat(np.arange(lo, hi), counts)
+        if len(first) == 0:
+            continue
+        run_start = np.cumsum(counts) - counts
+        second = first + np.arange(len(first)) - np.repeat(run_start, counts) + 1
+        a, b = nbr[first], nbr[second]
+        keys = a * n + b
+        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+        open_ = edge_keys[pos] != keys
+        a, b = a[open_], b[open_]
+        da, db = deg[a], deg[b]
+        pair = law._pair_common_friend(np.minimum(da, db), np.maximum(da, db))
+        yield (2.0 * (pair - means[a] * means[b])).tolist()
+
+
 def graph_report_moments(graph: Graph, law: ReportLaw) -> tuple[float, float]:
     """(mean report probability, variance coefficient) on a realized graph.
 
@@ -327,28 +396,29 @@ def graph_report_moments(graph: Graph, law: ReportLaw) -> tuple[float, float]:
     Pairs sharing several friends contribute one term per shared friend,
     and triangle pairs keep only their edge term; both patterns are rare
     in sparse graphs.
+
+    Every term is gathered from the law's per-degree arrays, edges at once
+    and wedges in bounded chunks, so the cost is O(edges + wedges) array
+    work and the memory does not grow with the wedge count.  The terms are
+    added with `math.fsum`, so the result does not depend on their order.
     """
     deg = graph.degrees
-    means = np.array([law.mean(int(d)) for d in deg])
-    var_sum = float(np.sum(means * (1.0 - means)))
-    for u, v in graph.edges():
-        cov = law.pair_adjacent(int(deg[u]), int(deg[v])) - means[u] * means[v]
-        var_sum += 2.0 * cov
-    for center in range(graph.n):
-        nbrs = graph.neighbors(center)
-        for x in range(len(nbrs)):
-            for y in range(x + 1, len(nbrs)):
-                a, b = int(nbrs[x]), int(nbrs[y])
-                if graph.has_edge(a, b):
-                    continue
-                cov = law.pair_common_friend(int(deg[a]), int(deg[b])) - means[a] * means[b]
-                var_sum += 2.0 * cov
+    mean_by_degree, _, _ = law._tables(graph.max_degree())
+    means = mean_by_degree[deg]
+    u, v = graph.edges().T
+    du, dv = deg[u], deg[v]
+    edge_pair = law._pair_adjacent(np.minimum(du, dv), np.maximum(du, dv))
+    var_sum = math.fsum(chain(
+        (means * (1.0 - means)).tolist(),
+        (2.0 * (edge_pair - means[u] * means[v])).tolist(),
+        chain.from_iterable(_wedge_terms(graph, law, means)),
+    ))
     return float(means.mean()), var_sum / graph.n
 
 
 def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF (erf-based, accurate to double precision)."""
-    return float(ndtr(x))
+    """Standard normal CDF (erfc-based, accurate to double precision)."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def beta_from_moments(n: int, mu1: float, kappa1: float) -> float:

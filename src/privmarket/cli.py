@@ -159,15 +159,15 @@ def cmd_simulate(cfg: RunConfig, out: _AtomicOutputs) -> None:
         rows = simmod.sweep(cfg, cfg.sweep.axis, values, trials=trials, workers=workers)
         csv_text = simmod.sweep_csv(rows)
         extra = {"sweep_axis": cfg.sweep.axis, "sweep_values": values}
+        first = rows[0].result
     else:
-        result = simmod.run_experiment(cfg, trials=trials, workers=workers,
-                                       axis_value=cfg.graph.avg_degree)
-        csv_text = simmod.simresult_csv(result)
-        extra = {"nodes": cfg.model.population}
+        first = simmod.run_experiment(cfg, trials=trials, workers=workers,
+                                      axis_value=cfg.graph.avg_degree)
+        csv_text = simmod.simresult_csv(first)
+        extra = {"nodes": first.nodes}
     if cfg.graph.kind == "edge-list":
-        graph, _ = build_graph(cfg, 0)
-        extra["nodes"] = graph.n
-        extra["edges"] = graph.num_edges
+        extra["nodes"] = first.nodes
+        extra["edges"] = first.edges
     out.write("results.csv", csv_text)
     out.write("manifest.json", simmod.run_manifest(cfg, trials, workers, extra=extra))
     log.info("simulation outputs -> %s", out.dir)

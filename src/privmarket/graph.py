@@ -23,6 +23,7 @@ __all__ = [
     "IngestResult",
     "GraphFormatError",
     "PairingError",
+    "binomial_pmf",
     "generate_configuration_model",
     "generate_erdos_renyi",
     "ingest_edge_list",
@@ -37,6 +38,42 @@ class GraphFormatError(ValueError):
 
 class PairingError(RuntimeError):
     """Configuration-model stub pairing failed within the attempt budget."""
+
+
+def _pmf_from_mode(up: np.ndarray, down: np.ndarray, mode: int) -> np.ndarray:
+    """Normalized unimodal mass on 0..len(up) from its successive ratios.
+
+    up[k] = p(k + 1) / p(k) and down[k] = p(k) / p(k + 1).  The mass is
+    built outward from `mode` by running products, so the terms that carry
+    the mass are the most accurate ones and nothing overflows; far tails
+    underflow to exact zeros.
+    """
+    out = np.empty(len(up) + 1)
+    out[mode] = 1.0
+    out[mode + 1:] = np.cumprod(up[mode:])
+    out[:mode] = np.cumprod(down[:mode][::-1])[::-1]
+    return out / out.sum()
+
+
+def _point_mass(size: int, at: int) -> np.ndarray:
+    out = np.zeros(size)
+    out[at] = 1.0
+    return out
+
+
+def binomial_pmf(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) mass at 0..n, by the ratio recurrence from the mode."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if p == 0.0 or p == 1.0:
+        return _point_mass(n + 1, 0 if p == 0.0 else n)
+    k = np.arange(n, dtype=float)
+    q = 1.0 - p
+    up = (n - k) / (k + 1.0) * (p / q)
+    down = (k + 1.0) / (n - k) * (q / p)
+    return _pmf_from_mode(up, down, min(int((n + 1) * p), n))
 
 
 class Graph:
@@ -169,18 +206,20 @@ class DegreeDistribution:
 
     @classmethod
     def poisson_truncated(cls, mean: float, d_max: int) -> "DegreeDistribution":
-        from scipy.stats import poisson
-
-        support = np.arange(d_max + 1)
-        mass = poisson.pmf(support, mean)
-        return cls(support, mass / mass.sum())
+        """Poisson(mean) on 0..d_max, renormalized."""
+        if d_max < 0:
+            raise ValueError(f"d_max must be >= 0, got {d_max}")
+        if mean < 0.0:
+            raise ValueError(f"mean must be >= 0, got {mean}")
+        if mean == 0.0:
+            return cls(np.arange(d_max + 1), _point_mass(d_max + 1, 0))
+        k = np.arange(d_max, dtype=float)
+        mass = _pmf_from_mode(mean / (k + 1.0), (k + 1.0) / mean, min(int(mean), d_max))
+        return cls(np.arange(d_max + 1), mass)
 
     @classmethod
     def binomial(cls, n_trials: int, p: float) -> "DegreeDistribution":
-        from scipy.stats import binom
-
-        support = np.arange(n_trials + 1)
-        return cls(support, binom.pmf(support, n_trials, p))
+        return cls(np.arange(n_trials + 1), binomial_pmf(n_trials, p))
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "DegreeDistribution":

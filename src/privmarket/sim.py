@@ -221,6 +221,8 @@ class SimResult:
     empirical_kappa1: Estimate
     empirical_majority_match: Estimate
     analytic: AnalyticBlock
+    nodes: int  # of the graph the trials ran on
+    edges: int
 
 
 _POOL_ENGINE = None
@@ -273,10 +275,11 @@ def _build_experiment(config, graph_stream_index: int = 0):
             "(and hence the payment constants) has no general-priors form"
         )
     profile = config.sim.profile
+    nd_summary = analytics.nd_moments(params, dist)
     if profile == ND_PROFILE:
         table: StrategyTable = nd_baseline_table()
         law = analytics.nd_report_law(params)
-        summary = analytics.nd_moments(params, dist)
+        summary = nd_summary
     else:
         table = mv_strategy_table(params)
         law = analytics.mv_report_law(params)
@@ -307,7 +310,7 @@ def _build_experiment(config, graph_stream_index: int = 0):
         bhattacharyya_mv=analytics.bhattacharyya_from(
             graph.n, graph_mu, 1.0 - graph_mu, graph_kappa, graph_kappa
         ),
-        bhattacharyya_nd=analytics.bhattacharyya(graph.n, analytics.nd_moments(params, dist)),
+        bhattacharyya_nd=analytics.bhattacharyya(graph.n, nd_summary),
     )
     return params, graph, engine, analytic
 
@@ -354,6 +357,8 @@ def run_experiment(
         empirical_kappa1=kappa1_est,
         empirical_majority_match=match,
         analytic=analytic,
+        nodes=graph.n,
+        edges=graph.num_edges,
     )
 
 

@@ -2,7 +2,10 @@
 
 Nothing here calls the closed-form code paths it is used to check.  Report
 probabilities come straight from strategy-table rows; expectations are
-exact sums over all signal outcomes.
+exact sums over all signal outcomes.  The loop references check how the
+array code assembles sums: they take the per-degree pair probabilities
+from `ReportLaw`'s scalar methods (which the enumeration oracles check)
+and sum them pair by pair.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from itertools import product
 import numpy as np
 from scipy import integrate
 
+from privmarket.analytics import ReportLaw
+from privmarket.graph import DegreeDistribution, Graph
 from privmarket.model import ModelParams
 from privmarket.strategy import DegreeStrategy
 
@@ -104,6 +109,40 @@ def enumerate_pair_common_friend(
                                     * strat_j.entry(rest_j + cjl).row(sj).p1
                                 )
     return total
+
+
+# ---------------------------------------------------------------------------
+# loop references for the array-based closed forms
+# ---------------------------------------------------------------------------
+
+def ensemble_pair_probs_double_sum(law: ReportLaw, dist: DegreeDistribution) -> tuple[float, float]:
+    """ReportLaw.ensemble_pair_probs as an O(|support|^2) sum over degree pairs."""
+    rt = dist.rho_tilde()
+    supp = [int(d) for d, m in zip(rt.support, rt.mass) if m > 0]
+    mass = {int(d): m for d, m in zip(rt.support, rt.mass) if m > 0}
+    vs = sum(mass[a] * mass[b] * law.pair_adjacent(a, b) for a in supp for b in supp)
+    vst = sum(mass[a] * mass[b] * law.pair_common_friend(a, b) for a in supp for b in supp)
+    return vs, vst
+
+
+def graph_report_moments_loop(graph: Graph, law: ReportLaw) -> tuple[float, float]:
+    """graph_report_moments as a Python loop over nodes, edges and wedges."""
+    deg = graph.degrees
+    means = np.array([law.mean(int(d)) for d in deg])
+    var_sum = float(np.sum(means * (1.0 - means)))
+    for u, v in graph.edges():
+        cov = law.pair_adjacent(int(deg[u]), int(deg[v])) - means[u] * means[v]
+        var_sum += 2.0 * cov
+    for center in range(graph.n):
+        nbrs = graph.neighbors(center)
+        for x in range(len(nbrs)):
+            for y in range(x + 1, len(nbrs)):
+                a, b = int(nbrs[x]), int(nbrs[y])
+                if graph.has_edge(a, b):
+                    continue
+                cov = law.pair_common_friend(int(deg[a]), int(deg[b])) - means[a] * means[b]
+                var_sum += 2.0 * cov
+    return float(means.mean()), var_sum / graph.n
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,21 @@ from privmarket.analytics import (
     payment_bound,
     std_normal_cdf,
 )
-from privmarket.graph import DegreeDistribution, Graph
+from privmarket import analytics
+from privmarket.graph import DegreeDistribution, Graph, generate_erdos_renyi, ingest_edge_list
+from privmarket.model import linear_capped_cost, quadratic_cost
 from privmarket.strategy import build_mv_strategy, nd_baseline_strategy
 
 from conftest import make_params
+from datasets import write_grqc_like
 from oracles import (
     binom_pmf_naive,
+    ensemble_pair_probs_double_sum,
     enumerate_mu1,
     enumerate_pair_adjacent,
     enumerate_pair_common_friend,
     gaussian_bhattacharyya_quadrature,
+    graph_report_moments_loop,
     normal_cdf_quadrature,
 )
 
@@ -306,3 +311,103 @@ class TestGraphMoments:
         vs = law.pair_adjacent(2, 2)
         _, kappa = graph_report_moments(g, law)
         assert kappa == pytest.approx(m * (1 - m) + 2 * (vs - m * m), abs=1e-12)
+
+
+# The array code sums in another order than the loop references (products
+# of single-degree averages, math.fsum over graph terms), so agreement is
+# to a relative tolerance fixed beforehand, far above double rounding.
+REL = 1e-12
+
+
+def _ring_lattice(n: int, reach: int) -> Graph:
+    """Each node linked to the `reach` nearest nodes on either side."""
+    return Graph(n, [(i, (i + k) % n) for i in range(n) for k in range(1, reach + 1)])
+
+
+def _disjoint_cliques(count: int, size: int) -> Graph:
+    return Graph(count * size, [
+        (c * size + a, c * size + b)
+        for c in range(count) for a in range(size) for b in range(a + 1, size)
+    ])
+
+
+class TestArrayFormsMatchLoops:
+    @pytest.mark.parametrize("graph_name", ["er250", "ring", "k5_cliques", "star_plus_ring"])
+    @pytest.mark.parametrize("law_name", ["mv", "nd"])
+    def test_graph_moments(self, graph_name, law_name):
+        graphs = {
+            "er250": lambda: generate_erdos_renyi(np.random.default_rng(5), 250, 4.0),
+            # triangles and non-adjacent pairs with two shared friends
+            "ring": lambda: _ring_lattice(200, 2),
+            "k5_cliques": lambda: _disjoint_cliques(20, 5),
+            "star_plus_ring": lambda: Graph(
+                60, [(0, i) for i in range(1, 60)] + [(i, i + 1) for i in range(1, 59)]
+            ),
+        }
+        graph = graphs[graph_name]()
+        params = make_params(epsilon=0.5)
+        law = mv_report_law(params) if law_name == "mv" else nd_report_law(params)
+        mu, kappa = graph_report_moments(graph, law)
+        mu_ref, kappa_ref = graph_report_moments_loop(graph, law)
+        assert mu == mu_ref
+        assert kappa == pytest.approx(kappa_ref, rel=REL, abs=0.0)
+
+    def test_graph_moments_edge_list_fixture(self, tmp_path):
+        # about 80k wedges: several wedge chunks
+        graph = ingest_edge_list(write_grqc_like(tmp_path / "grqc.txt")).graph
+        law = mv_report_law(make_params())
+        mu, kappa = graph_report_moments(graph, law)
+        mu_ref, kappa_ref = graph_report_moments_loop(graph, law)
+        assert mu == mu_ref
+        assert kappa == pytest.approx(kappa_ref, rel=REL, abs=0.0)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_graph_moments_chunk_boundaries(self, monkeypatch, chunk):
+        graph = Graph(30, [(0, i) for i in range(1, 12)] + [(i, i + 1) for i in range(1, 29)]
+                      + [(3, 20), (5, 25)])
+        law = mv_report_law(make_params(epsilon=0.3))
+        kappa_ref = graph_report_moments_loop(graph, law)[1]
+        monkeypatch.setattr(analytics, "_WEDGE_CHUNK", chunk)
+        assert graph_report_moments(graph, law)[1] == pytest.approx(kappa_ref, rel=REL, abs=0.0)
+
+    def test_graph_moments_edgeless(self):
+        law = mv_report_law(make_params())
+        mu, kappa = graph_report_moments(Graph(4, []), law)
+        assert mu == law.lam
+        assert kappa == pytest.approx(law.lam * (1.0 - law.lam), rel=1e-15)
+
+    @pytest.mark.parametrize("dist_name", ["readme_binomial", "poisson4"])
+    @pytest.mark.parametrize("cost", ["quadratic", "linear-capped"])
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
+    def test_mv_ensemble(self, dist_name, cost, eps):
+        cost_fn = quadratic_cost() if cost == "quadratic" else linear_capped_cost()
+        self._check_ensemble(mv_moments_equal_priors, mv_report_law,
+                             make_params(epsilon=eps, cost=cost_fn), dist_name)
+
+    @pytest.mark.parametrize("dist_name", ["readme_binomial", "poisson4"])
+    def test_nd_ensemble(self, dist_name):
+        # The baseline's law has tau = 0 and epsilon = 0 whatever the cost.
+        self._check_ensemble(nd_moments, nd_report_law, make_params(), dist_name)
+
+    @staticmethod
+    def _check_ensemble(moments, report_law, params, dist_name):
+        dist = (DegreeDistribution.binomial(249, 4 / 249) if dist_name == "readme_binomial"
+                else DegreeDistribution.poisson_truncated(4.0, 16))
+        vs, vst = report_law(params).ensemble_pair_probs(dist)
+        vs_ref, vst_ref = ensemble_pair_probs_double_sum(report_law(params), dist)
+        assert vs == pytest.approx(vs_ref, rel=REL, abs=0.0)
+        assert vst == pytest.approx(vst_ref, rel=REL, abs=0.0)
+        s = moments(params, dist)
+        mu1, mean_d, mean_d2 = s.mu1, dist.mean(), dist.second_moment()
+        kappa_ref = mu1 - mu1 * mu1 + mean_d * (vs_ref - vst_ref) + mean_d2 * (vst_ref - mu1 * mu1)
+        assert s.kappa1_pairs == pytest.approx(kappa_ref, rel=REL, abs=0.0)
+
+    def test_tables_grow_on_demand(self, default_params):
+        law = mv_report_law(default_params)
+        fresh = mv_report_law(default_params)
+        small = law.pair_adjacent(2, 3)
+        big = law.pair_common_friend(40, 7)  # rebuilds past degree 3
+        assert law.pair_adjacent(2, 3) == small
+        assert fresh.pair_common_friend(7, 40) == big
+        with pytest.raises(AnalyticsError):
+            law.pair_adjacent(0, 3)

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import privmarket
+from privmarket.analytics import mv_report_law
 from privmarket.cli import main
 from privmarket.config import (
     ConfigError,
+    analytic_distribution,
     apply_overrides,
     default_config,
+    model_params,
     parse_config,
     serialize_config,
 )
@@ -59,6 +66,20 @@ class TestConfig:
     def test_flag_style_overrides_win(self):
         cfg = apply_overrides(default_config(), ["sim.trials=5", "sim.trials=7"])
         assert cfg.sim.trials == 7
+
+
+README_CONFIG = """model.prior_w1 = 0.5
+model.theta0 = 0.7
+model.alpha = 0.25
+model.epsilon = 0.1
+model.cost = quadratic
+model.population = 250
+graph.kind = er
+graph.avg_degree = 4.0
+sim.trials = 10000
+sim.workers = 2
+sim.seed = 20240101
+"""
 
 
 def _write_config(tmp_path: Path, extra: str = "") -> Path:
@@ -129,6 +150,45 @@ class TestCli:
         lam = (0.7 * math.exp(0.1) + 0.3) / (math.exp(0.1) + 1)
         assert float(values["mu1"]) == pytest.approx(lam, abs=1e-12)
         assert float(values["lambda"]) == pytest.approx(lam, abs=1e-12)
+
+    @pytest.mark.parametrize("avg_degree, point", [(0.0, 0), (79.0, 79)])
+    def test_er_degree_extremes(self, tmp_path, avg_degree, point):
+        # p = 0 and p = 1 binomial degree laws are point masses
+        cfg_path = _write_config(tmp_path, f"graph.avg_degree = {avg_degree}\n")
+        cfg = parse_config(cfg_path)
+        dist = analytic_distribution(cfg)
+        assert dist.pmf(point) == 1.0 and dist.d_max == point
+        out = tmp_path / "out"
+        assert main(["analytics", "--config", str(cfg_path), "--out", str(out)]) == 0
+        values = dict(
+            line.split(" = ") for line in (out / "analytics.txt").read_text().splitlines()
+        )
+        law = mv_report_law(model_params(cfg))
+        assert float(values["mu1"]) == pytest.approx(law.mean(point), rel=1e-15)
+
+    @pytest.mark.parametrize("command", [["analytics"], ["simulate", "--trials", "2"]])
+    def test_cli_never_imports_scipy(self, tmp_path, command):
+        # scipy is a dependency of the normality probe only; a stray import
+        # on the command path costs every run about 0.8 s.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(README_CONFIG, encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from privmarket.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(privmarket.__file__).parents[1]), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *command, "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "[]"
 
     def test_analytics_unequal_priors_notes_omission(self, tmp_path):
         cfg = _write_config(tmp_path, "model.prior_w1 = 0.6\n")
@@ -225,3 +285,31 @@ class TestRealWorldLayouts:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["nodes"] == 5242
         assert manifest["edges"] == 14496
+
+    def test_simulate_builds_each_graph_once(self, tmp_path, monkeypatch):
+        from privmarket import analytics, config
+
+        calls = {"build_graph": 0, "nd_moments": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(config, "build_graph")
+        counted(analytics, "nd_moments")
+        path = write_grqc_like(tmp_path / "grqc.txt")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"graph.kind = edge-list\ngraph.path = {path}\nsim.trials = 4\nsim.seed = 7\n"
+            "sim.profile = nd\nsweep.axis = epsilon\nsweep.values = 0.1,1\n"
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert calls == {"build_graph": 2, "nd_moments": 2}  # one per grid point
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["nodes"], manifest["edges"]) == (5242, 14496)

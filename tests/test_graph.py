@@ -13,6 +13,7 @@ from privmarket.graph import (
     Graph,
     GraphFormatError,
     PairingError,
+    binomial_pmf,
     check_sparsity,
     degree_moments,
     generate_configuration_model,
@@ -202,3 +203,52 @@ class TestDegreeDistribution:
         rt = dist.rho_tilde()
         assert rt.pmf(2) == pytest.approx(1.0)
         assert rt.pmf(0) == 0.0
+
+
+def _assert_matches_scipy(mass: np.ndarray, reference: np.ndarray) -> None:
+    """1e-12 relative wherever the reference mass exceeds 1e-16."""
+    assert len(mass) == len(reference)
+    carried = reference > 1e-16
+    rel = np.abs(mass[carried] - reference[carried]) / reference[carried]
+    assert rel.max() <= 1e-12
+    assert np.all(mass[~carried] <= 1e-15)
+    assert abs(mass.sum() - 1.0) <= 1e-12
+
+
+class TestPmfHelpers:
+    @pytest.mark.parametrize("n", [249, 999, 19_999])
+    @pytest.mark.parametrize("p_kind", ["mean4", "0.37", "0.5", "0.9"])
+    def test_binomial_matches_scipy(self, n, p_kind):
+        from scipy.stats import binom
+
+        p = 4.0 / n if p_kind == "mean4" else float(p_kind)
+        dist = DegreeDistribution.binomial(n, p)
+        assert list(dist.support) == list(range(n + 1))
+        _assert_matches_scipy(dist.mass, binom.pmf(np.arange(n + 1), n, p))
+
+    @pytest.mark.parametrize("mean, d_max", [(0.5, 20), (30.0, 120), (30.0, 25), (4.0, 16)])
+    def test_poisson_truncated_matches_scipy(self, mean, d_max):
+        from scipy.stats import poisson
+
+        reference = poisson.pmf(np.arange(d_max + 1), mean)
+        dist = DegreeDistribution.poisson_truncated(mean, d_max)
+        _assert_matches_scipy(dist.mass, reference / reference.sum())
+
+    @pytest.mark.parametrize("n", [0, 1, 249])
+    def test_binomial_extremes_are_point_masses(self, n):
+        assert DegreeDistribution.binomial(n, 0.0).pmf(0) == 1.0
+        assert DegreeDistribution.binomial(n, 1.0).pmf(n) == 1.0
+        assert DegreeDistribution.binomial(n, 0.0).d_max == 0
+        assert DegreeDistribution.binomial(n, 1.0).d_max == n
+
+    def test_poisson_zero_mean_is_point_mass(self):
+        assert DegreeDistribution.poisson_truncated(0.0, 5).pmf(0) == 1.0
+
+    def test_invalid_arguments_rejected(self):
+        for args in ((-1, 0.5), (5, -0.1), (5, 1.5)):
+            with pytest.raises(ValueError):
+                binomial_pmf(*args)
+        with pytest.raises(ValueError):
+            DegreeDistribution.poisson_truncated(-1.0, 5)
+        with pytest.raises(ValueError):
+            DegreeDistribution.poisson_truncated(2.0, -1)
