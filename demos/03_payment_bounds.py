@@ -18,13 +18,14 @@ from privmarket.sim import run_experiment
 params = ModelParams(prior_w1=0.5, theta0=0.7, alpha=0.25, epsilon=0.1, population=250)
 dist = DegreeDistribution.binomial(249, 4.0 / 249.0)
 
-b_nd = bhattacharyya(250, nd_moments(params, dist))
-b_mv = bhattacharyya(250, mv_moments_equal_priors(params, dist))
+nd, mv = nd_moments(params, dist), mv_moments_equal_priors(params, dist)
+b_nd = bhattacharyya(250, nd)
+b_mv = bhattacharyya(250, mv)
 print(f"B(baseline) = {b_nd:.3f}  -> free-collection threshold e^-B = {math.exp(-b_nd):.4f}")
 print(f"B(equilibrium) = {b_mv:.3f} (>= baseline)\n")
 
 for p_e in (0.5, math.exp(-b_nd), math.exp(-b_nd) / 10.0, 1e-4):
-    rep = payment_bound(p_e, params, dist, 250)
+    rep = payment_bound(p_e, params, mv, nd, 250)
     if rep.regime == "slack":
         print(f"target P_e = {p_e:9.2e}: slack -- any delta*N total payment suffices")
     else:

@@ -5,7 +5,7 @@ Library layout:
 * `model`     - market parameters, cost functions, signal sampling
 * `graph`     - social graph generation, ingestion, degree statistics
 * `strategy`  - equilibrium reporting strategies and privacy levels
-* `mechanism` - genie-aided and peer-prediction payments
+* `mechanism` - peer-prediction payment constants
 * `analytics` - closed-form moments, accuracy and payment bounds
 * `sim`       - Monte Carlo engine and sweeps
 * `config`/`cli` - run configuration and the command-line front end
@@ -17,26 +17,19 @@ from .model import ModelParams, CostFunction, quadratic_cost, theta1  # noqa: F4
 from .graph import Graph, DegreeDistribution  # noqa: F401
 from .strategy import (  # noqa: F401
     ActionDistribution,
-    StrategyTable,
     bar_A,
     build_mv_strategy,
     equal_priors_tau,
     ml_estimate,
-    mv_strategy_table,
     nd_baseline_strategy,
-    nd_baseline_table,
     privacy_level,
     solve_xi,
     upsilon,
 )
 from .mechanism import (  # noqa: F401
-    NON_PARTICIPATION,
     MechanismConfig,
     design_Z,
     design_Z0_Z1,
-    genie_payment,
-    majority_excluding,
-    peer_payment,
 )
 from .analytics import (  # noqa: F401
     MomentSummary,

@@ -4,8 +4,11 @@ Two strategy profiles are covered, both symmetric and analyzed under equal
 priors: the equilibrium majority-voting profile (band half-width tau solved
 from the model, randomized-response level epsilon inside the band) and the
 all-non-disclosive baseline (tau = 0, epsilon = 0, i.e. a fair coin at
-ties).  `ReportLaw` captures one such profile and exposes the per-degree
-conditional report probabilities that everything else is assembled from.
+ties).  `ReportLaw` captures one such profile: `band_bounds` gives a
+degree's band, `ReportLaw.play` is what each user reports and pays (the
+Monte Carlo engine plays it), and the per-degree conditional report
+probabilities that everything else is assembled from are sums over the
+same band.
 
 Two variance coefficients are reported side by side:
 
@@ -43,6 +46,7 @@ __all__ = [
     "ReportLaw",
     "binom_pmf",
     "binom_range",
+    "band_bounds",
     "nu_values",
     "lambda_sr",
     "mv_report_law",
@@ -92,20 +96,28 @@ def binom_pmf(k: float, m: int, p: float) -> float:
     return math.exp(log_pmf)
 
 
-def _lattice_mass(pmf: np.ndarray, k: float, l: float) -> float:
-    """Sum of pmf (mass at 0..len-1) over the integers in [k, l]; 0 when empty."""
-    lo = max(math.ceil(k - _INT_TOL), 0)
-    hi = min(math.floor(l + _INT_TOL), len(pmf) - 1)
-    if lo > hi:
-        return 0.0
-    return float(pmf[lo:hi + 1].sum())
-
-
 def binom_range(k: float, l: float, m: int, p: float) -> float:
     """Sum of the Binomial(m, p) mass over integers in [k, l]; 0 when empty."""
     if m < 0:
         raise AnalyticsError("m must be >= 0")
-    return _lattice_mass(binomial_pmf(m, p), k, l)
+    lo = max(math.ceil(k - _INT_TOL), 0)
+    hi = min(math.floor(l + _INT_TOL), m)
+    if lo > hi:
+        return 0.0
+    return float(binomial_pmf(m, p)[lo:hi + 1].sum())
+
+
+def band_bounds(d, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the integer group-signal sums of the band d/2 +- tau, both included.
+
+    `d` is a degree or an array of degrees.  Sums below lo report 0, sums
+    above hi report 1; a band wider than the whole range covers 0..d.
+    """
+    d = np.asarray(d)
+    return (
+        np.ceil(d / 2 - tau - _INT_TOL).astype(np.int64),
+        np.floor(d / 2 + tau + _INT_TOL).astype(np.int64),
+    )
 
 
 def nu_values(d: int, tau: float, theta1: float) -> tuple[float, float]:
@@ -118,19 +130,13 @@ def nu_values(d: int, tau: float, theta1: float) -> tuple[float, float]:
         raise AnalyticsError("d must be >= 0")
     if tau < 0.0:
         raise AnalyticsError(f"tau must be >= 0, got {tau}")
-    return _band_tail(binomial_pmf(d, theta1), d, tau)
+    lo, hi = band_bounds(d, tau)
+    return _band_tail(binomial_pmf(d, theta1), int(lo), int(hi))
 
 
-def _band_tail(pmf: np.ndarray, d: int, tau: float, fixed: int = 0) -> tuple[float, float]:
-    """(band mass, upper-tail mass) of a degree-d user's group-signal sum.
-
-    The sum is `fixed` received bits set to 1 plus a count with mass `pmf`;
-    the band is d/2 +- tau.
-    """
-    return (
-        _lattice_mass(pmf, d / 2 - tau - fixed, d / 2 + tau - fixed),
-        _lattice_mass(pmf, math.floor(d / 2 + tau + 1 - fixed), d),
-    )
+def _band_tail(pmf: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
+    """(band mass, upper-tail mass) of a count with mass `pmf` and band lo..hi."""
+    return float(pmf[max(lo, 0):max(hi + 1, 0)].sum()), float(pmf[max(hi + 1, 0):].sum())
 
 
 def lambda_sr(epsilon: float, theta0: float) -> float:
@@ -161,6 +167,10 @@ class ReportLaw:
         self.tau = float(tau)
         self.epsilon = float(epsilon)
         self.lam = lambda_sr(epsilon, params.theta0)
+        ee = math.exp(self.epsilon)
+        # Pr(randomized report = 1 | own signal 0, 1), and what randomizing costs
+        self._coin = np.array([1.0 / (ee + 1.0), ee / (ee + 1.0)])
+        self._band_cost = params.cost.value(self.epsilon)
         self._pr = (1.0 - params.theta0, params.theta0)  # Pr(signal = 0), Pr(signal = 1)
         self._mean = np.empty(0)
         self._M = np.empty((0, 2, 2))
@@ -175,20 +185,18 @@ class ReportLaw:
         if d_max >= len(self._mean):
             d_max = max(d_max, 2 * len(self._mean))
             th0, th1, alpha = self.params.theta0, self.params.theta1, self.params.alpha
-            tau = self.tau
-            ee = math.exp(self.epsilon)
-            # Pr(randomized report = 1 | own signal 0, 1)
-            c = np.array([1.0 / (ee + 1.0), ee / (ee + 1.0)])
+            c = self._coin
+            lo, hi = (b.tolist() for b in band_bounds(np.arange(d_max + 1), self.tau))
             mean = np.empty(d_max + 1)
             j = np.full((d_max + 1, 2, 2), np.nan)  # [d, k, l]: own signal k, one received bit l
             prev = None  # Binomial(d - 1, theta1) mass: the d - 1 other received bits
             for d in range(d_max + 1):
                 pmf = binomial_pmf(d, th1)
-                nu_sr, nu_nd = _band_tail(pmf, d, tau)
+                nu_sr, nu_nd = _band_tail(pmf, lo[d], hi[d])
                 mean[d] = nu_nd + self.lam * nu_sr
                 if prev is not None:
-                    for l in (0, 1):
-                        band, tail = _band_tail(prev, d, tau, fixed=l)
+                    for l in (0, 1):  # l received bits are fixed, so the band shifts by l
+                        band, tail = _band_tail(prev, lo[d] - l, hi[d] - l)
                         j[d, :, l] = tail + c * band
                 prev = pmf
             # The friend's bit arrives flipped with probability alpha.
@@ -198,6 +206,17 @@ class ReportLaw:
         return self._mean, self._M, self._G
 
     # -- single-user -----------------------------------------------------
+    def play(self, f, s, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """(Pr(report 1), privacy cost) of users with group-signal sums f and own signals s.
+
+        `lo`, `hi` are the users' band bounds from `band_bounds`: inside the
+        band a user randomizes her signal at level epsilon (a fair coin when
+        epsilon = 0) and pays g(epsilon); outside it she reports the group
+        majority at no cost.
+        """
+        in_band = (lo <= f) & (f <= hi)
+        return np.where(in_band, self._coin.take(s), f > hi), in_band * self._band_cost
+
     def mean(self, d: int) -> float:
         """Pr(X = 1 | W = 1, degree d)."""
         if d < 0:
@@ -472,18 +491,18 @@ class PaymentBoundReport:
 
 
 def payment_bound(
-    p_e: float, params: ModelParams, dist: DegreeDistribution, n: int
+    p_e: float, params: ModelParams, mv: MomentSummary, nd: MomentSummary, n: int
 ) -> PaymentBoundReport:
     """Classify the payment regime for an error-probability target.
 
-    A target at or above exp(-B(baseline)) is achievable at arbitrarily
-    small total payment by the zero-privacy-cost baseline; a tighter target
-    is coverable at the equilibrium profile's per-user expected payment.
+    `mv` and `nd` are the moments of the equilibrium profile and of the
+    baseline on one degree law.  A target at or above exp(-B(baseline)) is
+    achievable at arbitrarily small total payment by the zero-privacy-cost
+    baseline; a tighter target is coverable at the equilibrium profile's
+    per-user expected payment.
     """
     if not 0.0 < p_e < 1.0:
         raise AnalyticsError("p_e must lie in (0, 1)")
-    nd = nd_moments(params, dist)
-    mv = mv_moments_equal_priors(params, dist)
     b_nd = bhattacharyya(n, nd)
     b_mv = bhattacharyya(n, mv)
     if p_e >= math.exp(-b_nd):

@@ -27,7 +27,7 @@ from .config import (
 )
 from .graph import check_sparsity, ingest_edge_list
 from .mechanism import design_Z, design_Z0_Z1
-from .strategy import mv_strategy_table, table_to_text
+from .strategy import build_mv_strategy, table_to_text
 
 log = logging.getLogger("privmarket")
 
@@ -95,7 +95,7 @@ def _strategy_d_max(cfg: RunConfig) -> int:
 def cmd_strategy(cfg: RunConfig, out: _AtomicOutputs) -> None:
     params = model_params(cfg)
     d_max = _strategy_d_max(cfg)
-    table = mv_strategy_table(params, d_max=d_max)
+    table = [build_mv_strategy(d, params) for d in range(d_max + 1)]
     path = out.write("strategy.tsv", table_to_text(table))
     log.info("strategy table for degrees 0..%d -> %s", d_max, path)
 
@@ -116,7 +116,7 @@ def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
         beta_pairs = an.beta_accuracy(n, mv, exact_pairs=True)
         z = design_Z(params.epsilon, params.theta0, params.cost)
         z0, z1 = design_Z0_Z1(z, beta, beta, params.prior_w1)
-        bound = an.payment_bound(cfg.analytics.p_e, params, dist, n)
+        bound = an.payment_bound(cfg.analytics.p_e, params, mv, nd, n)
         pairs = [
             ("mu1", mv.mu1), ("mu0", mv.mu0),
             ("kappa1", mv.kappa1), ("kappa0", mv.kappa0),

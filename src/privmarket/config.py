@@ -88,7 +88,6 @@ class SimSection:
 @dataclass(frozen=True)
 class OutputSection:
     directory: str = "out"
-    formats: str = "csv,json"
 
 
 @dataclass(frozen=True)

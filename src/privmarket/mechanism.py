@@ -1,7 +1,7 @@
-"""Payment mechanisms: genie-aided template and the peer-prediction scheme.
+"""Peer-prediction payment constants.
 
-All operations are pure.  Reports use the integer coding 1, 0 and
-NON_PARTICIPATION (= -1) for the opt-out symbol.
+All operations are pure.  The engine in `sim` applies the payment rule to
+whole report vectors; the per-user reference rules live with the tests.
 """
 
 from __future__ import annotations
@@ -12,17 +12,11 @@ from dataclasses import dataclass
 from .model import CostFunction
 
 __all__ = [
-    "NON_PARTICIPATION",
     "MechanismConfig",
     "MechanismError",
-    "genie_payment",
-    "majority_excluding",
-    "peer_payment",
     "design_Z",
     "design_Z0_Z1",
 ]
-
-NON_PARTICIPATION = -1
 
 
 class MechanismError(ValueError):
@@ -45,45 +39,6 @@ class MechanismConfig:
             raise MechanismError("payment constants must be positive")
         if self.beta0 + self.beta1 <= 1.0:
             raise MechanismError("need beta0 + beta1 > 1")
-
-
-def genie_payment(x: int, w: int, z_g: float, prior_w1: float) -> float:
-    """Hypothetical payment when the true world bit is observable.
-
-    Pays z_g / Pr(W = w) for a report matching w, nothing otherwise
-    (including non-participation).
-    """
-    if x == NON_PARTICIPATION or x != w:
-        return 0.0
-    pr_w = prior_w1 if w == 1 else 1.0 - prior_w1
-    return z_g / pr_w
-
-
-def majority_excluding(reports, i: int):
-    """Majority bit among the other participants' reports.
-
-    Returns 1 or 0, or None when user i opted out or is the only
-    participant (payment is zero downstream either way).  With n total
-    participants, the majority threshold on the others' sum is
-    floor((n - 1) / 2) + 1, so even splits resolve to 0.
-    """
-    if not 0 <= i < len(reports):
-        raise IndexError(f"index {i} out of range")
-    participants = [x for x in reports if x != NON_PARTICIPATION]
-    n = len(participants)
-    if reports[i] == NON_PARTICIPATION or n <= 1:
-        return None
-    others_sum = sum(x for j, x in enumerate(reports) if j != i and x != NON_PARTICIPATION)
-    return 1 if others_sum >= (n - 1) // 2 + 1 else 0
-
-
-def peer_payment(x_i: int, m, cfg: MechanismConfig) -> float:
-    """Pay z1 on a 1-report matching the others' majority, z0 on a matching 0-report."""
-    if m is None or x_i == NON_PARTICIPATION:
-        return 0.0
-    if x_i == 1:
-        return cfg.z1 * m
-    return cfg.z0 * (1 - m)
 
 
 def design_Z(epsilon: float, theta0: float, cost: CostFunction) -> float:

@@ -47,10 +47,6 @@ class CostFunctionError(ValueError):
 
 # Purpose tags for RNG substreams.  Keyed into SeedSequence spawn keys so the
 # same (master_seed, tag, index) always yields the same stream.
-TAG_WORLD = 0
-TAG_SIGNALS = 1
-TAG_GROUP = 2
-TAG_REPORTS = 3
 TAG_GRAPH = 4
 TAG_TRIAL = 5
 
@@ -231,9 +227,9 @@ def sample_group_signals(rng: np.random.Generator, graph, s: np.ndarray, alpha: 
     """Flip the sender's signal independently per direction with probability alpha."""
     if len(s) != graph.n:
         raise ParameterError("signal vector length does not match the graph")
-    sent = s[graph.directed_send]
+    sent = s[graph.directed_send].astype(np.int8)
     flips = rng.random(len(sent)) < alpha
-    return GroupSignals(graph, np.where(flips, 1 - sent, sent).astype(np.int8))
+    return GroupSignals(graph, sent ^ flips)
 
 
 def sample_realization(rng: np.random.Generator, graph, params: ModelParams) -> SignalRealization:

@@ -1,12 +1,14 @@
 """Monte Carlo engine.
 
 A trial realizes the world state, signals and group signals on a fixed
-graph, applies a per-degree strategy table, pays every user through the
-peer mechanism, and runs the collector's quadratic Gaussian detector on
-the report sum.  Trials are indexed; each owns the stream
-(master seed, trial tag, index), so results are byte-identical across
-runs and across worker counts, and aggregation over the trial-indexed
-arrays uses exactly-rounded summation.
+graph with the model's samplers, lets every user play the profile's
+`ReportLaw` (randomize inside her band, report the group majority outside
+it), pays every user through the peer mechanism, and runs the collector's
+quadratic Gaussian detector on the report sum.  The closed forms read the
+same law, so simulation and analytics describe one profile.  Trials are
+indexed; each owns the stream (master seed, trial tag, index), so results
+are byte-identical across runs and across worker counts, and aggregation
+over the trial-indexed arrays uses exactly-rounded summation.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from . import analytics
-from .analytics import MomentSummary, graph_report_moments
+from .analytics import MomentSummary, ReportLaw, band_bounds, graph_report_moments
 from .graph import Graph
 from .mechanism import MechanismConfig, design_Z, design_Z0_Z1
-from .model import TAG_TRIAL, ModelParams, substream
-from .strategy import SR, StrategyTable, mv_strategy_table, nd_baseline_table
+from .model import (
+    TAG_TRIAL, ModelParams, sample_group_signals, sample_private_signals, sample_world, substream,
+)
 
 __all__ = [
     "TrialResult",
@@ -79,63 +82,32 @@ class TrialResult:
 
 
 class _Engine:
-    """Flattened per-node lookup tables for vectorized trial simulation."""
+    """A profile's report law and the per-node band bounds it is played with."""
 
     def __init__(
         self,
         graph: Graph,
-        table: StrategyTable,
+        law: ReportLaw,
         mech: MechanismConfig,
         params: ModelParams,
         map_moments,
     ):
         self.graph = graph
+        self.law = law
         self.params = params
         self.mech = mech
         self.map_moments = map_moments
-        degrees = sorted(set(int(d) for d in graph.degrees))
-        offsets: dict[int, int] = {}
-        p1_parts: list[np.ndarray] = []
-        cost_parts: list[np.ndarray] = []
-        pos = 0
-        for d in degrees:
-            strat = table.degree(d)
-            block = np.empty((d + 1, 2))
-            cost_block = np.empty(d + 1)
-            for entry in strat.entries:
-                block[entry.f, 0] = entry.row(0).p1
-                block[entry.f, 1] = entry.row(1).p1
-                level = entry.xi if entry.regime == SR else 0.0
-                cost_block[entry.f] = params.cost.value(level)
-            offsets[d] = pos
-            p1_parts.append(block.reshape(-1))
-            cost_parts.append(cost_block)
-            pos += (d + 1) * 2
-        self._p1 = np.concatenate(p1_parts)
-        self._cost = np.concatenate(cost_parts)
-        self._node_p1_base = np.array([offsets[int(d)] for d in graph.degrees], dtype=np.int64)
-        cost_offsets: dict[int, int] = {}
-        pos = 0
-        for d in degrees:
-            cost_offsets[d] = pos
-            pos += d + 1
-        self._node_cost_base = np.array(
-            [cost_offsets[int(d)] for d in graph.degrees], dtype=np.int64
-        )
+        self._lo, self._hi = band_bounds(graph.degrees, law.tau)
 
     def simulate(self, rng: np.random.Generator, force_w: int | None = None) -> TrialResult:
         graph, params = self.graph, self.params
         n = graph.n
-        w = int(rng.random() < params.prior_w1)
+        w = sample_world(rng, params)
         if force_w is not None:
             w = int(force_w)
-        match = rng.random(n) < params.theta0
-        s = np.where(match, w, 1 - w).astype(np.int8)
-        sent = s[graph.directed_send]
-        flips = rng.random(len(sent)) < params.alpha
-        c = np.where(flips, 1 - sent, sent)
-        f = np.bincount(graph.directed_recv, weights=c, minlength=n).astype(np.int64)
-        p1 = self._p1[self._node_p1_base + 2 * f + s]
+        s = sample_private_signals(rng, w, params)
+        f = sample_group_signals(rng, graph, s, params.alpha).sums()
+        p1, privacy_costs = self.law.play(f, s, self._lo, self._hi)
         reports = (rng.random(n) < p1).astype(np.int64)
         total = int(reports.sum())
         # All users participate under these profiles, so n_participants = n.
@@ -146,7 +118,6 @@ class _Engine:
             self.mech.z1 * majority_others,
             self.mech.z0 * (1 - majority_others),
         ).astype(float)
-        privacy_costs = self._cost[self._node_cost_base + f]
         w_hat = map_estimate(total, n, self.map_moments, params.prior_w1)
         return TrialResult(
             w=w, w_hat=w_hat, reports=reports, payments=payments,
@@ -173,15 +144,15 @@ class _Engine:
 def run_trial(
     rng: np.random.Generator,
     graph: Graph,
-    table: StrategyTable,
+    law: ReportLaw,
     cfg: MechanismConfig,
     params: ModelParams,
     summary,
 ) -> TrialResult:
-    """Simulate one market round; degree coverage errors surface from the table."""
+    """Simulate one market round with every user playing `law`."""
     if graph.n != params.population:
         raise ValueError("graph size does not match params.population")
-    engine = _Engine(graph, table, cfg, params, summary)
+    engine = _Engine(graph, law, cfg, params, summary)
     return engine.simulate(rng)
 
 
@@ -259,7 +230,7 @@ def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) ->
 
 
 def _build_experiment(config, graph_stream_index: int = 0):
-    """Graph, analytic distribution, law, tables and mechanism from a RunConfig."""
+    """Graph, analytic distribution, report law and mechanism from a RunConfig."""
     from .config import build_graph, model_params  # local import to avoid a cycle
 
     params = model_params(config)
@@ -277,11 +248,9 @@ def _build_experiment(config, graph_stream_index: int = 0):
     profile = config.sim.profile
     nd_summary = analytics.nd_moments(params, dist)
     if profile == ND_PROFILE:
-        table: StrategyTable = nd_baseline_table()
         law = analytics.nd_report_law(params)
         summary = nd_summary
     else:
-        table = mv_strategy_table(params)
         law = analytics.mv_report_law(params)
         summary = analytics.mv_moments_equal_priors(params, dist)
     graph_mu, graph_kappa = graph_report_moments(graph, law)
@@ -299,7 +268,7 @@ def _build_experiment(config, graph_stream_index: int = 0):
         kappa1_pairs=graph_kappa, kappa0_pairs=graph_kappa,
         tau=summary.tau, epsilon=summary.epsilon,
     )
-    engine = _Engine(graph, table, mech, params, map_moments)
+    engine = _Engine(graph, law, mech, params, map_moments)
     analytic = AnalyticBlock(
         summary=summary, graph_mu1=graph_mu, graph_kappa=graph_kappa, beta=beta,
         z=mech.z, z0=mech.z0, z1=mech.z1,
@@ -375,21 +344,17 @@ class NormalityReport:
 
 
 def normality_probe(
-    config, trials: int, table: StrategyTable | None = None, threshold: float = 0.05,
-    asymptotic_min_n: int = 500,
+    config, trials: int, threshold: float = 0.05, asymptotic_min_n: int = 500,
 ) -> NormalityReport:
     """Kolmogorov-Smirnov distance of the normalized report sum per world state.
 
     The sum is normalized by the realized-graph mean and exact-pair variance
-    coefficient.  A custom strategy table falls back to empirical
-    normalization and exists mainly to surface degenerate profiles, which
-    raise ZeroVarianceError.
+    coefficient.  A degenerate profile, whose report sum never varies,
+    raises ZeroVarianceError.
     """
     from scipy.stats import kstest
 
     params, graph, engine, analytic = _build_experiment(config)
-    if table is not None:
-        engine = _Engine(graph, table, engine.mech, params, engine.map_moments)
     per_state = trials // 2
     if per_state < 10:
         raise ValueError("need at least 20 trials")
@@ -402,14 +367,8 @@ def normality_probe(
             sums[i] = engine.simulate(rng, force_w=w).sum_reports
         if sums.max() - sums.min() == 0.0:
             raise ZeroVarianceError("report sum is constant; degenerate strategy profile")
-        if table is None:
-            mean_w = mu * graph.n if w == 1 else (1.0 - mu) * graph.n
-            scale = math.sqrt(graph.n * kappa)
-        else:
-            mean_w = float(sums.mean())
-            scale = float(sums.std(ddof=1))
-            if scale == 0.0:
-                raise ZeroVarianceError("report sum is constant; degenerate strategy profile")
+        mean_w = mu * graph.n if w == 1 else (1.0 - mu) * graph.n
+        scale = math.sqrt(graph.n * kappa)
         ks[w] = float(kstest((sums - mean_w) / scale, "norm").statistic)
     asymptotic = graph.n >= asymptotic_min_n
     passed = (max(ks.values()) < threshold) if asymptotic else None

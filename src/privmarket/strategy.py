@@ -12,12 +12,21 @@ Numerical notes: the group-signal likelihood ratio (theta1/(1-theta1))^(d-2f)
 is carried in log space throughout, so degrees near the sparsity cap do not
 overflow.  J' is strictly decreasing for convex costs, so bisection on an
 expanding bracket is guaranteed to converge.
+
+This solver builds the tables `privmarket strategy` exports and is the only
+encoding of the profile under unequal priors.  Under equal priors xi(f) =
+epsilon in every cell and both cuts are d/2 +- `equal_priors_tau`, so
+simulation and the closed forms play the same profile as the (tau, epsilon)
+law `analytics.ReportLaw`; the tables here are their reference.  A cell
+exactly at a cut is non-disclosive in the tables, while the law randomizes
+there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +36,6 @@ __all__ = [
     "ActionDistribution",
     "StrategyEntry",
     "DegreeStrategy",
-    "StrategyTable",
     "StrategyDomainError",
     "privacy_level",
     "bar_A",
@@ -37,8 +45,6 @@ __all__ = [
     "equal_priors_tau",
     "build_mv_strategy",
     "nd_baseline_strategy",
-    "mv_strategy_table",
-    "nd_baseline_table",
     "table_to_text",
 ]
 
@@ -307,55 +313,15 @@ def nd_baseline_strategy(d: int) -> DegreeStrategy:
     return DegreeStrategy(d=d, entries=tuple(entries))
 
 
-class StrategyTable:
-    """Per-degree strategy cache built from a degree -> DegreeStrategy factory.
-
-    With `extend_on_demand=False` the table is frozen at construction and
-    looking up an uncovered degree raises, so simulations fail loudly when a
-    graph contains degrees the table was not built for.
-    """
-
-    def __init__(self, builder, d_max: int | None = None, extend_on_demand: bool = True):
-        self._builder = builder
-        self._extend = extend_on_demand
-        self._cache: dict[int, DegreeStrategy] = {}
-        if d_max is not None:
-            for d in range(d_max + 1):
-                self._cache[d] = builder(d)
-
-    def degree(self, d: int) -> DegreeStrategy:
-        if d not in self._cache:
-            if not self._extend:
-                raise KeyError(f"degree {d} exceeds the table's coverage")
-            self._cache[d] = self._builder(d)
-        return self._cache[d]
-
-    def covered_degrees(self) -> list[int]:
-        return sorted(self._cache)
-
-
-def mv_strategy_table(
-    params: ModelParams, d_max: int | None = None, extend_on_demand: bool = True
-) -> StrategyTable:
-    return StrategyTable(
-        lambda d: build_mv_strategy(d, params), d_max=d_max, extend_on_demand=extend_on_demand
-    )
-
-
-def nd_baseline_table(d_max: int | None = None, extend_on_demand: bool = True) -> StrategyTable:
-    return StrategyTable(nd_baseline_strategy, d_max=d_max, extend_on_demand=extend_on_demand)
-
-
-def table_to_text(table: StrategyTable) -> str:
+def table_to_text(strategies: Sequence[DegreeStrategy]) -> str:
     """Flat tab-separated export: degree, f, s, p1, p0, p_bot, regime, xi."""
     lines = ["degree\tf\ts\tp1\tp0\tp_bot\tregime\txi"]
-    for d in table.covered_degrees():
-        strat = table.degree(d)
+    for strat in strategies:
         for entry in strat.entries:
             for s in (0, 1):
                 row = entry.row(s)
                 lines.append(
-                    f"{d}\t{entry.f}\t{s}\t{row.p1:.17g}\t{row.p0:.17g}\t{row.p_bot:.17g}"
+                    f"{strat.d}\t{entry.f}\t{s}\t{row.p1:.17g}\t{row.p0:.17g}\t{row.p_bot:.17g}"
                     f"\t{entry.regime}\t{entry.xi:.17g}"
                 )
     return "\n".join(lines) + "\n"

@@ -18,6 +18,7 @@ from scipy import integrate
 
 from privmarket.analytics import ReportLaw
 from privmarket.graph import DegreeDistribution, Graph
+from privmarket.mechanism import MechanismConfig
 from privmarket.model import ModelParams
 from privmarket.strategy import DegreeStrategy
 
@@ -235,3 +236,49 @@ def truncated_poisson_mean(mean: float, d_max: int) -> float:
     weights = [math.exp(-mean) * mean**d / math.factorial(d) for d in range(d_max + 1)]
     total = sum(weights)
     return sum(d * w for d, w in enumerate(weights)) / total
+
+
+# ---------------------------------------------------------------------------
+# scalar payment references (the engine applies these rules to report vectors)
+# ---------------------------------------------------------------------------
+
+NON_PARTICIPATION = -1  # report coding: 1, 0, or this opt-out symbol
+
+
+def genie_payment(x: int, w: int, z_g: float, prior_w1: float) -> float:
+    """Hypothetical payment when the true world bit is observable.
+
+    Pays z_g / Pr(W = w) for a report matching w, nothing otherwise
+    (including non-participation).
+    """
+    if x == NON_PARTICIPATION or x != w:
+        return 0.0
+    pr_w = prior_w1 if w == 1 else 1.0 - prior_w1
+    return z_g / pr_w
+
+
+def majority_excluding(reports, i: int):
+    """Majority bit among the other participants' reports.
+
+    Returns 1 or 0, or None when user i opted out or is the only
+    participant (payment is zero downstream either way).  With n total
+    participants, the majority threshold on the others' sum is
+    floor((n - 1) / 2) + 1, so even splits resolve to 0.
+    """
+    if not 0 <= i < len(reports):
+        raise IndexError(f"index {i} out of range")
+    participants = [x for x in reports if x != NON_PARTICIPATION]
+    n = len(participants)
+    if reports[i] == NON_PARTICIPATION or n <= 1:
+        return None
+    others_sum = sum(x for j, x in enumerate(reports) if j != i and x != NON_PARTICIPATION)
+    return 1 if others_sum >= (n - 1) // 2 + 1 else 0
+
+
+def peer_payment(x_i: int, m, cfg: MechanismConfig) -> float:
+    """Pay z1 on a 1-report matching the others' majority, z0 on a matching 0-report."""
+    if m is None or x_i == NON_PARTICIPATION:
+        return 0.0
+    if x_i == 1:
+        return cfg.z1 * m
+    return cfg.z0 * (1 - m)

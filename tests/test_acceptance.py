@@ -17,6 +17,7 @@ from privmarket.analytics import (
     bhattacharyya,
     mv_moments_equal_priors,
     nd_moments,
+    nd_report_law,
 )
 from privmarket.config import apply_overrides, default_config
 from privmarket.graph import DegreeDistribution, ingest_edge_list
@@ -30,7 +31,7 @@ from privmarket.sim import (
     sweep,
     sweep_csv,
 )
-from privmarket.strategy import ND, SR, build_mv_strategy, nd_baseline_table
+from privmarket.strategy import ND, SR, build_mv_strategy
 
 from conftest import make_params
 from datasets import write_gnutella_like, write_grqc_like
@@ -216,11 +217,12 @@ def test_criterion_8_trend_reproduction(degree_sweep):
 def test_criterion_9_baseline_regime():
     params = make_params()
     dist = DegreeDistribution.binomial(249, 4.0 / 249.0)
-    b_nd = bhattacharyya(250, nd_moments(params, dist))
+    nd, mv = nd_moments(params, dist), mv_moments_equal_priors(params, dist)
+    b_nd = bhattacharyya(250, nd)
     from privmarket.analytics import payment_bound
 
     slack_ok = all(
-        payment_bound(p_e, params, dist, 250).regime == "slack"
+        payment_bound(p_e, params, mv, nd, 250).regime == "slack"
         for p_e in (0.5, math.exp(-b_nd), min(0.9, 2 * math.exp(-b_nd)))
     )
 
@@ -249,7 +251,7 @@ def test_criterion_9_baseline_regime():
     p = make_params(population=graph.n)
     mech = MechanismConfig(z=1.0, z0=1.0, z1=1.0, beta0=0.99, beta1=0.99, epsilon=p.epsilon)
     trial = run_trial(
-        substream(1, 5, 0), graph, nd_baseline_table(), mech, p,
+        substream(1, 5, 0), graph, nd_report_law(p), mech, p,
         mv_moments_equal_priors(p, dist),
     )
     all_zero = bool(np.all(trial.privacy_costs == 0.0))

@@ -264,22 +264,26 @@ class TestBhattacharyya:
 class TestPaymentBound:
     DIST = DegreeDistribution.poisson_truncated(4.0, 16)
 
+    def _bound(self, p_e, params):
+        mv, nd = mv_moments_equal_priors(params, self.DIST), nd_moments(params, self.DIST)
+        return payment_bound(p_e, params, mv, nd, 250)
+
     def test_loose_target_is_slack(self, default_params):
-        rep = payment_bound(0.5, default_params, self.DIST, 250)
+        rep = self._bound(0.5, default_params)
         assert rep.regime == "slack"
         assert rep.delta_floor
         assert rep.bound_per_user is None
 
     def test_boundary_included_in_slack(self, default_params):
         b_nd = bhattacharyya(250, nd_moments(default_params, self.DIST))
-        rep = payment_bound(math.exp(-b_nd), default_params, self.DIST, 250)
+        rep = self._bound(math.exp(-b_nd), default_params)
         assert rep.regime == "slack"
 
     def test_tight_target_bounds_by_equilibrium_payment(self, default_params):
         from privmarket.mechanism import design_Z, design_Z0_Z1
 
         b_nd = bhattacharyya(250, nd_moments(default_params, self.DIST))
-        rep = payment_bound(math.exp(-b_nd) / 10.0, default_params, self.DIST, 250)
+        rep = self._bound(math.exp(-b_nd) / 10.0, default_params)
         assert rep.regime == "tight"
         mv = mv_moments_equal_priors(default_params, self.DIST)
         beta = beta_accuracy(250, mv)

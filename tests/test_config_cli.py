@@ -50,6 +50,8 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("model.bogus = 3\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config("output.formats = csv,json\n")
 
     def test_bad_enum_rejected(self):
         with pytest.raises(ConfigError):
@@ -134,6 +136,22 @@ class TestCli:
                     "expected_total_payment", "bhattacharyya_mv", "bhattacharyya_nd",
                     "payment_bound_regime"):
             assert f"{key} = " in text
+
+    def test_analytics_evaluates_each_moment_summary_once(self, tmp_path, monkeypatch):
+        from privmarket import analytics
+
+        calls = []
+        for name in ("mv_moments_equal_priors", "nd_moments"):
+            fn = getattr(analytics, name)
+
+            def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(analytics, name, wrapper)
+        cfg = _write_config(tmp_path)
+        assert main(["analytics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert sorted(calls) == ["mv_moments_equal_priors", "nd_moments"]
 
     def test_analytics_no_learning_reduces_to_lambda(self, tmp_path):
         cfg = _write_config(

@@ -6,17 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privmarket.mechanism import (
-    NON_PARTICIPATION as BOT,
-    MechanismConfig,
-    MechanismError,
-    design_Z,
-    design_Z0_Z1,
-    genie_payment,
-    majority_excluding,
-    peer_payment,
-)
+from privmarket.mechanism import MechanismConfig, MechanismError, design_Z, design_Z0_Z1
 from privmarket.model import linear_capped_cost, quadratic_cost
+
+from oracles import NON_PARTICIPATION as BOT
+from oracles import genie_payment, majority_excluding, peer_payment
 
 
 class TestGeniePayment:

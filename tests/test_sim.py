@@ -6,10 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from privmarket.analytics import band_bounds, mv_report_law, nd_report_law
 from privmarket.config import default_config, apply_overrides
 from privmarket.graph import Graph
 from privmarket.mechanism import MechanismConfig
-from privmarket.model import substream
+from privmarket.model import linear_capped_cost, quadratic_cost, substream
 from privmarket.sim import (
     ZeroVarianceError,
     map_estimate,
@@ -20,16 +21,11 @@ from privmarket.sim import (
     sweep,
     sweep_csv,
 )
-from privmarket.strategy import (
-    ActionDistribution,
-    DegreeStrategy,
-    StrategyEntry,
-    StrategyTable,
-    mv_strategy_table,
-    nd_baseline_table,
-)
+from privmarket.strategy import SR, build_mv_strategy
 
 from conftest import make_params
+from oracles import majority_excluding, peer_payment
+from test_acceptance import PARAM_GRID
 
 
 def _summary(mu1, kappa):
@@ -65,9 +61,9 @@ class TestRunTrial:
         # all signals equal w, so f = 2 for everyone: report w w.p. 1
         params = make_params(alpha=0.0, theta0=1.0 - 1e-12, population=4)
         graph = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        table = mv_strategy_table(params)
         result = run_trial(
-            substream(3, 5, 0), graph, table, _simple_mech(), params, _summary(0.9, 0.2)
+            substream(3, 5, 0), graph, mv_report_law(params), _simple_mech(), params,
+            _summary(0.9, 0.2),
         )
         assert np.all(result.reports == result.w)
 
@@ -75,7 +71,7 @@ class TestRunTrial:
         params = make_params(population=6)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         result = run_trial(
-            substream(3, 5, 1), graph, nd_baseline_table(), _simple_mech(), params,
+            substream(3, 5, 1), graph, nd_report_law(params), _simple_mech(), params,
             _summary(0.6, 0.3),
         )
         assert np.all(result.privacy_costs == 0.0)
@@ -83,30 +79,20 @@ class TestRunTrial:
     def test_fixed_seed_reproduces_bytes(self):
         params = make_params(population=6)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
-        table = mv_strategy_table(params)
-        a = run_trial(substream(3, 5, 2), graph, table, _simple_mech(), params, _summary(0.6, 0.3))
-        b = run_trial(substream(3, 5, 2), graph, table, _simple_mech(), params, _summary(0.6, 0.3))
+        law = mv_report_law(params)
+        a = run_trial(substream(3, 5, 2), graph, law, _simple_mech(), params, _summary(0.6, 0.3))
+        b = run_trial(substream(3, 5, 2), graph, law, _simple_mech(), params, _summary(0.6, 0.3))
         assert a.w == b.w and a.sum_reports == b.sum_reports
         assert a.reports.tobytes() == b.reports.tobytes()
         assert a.payments.tobytes() == b.payments.tobytes()
         assert a.privacy_costs.tobytes() == b.privacy_costs.tobytes()
-
-    def test_uncovered_degree_raises(self):
-        params = make_params(population=6)
-        graph = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)])  # star: degree 5 hub
-        short_table = mv_strategy_table(params, d_max=2, extend_on_demand=False)
-        with pytest.raises(KeyError, match="coverage"):
-            run_trial(
-                substream(3, 5, 9), graph, short_table, _simple_mech(), params,
-                _summary(0.6, 0.3),
-            )
 
     def test_payments_nonnegative(self):
         params = make_params(population=6)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         for k in range(10):
             result = run_trial(
-                substream(3, 5, 10 + k), graph, mv_strategy_table(params), _simple_mech(),
+                substream(3, 5, 10 + k), graph, mv_report_law(params), _simple_mech(),
                 params, _summary(0.6, 0.3),
             )
             assert np.all(result.payments >= 0.0)
@@ -114,15 +100,13 @@ class TestRunTrial:
 
 class TestEngineMatchesMechanismOps:
     def test_vectorized_payments_agree_with_scalar_mechanism(self):
-        from privmarket.mechanism import majority_excluding, peer_payment
-
         params = make_params(population=7)
         graph = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3)])
-        table = mv_strategy_table(params)
+        law = mv_report_law(params)
         mech = MechanismConfig(z=1.3, z0=1.7, z1=2.1, beta0=0.9, beta1=0.9, epsilon=0.1)
         for k in range(25):
             trial = run_trial(
-                substream(8, 5, k), graph, table, mech, params, _summary(0.6, 0.3)
+                substream(8, 5, k), graph, law, mech, params, _summary(0.6, 0.3)
             )
             reports = [int(x) for x in trial.reports]
             for i in range(7):
@@ -137,12 +121,12 @@ class TestConditionalIndependence:
         # path 0-1-2-3-4-5: users 0 and 5 are non-adjacent with no common friend
         params = make_params(population=6)
         graph = Graph(6, [(i, i + 1) for i in range(5)])
-        table = mv_strategy_table(params)
+        law = mv_report_law(params)
         mech = _simple_mech()
         trials = 4000
         x0, x5 = [], []
         for k in range(trials):
-            r = run_trial(substream(17, 5, k), graph, table, mech, params, _summary(0.6, 0.3))
+            r = run_trial(substream(17, 5, k), graph, law, mech, params, _summary(0.6, 0.3))
             if r.w == 1:
                 x0.append(r.reports[0])
                 x5.append(r.reports[5])
@@ -186,6 +170,17 @@ class TestRunExperiment:
         assert abs(r.empirical_mu1.value - r.analytic.graph_mu1) < 4 * r.empirical_mu1.se
         assert r.analytic.summary.mu1 > 0.5
 
+    def test_epsilon_zero_plays_fair_coin_at_ties(self):
+        # At epsilon = 0 a tie randomizes with a fair coin, as the closed
+        # forms assume; reporting 0 there biases mu1 low by many se.
+        cfg = apply_overrides(
+            default_config(),
+            ["model.cost=linear-capped", "model.epsilon=0", "model.population=200",
+             "sim.trials=600"],
+        )
+        r = run_experiment(cfg)
+        assert abs(r.empirical_mu1.value - r.analytic.graph_mu1) < 3 * r.empirical_mu1.se
+
     def test_unequal_priors_rejected(self):
         cfg = apply_overrides(default_config(), ["model.prior_w1=0.6", "sim.trials=10"])
         with pytest.raises(NotImplementedError):
@@ -203,21 +198,15 @@ class TestNormalityProbe:
         assert set(rep.ks_statistic) == {0, 1}
 
     def test_degenerate_strategy_rejected(self):
-        cfg = apply_overrides(default_config(), ["model.population=60", "sim.trials=40"])
-        always_one = ActionDistribution(p1=1.0, p0=0.0)
-
-        def degenerate(d: int) -> DegreeStrategy:
-            entries = tuple(
-                StrategyEntry(
-                    f=f, regime="nd", xi=0.0, rows=(always_one, always_one),
-                    cut_low=0.0, cut_high=0.0,
-                )
-                for f in range(d + 1)
-            )
-            return DegreeStrategy(d=d, entries=entries)
-
+        # Near-perfect signals, noiseless links, 2-regular graph: every user
+        # sees f = 2w and reports w, so the report sum never varies.
+        cfg = apply_overrides(
+            default_config(),
+            ["model.theta0=0.999999999999", "model.alpha=0", "graph.kind=config-model",
+             "graph.pmf=2:1", "model.population=60", "sim.trials=40"],
+        )
         with pytest.raises(ZeroVarianceError):
-            normality_probe(cfg, trials=40, table=StrategyTable(degenerate))
+            normality_probe(cfg, trials=40)
 
 
 class TestSweep:
@@ -237,3 +226,30 @@ class TestSweep:
         # paying for more revealing reports cannot hurt the estimator
         lo, hi = rows[0].result.accuracy, rows[1].result.accuracy
         assert hi.value >= lo.value - (lo.ci_half + hi.ci_half)
+
+
+class TestLawMatchesStrategyTables:
+    def test_report_probabilities_and_costs_match_bisection(self):
+        # Under equal priors the bisection solves xi(f) = epsilon in every
+        # cell and cuts at d/2 +- tau, so the law plays the table's rows.
+        worst = 0.0
+        for base in PARAM_GRID:
+            for cost in (quadratic_cost(), linear_capped_cost()):
+                params = make_params(
+                    theta0=base.theta0, alpha=base.alpha, epsilon=base.epsilon, cost=cost
+                )
+                law = mv_report_law(params)
+                for d in range(41):
+                    strat = build_mv_strategy(d, params)
+                    f = np.arange(d + 1)
+                    lo, hi = band_bounds(d, law.tau)
+                    for s in (0, 1):
+                        p1, paid = law.play(f, np.full(d + 1, s), lo, hi)
+                        for entry in strat.entries:
+                            level = entry.xi if entry.regime == SR else 0.0
+                            worst = max(
+                                worst,
+                                abs(p1[entry.f] - entry.row(s).p1),
+                                abs(paid[entry.f] - cost.value(level)),
+                            )
+        assert worst < 1e-9

@@ -17,7 +17,6 @@ from privmarket.strategy import (
     build_mv_strategy,
     equal_priors_tau,
     ml_estimate,
-    mv_strategy_table,
     nd_baseline_strategy,
     privacy_level,
     solve_xi,
@@ -277,8 +276,8 @@ class TestNdBaseline:
 
 class TestExport:
     def test_flat_table_format(self):
-        table = mv_strategy_table(make_params(epsilon=0.5), d_max=2)
-        text = table_to_text(table)
+        params = make_params(epsilon=0.5)
+        text = table_to_text([build_mv_strategy(d, params) for d in range(3)])
         lines = text.strip().split("\n")
         assert lines[0] == "degree\tf\ts\tp1\tp0\tp_bot\tregime\txi"
         assert len(lines) == 1 + 2 * (1 + 2 + 3)  # two rows per (d, f)
