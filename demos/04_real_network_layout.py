@@ -1,8 +1,9 @@
 """Ingesting a real-world edge list and simulating the market on it.
 
 Edge lists use the common public layout: '#' comment lines, then one
-"u v" pair per line.  Directed inputs are symmetrized, self-loops dropped
-and duplicates collapsed; external ids are compacted to 0..N-1.  The demo
+"u v" pair per line.  Edges are undirected: a line and its reverse are one
+edge, and there is no `symmetrize` option.  Self-loops are dropped and
+duplicates collapse; external ids are compacted to 0..N-1.  The demo
 writes a small synthetic file in that layout, checks the sparsity condition
 the closed forms rely on, and runs a short simulation on the ingested graph.
 """

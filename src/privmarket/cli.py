@@ -23,6 +23,7 @@ from .config import (
     apply_overrides,
     build_graph,
     model_params,
+    params_for_graph,
     parse_config,
 )
 from .graph import check_sparsity, ingest_edge_list
@@ -105,10 +106,12 @@ def _fmt(x: float) -> str:
 
 
 def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
-    params = model_params(cfg)
-    dist = analytic_distribution(cfg)
+    if cfg.graph.kind == "edge-list":
+        graph, dist = build_graph(cfg, 0)
+        params = params_for_graph(cfg, graph)
+    else:
+        params, dist = model_params(cfg), analytic_distribution(cfg)
     n = params.population
-    lines = []
     if params.equal_priors:
         mv = an.mv_moments_equal_priors(params, dist)
         nd = an.nd_moments(params, dist)
@@ -176,7 +179,7 @@ def cmd_simulate(cfg: RunConfig, out: _AtomicOutputs) -> None:
 def cmd_ingest_check(cfg: RunConfig, out: _AtomicOutputs) -> None:
     if cfg.graph.kind != "edge-list":
         raise ConfigError("ingest-check needs graph.kind = edge-list")
-    result = ingest_edge_list(cfg.graph.path, symmetrize=cfg.graph.symmetrize)
+    result = ingest_edge_list(cfg.graph.path)
     report = check_sparsity(result.graph)
     lines = [
         f"nodes = {result.graph.n}",

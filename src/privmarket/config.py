@@ -37,6 +37,7 @@ __all__ = [
     "apply_overrides",
     "override_axis",
     "model_params",
+    "params_for_graph",
     "cost_from_spec",
     "build_graph",
     "analytic_distribution",
@@ -69,7 +70,6 @@ class GraphSection:
     poisson_mean: float = 0.0  # config-model alternative
     d_max: int = -1  # strategy-export range / poisson truncation; -1 means unset
     path: str = ""  # edge-list
-    symmetrize: bool = True  # edge-list
 
 
 @dataclass(frozen=True)
@@ -126,20 +126,16 @@ _SECTIONS = {
     "analytics": AnalyticsSection,
 }
 
-_BOOL_STRINGS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
-
 
 def _coerce(section: str, key: str, raw: str, current):
     target = type(current)
     try:
-        if target is bool:
-            return _BOOL_STRINGS[raw.strip().lower()]
         if target is int:
             return int(raw)
         if target is float:
             return float(raw)
         return raw.strip()
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {target.__name__}") from exc
 
 
@@ -209,12 +205,7 @@ def serialize_config(cfg: RunConfig) -> str:
     for section_name in _SECTIONS:
         section = getattr(cfg, section_name)
         for key, value in vars(section).items():
-            if isinstance(value, bool):
-                rendered = "true" if value else "false"
-            elif isinstance(value, float):
-                rendered = f"{value:.17g}"
-            else:
-                rendered = str(value)
+            rendered = f"{value:.17g}" if isinstance(value, float) else str(value)
             lines.append(f"{section_name}.{key} = {rendered}")
     return "\n".join(lines) + "\n"
 
@@ -273,6 +264,15 @@ def model_params(cfg: RunConfig) -> ModelParams:
     )
 
 
+def params_for_graph(cfg: RunConfig, graph: Graph) -> ModelParams:
+    """Model parameters at the population of the graph a run uses.
+
+    An edge list fixes the population at its node count, whatever
+    model.population says; generated graphs already have that size.
+    """
+    return replace(model_params(cfg), population=graph.n)
+
+
 def _pmf_distribution(cfg: GraphSection) -> DegreeDistribution:
     if cfg.pmf:
         support, mass = [], []
@@ -290,31 +290,24 @@ def _pmf_distribution(cfg: GraphSection) -> DegreeDistribution:
     raise ConfigError("config-model graphs need graph.pmf or graph.poisson_mean")
 
 
-def analytic_distribution(cfg: RunConfig, graph: Graph | None = None) -> DegreeDistribution:
+def analytic_distribution(cfg: RunConfig) -> DegreeDistribution:
     """Degree law used by the closed forms for this configuration."""
     if cfg.graph.kind == ER:
         n = cfg.model.population
         return DegreeDistribution.binomial(n - 1, cfg.graph.avg_degree / (n - 1))
     if cfg.graph.kind == CONFIG_MODEL:
         return _pmf_distribution(cfg.graph)
-    if graph is None:
-        graph, _ = build_graph(cfg, 0)
-    return DegreeDistribution.from_graph(graph)
+    return build_graph(cfg, 0)[1]
 
 
 def build_graph(cfg: RunConfig, stream_index: int = 0) -> tuple[Graph, DegreeDistribution]:
     """Realize the configured graph plus the matching analytic degree law."""
+    if cfg.graph.kind == EDGE_LIST:
+        graph = ingest_edge_list(cfg.graph.path).graph
+        return graph, DegreeDistribution.from_graph(graph)
     rng = substream(cfg.sim.seed, TAG_GRAPH, stream_index)
     if cfg.graph.kind == ER:
         graph = generate_erdos_renyi(rng, cfg.model.population, cfg.graph.avg_degree)
-        dist = DegreeDistribution.binomial(
-            cfg.model.population - 1, cfg.graph.avg_degree / (cfg.model.population - 1)
-        )
-    elif cfg.graph.kind == CONFIG_MODEL:
-        dist = _pmf_distribution(cfg.graph)
-        graph = generate_configuration_model(rng, dist, cfg.model.population)
-    else:
-        result = ingest_edge_list(cfg.graph.path, symmetrize=cfg.graph.symmetrize)
-        graph = result.graph
-        dist = DegreeDistribution.from_graph(graph)
-    return graph, dist
+        return graph, analytic_distribution(cfg)
+    dist = analytic_distribution(cfg)
+    return generate_configuration_model(rng, dist, cfg.model.population), dist

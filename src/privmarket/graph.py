@@ -1,9 +1,12 @@
 """Social learning graph: generation, ingestion and degree statistics.
 
-Graphs are simple and undirected, stored as sorted neighbor lists plus a
-flattened directed-edge view (each undirected edge appears once per
-direction, grouped by receiver) that the samplers consume directly.
-Instances are immutable by convention and safe to share across workers.
+Graphs are simple and undirected.  A graph is its sorted (m, 2) edge array
+(u < v) plus one CSR view of the adjacency: each undirected edge appears
+once per direction, grouped by receiver with senders ascending, and
+`recv_starts` delimits each receiver's run.  Neighbor lookups slice that
+view, and the samplers consume it directly.  All of it is built with numpy
+from the edge array.  Instances are immutable by convention and safe to
+share across workers.
 """
 
 from __future__ import annotations
@@ -11,14 +14,13 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 __all__ = [
     "Graph",
     "DegreeDistribution",
-    "DegreeMoments",
     "SparsityReport",
     "IngestResult",
     "GraphFormatError",
@@ -28,7 +30,6 @@ __all__ = [
     "generate_erdos_renyi",
     "ingest_edge_list",
     "check_sparsity",
-    "degree_moments",
 ]
 
 
@@ -77,33 +78,32 @@ def binomial_pmf(n: int, p: float) -> np.ndarray:
 
 
 class Graph:
-    """Simple undirected graph on nodes 0..n-1."""
+    """Simple undirected graph on nodes 0..n-1.
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+    `edges` is an (m, 2) integer array or a sequence of pairs; an edge may
+    be listed in either direction and more than once.
+    """
+
+    def __init__(self, n: int, edges: np.ndarray | Sequence[tuple[int, int]]):
         if n < 1:
             raise ValueError("graph needs at least one node")
-        self.n = int(n)
-        pairs = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            pairs.add((min(u, v), max(u, v)))
-        self._edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self._edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = [np.array(sorted(a), dtype=np.int64) for a in adj]
-        self.degrees = np.array([len(a) for a in self._adj], dtype=np.int64)
+        self.n = n = int(n)
+        u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+        bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if bad.any():
+            k = int(bad.argmax())
+            if u[k] == v[k]:
+                raise ValueError(f"self-loop at node {u[k]}")
+            raise ValueError(f"edge ({u[k]}, {v[k]}) out of range for n={n}")
+        lo, hi = np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n)
+        self._edges = np.column_stack([lo, hi])
         # Directed view, grouped by receiver with senders ascending.
-        recv = np.repeat(np.arange(self.n), self.degrees)
-        send = np.concatenate(self._adj) if self.n else np.empty(0, dtype=np.int64)
-        self.directed_recv = recv
-        self.directed_send = send.astype(np.int64)
-        self.recv_starts = np.concatenate([[0], np.cumsum(self.degrees)]).astype(np.int64)
+        recv, send = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        order = np.lexsort((send, recv))
+        self.directed_recv = recv[order]
+        self.directed_send = send[order]
+        self.degrees = np.bincount(recv, minlength=n)
+        self.recv_starts = np.concatenate([[0], np.cumsum(self.degrees)])
 
     @property
     def num_edges(self) -> int:
@@ -114,10 +114,11 @@ class Graph:
         return self._edges
 
     def neighbors(self, i: int) -> np.ndarray:
-        return self._adj[i]
+        """Sorted neighbors of i (a read-only-by-convention view)."""
+        return self.directed_send[self.recv_starts[i]:self.recv_starts[i + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        a = self._adj[u]
+        a = self.neighbors(u)
         pos = int(np.searchsorted(a, v))
         return pos < len(a) and a[pos] == v
 
@@ -260,7 +261,7 @@ def generate_configuration_model(
         keys = lo * n + hi
         if len(np.unique(keys)) != len(keys):
             continue
-        return Graph(n, zip(lo.tolist(), hi.tolist()))
+        return Graph(n, np.column_stack([lo, hi]))
     raise PairingError(
         f"stub pairing failed {max_attempts} times for degree sum {int(degrees.sum())}"
     )
@@ -275,7 +276,7 @@ def generate_erdos_renyi(rng: np.random.Generator, n: int, avg_degree: float) ->
     p = avg_degree / (n - 1)
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(len(iu)) < p
-    return Graph(n, zip(iu[mask].tolist(), ju[mask].tolist()))
+    return Graph(n, np.column_stack([iu[mask], ju[mask]]))
 
 
 @dataclass(frozen=True)
@@ -287,12 +288,16 @@ class IngestResult:
     lines_read: int
 
 
-def ingest_edge_list(source, symmetrize: bool = True) -> IngestResult:
+_INT64 = np.iinfo(np.int64)
+
+
+def ingest_edge_list(source) -> IngestResult:
     """Parse '#'-commented 'u v' integer pairs into a simple graph.
 
-    External node ids are remapped to dense 0..n-1 in first-appearance order;
-    the map is retained in the result.  Directed inputs are symmetrized by
-    default; self-loops are dropped and counted; duplicate edges collapse.
+    Edges are undirected: a line and its reverse are one edge.  External
+    node ids (64-bit integers) are remapped to dense 0..n-1 in ascending
+    order; the map is retained in the result.  Self-loops are dropped and
+    counted, and duplicate edges collapse.
     """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
@@ -304,17 +309,12 @@ def ingest_edge_list(source, symmetrize: bool = True) -> IngestResult:
         with open(source, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
 
-    ext_ids: set[int] = set()
-    ext_pairs: list[tuple[int, int]] = []
-    self_loops = 0
-    seen: set[tuple[int, int]] = set()
-    duplicates = 0
-    lines_read = 0
+    rows: list[tuple[int, int]] = []
+    id_min, id_max = _INT64.min, _INT64.max
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        lines_read += 1
         parts = stripped.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected two node ids, got {line!r}")
@@ -322,33 +322,26 @@ def ingest_edge_list(source, symmetrize: bool = True) -> IngestResult:
             u_ext, v_ext = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise GraphFormatError(f"line {lineno}: non-integer node id in {line!r}") from exc
-        ext_ids.update((u_ext, v_ext))
-        if u_ext == v_ext:
-            self_loops += 1
-            continue
-        key = (min(u_ext, v_ext), max(u_ext, v_ext)) if symmetrize else (u_ext, v_ext)
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        ext_pairs.append((u_ext, v_ext))
+        if not (id_min <= u_ext <= id_max and id_min <= v_ext <= id_max):
+            raise GraphFormatError(f"line {lineno}: node id outside the 64-bit range in {line!r}")
+        rows.append((u_ext, v_ext))
 
-    if not ext_ids:
+    if not rows:
         raise GraphFormatError("empty input: no edges found")
 
     # Canonical compaction: sorted external ids -> 0..n-1, so re-emitting and
     # re-ingesting reproduces the identical labeled graph.
-    id_map = {ext: dense for dense, ext in enumerate(sorted(ext_ids))}
-    undirected = {
-        (min(id_map[u], id_map[v]), max(id_map[u], id_map[v])) for u, v in ext_pairs
-    }
-    graph = Graph(len(id_map), undirected)
+    ext_ids, dense = np.unique(np.array(rows, dtype=np.int64), return_inverse=True)
+    dense = dense.reshape(-1, 2)
+    loops = dense[:, 0] == dense[:, 1]
+    graph = Graph(len(ext_ids), dense[~loops])
+    self_loops = int(loops.sum())
     return IngestResult(
         graph=graph,
-        id_map=id_map,
+        id_map=dict(zip(ext_ids.tolist(), range(len(ext_ids)))),
         self_loops_dropped=self_loops,
-        duplicates_dropped=duplicates,
-        lines_read=lines_read,
+        duplicates_dropped=len(rows) - self_loops - graph.num_edges,
+        lines_read=len(rows),
     )
 
 
@@ -375,24 +368,4 @@ def check_sparsity(graph: Graph, threshold: float = 1.0) -> SparsityReport:
         moment_2_5=moment,
         threshold=threshold,
         flagged=ratio > threshold,
-    )
-
-
-@dataclass(frozen=True)
-class DegreeMoments:
-    mean: float
-    second_moment: float
-    rho0: float
-    rho_tilde: DegreeDistribution | None
-
-
-def degree_moments(graph: Graph) -> DegreeMoments:
-    """Exact empirical degree moments; rho_tilde present iff some node has a friend."""
-    dist = DegreeDistribution.from_graph(graph)
-    rho0 = dist.rho0
-    return DegreeMoments(
-        mean=dist.mean(),
-        second_moment=dist.second_moment(),
-        rho0=rho0,
-        rho_tilde=dist.rho_tilde() if rho0 < 1.0 else None,
     )

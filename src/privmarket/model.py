@@ -20,8 +20,6 @@ import numpy as np
 __all__ = [
     "CostFunction",
     "ModelParams",
-    "GroupSignals",
-    "SignalRealization",
     "ParameterError",
     "CostFunctionError",
     "theta1",
@@ -33,7 +31,6 @@ __all__ = [
     "sample_world",
     "sample_private_signals",
     "sample_group_signals",
-    "sample_realization",
 ]
 
 
@@ -177,41 +174,6 @@ class ModelParams:
         return self.prior_w1 == 0.5
 
 
-class GroupSignals:
-    """One bit per directed edge (receiver i, sender j), aligned with a Graph.
-
-    The two directions of an edge carry independent noise, so value(i, j)
-    and value(j, i) are distinct random bits.
-    """
-
-    def __init__(self, graph, values: np.ndarray):
-        self.graph = graph
-        self.values = values  # aligned with graph.directed_recv / directed_send
-
-    def value(self, i: int, j: int) -> int:
-        lo, hi = self.graph.recv_starts[i], self.graph.recv_starts[i + 1]
-        senders = self.graph.directed_send[lo:hi]
-        pos = int(np.searchsorted(senders, j))
-        if pos >= len(senders) or senders[pos] != j:
-            raise KeyError(f"({i}, {j}) is not an edge")
-        return int(self.values[lo + pos])
-
-    def sums(self) -> np.ndarray:
-        """Per-user group-signal sum F_i."""
-        return np.bincount(
-            self.graph.directed_recv, weights=self.values, minlength=self.graph.n
-        ).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class SignalRealization:
-    """One draw of the world state, private signals and group signals."""
-
-    w: int
-    s: np.ndarray
-    c: GroupSignals
-
-
 def sample_world(rng: np.random.Generator, params: ModelParams) -> int:
     """Draw W: 1 with probability prior_w1."""
     return int(rng.random() < params.prior_w1)
@@ -223,18 +185,15 @@ def sample_private_signals(rng: np.random.Generator, w: int, params: ModelParams
     return np.where(match, w, 1 - w).astype(np.int8)
 
 
-def sample_group_signals(rng: np.random.Generator, graph, s: np.ndarray, alpha: float) -> GroupSignals:
-    """Flip the sender's signal independently per direction with probability alpha."""
+def sample_group_signals(rng: np.random.Generator, graph, s: np.ndarray, alpha: float) -> np.ndarray:
+    """One group-signal bit per directed edge, aligned with `graph.directed_send`.
+
+    Bit k is the signal of sender `directed_send[k]` as received by
+    `directed_recv[k]`, flipped with probability alpha.  The two directions
+    of an edge flip independently.
+    """
     if len(s) != graph.n:
         raise ParameterError("signal vector length does not match the graph")
     sent = s[graph.directed_send].astype(np.int8)
     flips = rng.random(len(sent)) < alpha
-    return GroupSignals(graph, sent ^ flips)
-
-
-def sample_realization(rng: np.random.Generator, graph, params: ModelParams) -> SignalRealization:
-    """Draw (w, s, c) in one fixed order from a single stream."""
-    w = sample_world(rng, params)
-    s = sample_private_signals(rng, w, params)
-    c = sample_group_signals(rng, graph, s, params.alpha)
-    return SignalRealization(w=w, s=s, c=c)
+    return sent ^ flips

@@ -106,7 +106,8 @@ class _Engine:
         if force_w is not None:
             w = int(force_w)
         s = sample_private_signals(rng, w, params)
-        f = sample_group_signals(rng, graph, s, params.alpha).sums()
+        bits = sample_group_signals(rng, graph, s, params.alpha)
+        f = np.bincount(graph.directed_recv, weights=bits, minlength=n)
         p1, privacy_costs = self.law.play(f, s, self._lo, self._hi)
         reports = (rng.random(n) < p1).astype(np.int64)
         total = int(reports.sum())
@@ -231,15 +232,10 @@ def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) ->
 
 def _build_experiment(config, graph_stream_index: int = 0):
     """Graph, analytic distribution, report law and mechanism from a RunConfig."""
-    from .config import build_graph, model_params  # local import to avoid a cycle
+    from .config import build_graph, params_for_graph  # local import to avoid a cycle
 
-    params = model_params(config)
     graph, dist = build_graph(config, graph_stream_index)
-    if graph.n != params.population:
-        params = ModelParams(
-            prior_w1=params.prior_w1, theta0=params.theta0, alpha=params.alpha,
-            cost=params.cost, epsilon=params.epsilon, population=graph.n,
-        )
+    params = params_for_graph(config, graph)
     if not params.equal_priors:
         raise NotImplementedError(
             "experiments need equal priors: the majority-accuracy closed form "

@@ -146,6 +146,76 @@ def graph_report_moments_loop(graph: Graph, law: ReportLaw) -> tuple[float, floa
     return float(means.mean()), var_sum / graph.n
 
 
+def graph_arrays_loop(n: int, edges) -> dict:
+    """The `Graph` arrays built with a pair set and per-node neighbor lists.
+
+    Raises the ValueError that `Graph` raises for the first self-loop or
+    out-of-range edge.
+    """
+    pairs = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        pairs.add((min(u, v), max(u, v)))
+    edge_array = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edge_array:
+        adj[u].append(v)
+        adj[v].append(u)
+    neighbors = [np.array(sorted(a), dtype=np.int64) for a in adj]
+    degrees = np.array([len(a) for a in neighbors], dtype=np.int64)
+    return {
+        "edges": edge_array,
+        "neighbors": neighbors,
+        "degrees": degrees,
+        "directed_recv": np.repeat(np.arange(n), degrees),
+        "directed_send": np.concatenate(neighbors).astype(np.int64),
+        "recv_starts": np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64),
+    }
+
+
+def ingest_counts_loop(text: str) -> dict:
+    """Edge-list ingest with id, pair and seen sets: dense edges, id map, counters.
+
+    Returns None when the text holds no edge line.  Every edge line must
+    hold two integers.
+    """
+    ext_ids: set[int] = set()
+    ext_pairs: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    self_loops = duplicates = lines_read = 0
+    for line in text.splitlines():
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        lines_read += 1
+        u_ext, v_ext = (int(x) for x in stripped.split())
+        ext_ids.update((u_ext, v_ext))
+        if u_ext == v_ext:
+            self_loops += 1
+            continue
+        key = (min(u_ext, v_ext), max(u_ext, v_ext))
+        if key in seen:
+            duplicates += 1
+            continue
+        seen.add(key)
+        ext_pairs.append((u_ext, v_ext))
+    if not ext_ids:
+        return None
+    id_map = {ext: dense for dense, ext in enumerate(sorted(ext_ids))}
+    return {
+        "n": len(id_map),
+        "edges": [(id_map[u], id_map[v]) for u, v in ext_pairs],
+        "id_map": id_map,
+        "self_loops_dropped": self_loops,
+        "duplicates_dropped": duplicates,
+        "lines_read": lines_read,
+    }
+
+
 # ---------------------------------------------------------------------------
 # brute-force best response
 # ---------------------------------------------------------------------------

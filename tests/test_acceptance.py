@@ -265,7 +265,7 @@ def test_criterion_9_baseline_regime():
 
 def test_criterion_10_ingestion_counts(tmp_path):
     grqc = ingest_edge_list(write_grqc_like(tmp_path / "grqc.txt"))
-    gnut = ingest_edge_list(write_gnutella_like(tmp_path / "gnutella.txt"), symmetrize=True)
+    gnut = ingest_edge_list(write_gnutella_like(tmp_path / "gnutella.txt"))
     ok = (
         grqc.graph.n == 5242
         and grqc.graph.num_edges == 14496

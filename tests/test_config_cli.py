@@ -52,6 +52,8 @@ class TestConfig:
             parse_config("model.bogus = 3\n")
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("output.formats = csv,json\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config("graph.symmetrize = false\n")
 
     def test_bad_enum_rejected(self):
         with pytest.raises(ConfigError):
@@ -82,6 +84,14 @@ sim.trials = 10000
 sim.workers = 2
 sim.seed = 20240101
 """
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(privmarket.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
 
 
 def _write_config(tmp_path: Path, extra: str = "") -> Path:
@@ -197,16 +207,44 @@ class TestCli:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "sys.exit(code)\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(privmarket.__file__).parents[1]), env.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-c", script, *command, "--config", str(cfg),
              "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=_src_env(), capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_layer_tracer_finds_its_spans(self, tmp_path):
+        # perfbench/trace_cli.py wraps functions by module attribute; a
+        # rename of one of them must fail here, not first in the benchmark.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(README_CONFIG, encoding="utf-8")
+        spans_path = tmp_path / "spans.json"
+        tracer = Path(__file__).parents[1] / "perfbench" / "trace_cli.py"
+        done = subprocess.run(
+            [sys.executable, str(tracer), str(spans_path), "simulate", "--config", str(cfg),
+             "--out", str(tmp_path / "out"), "--trials", "2", "--workers", "1"],
+            env=_src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(spans_path.read_text())
+        assert payload["exit_code"] == 0
+        names = {span[0] for span in payload["spans"]}
+        for name in ("graph.build", "analytics.degree_law", "analytics.graph_moments",
+                     "sim.trial_phase"):
+            assert name in names, name
+
+    def test_analytics_on_edge_list_uses_its_node_count(self, tmp_path):
+        path = write_grqc_like(tmp_path / "grqc.txt")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"graph.kind = edge-list\ngraph.path = {path}\n", encoding="utf-8")
+        texts = []
+        for name, extra in (("default", []), ("pinned", ["--set", f"model.population={GRQC_NODES}"])):
+            out = tmp_path / name
+            assert main(["analytics", "--config", str(cfg), "--out", str(out), *extra]) == 0
+            texts.append((out / "analytics.txt").read_bytes())
+        assert texts[0] == texts[1]
 
     def test_analytics_unequal_priors_notes_omission(self, tmp_path):
         cfg = _write_config(tmp_path, "model.prior_w1 = 0.6\n")
@@ -275,7 +313,7 @@ class TestRealWorldLayouts:
 
     def test_p2p_fixture_counts(self, tmp_path):
         path = write_gnutella_like(tmp_path / "gnutella.txt")
-        res = ingest_edge_list(path, symmetrize=True)
+        res = ingest_edge_list(path)
         assert res.graph.n == GNUTELLA_NODES == 6301
         assert res.graph.num_edges <= GNUTELLA_EDGES
         assert res.lines_read == GNUTELLA_EDGES

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,14 +16,30 @@ from privmarket.graph import (
     PairingError,
     binomial_pmf,
     check_sparsity,
-    degree_moments,
     generate_configuration_model,
     generate_erdos_renyi,
     ingest_edge_list,
 )
 from privmarket.model import substream
 
-from oracles import truncated_poisson_mean
+from oracles import graph_arrays_loop, ingest_counts_loop, truncated_poisson_mean
+
+
+def _assert_graph_matches(graph: Graph, ref: dict) -> None:
+    """`graph` carries the reference's edges, CSR view, degrees and neighbor lists."""
+    assert np.array_equal(graph.edges(), ref["edges"])
+    assert graph.edges().shape == ref["edges"].shape
+    for name in ("directed_recv", "directed_send", "recv_starts", "degrees"):
+        assert np.array_equal(getattr(graph, name), ref[name]), name
+        assert getattr(graph, name).dtype == np.int64, name
+    for i in range(graph.n):
+        assert np.array_equal(graph.neighbors(i), ref["neighbors"][i])
+
+
+# Node ids: a dense small range, so lines repeat, reverse and self-loop
+# often, plus sparse and negative ids anywhere in the 64-bit range.
+_IDS = st.one_of(st.integers(-3, 12), st.integers(-(2**63), 2**63 - 1))
+_SEPARATORS = st.sampled_from([" ", "\t", "  "])
 
 
 class TestGraphBasics:
@@ -38,6 +55,36 @@ class TestGraphBasics:
     def test_handshake_identity(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
         assert g.degrees.sum() == 2 * g.num_edges
+
+    def test_out_of_range_names_first_bad_edge(self):
+        with pytest.raises(ValueError, match=r"^edge \(1, 5\) out of range for n=3$"):
+            Graph(3, [(0, 1), (1, 5), (2, 2), (-1, 0)])
+        with pytest.raises(ValueError, match=r"^self-loop at node 2$"):
+            Graph(3, np.array([(0, 1), (2, 2), (1, 5)]))
+
+    @given(
+        n=st.integers(1, 12),
+        raw=st.lists(st.tuples(st.integers(-1, 12), st.integers(-1, 12)), max_size=50),
+        valid=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_set_and_loop_reference(self, n, raw, valid):
+        # Half the draws fold the edges into a valid list; the rest keep
+        # their self-loops and out-of-range ids, so the errors are compared.
+        edges = [(u % n, v % n) for u, v in raw if u % n != v % n] if valid else raw
+        try:
+            ref = graph_arrays_loop(n, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                Graph(n, edges)
+            return
+        graph = Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        _assert_graph_matches(graph, ref)
+        assert graph == Graph(n, edges)
+        pairs = set(map(tuple, ref["edges"].tolist()))
+        for u in range(n):
+            for v in range(n):
+                assert graph.has_edge(u, v) == ((min(u, v), max(u, v)) in pairs)
 
 
 class TestConfigurationModel:
@@ -125,6 +172,45 @@ class TestIngest:
         with pytest.raises(GraphFormatError):
             ingest_edge_list("# nothing here\n")
 
+    def test_id_outside_int64_reports_line(self):
+        with pytest.raises(GraphFormatError, match="line 3"):
+            ingest_edge_list(f"0 1\n# ok\n1 {2**63}\n")
+        with pytest.raises(GraphFormatError, match="line 2"):
+            ingest_edge_list(f"0 1\n{-(2**63) - 1} 0\n")
+        extremes = ingest_edge_list(f"{2**63 - 1} {-(2**63)}\n")
+        assert extremes.id_map == {-(2**63): 0, 2**63 - 1: 1}
+
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.tuples(_IDS, _SEPARATORS, _IDS).map(lambda t: f"{t[0]}{t[1]}{t[2]}"),
+                st.sampled_from(["# comment", "", "   ", "#3 4", "  # 5 6"]),
+            ),
+            max_size=60,
+        ),
+        echoes=st.lists(st.tuples(st.integers(0, 59), st.booleans()), max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_set_and_loop_reference(self, lines, echoes):
+        # Echo some edge lines again, reversed or as they were.
+        edge_lines = [ln.split() for ln in lines if ln.strip() and not ln.strip().startswith("#")]
+        for k, reverse in echoes:
+            if edge_lines:
+                u, v = edge_lines[k % len(edge_lines)]
+                lines.append(f"{v} {u}" if reverse else f"{u} {v}")
+        text = "\n".join(lines) + "\n"
+        ref = ingest_counts_loop(text)
+        if ref is None:
+            with pytest.raises(GraphFormatError, match="empty input"):
+                ingest_edge_list(text)
+            return
+        res = ingest_edge_list(text)
+        assert res.graph.n == ref["n"]
+        _assert_graph_matches(res.graph, graph_arrays_loop(ref["n"], ref["edges"]))
+        assert res.id_map == ref["id_map"]
+        for key in ("self_loops_dropped", "duplicates_dropped", "lines_read"):
+            assert getattr(res, key) == ref[key], key
+
     def test_roundtrip_idempotent(self):
         res = ingest_edge_list("3 7\n7 9\n9 3\n1 3\n")
         text = res.graph.to_edge_list_text()
@@ -171,24 +257,25 @@ class TestSparsity:
 
 
 class TestDegreeMoments:
+    """Empirical degree moments, read from `DegreeDistribution.from_graph`."""
+
     def test_four_cycle(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        m = degree_moments(g)
-        assert m.mean == pytest.approx(2.0)
-        assert m.second_moment == pytest.approx(4.0)
+        m = DegreeDistribution.from_graph(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+        assert m.mean() == pytest.approx(2.0)
+        assert m.second_moment() == pytest.approx(4.0)
         assert m.rho0 == 0.0
 
     def test_path_on_three(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        m = degree_moments(g)
-        assert m.mean == pytest.approx(4.0 / 3.0)
-        assert m.second_moment == pytest.approx(2.0)
+        m = DegreeDistribution.from_graph(Graph(3, [(0, 1), (1, 2)]))
+        assert m.mean() == pytest.approx(4.0 / 3.0)
+        assert m.second_moment() == pytest.approx(2.0)
         assert m.rho0 == 0.0
 
     def test_edgeless_has_no_conditional_law(self):
-        m = degree_moments(Graph(5, []))
+        m = DegreeDistribution.from_graph(Graph(5, []))
         assert m.rho0 == 1.0
-        assert m.rho_tilde is None
+        with pytest.raises(ValueError):
+            m.rho_tilde()
         with pytest.raises(ValueError):
             DegreeDistribution.point_mass(0).rho_tilde()
 

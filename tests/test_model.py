@@ -15,7 +15,6 @@ from privmarket.model import (
     quadratic_cost,
     sample_group_signals,
     sample_private_signals,
-    sample_realization,
     sample_world,
     substream,
     table_cost,
@@ -92,6 +91,14 @@ class TestCostFunctions:
             audit_cost_function(CostFunction(value=lambda z: -z, derivative=lambda z: -1.0))
 
 
+def _bit(graph: Graph, bits: np.ndarray, i: int, j: int) -> int:
+    """The group-signal bit user i received from friend j."""
+    start = graph.recv_starts[i]
+    pos = int(np.searchsorted(graph.neighbors(i), j))
+    assert graph.directed_recv[start + pos] == i and graph.directed_send[start + pos] == j
+    return int(bits[start + pos])
+
+
 class TestSampling:
     def test_degenerate_priors(self):
         rng = substream(7, 0, 0)
@@ -133,9 +140,10 @@ class TestSampling:
         graph = Graph(3, [(0, 1), (1, 2), (0, 2)])
         rng = substream(7, 2, 0)
         s = np.array([1, 0, 1], dtype=np.int8)
-        c = sample_group_signals(rng, graph, s, alpha=0.0)
+        bits = sample_group_signals(rng, graph, s, alpha=0.0)
+        assert np.array_equal(bits, s[graph.directed_send])
         for i, j in ((0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)):
-            assert c.value(i, j) == s[j]
+            assert _bit(graph, bits, i, j) == s[j]
 
     def test_group_signal_flip_rate(self):
         graph = Graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -144,8 +152,8 @@ class TestSampling:
         draws = 100_000
         flips = np.zeros(6)
         for _ in range(draws):
-            c = sample_group_signals(rng, graph, s, alpha=0.25)
-            flips += c.values != s[graph.directed_send]
+            bits = sample_group_signals(rng, graph, s, alpha=0.25)
+            flips += bits != s[graph.directed_send]
         rates = flips / draws
         se = math.sqrt(0.25 * 0.75 / draws)
         assert np.all(np.abs(rates - 0.25) < 3 * se)
@@ -158,19 +166,24 @@ class TestSampling:
         draws = 50_000
         counts = np.zeros((2, 2))
         for _ in range(draws):
-            c = sample_group_signals(rng, graph, s, alpha=0.25)
-            counts[c.value(0, 1), c.value(1, 0)] += 1
+            bits = sample_group_signals(rng, graph, s, alpha=0.25)
+            counts[_bit(graph, bits, 0, 1), _bit(graph, bits, 1, 0)] += 1
         _, p_value, _, _ = chi2_contingency(counts)
         assert p_value > 0.01
 
     def test_same_seed_same_realization(self):
         graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
         params = make_params(population=4)
-        a = sample_realization(substream(99, 5, 3), graph, params)
-        b = sample_realization(substream(99, 5, 3), graph, params)
-        assert a.w == b.w
-        assert np.array_equal(a.s, b.s)
-        assert np.array_equal(a.c.values, b.c.values)
+
+        def realize(rng):
+            w = sample_world(rng, params)
+            s = sample_private_signals(rng, w, params)
+            return w, s, sample_group_signals(rng, graph, s, params.alpha)
+
+        (wa, sa, ca), (wb, sb, cb) = realize(substream(99, 5, 3)), realize(substream(99, 5, 3))
+        assert wa == wb
+        assert np.array_equal(sa, sb)
+        assert np.array_equal(ca, cb)
 
     def test_streams_differ_by_index(self):
         a = substream(99, 5, 0).random(8)
