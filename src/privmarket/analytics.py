@@ -170,7 +170,7 @@ class ReportLaw:
         ee = math.exp(self.epsilon)
         # Pr(randomized report = 1 | own signal 0, 1), and what randomizing costs
         self._coin = np.array([1.0 / (ee + 1.0), ee / (ee + 1.0)])
-        self._band_cost = params.cost.value(self.epsilon)
+        self.band_cost = params.cost.value(self.epsilon)
         self._pr = (1.0 - params.theta0, params.theta0)  # Pr(signal = 0), Pr(signal = 1)
         self._mean = np.empty(0)
         self._M = np.empty((0, 2, 2))
@@ -207,15 +207,15 @@ class ReportLaw:
 
     # -- single-user -----------------------------------------------------
     def play(self, f, s, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """(Pr(report 1), privacy cost) of users with group-signal sums f and own signals s.
+        """(Pr(report 1), in band) of users with group-signal sums f and own signals s.
 
         `lo`, `hi` are the users' band bounds from `band_bounds`: inside the
         band a user randomizes her signal at level epsilon (a fair coin when
-        epsilon = 0) and pays g(epsilon); outside it she reports the group
-        majority at no cost.
+        epsilon = 0) and pays `band_cost` = g(epsilon); outside it she
+        reports the group majority at no cost.
         """
         in_band = (lo <= f) & (f <= hi)
-        return np.where(in_band, self._coin.take(s), f > hi), in_band * self._band_cost
+        return np.where(in_band, self._coin.take(s), f > hi), in_band
 
     def mean(self, d: int) -> float:
         """Pr(X = 1 | W = 1, degree d)."""

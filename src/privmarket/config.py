@@ -186,6 +186,8 @@ def validate_config(cfg: RunConfig, base_dir: Path = Path(".")) -> None:
             raise ConfigError("edge-list graphs need graph.path")
         if not Path(cfg.graph.path).exists():
             raise ConfigError(f"graph.path does not exist: {cfg.graph.path}")
+    if cfg.sim.workers < 1:
+        raise ConfigError(f"sim.workers must be >= 1, got {cfg.sim.workers}")
     if cfg.sim.profile not in ("mv", "nd"):
         raise ConfigError(f"sim.profile must be mv or nd, got {cfg.sim.profile!r}")
     if cfg.sweep.axis and cfg.sweep.axis not in ("avg_degree", "epsilon", "alpha"):

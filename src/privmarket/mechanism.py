@@ -1,7 +1,7 @@
 """Peer-prediction payment constants.
 
 All operations are pure.  The engine in `sim` applies the payment rule to
-whole report vectors; the per-user reference rules live with the tests.
+report counts; the per-user reference rules live with the tests.
 """
 
 from __future__ import annotations

@@ -174,15 +174,22 @@ class ModelParams:
         return self.prior_w1 == 0.5
 
 
-def sample_world(rng: np.random.Generator, params: ModelParams) -> int:
-    """Draw W: 1 with probability prior_w1."""
-    return int(rng.random() < params.prior_w1)
+def sample_world(rng: np.random.Generator, params: ModelParams, size: int | None = None):
+    """Draw W: 1 with probability prior_w1; an int, or an int array of `size` draws."""
+    if size is None:
+        return int(rng.random() < params.prior_w1)
+    return (rng.random(size) < params.prior_w1).astype(np.int64)
 
 
-def sample_private_signals(rng: np.random.Generator, w: int, params: ModelParams) -> np.ndarray:
-    """Draw N private signals, each equal to w with probability theta0."""
-    match = rng.random(params.population) < params.theta0
-    return np.where(match, w, 1 - w).astype(np.int8)
+def sample_private_signals(rng: np.random.Generator, w, params: ModelParams) -> np.ndarray:
+    """Draw N private signals per world bit, each equal to it with probability theta0.
+
+    `w` is a bit or an array of bits, one per trial; the result has shape
+    `w.shape + (N,)`.
+    """
+    w = np.asarray(w, dtype=np.int8)[..., None]
+    match = rng.random(w.shape[:-1] + (params.population,)) < params.theta0
+    return np.where(match, w, 1 - w)
 
 
 def sample_group_signals(rng: np.random.Generator, graph, s: np.ndarray, alpha: float) -> np.ndarray:
@@ -190,10 +197,11 @@ def sample_group_signals(rng: np.random.Generator, graph, s: np.ndarray, alpha: 
 
     Bit k is the signal of sender `directed_send[k]` as received by
     `directed_recv[k]`, flipped with probability alpha.  The two directions
-    of an edge flip independently.
+    of an edge flip independently.  Leading axes of `s` (one row per trial)
+    carry over to the result.
     """
-    if len(s) != graph.n:
+    if s.shape[-1] != graph.n:
         raise ParameterError("signal vector length does not match the graph")
-    sent = s[graph.directed_send].astype(np.int8)
-    flips = rng.random(len(sent)) < alpha
+    sent = s[..., graph.directed_send].astype(np.int8, copy=False)
+    flips = rng.random(sent.shape) < alpha
     return sent ^ flips

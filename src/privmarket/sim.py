@@ -5,10 +5,12 @@ graph with the model's samplers, lets every user play the profile's
 `ReportLaw` (randomize inside her band, report the group majority outside
 it), pays every user through the peer mechanism, and runs the collector's
 quadratic Gaussian detector on the report sum.  The closed forms read the
-same law, so simulation and analytics describe one profile.  Trials are
-indexed; each owns the stream (master seed, trial tag, index), so results
-are byte-identical across runs and across worker counts, and aggregation
-over the trial-indexed arrays uses exactly-rounded summation.
+same law, so simulation and analytics describe one profile.  Trials run
+in blocks whose size depends only on the graph; block b owns the stream
+(master seed, trial tag, b), so results are byte-identical across runs
+and across worker counts.  Per-trial payments and privacy costs are
+integer counts times constants, and aggregation over the trial-indexed
+arrays uses exactly-rounded summation.
 """
 
 from __future__ import annotations
@@ -56,19 +58,20 @@ class ZeroVarianceError(RuntimeError):
     """The report sum is degenerate; normality cannot be probed."""
 
 
-def map_estimate(sum_reports: float, n: int, summary, prior_w1: float) -> int:
+def map_estimate(sum_reports, n: int, summary, prior_w1: float) -> np.ndarray:
     """Collector's Gaussian MAP estimate of the world bit from the report sum.
 
-    Exact ties in the quadratic comparison decide 0.  Under equal priors
-    with equal variance coefficients this reduces to thresholding the sum
-    at n/2.
+    `sum_reports` is a sum or an array of sums; the estimates (0 or 1) have
+    its shape.  Exact ties in the quadratic comparison decide 0.  Under
+    equal priors with equal variance coefficients this reduces to
+    thresholding the sum at n/2.
     """
-    m = sum_reports / n
+    m = np.asarray(sum_reports) / n
     lhs = (summary.mu0 - m) ** 2 / summary.kappa0 - (summary.mu1 - m) ** 2 / summary.kappa1
     rhs = (2.0 / n) * math.log(
         math.sqrt(summary.kappa1 / summary.kappa0) * (1.0 - prior_w1) / prior_w1
     )
-    return 1 if lhs > rhs else 0
+    return (lhs > rhs).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,22 @@ class TrialResult:
     sum_reports: int
 
 
+# Trials per block: as many as keep block x (n + 2m) user and directed-edge
+# cells within _BLOCK_CELLS, from 1 to _MAX_BLOCK.  Small graphs share the
+# fixed cost of a draw among many trials; a block's arrays stay cache-sized.
+_BLOCK_CELLS = 2**15
+_MAX_BLOCK = 256
+
+
 class _Engine:
-    """A profile's report law and the per-node band bounds it is played with."""
+    """A profile's report law, played on one graph in blocks of trials.
+
+    Block b holds trials b*block .. b*block + block - 1, drawn as
+    (block x n) and (block x 2m) arrays from the stream (master seed, trial
+    tag, b).  The block size depends only on the graph, and every block
+    draws all its rows, so a trial's outcome depends neither on the number
+    of trials nor on the number of workers.
+    """
 
     def __init__(
         self,
@@ -98,48 +115,50 @@ class _Engine:
         self.mech = mech
         self.map_moments = map_moments
         self._lo, self._hi = band_bounds(graph.degrees, law.tau)
+        cells = graph.n + 2 * graph.num_edges
+        self.block = min(max(_BLOCK_CELLS // cells, 1), _MAX_BLOCK)
 
-    def simulate(self, rng: np.random.Generator, force_w: int | None = None) -> TrialResult:
+    def play(self, rng: np.random.Generator, rows: int, force_w: int | None = None):
+        """(w, reports, in band) of `rows` trials: shapes (rows,), (rows, n), (rows, n)."""
         graph, params = self.graph, self.params
-        n = graph.n
-        w = sample_world(rng, params)
+        w = sample_world(rng, params, rows)
         if force_w is not None:
-            w = int(force_w)
+            w[:] = force_w
         s = sample_private_signals(rng, w, params)
         bits = sample_group_signals(rng, graph, s, params.alpha)
-        f = np.bincount(graph.directed_recv, weights=bits, minlength=n)
-        p1, privacy_costs = self.law.play(f, s, self._lo, self._hi)
-        reports = (rng.random(n) < p1).astype(np.int64)
-        total = int(reports.sum())
-        # All users participate under these profiles, so n_participants = n.
-        threshold = (n - 1) // 2 + 1
-        majority_others = (total - reports) >= threshold
-        payments = np.where(
-            reports == 1,
-            self.mech.z1 * majority_others,
-            self.mech.z0 * (1 - majority_others),
-        ).astype(float)
-        w_hat = map_estimate(total, n, self.map_moments, params.prior_w1)
-        return TrialResult(
-            w=w, w_hat=w_hat, reports=reports, payments=payments,
-            privacy_costs=privacy_costs, sum_reports=total,
-        )
+        # Group sums: the running bit count differenced at each receiver's CSR
+        # bounds.  A row counts at most 2m bits, which fits int32 for any
+        # graph whose edge arrays fit in memory.
+        running = np.zeros((rows, bits.shape[1] + 1), dtype=np.int32)
+        np.cumsum(bits, axis=1, dtype=np.int32, out=running[:, 1:])
+        starts = graph.recv_starts
+        f = running[:, starts[1:]] - running[:, starts[:-1]]
+        p1, in_band = self.law.play(f, s, self._lo, self._hi)
+        reports = rng.random(p1.shape) < p1
+        return w, reports, in_band
 
-    def trial_stats(self, master_seed: int, index: int) -> tuple:
-        rng = substream(master_seed, TAG_TRIAL, index)
-        t = self.simulate(rng)
+    def stats(self, w, reports, in_band) -> np.ndarray:
+        """Rows w, correct, payment, privacy cost, report sum, majority match; a column per trial.
+
+        Payment and privacy cost are per user, and the integer rows are
+        exact in float64.  All users participate under these profiles, so a
+        1-reporter sees k1 - 1 other 1-reports and a 0-reporter sees k1;
+        each total is an integer count times a constant.
+        """
         n = self.graph.n
+        k1 = reports.sum(axis=1)
+        k0 = n - k1
         threshold = (n - 1) // 2 + 1
-        majority_others = (t.sum_reports - t.reports) >= threshold
-        match_rate = float(np.mean(majority_others == t.w))
-        return (
-            t.w,
-            int(t.w_hat == t.w),
-            math.fsum(t.payments) / n,
-            math.fsum(t.privacy_costs) / n,
-            t.sum_reports,
-            match_rate,
-        )
+        majority1 = k1 - 1 >= threshold  # the others' majority seen by a 1-reporter
+        majority0 = k1 >= threshold  # ... and by a 0-reporter
+        payment = (self.mech.z1 * (k1 * majority1) + self.mech.z0 * (k0 * ~majority0)) / n
+        privacy = self.law.band_cost * in_band.sum(axis=1) / n
+        match = (k1 * (majority1 == w) + k0 * (majority0 == w)) / n
+        w_hat = map_estimate(k1, n, self.map_moments, self.params.prior_w1)
+        return np.array([w, w_hat == w, payment, privacy, k1, match], dtype=float)
+
+    def block_stats(self, master_seed: int, block: int) -> np.ndarray:
+        return self.stats(*self.play(substream(master_seed, TAG_TRIAL, block), self.block))
 
 
 def run_trial(
@@ -154,7 +173,15 @@ def run_trial(
     if graph.n != params.population:
         raise ValueError("graph size does not match params.population")
     engine = _Engine(graph, law, cfg, params, summary)
-    return engine.simulate(rng)
+    (w,), (reports,), (in_band,) = engine.play(rng, 1)
+    total = int(reports.sum())
+    majority_others = (total - reports) >= (graph.n - 1) // 2 + 1
+    payments = np.where(reports, cfg.z1 * majority_others, cfg.z0 * ~majority_others)
+    return TrialResult(
+        w=int(w), w_hat=int(map_estimate(total, graph.n, summary, params.prior_w1)),
+        reports=reports.astype(np.int64), payments=payments,
+        privacy_costs=in_band * law.band_cost, sum_reports=total,
+    )
 
 
 @dataclass(frozen=True)
@@ -205,29 +232,44 @@ def _pool_init(engine, master_seed):
     _POOL_ENGINE = (engine, master_seed)
 
 
-def _pool_task(index):
+def _pool_task(block):
     engine, master_seed = _POOL_ENGINE
-    return index, engine.trial_stats(master_seed, index)
+    return block, engine.block_stats(master_seed, block)
 
 
-def _mean_se(values: Sequence[float]) -> Estimate:
+def _mean_var(values: np.ndarray) -> tuple[float, float]:
+    """Mean and unbiased variance of at least two values, by exactly-rounded sums."""
     n = len(values)
-    mean = math.fsum(values) / n
-    if n < 2:
-        return Estimate(mean, float("nan"))
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    return Estimate(mean, math.sqrt(var / n))
+    mean = math.fsum(values.tolist()) / n
+    return mean, math.fsum(np.square(values - mean).tolist()) / (n - 1)
 
 
-def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) -> list[tuple]:
-    if workers <= 1:
-        return [engine.trial_stats(master_seed, i) for i in range(trials)]
-    results: list[tuple | None] = [None] * trials
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_pool_init, initargs=(engine, master_seed)) as pool:
-        for index, stats in pool.imap_unordered(_pool_task, range(trials), chunksize=64):
-            results[index] = stats
-    return results  # type: ignore[return-value]
+def _mean_se(values: np.ndarray) -> Estimate:
+    mean, var = _mean_var(values)
+    return Estimate(mean, math.sqrt(var / len(values)))
+
+
+def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) -> np.ndarray:
+    """The rows of `engine.stats` for trials 0..trials-1.
+
+    Blocks are the unit of work; at most one process per block is started.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    size = engine.block
+    blocks = -(-trials // size)
+    out = np.empty((6, blocks * size))
+    processes = min(workers, blocks)
+    if processes <= 1:
+        for b in range(blocks):
+            out[:, b * size:(b + 1) * size] = engine.block_stats(master_seed, b)
+    else:
+        chunk = max(1, blocks // (8 * processes))
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(processes, initializer=_pool_init, initargs=(engine, master_seed)) as pool:
+            for b, stats in pool.imap_unordered(_pool_task, range(blocks), chunksize=chunk):
+                out[:, b * size:(b + 1) * size] = stats
+    return out[:, :trials]
 
 
 def _build_experiment(config, graph_stream_index: int = 0):
@@ -294,18 +336,16 @@ def run_experiment(
     if trials < 2:
         raise ValueError("need at least 2 trials")
     params, graph, engine, analytic = _build_experiment(config, graph_stream_index)
-    stats = _run_trials(engine, config.sim.seed, trials, workers)
-
-    accuracy = _mean_se([s[1] for s in stats])
-    payment = _mean_se([s[2] for s in stats])
-    privacy = _mean_se([s[3] for s in stats])
-    match = _mean_se([s[5] for s in stats])
-    sums_w1 = [s[4] for s in stats if s[0] == 1]
+    w, correct, paid, cost, sums, matched = _run_trials(engine, config.sim.seed, trials, workers)
+    accuracy = _mean_se(correct)
+    payment = _mean_se(paid)
+    privacy = _mean_se(cost)
+    match = _mean_se(matched)
     n = graph.n
+    sums_w1 = sums[w == 1]
     if len(sums_w1) >= 2:
-        mu1_est = _mean_se([v / n for v in sums_w1])
-        mean_sum = math.fsum(sums_w1) / len(sums_w1)
-        var_sum = math.fsum((v - mean_sum) ** 2 for v in sums_w1) / (len(sums_w1) - 1)
+        mu1_est = _mean_se(sums_w1 / n)
+        var_sum = _mean_var(sums_w1)[1]
         kappa1_est = Estimate(var_sum / n, var_sum / n * math.sqrt(2.0 / (len(sums_w1) - 1)))
     else:
         mu1_est = Estimate(float("nan"), float("nan"))
@@ -356,11 +396,13 @@ def normality_probe(
         raise ValueError("need at least 20 trials")
     mu, kappa = analytic.graph_mu1, analytic.graph_kappa
     ks: dict[int, float] = {}
+    blocks = -(-per_state // engine.block)
     for w in (0, 1):
-        sums = np.empty(per_state)
-        for i in range(per_state):
-            rng = substream(config.sim.seed, TAG_TRIAL, w * per_state + i)
-            sums[i] = engine.simulate(rng, force_w=w).sum_reports
+        sums = np.concatenate([
+            engine.play(substream(config.sim.seed, TAG_TRIAL, w * blocks + b), engine.block,
+                        force_w=w)[1].sum(axis=1)
+            for b in range(blocks)
+        ])[:per_state]
         if sums.max() - sums.min() == 0.0:
             raise ZeroVarianceError("report sum is constant; degenerate strategy profile")
         mean_w = mu * graph.n if w == 1 else (1.0 - mu) * graph.n

@@ -16,10 +16,12 @@ from itertools import product
 import numpy as np
 from scipy import integrate
 
-from privmarket.analytics import ReportLaw
+from privmarket.analytics import ReportLaw, band_bounds
 from privmarket.graph import DegreeDistribution, Graph
 from privmarket.mechanism import MechanismConfig
-from privmarket.model import ModelParams
+from privmarket.model import (
+    TAG_TRIAL, ModelParams, sample_group_signals, sample_private_signals, sample_world, substream,
+)
 from privmarket.strategy import DegreeStrategy
 
 
@@ -352,3 +354,51 @@ def peer_payment(x_i: int, m, cfg: MechanismConfig) -> float:
     if x_i == 1:
         return cfg.z1 * m
     return cfg.z0 * (1 - m)
+
+
+# ---------------------------------------------------------------------------
+# the per-trial engine the block engine replaced
+# ---------------------------------------------------------------------------
+
+def map_estimate_scalar(sum_reports: float, n: int, summary, prior_w1: float) -> int:
+    """Collector's Gaussian MAP estimate for one report sum; exact ties decide 0."""
+    m = sum_reports / n
+    lhs = (summary.mu0 - m) ** 2 / summary.kappa0 - (summary.mu1 - m) ** 2 / summary.kappa1
+    rhs = (2.0 / n) * math.log(
+        math.sqrt(summary.kappa1 / summary.kappa0) * (1.0 - prior_w1) / prior_w1
+    )
+    return 1 if lhs > rhs else 0
+
+
+def trial_stats_loop(engine, master_seed: int, index: int) -> tuple:
+    """One trial of an `_Engine`'s experiment, drawn and scored on its own.
+
+    Trial `index` owns the stream (master seed, trial tag, index) and draws
+    one world bit, then vectors of n signals, 2m group-signal bits and n
+    reports.  Per-user payments and privacy costs are summed with `fsum`.
+    Returns (w, correct, payment, privacy cost, report sum, majority match)
+    with payment and privacy cost per user.
+    """
+    graph, law, mech, params = engine.graph, engine.law, engine.mech, engine.params
+    n = graph.n
+    rng = substream(master_seed, TAG_TRIAL, index)
+    w = sample_world(rng, params)
+    s = sample_private_signals(rng, w, params)
+    bits = sample_group_signals(rng, graph, s, params.alpha)
+    f = np.bincount(graph.directed_recv, weights=bits, minlength=n)
+    p1, in_band = law.play(f, s, *band_bounds(graph.degrees, law.tau))
+    reports = (rng.random(n) < p1).astype(np.int64)
+    total = int(reports.sum())
+    majority_others = (total - reports) >= (n - 1) // 2 + 1
+    payments = np.where(
+        reports == 1, mech.z1 * majority_others, mech.z0 * (1 - majority_others)
+    ).astype(float)
+    w_hat = map_estimate_scalar(total, n, engine.map_moments, params.prior_w1)
+    return (
+        w,
+        int(w_hat == w),
+        math.fsum(payments) / n,
+        math.fsum(in_band * law.band_cost) / n,
+        total,
+        float(np.mean(majority_others == w)),
+    )

@@ -185,6 +185,32 @@ class TestSampling:
         assert np.array_equal(sa, sb)
         assert np.array_equal(ca, cb)
 
+    def test_leading_trial_axis(self):
+        # one row per world bit; noiseless signals and links copy it through
+        graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        params = make_params(theta0=1.0 - 1e-12, alpha=0.0, population=4)
+        w = np.array([1, 0, 0, 1])
+        rng = substream(7, 2, 3)
+        s = sample_private_signals(rng, w, params)
+        assert np.array_equal(s, np.repeat(w[:, None], 4, axis=1))
+        bits = sample_group_signals(rng, graph, s, alpha=0.0)
+        assert np.array_equal(bits, s[:, graph.directed_send])
+        with pytest.raises(ParameterError):
+            sample_group_signals(rng, graph, np.zeros((4, 5), dtype=np.int8), alpha=0.0)
+
+    def test_one_row_draws_the_single_trial_stream(self):
+        graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        params = make_params(population=4)
+        a, b = substream(99, 5, 4), substream(99, 5, 4)
+        w = sample_world(a, params)
+        (w_row,) = sample_world(b, params, 1)
+        assert w == w_row
+        s = sample_private_signals(a, w, params)
+        s_rows = sample_private_signals(b, [w_row], params)
+        assert np.array_equal(s_rows, s[None])
+        bits = sample_group_signals(a, graph, s, params.alpha)
+        assert np.array_equal(sample_group_signals(b, graph, s_rows, params.alpha), bits[None])
+
     def test_streams_differ_by_index(self):
         a = substream(99, 5, 0).random(8)
         b = substream(99, 5, 1).random(8)

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from privmarket.analytics import band_bounds, mv_report_law, nd_report_law
-from privmarket.config import default_config, apply_overrides
-from privmarket.graph import Graph
+from privmarket import sim
+from privmarket.config import ConfigError, default_config, apply_overrides
+from privmarket.graph import Graph, generate_erdos_renyi
 from privmarket.mechanism import MechanismConfig
 from privmarket.model import linear_capped_cost, quadratic_cost, substream
 from privmarket.sim import (
@@ -24,7 +26,7 @@ from privmarket.sim import (
 from privmarket.strategy import SR, build_mv_strategy
 
 from conftest import make_params
-from oracles import majority_excluding, peer_payment
+from oracles import majority_excluding, map_estimate_scalar, peer_payment, trial_stats_loop
 from test_acceptance import PARAM_GRID
 
 
@@ -49,6 +51,19 @@ class TestMapEstimate:
         assert map_estimate(sum(reports), 6, s, 0.5) == map_estimate(
             sum(reversed(reports)), 6, s, 0.5
         )
+
+    def test_array_matches_scalar_reference(self):
+        # every sum 0..n, including the exact tie at n/2, under equal and
+        # unequal variance coefficients and priors
+        n = 250
+        sums = np.arange(n + 1)
+        for mu1 in (0.55, 0.65, 0.9):
+            for kappa1, kappa0 in ((0.4, 0.4), (0.3, 0.5), (0.5, 0.3)):
+                s = SimpleNamespace(mu0=1.0 - mu1, mu1=mu1, kappa0=kappa0, kappa1=kappa1)
+                for prior in (0.5, 0.3, 0.8):
+                    expected = [map_estimate_scalar(k, n, s, prior) for k in range(n + 1)]
+                    assert map_estimate(sums, n, s, prior).tolist() == expected
+        assert map_estimate(sums, n, _summary(0.65, 0.4), 0.5)[n // 2] == 0
 
 
 def _simple_mech():
@@ -114,6 +129,118 @@ class TestEngineMatchesMechanismOps:
                 assert trial.payments[i] == pytest.approx(
                     peer_payment(reports[i], m, mech), abs=1e-15
                 )
+
+
+def _engine(graph):
+    params = make_params(population=graph.n)
+    mech = MechanismConfig(z=1.3, z0=1.7, z1=2.1, beta0=0.9, beta1=0.9, epsilon=0.1)
+    return sim._Engine(graph, mv_report_law(params), mech, params, _summary(0.6, 0.3))
+
+
+def _er_engine(n, avg_degree):
+    return _engine(generate_erdos_renyi(substream(5, 4, 0), n, avg_degree))
+
+
+class TestBlockEngine:
+    def test_agrees_with_per_trial_loop(self):
+        cfg = apply_overrides(default_config(), ["model.population=60"])
+        engine = sim._build_experiment(cfg)[2]
+        trials = 2000
+        w, _, paid, _, sums, matched = sim._run_trials(engine, 11, trials, 1)
+        loop = np.array([trial_stats_loop(engine, 12, i) for i in range(trials)])
+        n = engine.graph.n
+
+        def gap_in_se(a, b):
+            se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+            return abs(a.mean() - b.mean()) / se
+
+        assert gap_in_se(sums[w == 1] / n, loop[loop[:, 0] == 1, 4] / n) < 4
+        assert gap_in_se(paid, loop[:, 2]) < 4
+        assert gap_in_se(matched, loop[:, 5]) < 4
+
+    def test_run_trial_is_a_one_row_block_of_the_loop_stream(self):
+        engine = _er_engine(40, 3.0)
+        for k in range(10):
+            trial = run_trial(
+                substream(8, 5, k), engine.graph, engine.law, engine.mech, engine.params,
+                engine.map_moments,
+            )
+            w, correct, paid, cost, total, _ = trial_stats_loop(engine, 8, k)
+            assert (trial.w, int(trial.w_hat == trial.w), trial.sum_reports) == (w, correct, total)
+            assert math.fsum(trial.payments) / 40 == paid
+            assert math.fsum(trial.privacy_costs) / 40 == cost
+
+    @pytest.mark.parametrize("n, avg_degree", [(7, 2.0), (100, 4.0)])
+    def test_count_statistics_match_per_user_sums(self, n, avg_degree):
+        engine = _er_engine(n, avg_degree)
+        assert engine.block > 1
+        w, reports, in_band = engine.play(substream(21, 5, 0), engine.block)
+        _, _, paid, cost, sums, matched = engine.stats(w, reports, in_band)
+        mech, law = engine.mech, engine.law
+        for row in range(engine.block):
+            x = [int(v) for v in reports[row]]
+            majorities = [majority_excluding(x, i) for i in range(n)]
+            per_user = math.fsum(peer_payment(x[i], majorities[i], mech) for i in range(n)) / n
+            assert paid[row] == pytest.approx(per_user, rel=1e-15, abs=0)
+            assert cost[row] == math.fsum(in_band[row] * law.band_cost) / n
+            assert sums[row] == sum(x)
+            assert matched[row] == sum(m == w[row] for m in majorities) / n
+
+    def test_leading_trials_do_not_depend_on_trial_count(self):
+        engine = _er_engine(100, 4.0)
+        b = engine.block
+        longest = sim._run_trials(engine, 3, 3 * b + 2, 1)
+        for trials in (2, b - 1, b, b + 1, 3 * b + 2):
+            stats = sim._run_trials(engine, 3, trials, 1)
+            assert stats.shape == (6, trials)
+            for short, full in zip(stats, longest):
+                assert short.tobytes() == full[:trials].tobytes()
+
+    @pytest.mark.parametrize("n, degree", [(7, 2), (250, 4), (2000, 4), (9000, 6)])
+    def test_block_stays_within_cell_budget(self, n, degree):
+        # ring lattices: every node joined to its `degree` nearest neighbours
+        edges = [(i, (i + k) % n) for i in range(n) for k in range(1, degree // 2 + 1)]
+        engine = _engine(Graph(n, edges))
+        cells = n + 2 * engine.graph.num_edges
+        assert 1 <= engine.block <= sim._MAX_BLOCK
+        if engine.block > 1:
+            assert engine.block * cells <= sim._BLOCK_CELLS
+        else:
+            assert 2 * cells > sim._BLOCK_CELLS
+
+    def test_never_more_processes_than_blocks(self, monkeypatch):
+        requested = []
+
+        class RecordingPool:
+            """Runs the tasks in this process and records the requested size."""
+
+            def __init__(self, processes, initializer, initargs):
+                requested.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, func, iterable, chunksize=1):
+                return map(func, iterable)
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", RecordingPool)
+        monkeypatch.setattr(sim, "_POOL_ENGINE", None)
+        cfg = apply_overrides(default_config(), ["model.population=100"])
+        trials = 2 * sim._build_experiment(cfg)[2].block
+        wide = simresult_csv(run_experiment(cfg, trials=trials, workers=64))
+        assert requested == [2]
+        assert wide == simresult_csv(run_experiment(cfg, trials=trials, workers=1))
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="sim.workers"):
+            apply_overrides(default_config(), ["sim.workers=0"])
+        cfg = apply_overrides(default_config(), ["model.population=60"])
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(cfg, trials=10, workers=0)
 
 
 class TestConditionalIndependence:
@@ -244,7 +371,8 @@ class TestLawMatchesStrategyTables:
                     f = np.arange(d + 1)
                     lo, hi = band_bounds(d, law.tau)
                     for s in (0, 1):
-                        p1, paid = law.play(f, np.full(d + 1, s), lo, hi)
+                        p1, in_band = law.play(f, np.full(d + 1, s), lo, hi)
+                        paid = in_band * law.band_cost
                         for entry in strat.entries:
                             level = entry.xi if entry.regime == SR else 0.0
                             worst = max(
