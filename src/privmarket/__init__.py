@@ -36,12 +36,9 @@ from .analytics import (  # noqa: F401
     ReportLaw,
     beta_accuracy,
     bhattacharyya,
-    binom_pmf,
-    binom_range,
     expected_total_payment,
     mv_moments_equal_priors,
     nd_moments,
-    nu_values,
     payment_bound,
     std_normal_cdf,
 )

@@ -44,10 +44,7 @@ __all__ = [
     "MomentSummary",
     "PaymentBoundReport",
     "ReportLaw",
-    "binom_pmf",
-    "binom_range",
     "band_bounds",
-    "nu_values",
     "lambda_sr",
     "mv_report_law",
     "nd_report_law",
@@ -71,42 +68,6 @@ class AnalyticsError(ValueError):
 _INT_TOL = 1e-9
 
 
-def binom_pmf(k: float, m: int, p: float) -> float:
-    """Binomial(m, p) mass at k; zero off the integer lattice or out of range.
-
-    Evaluated through log-gamma so that m up to 1e4 stays finite.
-    """
-    if m < 0:
-        raise AnalyticsError("m must be >= 0")
-    kr = round(k)
-    if abs(k - kr) > _INT_TOL or kr < 0 or kr > m:
-        return 0.0
-    k = int(kr)
-    if p <= 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p >= 1.0:
-        return 1.0 if k == m else 0.0
-    log_pmf = (
-        math.lgamma(m + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(m - k + 1)
-        + k * math.log(p)
-        + (m - k) * math.log1p(-p)
-    )
-    return math.exp(log_pmf)
-
-
-def binom_range(k: float, l: float, m: int, p: float) -> float:
-    """Sum of the Binomial(m, p) mass over integers in [k, l]; 0 when empty."""
-    if m < 0:
-        raise AnalyticsError("m must be >= 0")
-    lo = max(math.ceil(k - _INT_TOL), 0)
-    hi = min(math.floor(l + _INT_TOL), m)
-    if lo > hi:
-        return 0.0
-    return float(binomial_pmf(m, p)[lo:hi + 1].sum())
-
-
 def band_bounds(d, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi): the integer group-signal sums of the band d/2 +- tau, both included.
 
@@ -118,20 +79,6 @@ def band_bounds(d, tau: float) -> tuple[np.ndarray, np.ndarray]:
         np.ceil(d / 2 - tau - _INT_TOL).astype(np.int64),
         np.floor(d / 2 + tau + _INT_TOL).astype(np.int64),
     )
-
-
-def nu_values(d: int, tau: float, theta1: float) -> tuple[float, float]:
-    """(band mass, upper-tail mass) of the group-signal sum at quality theta1.
-
-    A band wider than the whole range (tau > d/2) is legitimate for low
-    degrees and simply yields band mass 1.
-    """
-    if d < 0:
-        raise AnalyticsError("d must be >= 0")
-    if tau < 0.0:
-        raise AnalyticsError(f"tau must be >= 0, got {tau}")
-    lo, hi = band_bounds(d, tau)
-    return _band_tail(binomial_pmf(d, theta1), int(lo), int(hi))
 
 
 def _band_tail(pmf: np.ndarray, lo: int, hi: int) -> tuple[float, float]:
@@ -155,7 +102,10 @@ class ReportLaw:
 
     * `mean[d]`    = Pr(X = 1 | degree d);
     * `M[d, s, t]` = Pr(X = 1 | degree d, own signal s, one friend's signal t);
-    * `G[d, t]`    = the same with the own signal averaged out.
+    * `G[d, t]`    = the same with the own signal averaged out;
+    * `edge[d]`    = the Binomial(d - 1, theta1) mass of the other d - 1
+      received bits at hi and at lo - 1 of the band (the boundary terms
+      of the displayed delta).
 
     Every pair probability is a sum of products of one term per endpoint,
     so degree averages of pair probabilities factor into products of
@@ -175,9 +125,12 @@ class ReportLaw:
         self._mean = np.empty(0)
         self._M = np.empty((0, 2, 2))
         self._G = np.empty((0, 2))
+        self._edge = np.empty((0, 2))
 
     def _tables(self, d_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(mean, M, G) covering degrees 0..d_max at least; row 0 of M and G is NaN.
+
+        `edge` is rebuilt alongside, with row 0 zero.
 
         A rebuild at least doubles the covered range, so asking for degrees
         one at a time in increasing order costs O(d_max) pmf rows, not O(d_max^2).
@@ -189,6 +142,7 @@ class ReportLaw:
             lo, hi = (b.tolist() for b in band_bounds(np.arange(d_max + 1), self.tau))
             mean = np.empty(d_max + 1)
             j = np.full((d_max + 1, 2, 2), np.nan)  # [d, k, l]: own signal k, one received bit l
+            edge = np.zeros((d_max + 1, 2))
             prev = None  # Binomial(d - 1, theta1) mass: the d - 1 other received bits
             for d in range(d_max + 1):
                 pmf = binomial_pmf(d, th1)
@@ -198,11 +152,15 @@ class ReportLaw:
                     for l in (0, 1):  # l received bits are fixed, so the band shifts by l
                         band, tail = _band_tail(prev, lo[d] - l, hi[d] - l)
                         j[d, :, l] = tail + c * band
+                    if 0 <= hi[d] < d:
+                        edge[d, 0] = prev[hi[d]]
+                    if 0 < lo[d] <= d:
+                        edge[d, 1] = prev[lo[d] - 1]
                 prev = pmf
             # The friend's bit arrives flipped with probability alpha.
             m = (1.0 - alpha) * j + alpha * j[:, :, ::-1]
             g = th0 * m[:, 1, :] + (1.0 - th0) * m[:, 0, :]
-            self._mean, self._M, self._G = mean, m, g
+            self._mean, self._M, self._G, self._edge = mean, m, g, edge
         return self._mean, self._M, self._G
 
     # -- single-user -----------------------------------------------------
@@ -310,17 +268,15 @@ class MomentSummary:
 
 def _delta_display(law: ReportLaw, rho_tilde: DegreeDistribution) -> float:
     """First-order cross-pair coefficient: the two boundary pmf terms."""
-    params = law.params
-    th0, th1, alpha = params.theta0, params.theta1, params.alpha
-    eps, tau = law.epsilon, law.tau
-    ee = math.exp(eps)
+    th0, alpha = law.params.theta0, law.params.alpha
+    ee = math.exp(law.epsilon)
     coef_hi = ee * (1.0 - th0) + th0
     coef_lo = th0 * ee + 1.0 - th0
+    law._tables(int(rho_tilde.support[rho_tilde.mass > 0].max()))
+    edge = law._edge
 
     def boundary_term(d: int) -> float:
-        hi = binom_pmf(math.floor(d / 2 + tau), d - 1, th1)
-        lo = binom_pmf(math.ceil(d / 2 - tau - 1), d - 1, th1)
-        return (coef_hi * hi + coef_lo * lo) / (ee + 1.0)
+        return (coef_hi * edge[d, 0] + coef_lo * edge[d, 1]) / (ee + 1.0)
 
     return th0 * (1.0 - th0) * (1.0 - 2.0 * alpha) * rho_tilde.expect(boundary_term)
 
@@ -469,11 +425,7 @@ def bhattacharyya_from(n: int, mu1: float, mu0: float, kappa1: float, kappa0: fl
     return n / 4.0 * (mu1 - mu0) ** 2 / (kappa1 + kappa0)
 
 
-def bhattacharyya(n: int, summary: MomentSummary, exact_pairs: bool = False) -> float:
-    if exact_pairs:
-        return bhattacharyya_from(
-            n, summary.mu1, summary.mu0, summary.kappa1_pairs, summary.kappa0_pairs
-        )
+def bhattacharyya(n: int, summary: MomentSummary) -> float:
     return bhattacharyya_from(n, summary.mu1, summary.mu0, summary.kappa1, summary.kappa0)
 
 

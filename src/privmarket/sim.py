@@ -272,11 +272,15 @@ def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) ->
     return out[:, :trials]
 
 
-def _build_experiment(config, graph_stream_index: int = 0):
-    """Graph, analytic distribution, report law and mechanism from a RunConfig."""
+def _build_experiment(config, graph_stream_index: int = 0, built=None):
+    """Graph, analytic distribution, report law and mechanism from a RunConfig.
+
+    `built` is a (graph, degree law) pair from `config.build_graph`; when
+    given, the graph is not built again.
+    """
     from .config import build_graph, params_for_graph  # local import to avoid a cycle
 
-    graph, dist = build_graph(config, graph_stream_index)
+    graph, dist = built or build_graph(config, graph_stream_index)
     params = params_for_graph(config, graph)
     if not params.equal_priors:
         raise NotImplementedError(
@@ -324,18 +328,19 @@ def _build_experiment(config, graph_stream_index: int = 0):
 
 def run_experiment(
     config, trials: int | None = None, workers: int | None = None,
-    axis_value: float = float("nan"), graph_stream_index: int = 0,
+    axis_value: float = float("nan"), graph_stream_index: int = 0, built=None,
 ) -> SimResult:
     """Run the configured experiment and attach analytic predictions.
 
-    The graph is drawn once from its own stream; trials on it are
-    parallelizable and order-independent.
+    The graph is drawn once from its own stream, or taken from `built` (see
+    `_build_experiment`); trials on it are parallelizable and
+    order-independent.
     """
     trials = config.sim.trials if trials is None else int(trials)
     workers = config.sim.workers if workers is None else int(workers)
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    params, graph, engine, analytic = _build_experiment(config, graph_stream_index)
+    params, graph, engine, analytic = _build_experiment(config, graph_stream_index, built)
     w, correct, paid, cost, sums, matched = _run_trials(engine, config.sim.seed, trials, workers)
     accuracy = _mean_se(correct)
     payment = _mean_se(paid)
@@ -379,6 +384,14 @@ class NormalityReport:
     passed: bool | None  # None when the asymptotic claim is not made
 
 
+def _ks_statistic(sample: np.ndarray) -> float:
+    """One-sample Kolmogorov-Smirnov distance of `sample` from the standard normal."""
+    cdf = np.array([analytics.std_normal_cdf(x) for x in np.sort(sample).tolist()])
+    n = len(cdf)
+    i = np.arange(1.0, n + 1.0)
+    return float(max((i / n - cdf).max(), (cdf - (i - 1.0) / n).max()))
+
+
 def normality_probe(
     config, trials: int, threshold: float = 0.05, asymptotic_min_n: int = 500,
 ) -> NormalityReport:
@@ -388,8 +401,6 @@ def normality_probe(
     coefficient.  A degenerate profile, whose report sum never varies,
     raises ZeroVarianceError.
     """
-    from scipy.stats import kstest
-
     params, graph, engine, analytic = _build_experiment(config)
     per_state = trials // 2
     if per_state < 10:
@@ -407,7 +418,7 @@ def normality_probe(
             raise ZeroVarianceError("report sum is constant; degenerate strategy profile")
         mean_w = mu * graph.n if w == 1 else (1.0 - mu) * graph.n
         scale = math.sqrt(graph.n * kappa)
-        ks[w] = float(kstest((sums - mean_w) / scale, "norm").statistic)
+        ks[w] = _ks_statistic((sums - mean_w) / scale)
     asymptotic = graph.n >= asymptotic_min_n
     passed = (max(ks.values()) < threshold) if asymptotic else None
     return NormalityReport(
@@ -426,17 +437,22 @@ class SweepRow:
 
 def sweep(config, axis: str, values: Sequence[float], trials: int | None = None,
           workers: int | None = None) -> list[SweepRow]:
-    """One experiment per grid value; deterministic given the master seed."""
-    from .config import override_axis
+    """One experiment per grid value; deterministic given the master seed.
+
+    A generated graph is drawn per grid point, from the stream of its
+    index; an edge list is ingested once and shared, since no axis changes it.
+    """
+    from .config import EDGE_LIST, build_graph, override_axis
 
     if axis not in ("avg_degree", "epsilon", "alpha"):
         raise ValueError(f"unknown sweep axis {axis!r}")
+    built = build_graph(config) if config.graph.kind == EDGE_LIST else None
     rows = []
     for idx, value in enumerate(values):
         sub = override_axis(config, axis, value)
         result = run_experiment(
             sub, trials=trials, workers=workers, axis_value=float(value),
-            graph_stream_index=idx,
+            graph_stream_index=idx, built=built,
         )
         rows.append(SweepRow(axis=axis, value=float(value), result=result))
     return rows

@@ -8,18 +8,20 @@ band edges come from the clamped quantities Upsilon_0 / Upsilon_1 evaluated
 at the solved level xi(f); xi(f) itself is the root of the concave
 first-order condition J'(eta) = 0.
 
-Numerical notes: the group-signal likelihood ratio (theta1/(1-theta1))^(d-2f)
-is carried in log space throughout, so degrees near the sparsity cap do not
-overflow.  J' is strictly decreasing for convex costs, so bisection on an
-expanding bracket is guaranteed to converge.
+Under equal priors J'(eta) is proportional to
+e^(eta - eps) (1 + e^eps)^2 / (1 + e^eta)^2 g'(eps) - g'(eta), whose root
+is eta = eps, so xi = eps in closed form (0 when g'(eps) = 0).  Under
+unequal priors xi(f) is bisected: the group-signal likelihood ratio
+(theta1/(1-theta1))^(d-2f) is carried in log space, so degrees near the
+sparsity cap do not overflow, and J' is strictly decreasing for convex
+costs, so bisection on an expanding bracket is guaranteed to converge.
 
 This solver builds the tables `privmarket strategy` exports and is the only
-encoding of the profile under unequal priors.  Under equal priors xi(f) =
-epsilon in every cell and both cuts are d/2 +- `equal_priors_tau`, so
-simulation and the closed forms play the same profile as the (tau, epsilon)
-law `analytics.ReportLaw`; the tables here are their reference.  A cell
-exactly at a cut is non-disclosive in the tables, while the law randomizes
-there.
+encoding of the profile under unequal priors.  Under equal priors both
+cuts are d/2 +- `equal_priors_tau`, so simulation and the closed forms
+play the same profile as the (tau, epsilon) law `analytics.ReportLaw`;
+the tables here are their reference.  A cell exactly at a cut is
+non-disclosive in the tables, while the law randomizes there.
 """
 
 from __future__ import annotations
@@ -134,12 +136,24 @@ def _j_prime(eta: float, f: int, d: int, params: ModelParams) -> float:
 def solve_xi(f: int, d: int, params: ModelParams) -> float:
     """Optimal SR privacy level: the root of J'(eta) = 0, or 0 if J'(0) <= 0.
 
+    Under equal priors the root is epsilon whenever g'(epsilon) > 0, since
+    J'(0) = cosh^2(eps/2) g'(eps) - g'(0) > 0 for a convex cost and eps > 0;
+    otherwise J' = -g' <= 0 and the level is 0.  Unequal priors are bisected.
+    """
+    if not 0 <= f <= d:
+        raise ValueError(f"need 0 <= f <= d, got f={f}, d={d}")
+    if params.equal_priors:
+        return params.epsilon if params.cost.derivative(params.epsilon) > 0.0 else 0.0
+    return _bisect_xi(f, d, params)
+
+
+def _bisect_xi(f: int, d: int, params: ModelParams) -> float:
+    """Root of J'(eta) = 0 by bisection, or 0 if J'(0) <= 0; any priors.
+
     J' is strictly decreasing (J is concave for convex costs), so an
     expanding bracket plus bisection converges; failure to bracket within
     the ceiling signals an invalid cost function.
     """
-    if not 0 <= f <= d:
-        raise ValueError(f"need 0 <= f <= d, got f={f}, d={d}")
     if _j_prime(0.0, f, d, params) <= 0.0:
         return 0.0
     lo, hi = 0.0, params.epsilon + 1.0

@@ -297,11 +297,25 @@ def gaussian_bhattacharyya_quadrature(m1: float, v1: float, m0: float, v0: float
     return -math.log(val)
 
 
-def binom_pmf_naive(k: int, m: int, p: float) -> float:
-    """Direct product form, usable for moderate m."""
-    if k < 0 or k > m:
-        return 0.0
-    return math.comb(m, k) * p**k * (1.0 - p) ** (m - k)
+def delta_display_comb(law, rho_tilde) -> float:
+    """The displayed cross-pair coefficient delta, one degree at a time.
+
+    Its two boundary terms are the Binomial(d - 1, theta1) masses at
+    floor(d/2 + tau) and ceil(d/2 - tau - 1), taken from `math.comb`.
+    """
+    params = law.params
+    th0, th1, alpha = params.theta0, params.theta1, params.alpha
+    ee = math.exp(law.epsilon)
+
+    def mass(k: int, m: int) -> float:
+        return math.comb(m, k) * th1**k * (1.0 - th1) ** (m - k) if 0 <= k <= m else 0.0
+
+    total = 0.0
+    for d, w in zip(rho_tilde.support.tolist(), rho_tilde.mass.tolist()):
+        hi = mass(math.floor(d / 2 + law.tau), d - 1)
+        lo = mass(math.ceil(d / 2 - law.tau - 1), d - 1)
+        total += w * ((ee * (1.0 - th0) + th0) * hi + (th0 * ee + 1.0 - th0) * lo) / (ee + 1.0)
+    return th0 * (1.0 - th0) * (1.0 - 2.0 * alpha) * total
 
 
 def truncated_poisson_mean(mean: float, d_max: int) -> float:

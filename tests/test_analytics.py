@@ -4,17 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from privmarket.analytics import (
     AnalyticsError,
+    band_bounds,
     beta_accuracy,
     beta_from_moments,
     bhattacharyya,
     bhattacharyya_from,
-    binom_pmf,
-    binom_range,
     expected_total_payment,
     graph_report_moments,
     lambda_sr,
@@ -22,19 +19,20 @@ from privmarket.analytics import (
     mv_report_law,
     nd_moments,
     nd_report_law,
-    nu_values,
     payment_bound,
     std_normal_cdf,
 )
 from privmarket import analytics
-from privmarket.graph import DegreeDistribution, Graph, generate_erdos_renyi, ingest_edge_list
+from privmarket.graph import (
+    DegreeDistribution, Graph, binomial_pmf, generate_erdos_renyi, ingest_edge_list,
+)
 from privmarket.model import linear_capped_cost, quadratic_cost
 from privmarket.strategy import build_mv_strategy, nd_baseline_strategy
 
 from conftest import make_params
 from datasets import write_grqc_like
 from oracles import (
-    binom_pmf_naive,
+    delta_display_comb,
     ensemble_pair_probs_double_sum,
     enumerate_mu1,
     enumerate_pair_adjacent,
@@ -46,56 +44,40 @@ from oracles import (
 
 
 class TestBinomials:
-    def test_simple_values(self):
-        assert binom_pmf(1, 2, 0.5) == pytest.approx(0.5, abs=1e-15)
-        assert binom_pmf(-1, 5, 0.3) == 0.0
-        assert binom_pmf(2.5, 5, 0.3) == 0.0  # off the integer lattice
-
     def test_matches_naive_product(self):
+        pmf = binomial_pmf(10, 0.6)
         for k in range(11):
-            assert binom_pmf(k, 10, 0.6) == pytest.approx(
-                binom_pmf_naive(k, 10, 0.6), abs=1e-12
-            )
+            naive = math.comb(10, k) * 0.6**k * 0.4 ** (10 - k)
+            assert pmf[k] == pytest.approx(naive, abs=1e-12)
 
     def test_large_m_stable(self):
-        total = binom_range(0, 10_000, 10_000, 0.37)
-        assert total == pytest.approx(1.0, abs=1e-9)
-        assert binom_pmf(3700, 10_000, 0.37) > 0.0
+        pmf = binomial_pmf(10_000, 0.37)
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
+        assert pmf[3700] > 0.0
 
-    def test_range_examples(self):
-        assert binom_range(0, 7, 7, 0.3) == pytest.approx(1.0, abs=1e-12)
-        assert binom_range(1.2, 2.8, 4, 0.6) == pytest.approx(0.3456, abs=1e-12)
-        assert binom_range(3, 2, 9, 0.5) == 0.0
 
-    @given(
-        m=st.integers(0, 40),
-        p=st.floats(0.01, 0.99),
-        k=st.floats(-2, 40),
-        l=st.floats(-2, 40),
-        shift=st.floats(0.0, 5.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_range_monotone(self, m, p, k, l, shift):
-        base = binom_range(k, l, m, p)
-        assert 0.0 <= base <= 1.0 + 1e-12
-        assert binom_range(k, l + shift, m, p) >= base - 1e-12  # monotone in l
-        assert binom_range(k + shift, l, m, p) <= base + 1e-12  # anti-monotone in k
+def _band_and_tail(d: int, tau: float, theta1: float) -> tuple[float, float]:
+    """(band mass, upper-tail mass) of Binomial(d, theta1) for the band d/2 +- tau."""
+    lo, hi = (int(b) for b in band_bounds(d, tau))
+    pmf = binomial_pmf(d, theta1)
+    return pmf[max(lo, 0):max(hi + 1, 0)].sum(), pmf[max(hi + 1, 0):].sum()
 
 
 class TestNuValues:
     def test_tie_only_band(self):
-        nu_sr, _ = nu_values(4, 0.0, 0.6)
-        assert nu_sr == pytest.approx(binom_pmf(2, 4, 0.6), abs=1e-15)
+        assert [int(b) for b in band_bounds(4, 0.0)] == [2, 2]
+        band, _ = _band_and_tail(4, 0.0, 0.6)
+        assert band == pytest.approx(6 * 0.6**2 * 0.4**2, abs=1e-15)
 
     def test_degree_two_tail(self):
-        _, nu_nd = nu_values(2, 0.0, 0.6)
-        assert nu_nd == pytest.approx(0.36, abs=1e-12)
+        _, tail = _band_and_tail(2, 0.0, 0.6)
+        assert tail == pytest.approx(0.36, abs=1e-12)
 
     def test_disjoint_masses(self):
         for d in range(0, 9):
             for tau in (0.0, 0.1, 0.6, 1.3):
-                nu_sr, nu_nd = nu_values(d, tau, 0.6)
-                assert nu_sr + nu_nd <= 1.0 + 1e-12
+                band, tail = _band_and_tail(d, tau, 0.6)
+                assert band + tail <= 1.0 + 1e-12
 
 
 class TestMvMoments:
@@ -382,7 +364,7 @@ class TestArrayFormsMatchLoops:
 
     @pytest.mark.parametrize("dist_name", ["readme_binomial", "poisson4"])
     @pytest.mark.parametrize("cost", ["quadratic", "linear-capped"])
-    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0, 2.0])  # 2.0: degree 1's band covers 0..1
     def test_mv_ensemble(self, dist_name, cost, eps):
         cost_fn = quadratic_cost() if cost == "quadratic" else linear_capped_cost()
         self._check_ensemble(mv_moments_equal_priors, mv_report_law,
@@ -405,6 +387,8 @@ class TestArrayFormsMatchLoops:
         mu1, mean_d, mean_d2 = s.mu1, dist.mean(), dist.second_moment()
         kappa_ref = mu1 - mu1 * mu1 + mean_d * (vs_ref - vst_ref) + mean_d2 * (vst_ref - mu1 * mu1)
         assert s.kappa1_pairs == pytest.approx(kappa_ref, rel=REL, abs=0.0)
+        delta_ref = delta_display_comb(report_law(params), dist.rho_tilde())
+        assert s.delta == pytest.approx(delta_ref, rel=REL, abs=0.0)
 
     def test_tables_grow_on_demand(self, default_params):
         law = mv_report_law(default_params)

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from privmarket.analytics import band_bounds, mv_report_law, nd_report_law
-from privmarket import sim
-from privmarket.config import ConfigError, default_config, apply_overrides
+from privmarket import config, sim
+from privmarket.config import ConfigError, default_config, apply_overrides, override_axis
 from privmarket.graph import Graph, generate_erdos_renyi
 from privmarket.mechanism import MechanismConfig
 from privmarket.model import linear_capped_cost, quadratic_cost, substream
 from privmarket.sim import (
+    SweepRow,
     ZeroVarianceError,
     map_estimate,
     normality_probe,
@@ -336,6 +337,18 @@ class TestNormalityProbe:
             normality_probe(cfg, trials=40)
 
 
+class TestKsStatistic:
+    @pytest.mark.parametrize("n", [10, 100, 1000, 5000])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_matches_scipy(self, n, tied):
+        from scipy.stats import kstest
+
+        x = np.random.default_rng(n).normal(0.1, 1.2, size=n)
+        if tied:
+            x = np.round(x, 1)
+        assert abs(sim._ks_statistic(x) - kstest(x, "norm").statistic) <= 1e-12
+
+
 class TestSweep:
     def test_grid_structure_and_determinism(self):
         cfg = apply_overrides(default_config(), ["sim.trials=60", "model.population=80"])
@@ -354,11 +367,44 @@ class TestSweep:
         lo, hi = rows[0].result.accuracy, rows[1].result.accuracy
         assert hi.value >= lo.value - (lo.ci_half + hi.ci_half)
 
+    @staticmethod
+    def _standalone_csv(cfg, axis, values):
+        """The sweep's CSV from one run per grid point, each building its own graph."""
+        return sweep_csv([
+            SweepRow(axis, v, run_experiment(
+                override_axis(cfg, axis, v), axis_value=v, graph_stream_index=i))
+            for i, v in enumerate(values)
+        ])
+
+    def test_generated_graph_drawn_per_grid_point(self):
+        cfg = apply_overrides(default_config(), ["sim.trials=60", "model.population=80"])
+        values = [2.0, 4.0]
+        assert sweep_csv(sweep(cfg, "avg_degree", values)) == self._standalone_csv(
+            cfg, "avg_degree", values)
+
+    def test_edge_list_ingested_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "edges.txt"
+        path.write_text(generate_erdos_renyi(np.random.default_rng(5), 120, 4.0).to_edge_list_text())
+        cfg = apply_overrides(
+            default_config(), ["graph.kind=edge-list", f"graph.path={path}", "sim.trials=60"]
+        )
+        values = [0.1, 0.5, 1.0]
+        alone = self._standalone_csv(cfg, "epsilon", values)
+        calls = []
+        ingest = config.ingest_edge_list
+        monkeypatch.setattr(
+            config, "ingest_edge_list", lambda source: calls.append(source) or ingest(source)
+        )
+        rows = sweep(cfg, "epsilon", values)
+        assert len(calls) == 1
+        assert sweep_csv(rows) == alone
+
 
 class TestLawMatchesStrategyTables:
     def test_report_probabilities_and_costs_match_bisection(self):
-        # Under equal priors the bisection solves xi(f) = epsilon in every
-        # cell and cuts at d/2 +- tau, so the law plays the table's rows.
+        # Under equal priors the tables hold the closed-form xi(f) = epsilon
+        # in every cell (test_strategy checks it against the bisection) and
+        # cut at d/2 +- tau, so the law plays the table's rows.
         worst = 0.0
         for base in PARAM_GRID:
             for cost in (quadratic_cost(), linear_capped_cost()):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privmarket.mechanism import design_Z
-from privmarket.model import linear_capped_cost
+from privmarket import strategy
+from privmarket.model import linear_capped_cost, quadratic_cost, table_cost
 from privmarket.strategy import (
     ND,
     SR,
@@ -26,6 +27,7 @@ from privmarket.strategy import (
 
 from conftest import make_params
 from oracles import brute_force_best_response, grid_scan_xi
+from test_acceptance import PARAM_GRID
 
 
 class TestPrivacyLevel:
@@ -85,10 +87,42 @@ class TestMlEstimate:
 
 class TestSolveXi:
     def test_equal_priors_collapses_to_epsilon(self):
+        # the bisection finds the closed-form root that solve_xi returns
         params = make_params(epsilon=0.3)
         for d in (0, 1, 4, 7):
             for f in range(d + 1):
-                assert solve_xi(f, d, params) == pytest.approx(0.3, abs=1e-9)
+                assert strategy._bisect_xi(f, d, params) == pytest.approx(0.3, abs=1e-9)
+
+    def test_closed_form_matches_bisection(self):
+        for base in PARAM_GRID:
+            for cost in (quadratic_cost(), linear_capped_cost()):
+                params = make_params(
+                    theta0=base.theta0, alpha=base.alpha, epsilon=base.epsilon, cost=cost
+                )
+                for d in range(8):
+                    for f in range(d + 1):
+                        xi = solve_xi(f, d, params)
+                        assert xi == params.epsilon
+                        assert xi == pytest.approx(strategy._bisect_xi(f, d, params), abs=1e-9)
+
+    @pytest.mark.parametrize("cost, epsilon", [
+        (quadratic_cost(), 0.0),
+        (linear_capped_cost(), 0.0),
+        (table_cost([0.0, 1.0, 2.0], [0.0, 0.0, 1.0]), 0.5),  # g'(0.5) = 0
+    ])
+    def test_exactly_zero_without_marginal_cost_gain(self, cost, epsilon):
+        params = make_params(cost=cost, epsilon=epsilon)
+        for d in range(8):
+            for f in range(d + 1):
+                assert solve_xi(f, d, params) == 0.0
+
+    def test_equal_priors_never_evaluates_j_prime(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("J' evaluated under equal priors")
+
+        monkeypatch.setattr(strategy, "_j_prime", forbidden)
+        for d in range(8):
+            build_mv_strategy(d, make_params(epsilon=0.5))
 
     def test_unequal_priors_matches_grid_scan(self):
         params = make_params(prior_w1=0.7, epsilon=0.5)
