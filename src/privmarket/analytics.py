@@ -12,10 +12,10 @@ same band.
 
 Two variance coefficients are reported side by side:
 
-* `kappa1` / `kappa0` follow the displayed closed form, whose cross-pair
-  term `delta` is a first-order approximation of the pairwise covariances;
-* `kappa1_pairs` / `kappa0_pairs` assemble the dependency-graph CLT
-  variance from the exact pairwise report probabilities (`pair_adjacent`,
+* `kappa1` follows the displayed closed form, whose cross-pair term
+  `delta` is a first-order approximation of the pairwise covariances;
+* `kappa1_pairs` assembles the dependency-graph CLT variance from the
+  exact pairwise report probabilities (`pair_adjacent`,
   `pair_common_friend`), which match brute-force enumeration and are the
   right normalizer for Monte Carlo comparisons.
 
@@ -251,17 +251,14 @@ def nd_report_law(params: ModelParams) -> ReportLaw:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Conditional report moments of a symmetric profile under equal priors."""
+    """Report moments of a symmetric profile given W = 1; W = 0 mirrors them."""
 
     mu1: float
-    mu0: float
     kappa1: float
-    kappa0: float
     lam: float
     delta: float
     delta_tilde: float
     kappa1_pairs: float
-    kappa0_pairs: float
     tau: float
     epsilon: float
 
@@ -291,9 +288,8 @@ def _summary_from_law(law: ReportLaw, dist: DegreeDistribution) -> MomentSummary
         # No social learning at all: i.i.d. randomized responses.
         var = lam - lam * lam
         return MomentSummary(
-            mu1=lam, mu0=1.0 - lam, kappa1=var, kappa0=var, lam=lam,
-            delta=0.0, delta_tilde=0.0, kappa1_pairs=var, kappa0_pairs=var,
-            tau=law.tau, epsilon=law.epsilon,
+            mu1=lam, kappa1=var, lam=lam, delta=0.0, delta_tilde=0.0,
+            kappa1_pairs=var, tau=law.tau, epsilon=law.epsilon,
         )
     mu1 = law.ensemble_mean(dist)
     mean_d = dist.mean()
@@ -307,10 +303,8 @@ def _summary_from_law(law: ReportLaw, dist: DegreeDistribution) -> MomentSummary
     vs, vst = law.ensemble_pair_probs(dist)
     kappa1_pairs = mu1 - mu1 * mu1 + mean_d * (vs - vst) + mean_d2 * (vst - mu1 * mu1)
     return MomentSummary(
-        mu1=mu1, mu0=1.0 - mu1, kappa1=kappa1, kappa0=kappa1, lam=lam,
-        delta=delta, delta_tilde=delta_tilde,
-        kappa1_pairs=kappa1_pairs, kappa0_pairs=kappa1_pairs,
-        tau=law.tau, epsilon=law.epsilon,
+        mu1=mu1, kappa1=kappa1, lam=lam, delta=delta, delta_tilde=delta_tilde,
+        kappa1_pairs=kappa1_pairs, tau=law.tau, epsilon=law.epsilon,
     )
 
 
@@ -418,15 +412,18 @@ def expected_total_payment(z: float, beta: float, mu1: float, n: int) -> float:
     return z * (1.0 - beta + mu1 / (2.0 * beta - 1.0)) * n
 
 
-def bhattacharyya_from(n: int, mu1: float, mu0: float, kappa1: float, kappa0: float) -> float:
-    """Gaussian-approximation Bhattacharyya distance of the two sum hypotheses."""
-    if kappa1 + kappa0 <= 0.0:
+def bhattacharyya_from(n: int, mu1: float, kappa1: float) -> float:
+    """Gaussian-approximation Bhattacharyya distance of the two sum hypotheses.
+
+    `mu1` and `kappa1` are the W = 1 moments; the W = 0 law mirrors them.
+    """
+    if kappa1 <= 0.0:
         raise AnalyticsError("zero variance: Bhattacharyya distance undefined")
-    return n / 4.0 * (mu1 - mu0) ** 2 / (kappa1 + kappa0)
+    return n / 4.0 * (mu1 - (1.0 - mu1)) ** 2 / (kappa1 + kappa1)
 
 
 def bhattacharyya(n: int, summary: MomentSummary) -> float:
-    return bhattacharyya_from(n, summary.mu1, summary.mu0, summary.kappa1, summary.kappa0)
+    return bhattacharyya_from(n, summary.mu1, summary.kappa1)
 
 
 SLACK = "slack"
@@ -439,7 +436,6 @@ class PaymentBoundReport:
     nd_bhattacharyya: float
     mv_bhattacharyya: float
     bound_per_user: float | None  # populated in the tight regime
-    delta_floor: bool  # slack: total payment delta*N for any delta > 0
 
 
 def payment_bound(
@@ -459,14 +455,12 @@ def payment_bound(
     b_mv = bhattacharyya(n, mv)
     if p_e >= math.exp(-b_nd):
         return PaymentBoundReport(
-            regime=SLACK, nd_bhattacharyya=b_nd, mv_bhattacharyya=b_mv,
-            bound_per_user=None, delta_floor=True,
+            regime=SLACK, nd_bhattacharyya=b_nd, mv_bhattacharyya=b_mv, bound_per_user=None,
         )
     beta = beta_accuracy(n, mv)
     z = design_Z(params.epsilon, params.theta0, params.cost)
     z0, _ = design_Z0_Z1(z, beta, beta, params.prior_w1)
     bound = expected_total_payment(z0, beta, mv.mu1, n) / n
     return PaymentBoundReport(
-        regime=TIGHT, nd_bhattacharyya=b_nd, mv_bhattacharyya=b_mv,
-        bound_per_user=bound, delta_floor=False,
+        regime=TIGHT, nd_bhattacharyya=b_nd, mv_bhattacharyya=b_mv, bound_per_user=bound,
     )

@@ -40,7 +40,7 @@ def _setup_logging() -> None:
 
 
 def _load_config(args) -> RunConfig:
-    cfg = parse_config(args.config)
+    cfg = parse_config(Path(args.config))
     overrides = list(args.set or [])
     if args.seed is not None:
         overrides.append(f"sim.seed={args.seed}")
@@ -121,8 +121,8 @@ def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
         z0, z1 = design_Z0_Z1(z, beta, beta, params.prior_w1)
         bound = an.payment_bound(cfg.analytics.p_e, params, mv, nd, n)
         pairs = [
-            ("mu1", mv.mu1), ("mu0", mv.mu0),
-            ("kappa1", mv.kappa1), ("kappa0", mv.kappa0),
+            ("mu1", mv.mu1), ("mu0", 1.0 - mv.mu1),
+            ("kappa1", mv.kappa1), ("kappa0", mv.kappa1),
             ("kappa1_pairs", mv.kappa1_pairs),
             ("tau", mv.tau), ("lambda", mv.lam),
             ("delta", mv.delta), ("delta_tilde", mv.delta_tilde),

@@ -153,16 +153,19 @@ def _set_key(cfg: RunConfig, dotted: str, raw: str) -> RunConfig:
 
 
 def parse_config(source) -> RunConfig:
-    """Parse text, a path, or an open file into a validated RunConfig."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source) and os.path.exists(str(source)):
+    """Parse text, a path, or an open file into a validated RunConfig.
+
+    A `Path` is always read as a file, so a missing one raises OSError; a
+    one-line string naming an existing file is read as that file.
+    """
+    if isinstance(source, Path) or (
+        isinstance(source, str) and "\n" not in source and os.path.exists(source)
+    ):
         text = Path(source).read_text(encoding="utf-8")
-        base_dir = Path(source).parent
     elif hasattr(source, "read"):
         text = source.read()
-        base_dir = Path(".")
     else:
         text = str(source)
-        base_dir = Path(".")
     cfg = default_config()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -172,11 +175,11 @@ def parse_config(source) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'section.key = value', got {line!r}")
         dotted, raw = stripped.split("=", 1)
         cfg = _set_key(cfg, dotted.strip(), raw.strip())
-    validate_config(cfg, base_dir=base_dir)
+    validate_config(cfg)
     return cfg
 
 
-def validate_config(cfg: RunConfig, base_dir: Path = Path(".")) -> None:
+def validate_config(cfg: RunConfig) -> None:
     if cfg.graph.kind not in (ER, CONFIG_MODEL, EDGE_LIST):
         raise ConfigError(f"graph.kind must be one of er, config-model, edge-list; got {cfg.graph.kind!r}")
     if cfg.graph.kind == CONFIG_MODEL and not cfg.graph.pmf and cfg.graph.poisson_mean <= 0:
@@ -287,7 +290,7 @@ def _pmf_distribution(cfg: GraphSection) -> DegreeDistribution:
                 raise ConfigError(f"bad graph.pmf entry {chunk!r}") from exc
         return DegreeDistribution(support, mass)
     if cfg.poisson_mean > 0:
-        d_max = cfg.d_max if cfg.d_max > 0 else max(20, int(cfg.poisson_mean * 4))
+        d_max = cfg.d_max if cfg.d_max >= 0 else max(20, int(cfg.poisson_mean * 4))
         return DegreeDistribution.poisson_truncated(cfg.poisson_mean, d_max)
     raise ConfigError("config-model graphs need graph.pmf or graph.poisson_mean")
 

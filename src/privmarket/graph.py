@@ -355,7 +355,10 @@ class SparsityReport:
     flagged: bool
 
 
-def check_sparsity(graph: Graph, threshold: float = 1.0) -> SparsityReport:
+_SPARSITY_THRESHOLD = 1.0  # D_max / N^(1/4) above this is flagged
+
+
+def check_sparsity(graph: Graph) -> SparsityReport:
     """Compare D_max against N^(1/4) and report E[D^2.5]."""
     d_max = graph.max_degree()
     root = graph.n ** 0.25
@@ -366,6 +369,6 @@ def check_sparsity(graph: Graph, threshold: float = 1.0) -> SparsityReport:
         n_quarter_root=root,
         ratio=ratio,
         moment_2_5=moment,
-        threshold=threshold,
-        flagged=ratio > threshold,
+        threshold=_SPARSITY_THRESHOLD,
+        flagged=ratio > _SPARSITY_THRESHOLD,
     )

@@ -111,11 +111,13 @@ def table_cost(zetas: Sequence[float], values: Sequence[float]) -> CostFunction:
     return cost
 
 
-def audit_cost_function(cost: CostFunction, grid_max: float = 10.0, points: int = 1000) -> None:
+_AUDIT_GRID = np.linspace(0.0, 10.0, 1000)
+
+
+def audit_cost_function(cost: CostFunction) -> None:
     """Check g(0)=0, monotonicity, nonnegativity and convexity on a grid."""
-    grid = np.linspace(0.0, grid_max, points)
-    vals = np.array([cost.value(z) for z in grid])
-    ders = np.array([cost.derivative(z) for z in grid])
+    vals = np.array([cost.value(z) for z in _AUDIT_GRID])
+    ders = np.array([cost.derivative(z) for z in _AUDIT_GRID])
     if abs(vals[0]) > 1e-12:
         raise CostFunctionError(f"g(0) = {vals[0]!r}, expected 0")
     if np.any(vals < -1e-12):

@@ -4,13 +4,13 @@ A trial realizes the world state, signals and group signals on a fixed
 graph with the model's samplers, lets every user play the profile's
 `ReportLaw` (randomize inside her band, report the group majority outside
 it), pays every user through the peer mechanism, and runs the collector's
-quadratic Gaussian detector on the report sum.  The closed forms read the
-same law, so simulation and analytics describe one profile.  Trials run
-in blocks whose size depends only on the graph; block b owns the stream
-(master seed, trial tag, b), so results are byte-identical across runs
-and across worker counts.  Per-trial payments and privacy costs are
-integer counts times constants, and aggregation over the trial-indexed
-arrays uses exactly-rounded summation.
+MAP rule, the majority under equal priors, on the report sum.  The closed
+forms read the same law, so simulation and analytics describe one profile.
+Trials run in blocks whose size depends only on the graph; block b owns
+the stream (master seed, trial tag, b), so results are byte-identical
+across runs and across worker counts.  Per-trial payments and privacy
+costs are integer counts times constants, and aggregation over the
+trial-indexed arrays uses exactly-rounded summation.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from . import analytics
-from .analytics import MomentSummary, ReportLaw, band_bounds, graph_report_moments
+from . import config as configmod
+from .analytics import ReportLaw, band_bounds, graph_report_moments
 from .graph import Graph
 from .mechanism import MechanismConfig, design_Z, design_Z0_Z1
 from .model import (
@@ -58,20 +59,15 @@ class ZeroVarianceError(RuntimeError):
     """The report sum is degenerate; normality cannot be probed."""
 
 
-def map_estimate(sum_reports, n: int, summary, prior_w1: float) -> np.ndarray:
+def map_estimate(sum_reports, n: int) -> np.ndarray:
     """Collector's Gaussian MAP estimate of the world bit from the report sum.
 
     `sum_reports` is a sum or an array of sums; the estimates (0 or 1) have
-    its shape.  Exact ties in the quadratic comparison decide 0.  Under
-    equal priors with equal variance coefficients this reduces to
-    thresholding the sum at n/2.
+    its shape.  Under equal priors the W = 0 sum law mirrors the W = 1 law
+    with mean above n/2, so the MAP rule is the majority of the reports; an
+    exact tie decides 0.
     """
-    m = np.asarray(sum_reports) / n
-    lhs = (summary.mu0 - m) ** 2 / summary.kappa0 - (summary.mu1 - m) ** 2 / summary.kappa1
-    rhs = (2.0 / n) * math.log(
-        math.sqrt(summary.kappa1 / summary.kappa0) * (1.0 - prior_w1) / prior_w1
-    )
-    return (lhs > rhs).astype(np.int64)
+    return (2 * np.asarray(sum_reports) > n).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -107,13 +103,11 @@ class _Engine:
         law: ReportLaw,
         mech: MechanismConfig,
         params: ModelParams,
-        map_moments,
     ):
         self.graph = graph
         self.law = law
         self.params = params
         self.mech = mech
-        self.map_moments = map_moments
         self._lo, self._hi = band_bounds(graph.degrees, law.tau)
         cells = graph.n + 2 * graph.num_edges
         self.block = min(max(_BLOCK_CELLS // cells, 1), _MAX_BLOCK)
@@ -154,7 +148,7 @@ class _Engine:
         payment = (self.mech.z1 * (k1 * majority1) + self.mech.z0 * (k0 * ~majority0)) / n
         privacy = self.law.band_cost * in_band.sum(axis=1) / n
         match = (k1 * (majority1 == w) + k0 * (majority0 == w)) / n
-        w_hat = map_estimate(k1, n, self.map_moments, self.params.prior_w1)
+        w_hat = map_estimate(k1, n)
         return np.array([w, w_hat == w, payment, privacy, k1, match], dtype=float)
 
     def block_stats(self, master_seed: int, block: int) -> np.ndarray:
@@ -167,18 +161,17 @@ def run_trial(
     law: ReportLaw,
     cfg: MechanismConfig,
     params: ModelParams,
-    summary,
 ) -> TrialResult:
     """Simulate one market round with every user playing `law`."""
     if graph.n != params.population:
         raise ValueError("graph size does not match params.population")
-    engine = _Engine(graph, law, cfg, params, summary)
+    engine = _Engine(graph, law, cfg, params)
     (w,), (reports,), (in_band,) = engine.play(rng, 1)
     total = int(reports.sum())
     majority_others = (total - reports) >= (graph.n - 1) // 2 + 1
     payments = np.where(reports, cfg.z1 * majority_others, cfg.z0 * ~majority_others)
     return TrialResult(
-        w=int(w), w_hat=int(map_estimate(total, graph.n, summary, params.prior_w1)),
+        w=int(w), w_hat=int(map_estimate(total, graph.n)),
         reports=reports.astype(np.int64), payments=payments,
         privacy_costs=in_band * law.band_cost, sum_reports=total,
     )
@@ -196,7 +189,8 @@ class Estimate:
 
 @dataclass(frozen=True)
 class AnalyticBlock:
-    summary: MomentSummary  # from the configured degree distribution
+    """Closed-form predictions on the realized graph the trials ran on."""
+
     graph_mu1: float  # realized-graph mean report probability
     graph_kappa: float  # realized-graph variance coefficient (exact pairs)
     beta: float
@@ -204,8 +198,7 @@ class AnalyticBlock:
     z0: float
     z1: float
     expected_payment_per_user: float
-    bhattacharyya_mv: float  # graph-based, for the profile actually simulated
-    bhattacharyya_nd: float  # distribution-based, all-non-disclosive baseline
+    bhattacharyya_mv: float  # for the profile actually simulated
 
 
 @dataclass(frozen=True)
@@ -273,28 +266,22 @@ def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) ->
 
 
 def _build_experiment(config, graph_stream_index: int = 0, built=None):
-    """Graph, analytic distribution, report law and mechanism from a RunConfig.
+    """Graph, report law, mechanism and realized-graph predictions from a RunConfig.
 
     `built` is a (graph, degree law) pair from `config.build_graph`; when
     given, the graph is not built again.
     """
-    from .config import build_graph, params_for_graph  # local import to avoid a cycle
-
-    graph, dist = built or build_graph(config, graph_stream_index)
-    params = params_for_graph(config, graph)
+    graph, _ = built or configmod.build_graph(config, graph_stream_index)
+    params = configmod.params_for_graph(config, graph)
     if not params.equal_priors:
         raise NotImplementedError(
             "experiments need equal priors: the majority-accuracy closed form "
             "(and hence the payment constants) has no general-priors form"
         )
-    profile = config.sim.profile
-    nd_summary = analytics.nd_moments(params, dist)
-    if profile == ND_PROFILE:
+    if config.sim.profile == ND_PROFILE:
         law = analytics.nd_report_law(params)
-        summary = nd_summary
     else:
         law = analytics.mv_report_law(params)
-        summary = analytics.mv_moments_equal_priors(params, dist)
     graph_mu, graph_kappa = graph_report_moments(graph, law)
     beta = analytics.beta_from_moments(graph.n, graph_mu, graph_kappa)
     z = design_Z(params.epsilon, params.theta0, params.cost)
@@ -304,24 +291,15 @@ def _build_experiment(config, graph_stream_index: int = 0, built=None):
         z=z * scale, z0=z0 * scale, z1=z1 * scale,
         beta0=beta, beta1=beta, epsilon=params.epsilon,
     )
-    map_moments = MomentSummary(
-        mu1=graph_mu, mu0=1.0 - graph_mu, kappa1=graph_kappa, kappa0=graph_kappa,
-        lam=summary.lam, delta=summary.delta, delta_tilde=summary.delta_tilde,
-        kappa1_pairs=graph_kappa, kappa0_pairs=graph_kappa,
-        tau=summary.tau, epsilon=summary.epsilon,
-    )
-    engine = _Engine(graph, law, mech, params, map_moments)
+    engine = _Engine(graph, law, mech, params)
     analytic = AnalyticBlock(
-        summary=summary, graph_mu1=graph_mu, graph_kappa=graph_kappa, beta=beta,
+        graph_mu1=graph_mu, graph_kappa=graph_kappa, beta=beta,
         z=mech.z, z0=mech.z0, z1=mech.z1,
         expected_payment_per_user=analytics.expected_total_payment(
             mech.z0, beta, graph_mu, graph.n
         )
         / graph.n,
-        bhattacharyya_mv=analytics.bhattacharyya_from(
-            graph.n, graph_mu, 1.0 - graph_mu, graph_kappa, graph_kappa
-        ),
-        bhattacharyya_nd=analytics.bhattacharyya(graph.n, nd_summary),
+        bhattacharyya_mv=analytics.bhattacharyya_from(graph.n, graph_mu, graph_kappa),
     )
     return params, graph, engine, analytic
 
@@ -392,9 +370,11 @@ def _ks_statistic(sample: np.ndarray) -> float:
     return float(max((i / n - cdf).max(), (cdf - (i - 1.0) / n).max()))
 
 
-def normality_probe(
-    config, trials: int, threshold: float = 0.05, asymptotic_min_n: int = 500,
-) -> NormalityReport:
+_KS_THRESHOLD = 0.05
+_ASYMPTOTIC_MIN_N = 500  # populations from which the normality claim is made
+
+
+def normality_probe(config, trials: int) -> NormalityReport:
     """Kolmogorov-Smirnov distance of the normalized report sum per world state.
 
     The sum is normalized by the realized-graph mean and exact-pair variance
@@ -419,12 +399,12 @@ def normality_probe(
         mean_w = mu * graph.n if w == 1 else (1.0 - mu) * graph.n
         scale = math.sqrt(graph.n * kappa)
         ks[w] = _ks_statistic((sums - mean_w) / scale)
-    asymptotic = graph.n >= asymptotic_min_n
-    passed = (max(ks.values()) < threshold) if asymptotic else None
+    asymptotic = graph.n >= _ASYMPTOTIC_MIN_N
+    passed = (max(ks.values()) < _KS_THRESHOLD) if asymptotic else None
     return NormalityReport(
         n=graph.n, trials_per_state=per_state, ks_statistic=ks,
         mu_used=mu, kappa_used=kappa, asymptotic=asymptotic,
-        threshold=threshold, passed=passed,
+        threshold=_KS_THRESHOLD, passed=passed,
     )
 
 
@@ -442,14 +422,12 @@ def sweep(config, axis: str, values: Sequence[float], trials: int | None = None,
     A generated graph is drawn per grid point, from the stream of its
     index; an edge list is ingested once and shared, since no axis changes it.
     """
-    from .config import EDGE_LIST, build_graph, override_axis
-
     if axis not in ("avg_degree", "epsilon", "alpha"):
         raise ValueError(f"unknown sweep axis {axis!r}")
-    built = build_graph(config) if config.graph.kind == EDGE_LIST else None
+    built = configmod.build_graph(config) if config.graph.kind == configmod.EDGE_LIST else None
     rows = []
     for idx, value in enumerate(values):
-        sub = override_axis(config, axis, value)
+        sub = configmod.override_axis(config, axis, value)
         result = run_experiment(
             sub, trials=trials, workers=workers, axis_value=float(value),
             graph_stream_index=idx, built=built,
@@ -491,10 +469,9 @@ def sweep_csv(rows: Sequence[SweepRow]) -> str:
 def run_manifest(config, trials: int, workers: int, extra: dict | None = None) -> str:
     """JSON record of the run: full config text, seed and code version."""
     from . import __version__
-    from .config import serialize_config
 
     payload = {
-        "config": serialize_config(config),
+        "config": configmod.serialize_config(config),
         "seed": config.sim.seed,
         "trials": trials,
         "workers": workers,

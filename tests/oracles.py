@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate
@@ -374,6 +375,11 @@ def peer_payment(x_i: int, m, cfg: MechanismConfig) -> float:
 # the per-trial engine the block engine replaced
 # ---------------------------------------------------------------------------
 
+def mirrored_moments(mu1: float, kappa: float) -> SimpleNamespace:
+    """Moments of both sum hypotheses when the W = 0 law mirrors the W = 1 law."""
+    return SimpleNamespace(mu1=mu1, mu0=1.0 - mu1, kappa1=kappa, kappa0=kappa)
+
+
 def map_estimate_scalar(sum_reports: float, n: int, summary, prior_w1: float) -> int:
     """Collector's Gaussian MAP estimate for one report sum; exact ties decide 0."""
     m = sum_reports / n
@@ -384,12 +390,13 @@ def map_estimate_scalar(sum_reports: float, n: int, summary, prior_w1: float) ->
     return 1 if lhs > rhs else 0
 
 
-def trial_stats_loop(engine, master_seed: int, index: int) -> tuple:
+def trial_stats_loop(engine, master_seed: int, index: int, moments) -> tuple:
     """One trial of an `_Engine`'s experiment, drawn and scored on its own.
 
     Trial `index` owns the stream (master seed, trial tag, index) and draws
     one world bit, then vectors of n signals, 2m group-signal bits and n
     reports.  Per-user payments and privacy costs are summed with `fsum`.
+    The collector's estimate is the quadratic MAP rule on `moments`.
     Returns (w, correct, payment, privacy cost, report sum, majority match)
     with payment and privacy cost per user.
     """
@@ -407,7 +414,7 @@ def trial_stats_loop(engine, master_seed: int, index: int) -> tuple:
     payments = np.where(
         reports == 1, mech.z1 * majority_others, mech.z0 * (1 - majority_others)
     ).astype(float)
-    w_hat = map_estimate_scalar(total, n, engine.map_moments, params.prior_w1)
+    w_hat = map_estimate_scalar(total, n, moments, params.prior_w1)
     return (
         w,
         int(w_hat == w),

@@ -250,10 +250,7 @@ def test_criterion_9_baseline_regime():
     graph, _ = build_graph(cfg, 0)
     p = make_params(population=graph.n)
     mech = MechanismConfig(z=1.0, z0=1.0, z1=1.0, beta0=0.99, beta1=0.99, epsilon=p.epsilon)
-    trial = run_trial(
-        substream(1, 5, 0), graph, nd_report_law(p), mech, p,
-        mv_moments_equal_priors(p, dist),
-    )
+    trial = run_trial(substream(1, 5, 0), graph, nd_report_law(p), mech, p)
     all_zero = bool(np.all(trial.privacy_costs == 0.0))
     _report(
         9,

@@ -63,6 +63,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="does not exist"):
             parse_config("graph.kind = edge-list\ngraph.path = nope.txt\n")
 
+    def test_poisson_d_max_zero_is_point_mass(self):
+        cfg = apply_overrides(
+            default_config(),
+            ["graph.kind=config-model", "graph.poisson_mean=3", "graph.d_max=0"],
+        )
+        dist = analytic_distribution(cfg)
+        assert dist.d_max == 0 and dist.pmf(0) == 1.0
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# comment\n\nmodel.theta0 = 0.8\n")
         assert cfg.model.theta0 == 0.8
@@ -103,6 +111,15 @@ def _write_config(tmp_path: Path, extra: str = "") -> Path:
 
 
 class TestCli:
+    def test_missing_config_file_names_it(self, tmp_path, capsys):
+        missing = tmp_path / "typo.cfg"
+        assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(missing) in err
+        assert "section.key" not in err
+        with pytest.raises(FileNotFoundError):
+            parse_config(missing)
+
     def test_strategy_writes_table(self, tmp_path):
         cfg = _write_config(tmp_path, "graph.d_max = 4\n")
         out = tmp_path / "out"
@@ -242,22 +259,27 @@ class TestCli:
     def test_layer_tracer_finds_its_spans(self, tmp_path):
         # perfbench/trace_cli.py wraps functions by module attribute; a
         # rename of one of them must fail here, not first in the benchmark.
+        # simulate reads only the realized graph; analytics reads the degree law.
         cfg = tmp_path / "run.cfg"
         cfg.write_text(README_CONFIG, encoding="utf-8")
         spans_path = tmp_path / "spans.json"
         tracer = Path(__file__).parents[1] / "perfbench" / "trace_cli.py"
-        done = subprocess.run(
-            [sys.executable, str(tracer), str(spans_path), "simulate", "--config", str(cfg),
-             "--out", str(tmp_path / "out"), "--trials", "2", "--workers", "1"],
-            env=_src_env(), capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        payload = json.loads(spans_path.read_text())
-        assert payload["exit_code"] == 0
-        names = {span[0] for span in payload["spans"]}
-        for name in ("graph.build", "analytics.degree_law", "analytics.graph_moments",
-                     "sim.trial_phase"):
-            assert name in names, name
+        for command, spans in (
+            (["simulate", "--trials", "2", "--workers", "1"],
+             ("graph.build", "analytics.graph_moments", "sim.trial_phase")),
+            (["analytics"], ("analytics.degree_law",)),
+        ):
+            done = subprocess.run(
+                [sys.executable, str(tracer), str(spans_path), command[0], "--config", str(cfg),
+                 "--out", str(tmp_path / "out"), *command[1:]],
+                env=_src_env(), capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            payload = json.loads(spans_path.read_text())
+            assert payload["exit_code"] == 0
+            names = {span[0] for span in payload["spans"]}
+            for name in spans:
+                assert name in names, (command[0], name)
 
     def test_analytics_on_edge_list_uses_its_node_count(self, tmp_path):
         path = write_grqc_like(tmp_path / "grqc.txt")
@@ -367,9 +389,9 @@ class TestRealWorldLayouts:
         assert manifest["edges"] == 14496
 
     def test_simulate_builds_each_graph_once(self, tmp_path, monkeypatch):
-        from privmarket import analytics, config
+        from privmarket import analytics, config, sim
 
-        calls = {"build_graph": 0, "nd_moments": 0}
+        calls = {"build_graph": 0, "graph_report_moments": 0, "_summary_from_law": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -381,7 +403,8 @@ class TestRealWorldLayouts:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(config, "build_graph")
-        counted(analytics, "nd_moments")
+        counted(sim, "graph_report_moments")
+        counted(analytics, "_summary_from_law")  # both degree-law summaries
         path = write_grqc_like(tmp_path / "grqc.txt")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -390,7 +413,8 @@ class TestRealWorldLayouts:
         )
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        # the edge list is built once for the sweep; moments once per grid point
-        assert calls == {"build_graph": 1, "nd_moments": 2}
+        # the edge list is built once for the sweep; realized-graph moments
+        # once per grid point, and no degree-law summary
+        assert calls == {"build_graph": 1, "graph_report_moments": 2, "_summary_from_law": 0}
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["nodes"], manifest["edges"]) == (5242, 14496)

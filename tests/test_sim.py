@@ -2,13 +2,12 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from privmarket.analytics import band_bounds, mv_report_law, nd_report_law
-from privmarket import config, sim
+from privmarket.analytics import band_bounds, graph_report_moments, mv_report_law, nd_report_law
+from privmarket import analytics, config, sim
 from privmarket.config import ConfigError, default_config, apply_overrides, override_axis
 from privmarket.graph import Graph, generate_erdos_renyi
 from privmarket.mechanism import MechanismConfig
@@ -27,44 +26,36 @@ from privmarket.sim import (
 from privmarket.strategy import SR, build_mv_strategy
 
 from conftest import make_params
-from oracles import majority_excluding, map_estimate_scalar, peer_payment, trial_stats_loop
+from oracles import (
+    majority_excluding, map_estimate_scalar, mirrored_moments, peer_payment, trial_stats_loop,
+)
 from test_acceptance import PARAM_GRID
-
-
-def _summary(mu1, kappa):
-    return SimpleNamespace(mu0=1.0 - mu1, mu1=mu1, kappa0=kappa, kappa1=kappa)
 
 
 class TestMapEstimate:
     def test_equal_priors_thresholds_at_half(self):
-        s = _summary(0.65, 0.4)
-        assert map_estimate(0.6 * 250, 250, s, 0.5) == 1
-        assert map_estimate(0.4 * 250, 250, s, 0.5) == 0
+        assert map_estimate(0.6 * 250, 250) == 1
+        assert map_estimate(0.4 * 250, 250) == 0
 
     def test_tie_decides_zero(self):
-        s = _summary(0.65, 0.4)
-        assert map_estimate(125, 250, s, 0.5) == 0
+        assert map_estimate(125, 250) == 0
 
     def test_depends_on_sum_alone(self):
         # permuting reports cannot change the estimate: only the sum enters
-        s = _summary(0.6, 0.3)
         reports = [1, 0, 1, 1, 0, 1]
-        assert map_estimate(sum(reports), 6, s, 0.5) == map_estimate(
-            sum(reversed(reports)), 6, s, 0.5
-        )
+        assert map_estimate(sum(reports), 6) == map_estimate(sum(reversed(reports)), 6)
 
     def test_array_matches_scalar_reference(self):
-        # every sum 0..n, including the exact tie at n/2, under equal and
-        # unequal variance coefficients and priors
-        n = 250
-        sums = np.arange(n + 1)
-        for mu1 in (0.55, 0.65, 0.9):
-            for kappa1, kappa0 in ((0.4, 0.4), (0.3, 0.5), (0.5, 0.3)):
-                s = SimpleNamespace(mu0=1.0 - mu1, mu1=mu1, kappa0=kappa0, kappa1=kappa1)
-                for prior in (0.5, 0.3, 0.8):
-                    expected = [map_estimate_scalar(k, n, s, prior) for k in range(n + 1)]
-                    assert map_estimate(sums, n, s, prior).tolist() == expected
-        assert map_estimate(sums, n, _summary(0.65, 0.4), 0.5)[n // 2] == 0
+        # every sum 0..n, including the exact tie at n/2: the majority is
+        # the quadratic Gaussian MAP rule under equal priors, whose W = 0
+        # moments mirror the W = 1 moments
+        for n in (249, 250, 251):
+            sums = np.arange(n + 1)
+            for mu1 in (0.5 + 1e-9, 0.55, 0.65, 0.9):
+                for kappa in (1e-6, 0.4, 10.0):
+                    s = mirrored_moments(mu1, kappa)
+                    expected = [map_estimate_scalar(k, n, s, 0.5) for k in range(n + 1)]
+                    assert map_estimate(sums, n).tolist() == expected, (n, mu1, kappa)
 
 
 def _simple_mech():
@@ -78,8 +69,7 @@ class TestRunTrial:
         params = make_params(alpha=0.0, theta0=1.0 - 1e-12, population=4)
         graph = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         result = run_trial(
-            substream(3, 5, 0), graph, mv_report_law(params), _simple_mech(), params,
-            _summary(0.9, 0.2),
+            substream(3, 5, 0), graph, mv_report_law(params), _simple_mech(), params
         )
         assert np.all(result.reports == result.w)
 
@@ -87,8 +77,7 @@ class TestRunTrial:
         params = make_params(population=6)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         result = run_trial(
-            substream(3, 5, 1), graph, nd_report_law(params), _simple_mech(), params,
-            _summary(0.6, 0.3),
+            substream(3, 5, 1), graph, nd_report_law(params), _simple_mech(), params
         )
         assert np.all(result.privacy_costs == 0.0)
 
@@ -96,8 +85,8 @@ class TestRunTrial:
         params = make_params(population=6)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         law = mv_report_law(params)
-        a = run_trial(substream(3, 5, 2), graph, law, _simple_mech(), params, _summary(0.6, 0.3))
-        b = run_trial(substream(3, 5, 2), graph, law, _simple_mech(), params, _summary(0.6, 0.3))
+        a = run_trial(substream(3, 5, 2), graph, law, _simple_mech(), params)
+        b = run_trial(substream(3, 5, 2), graph, law, _simple_mech(), params)
         assert a.w == b.w and a.sum_reports == b.sum_reports
         assert a.reports.tobytes() == b.reports.tobytes()
         assert a.payments.tobytes() == b.payments.tobytes()
@@ -108,8 +97,7 @@ class TestRunTrial:
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         for k in range(10):
             result = run_trial(
-                substream(3, 5, 10 + k), graph, mv_report_law(params), _simple_mech(),
-                params, _summary(0.6, 0.3),
+                substream(3, 5, 10 + k), graph, mv_report_law(params), _simple_mech(), params
             )
             assert np.all(result.payments >= 0.0)
 
@@ -121,9 +109,7 @@ class TestEngineMatchesMechanismOps:
         law = mv_report_law(params)
         mech = MechanismConfig(z=1.3, z0=1.7, z1=2.1, beta0=0.9, beta1=0.9, epsilon=0.1)
         for k in range(25):
-            trial = run_trial(
-                substream(8, 5, k), graph, law, mech, params, _summary(0.6, 0.3)
-            )
+            trial = run_trial(substream(8, 5, k), graph, law, mech, params)
             reports = [int(x) for x in trial.reports]
             for i in range(7):
                 m = majority_excluding(reports, i)
@@ -135,7 +121,7 @@ class TestEngineMatchesMechanismOps:
 def _engine(graph):
     params = make_params(population=graph.n)
     mech = MechanismConfig(z=1.3, z0=1.7, z1=2.1, beta0=0.9, beta1=0.9, epsilon=0.1)
-    return sim._Engine(graph, mv_report_law(params), mech, params, _summary(0.6, 0.3))
+    return sim._Engine(graph, mv_report_law(params), mech, params)
 
 
 def _er_engine(n, avg_degree):
@@ -145,10 +131,11 @@ def _er_engine(n, avg_degree):
 class TestBlockEngine:
     def test_agrees_with_per_trial_loop(self):
         cfg = apply_overrides(default_config(), ["model.population=60"])
-        engine = sim._build_experiment(cfg)[2]
+        _, _, engine, analytic = sim._build_experiment(cfg)
+        moments = mirrored_moments(analytic.graph_mu1, analytic.graph_kappa)
         trials = 2000
         w, _, paid, _, sums, matched = sim._run_trials(engine, 11, trials, 1)
-        loop = np.array([trial_stats_loop(engine, 12, i) for i in range(trials)])
+        loop = np.array([trial_stats_loop(engine, 12, i, moments) for i in range(trials)])
         n = engine.graph.n
 
         def gap_in_se(a, b):
@@ -161,12 +148,12 @@ class TestBlockEngine:
 
     def test_run_trial_is_a_one_row_block_of_the_loop_stream(self):
         engine = _er_engine(40, 3.0)
+        moments = mirrored_moments(*graph_report_moments(engine.graph, engine.law))
         for k in range(10):
             trial = run_trial(
-                substream(8, 5, k), engine.graph, engine.law, engine.mech, engine.params,
-                engine.map_moments,
+                substream(8, 5, k), engine.graph, engine.law, engine.mech, engine.params
             )
-            w, correct, paid, cost, total, _ = trial_stats_loop(engine, 8, k)
+            w, correct, paid, cost, total, _ = trial_stats_loop(engine, 8, k, moments)
             assert (trial.w, int(trial.w_hat == trial.w), trial.sum_reports) == (w, correct, total)
             assert math.fsum(trial.payments) / 40 == paid
             assert math.fsum(trial.privacy_costs) / 40 == cost
@@ -254,7 +241,7 @@ class TestConditionalIndependence:
         trials = 4000
         x0, x5 = [], []
         for k in range(trials):
-            r = run_trial(substream(17, 5, k), graph, law, mech, params, _summary(0.6, 0.3))
+            r = run_trial(substream(17, 5, k), graph, law, mech, params)
             if r.w == 1:
                 x0.append(r.reports[0])
                 x5.append(r.reports[5])
@@ -296,7 +283,7 @@ class TestRunExperiment:
         )
         r = run_experiment(cfg)
         assert abs(r.empirical_mu1.value - r.analytic.graph_mu1) < 4 * r.empirical_mu1.se
-        assert r.analytic.summary.mu1 > 0.5
+        assert r.analytic.graph_mu1 > 0.5
 
     def test_epsilon_zero_plays_fair_coin_at_ties(self):
         # At epsilon = 0 a tie randomizes with a fair coin, as the closed
@@ -313,6 +300,23 @@ class TestRunExperiment:
         cfg = apply_overrides(default_config(), ["model.prior_w1=0.6", "sim.trials=10"])
         with pytest.raises(NotImplementedError):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("run, points", [
+        (lambda cfg: run_experiment(cfg, trials=4), 1),
+        (lambda cfg: sweep(cfg, "epsilon", [0.1, 0.5], trials=4), 2),
+        (lambda cfg: normality_probe(cfg, trials=20), 1),
+    ], ids=["single", "sweep", "normality_probe"])
+    def test_reads_only_realized_graph_moments(self, monkeypatch, run, points):
+        # one realized-graph moment pair per grid point, no degree-law summary
+        calls = {}
+        for module, name in ((sim, "graph_report_moments"), (analytics, "_summary_from_law")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        run(apply_overrides(default_config(), ["model.population=60"]))
+        assert calls == {"graph_report_moments": points}
 
 
 class TestNormalityProbe:
@@ -361,8 +365,8 @@ class TestSweep:
     def test_epsilon_axis_changes_accuracy_inputs(self):
         cfg = apply_overrides(default_config(), ["sim.trials=400", "model.population=100"])
         rows = sweep(cfg, "epsilon", [0.1, 0.5], trials=400)
-        taus = [r.result.analytic.summary.tau for r in rows]
-        assert taus[1] > taus[0]
+        mus = [r.result.analytic.graph_mu1 for r in rows]
+        assert mus[1] > mus[0]
         # paying for more revealing reports cannot hurt the estimator
         lo, hi = rows[0].result.accuracy, rows[1].result.accuracy
         assert hi.value >= lo.value - (lo.ci_half + hi.ci_half)
