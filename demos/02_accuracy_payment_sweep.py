@@ -20,7 +20,7 @@ for row in rows:
     print(
         f"{row.value:5.0f} {r.accuracy.value:9.4f} {r.avg_payment_per_user.value:13.4f}"
         f" {r.avg_privacy_cost.value:13.6f} {r.empirical_mu1.value:9.4f}"
-        f" {r.analytic.graph_mu1:9.4f} {r.analytic.beta:8.5f}"
+        f" {r.analytic.mu1:9.4f} {r.analytic.beta:8.5f}"
     )
 
 print("\nplot-ready CSV:\n")

@@ -9,7 +9,7 @@ distances of the two profiles mark the crossover.
 
 import math
 
-from privmarket import ModelParams, bhattacharyya, nd_moments, payment_bound
+from privmarket import ModelParams, bhattacharyya, nd_moments, payment_bound, predict
 from privmarket.analytics import mv_moments_equal_priors
 from privmarket.config import apply_overrides, default_config
 from privmarket.graph import DegreeDistribution
@@ -19,13 +19,13 @@ params = ModelParams(prior_w1=0.5, theta0=0.7, alpha=0.25, epsilon=0.1, populati
 dist = DegreeDistribution.binomial(249, 4.0 / 249.0)
 
 nd, mv = nd_moments(params, dist), mv_moments_equal_priors(params, dist)
+design = predict(params, 250, mv.mu1, mv.kappa1)  # Z0, Z1 and the payout at the equilibrium
 b_nd = bhattacharyya(250, nd)
-b_mv = bhattacharyya(250, mv)
 print(f"B(baseline) = {b_nd:.3f}  -> free-collection threshold e^-B = {math.exp(-b_nd):.4f}")
-print(f"B(equilibrium) = {b_mv:.3f} (>= baseline)\n")
+print(f"B(equilibrium) = {design.bhattacharyya:.3f} (>= baseline)\n")
 
 for p_e in (0.5, math.exp(-b_nd), math.exp(-b_nd) / 10.0, 1e-4):
-    rep = payment_bound(p_e, params, mv, nd, 250)
+    rep = payment_bound(p_e, design, b_nd)
     if rep.regime == "slack":
         print(f"target P_e = {p_e:9.2e}: slack -- any delta*N total payment suffices")
     else:
@@ -35,7 +35,7 @@ print("\nsimulated baseline run (all users non-disclosive, payments scaled for d
 ref = run_experiment(
     apply_overrides(default_config(), ["sim.profile=nd", "sim.trials=300"]), trials=300
 )
-scale = 1e-6 / ref.analytic.expected_payment_per_user
+scale = 1e-6 / ref.analytic.payment_per_user
 cfg = apply_overrides(
     default_config(),
     ["sim.profile=nd", "sim.trials=2000", f"mechanism.payment_scale={scale!r}"],

@@ -17,9 +17,6 @@ from privmarket.config import apply_overrides, default_config
 from privmarket.graph import check_sparsity, ingest_edge_list
 from privmarket.sim import run_experiment
 
-workdir = Path(tempfile.mkdtemp(prefix="privmarket_demo_"))
-path = workdir / "network.txt"
-
 # a 400-node ring plus random chords, written in the public edge-list layout
 rng = np.random.default_rng(12)
 n = 400
@@ -31,24 +28,27 @@ while len(edges) < 900:
 lines = ["# synthetic network", "# FromNodeId ToNodeId"]
 lines += [f"{u} {v}" for u, v in sorted(edges)]
 lines += [f"{v} {u}" for u, v in sorted(edges)][:300]  # some reverse duplicates
-path.write_text("\n".join(lines) + "\n")
 
-result = ingest_edge_list(path)
-print(f"ingested {result.graph.n} nodes, {result.graph.num_edges} edges "
-      f"({result.duplicates_dropped} duplicate lines collapsed)")
+with tempfile.TemporaryDirectory(prefix="privmarket_demo_") as workdir:
+    path = Path(workdir) / "network.txt"
+    path.write_text("\n".join(lines) + "\n")
 
-rep = check_sparsity(result.graph)
-print(f"sparsity: D_max = {rep.d_max}, N^(1/4) = {rep.n_quarter_root:.2f}, "
-      f"ratio = {rep.ratio:.2f}, flagged = {rep.flagged}")
+    result = ingest_edge_list(path)
+    print(f"ingested {result.graph.n} nodes, {result.graph.num_edges} edges "
+          f"({result.duplicates_dropped} duplicate lines collapsed)")
 
-cfg = apply_overrides(
-    default_config(),
-    ["graph.kind=edge-list", f"graph.path={path}", "sim.trials=400"],
-)
-res = run_experiment(cfg)
+    rep = check_sparsity(result.graph)
+    print(f"sparsity: D_max = {rep.d_max}, N^(1/4) = {rep.n_quarter_root:.2f}, "
+          f"ratio = {rep.ratio:.2f}, flagged = {rep.flagged}")
+
+    cfg = apply_overrides(
+        default_config(),
+        ["graph.kind=edge-list", f"graph.path={path}", "sim.trials=400"],
+    )
+    res = run_experiment(cfg)
 print(f"\nsimulated {res.trials} rounds on the ingested graph:")
 print(f"  accuracy         {res.accuracy.value:.4f} +/- {res.accuracy.ci_half:.4f}")
 print(f"  payment per user {res.avg_payment_per_user.value:.4f}")
 print(f"  privacy cost     {res.avg_privacy_cost.value:.6f}")
 print(f"  report mean      {res.empirical_mu1.value:.4f} "
-      f"(closed form {res.analytic.graph_mu1:.4f})")
+      f"(closed form {res.analytic.mu1:.4f})")

@@ -33,6 +33,7 @@ from .mechanism import (  # noqa: F401
 )
 from .analytics import (  # noqa: F401
     MomentSummary,
+    Prediction,
     ReportLaw,
     beta_accuracy,
     bhattacharyya,
@@ -40,6 +41,7 @@ from .analytics import (  # noqa: F401
     mv_moments_equal_priors,
     nd_moments,
     payment_bound,
+    predict,
     std_normal_cdf,
 )
 from .sim import (  # noqa: F401

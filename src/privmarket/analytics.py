@@ -19,6 +19,10 @@ Two variance coefficients are reported side by side:
   `pair_common_friend`), which match brute-force enumeration and are the
   right normalizer for Monte Carlo comparisons.
 
+`predict` is the one place that designs the payment constants: from a
+profile's (n, mu1, kappa1) it gives beta, Z, Z0, Z1, the expected payout
+and the Bhattacharyya distance.
+
 All degree expectations are exact finite sums over the truncated support;
 nothing in this module samples.  `ReportLaw` keeps its per-degree terms as
 arrays, so a degree-law average costs O(|support|) and the realized-graph
@@ -43,6 +47,7 @@ __all__ = [
     "AnalyticsError",
     "MomentSummary",
     "PaymentBoundReport",
+    "Prediction",
     "ReportLaw",
     "band_bounds",
     "lambda_sr",
@@ -57,6 +62,7 @@ __all__ = [
     "expected_total_payment",
     "bhattacharyya",
     "bhattacharyya_from",
+    "predict",
     "payment_bound",
 ]
 
@@ -399,10 +405,9 @@ def beta_from_moments(n: int, mu1: float, kappa1: float) -> float:
     return std_normal_cdf(math.sqrt((n - 1) / kappa1) * (mu1 - 0.5))
 
 
-def beta_accuracy(n: int, summary: MomentSummary, exact_pairs: bool = False) -> float:
+def beta_accuracy(n: int, summary: MomentSummary) -> float:
     """Majority-consistency probability from an equal-priors moment summary."""
-    kappa = summary.kappa1_pairs if exact_pairs else summary.kappa1
-    return beta_from_moments(n, summary.mu1, kappa)
+    return beta_from_moments(n, summary.mu1, summary.kappa1)
 
 
 def expected_total_payment(z: float, beta: float, mu1: float, n: int) -> float:
@@ -426,6 +431,41 @@ def bhattacharyya(n: int, summary: MomentSummary) -> float:
     return bhattacharyya_from(n, summary.mu1, summary.kappa1)
 
 
+@dataclass(frozen=True)
+class Prediction:
+    """A profile's payment design and predictions from its W = 1 report moments.
+
+    z, z0 and z1 include the payment scale; `total_payment` is the expected payout.
+    """
+
+    n: int
+    mu1: float
+    kappa1: float
+    beta: float
+    z: float
+    z0: float
+    z1: float
+    total_payment: float
+    bhattacharyya: float
+
+    @property
+    def payment_per_user(self) -> float:
+        return self.total_payment / self.n
+
+
+def predict(params: ModelParams, n: int, mu1: float, kappa1: float, scale: float = 1.0) -> Prediction:
+    """Z, Z0, Z1 from beta (beta0 = beta1 under equal priors) times `scale`, and the payout."""
+    beta = beta_from_moments(n, mu1, kappa1)
+    z = design_Z(params.epsilon, params.theta0, params.cost)
+    z0, z1 = design_Z0_Z1(z, beta, beta, params.prior_w1)
+    z, z0, z1 = z * scale, z0 * scale, z1 * scale
+    return Prediction(
+        n=n, mu1=mu1, kappa1=kappa1, beta=beta, z=z, z0=z0, z1=z1,
+        total_payment=expected_total_payment(z0, beta, mu1, n),
+        bhattacharyya=bhattacharyya_from(n, mu1, kappa1),
+    )
+
+
 SLACK = "slack"
 TIGHT = "tight"
 
@@ -433,34 +473,18 @@ TIGHT = "tight"
 @dataclass(frozen=True)
 class PaymentBoundReport:
     regime: str  # SLACK or TIGHT
-    nd_bhattacharyya: float
-    mv_bhattacharyya: float
     bound_per_user: float | None  # populated in the tight regime
 
 
-def payment_bound(
-    p_e: float, params: ModelParams, mv: MomentSummary, nd: MomentSummary, n: int
-) -> PaymentBoundReport:
+def payment_bound(p_e: float, mv: Prediction, nd_bhattacharyya: float) -> PaymentBoundReport:
     """Classify the payment regime for an error-probability target.
 
-    `mv` and `nd` are the moments of the equilibrium profile and of the
-    baseline on one degree law.  A target at or above exp(-B(baseline)) is
-    achievable at arbitrarily small total payment by the zero-privacy-cost
-    baseline; a tighter target is coverable at the equilibrium profile's
-    per-user expected payment.
+    A target at or above exp(-B(baseline)) is achievable at arbitrarily small
+    total payment by the zero-privacy-cost baseline; a tighter target is
+    coverable at the equilibrium profile's per-user expected payment.
     """
     if not 0.0 < p_e < 1.0:
         raise AnalyticsError("p_e must lie in (0, 1)")
-    b_nd = bhattacharyya(n, nd)
-    b_mv = bhattacharyya(n, mv)
-    if p_e >= math.exp(-b_nd):
-        return PaymentBoundReport(
-            regime=SLACK, nd_bhattacharyya=b_nd, mv_bhattacharyya=b_mv, bound_per_user=None,
-        )
-    beta = beta_accuracy(n, mv)
-    z = design_Z(params.epsilon, params.theta0, params.cost)
-    z0, _ = design_Z0_Z1(z, beta, beta, params.prior_w1)
-    bound = expected_total_payment(z0, beta, mv.mu1, n) / n
-    return PaymentBoundReport(
-        regime=TIGHT, nd_bhattacharyya=b_nd, mv_bhattacharyya=b_mv, bound_per_user=bound,
-    )
+    if p_e >= math.exp(-nd_bhattacharyya):
+        return PaymentBoundReport(regime=SLACK, bound_per_user=None)
+    return PaymentBoundReport(regime=TIGHT, bound_per_user=mv.payment_per_user)

@@ -17,6 +17,8 @@ from pathlib import Path
 from . import analytics as an
 from . import sim as simmod
 from .config import (
+    CONFIG_MODEL,
+    EDGE_LIST,
     ConfigError,
     RunConfig,
     analytic_distribution,
@@ -25,9 +27,10 @@ from .config import (
     model_params,
     params_for_graph,
     parse_config,
+    sweep_values,
 )
 from .graph import check_sparsity, ingest_edge_list
-from .mechanism import design_Z, design_Z0_Z1
+from .mechanism import design_Z
 from .strategy import build_mv_strategy, table_to_text
 
 log = logging.getLogger("privmarket")
@@ -85,9 +88,9 @@ class _AtomicOutputs:
 def _strategy_d_max(cfg: RunConfig) -> int:
     if cfg.graph.d_max >= 0:
         return cfg.graph.d_max
-    if cfg.graph.kind == "config-model":
+    if cfg.graph.kind == CONFIG_MODEL:
         return analytic_distribution(cfg).d_max
-    if cfg.graph.kind == "edge-list":
+    if cfg.graph.kind == EDGE_LIST:
         graph, _ = build_graph(cfg, 0)
         return graph.max_degree()
     return 20  # er default export range
@@ -106,7 +109,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
-    if cfg.graph.kind == "edge-list":
+    if cfg.graph.kind == EDGE_LIST:
         graph, dist = build_graph(cfg, 0)
         params = params_for_graph(cfg, graph)
     else:
@@ -115,23 +118,22 @@ def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
     if params.equal_priors:
         mv = an.mv_moments_equal_priors(params, dist)
         nd = an.nd_moments(params, dist)
-        beta = an.beta_accuracy(n, mv)
-        beta_pairs = an.beta_accuracy(n, mv, exact_pairs=True)
-        z = design_Z(params.epsilon, params.theta0, params.cost)
-        z0, z1 = design_Z0_Z1(z, beta, beta, params.prior_w1)
-        bound = an.payment_bound(cfg.analytics.p_e, params, mv, nd, n)
+        pred = an.predict(params, n, mv.mu1, mv.kappa1)
+        b_nd = an.bhattacharyya(n, nd)
+        bound = an.payment_bound(cfg.analytics.p_e, pred, b_nd)
         pairs = [
             ("mu1", mv.mu1), ("mu0", 1.0 - mv.mu1),
             ("kappa1", mv.kappa1), ("kappa0", mv.kappa1),
             ("kappa1_pairs", mv.kappa1_pairs),
             ("tau", mv.tau), ("lambda", mv.lam),
             ("delta", mv.delta), ("delta_tilde", mv.delta_tilde),
-            ("beta", beta), ("beta_pairs", beta_pairs),
-            ("Z", z), ("Z0", z0), ("Z1", z1),
-            ("expected_total_payment", an.expected_total_payment(z0, beta, mv.mu1, n)),
-            ("expected_payment_per_user", an.expected_total_payment(z0, beta, mv.mu1, n) / n),
-            ("bhattacharyya_mv", an.bhattacharyya(n, mv)),
-            ("bhattacharyya_nd", an.bhattacharyya(n, nd)),
+            ("beta", pred.beta),
+            ("beta_pairs", an.beta_from_moments(n, mv.mu1, mv.kappa1_pairs)),
+            ("Z", pred.z), ("Z0", pred.z0), ("Z1", pred.z1),
+            ("expected_total_payment", pred.total_payment),
+            ("expected_payment_per_user", pred.payment_per_user),
+            ("bhattacharyya_mv", pred.bhattacharyya),
+            ("bhattacharyya_nd", b_nd),
             ("nd_mu1", nd.mu1), ("nd_kappa1", nd.kappa1),
             ("payment_bound_p_e", cfg.analytics.p_e),
             ("payment_bound_regime", bound.regime),
@@ -156,7 +158,7 @@ def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
 def cmd_simulate(cfg: RunConfig, out: _AtomicOutputs) -> None:
     trials, workers = cfg.sim.trials, cfg.sim.workers
     if cfg.sweep.axis:
-        values = [float(v) for v in cfg.sweep.values.split(",") if v.strip()]
+        values = sweep_values(cfg)
         if not values:
             raise ConfigError("sweep.values must list at least one grid point")
         rows = simmod.sweep(cfg, cfg.sweep.axis, values, trials=trials, workers=workers)
@@ -168,7 +170,7 @@ def cmd_simulate(cfg: RunConfig, out: _AtomicOutputs) -> None:
                                       axis_value=cfg.graph.avg_degree)
         csv_text = simmod.simresult_csv(first)
         extra = {"nodes": first.nodes}
-    if cfg.graph.kind == "edge-list":
+    if cfg.graph.kind == EDGE_LIST:
         extra["nodes"] = first.nodes
         extra["edges"] = first.edges
     out.write("results.csv", csv_text)
@@ -177,7 +179,7 @@ def cmd_simulate(cfg: RunConfig, out: _AtomicOutputs) -> None:
 
 
 def cmd_ingest_check(cfg: RunConfig, out: _AtomicOutputs) -> None:
-    if cfg.graph.kind != "edge-list":
+    if cfg.graph.kind != EDGE_LIST:
         raise ConfigError("ingest-check needs graph.kind = edge-list")
     result = ingest_edge_list(cfg.graph.path)
     report = check_sparsity(result.graph)

@@ -7,11 +7,11 @@ parse -> serialize -> parse is the identity on configs.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .graph import DegreeDistribution, Graph, generate_configuration_model, generate_erdos_renyi, ingest_edge_list
+from .graph import (DegreeDistribution, Graph, generate_configuration_model, generate_erdos_renyi,
+                    ingest_edge_list, read_source)
 from .model import (
     TAG_GRAPH,
     CostFunction,
@@ -36,6 +36,7 @@ __all__ = [
     "serialize_config",
     "apply_overrides",
     "override_axis",
+    "sweep_values",
     "model_params",
     "params_for_graph",
     "cost_from_spec",
@@ -46,6 +47,7 @@ __all__ = [
 ER = "er"
 CONFIG_MODEL = "config-model"
 EDGE_LIST = "edge-list"
+SWEEP_AXES = ("avg_degree", "epsilon", "alpha")
 
 
 class ConfigError(ValueError):
@@ -92,7 +94,7 @@ class OutputSection:
 
 @dataclass(frozen=True)
 class SweepSection:
-    axis: str = ""  # avg_degree | epsilon | alpha; empty means single run
+    axis: str = ""  # one of SWEEP_AXES (avg_degree on er graphs only); empty means single run
     values: str = ""  # comma-separated grid
 
 
@@ -116,15 +118,7 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
-_SECTIONS = {
-    "model": ModelSection,
-    "graph": GraphSection,
-    "mechanism": MechanismSection,
-    "sim": SimSection,
-    "output": OutputSection,
-    "sweep": SweepSection,
-    "analytics": AnalyticsSection,
-}
+_SECTIONS = tuple(f.name for f in fields(RunConfig))
 
 
 def _coerce(section: str, key: str, raw: str, current):
@@ -155,19 +149,11 @@ def _set_key(cfg: RunConfig, dotted: str, raw: str) -> RunConfig:
 def parse_config(source) -> RunConfig:
     """Parse text, a path, or an open file into a validated RunConfig.
 
-    A `Path` is always read as a file, so a missing one raises OSError; a
-    one-line string naming an existing file is read as that file.
+    `source` follows `graph.read_source`: a `str` holding a newline is the
+    config text, any other `str` or a `Path` names a file.
     """
-    if isinstance(source, Path) or (
-        isinstance(source, str) and "\n" not in source and os.path.exists(source)
-    ):
-        text = Path(source).read_text(encoding="utf-8")
-    elif hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
     cfg = default_config()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_source(source).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -189,19 +175,36 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("edge-list graphs need graph.path")
         if not Path(cfg.graph.path).exists():
             raise ConfigError(f"graph.path does not exist: {cfg.graph.path}")
+    if cfg.sim.trials < 2:
+        raise ConfigError(f"sim.trials must be >= 2, got {cfg.sim.trials}")
     if cfg.sim.workers < 1:
         raise ConfigError(f"sim.workers must be >= 1, got {cfg.sim.workers}")
     if cfg.sim.profile not in ("mv", "nd"):
         raise ConfigError(f"sim.profile must be mv or nd, got {cfg.sim.profile!r}")
-    if cfg.sweep.axis and cfg.sweep.axis not in ("avg_degree", "epsilon", "alpha"):
-        raise ConfigError(f"sweep.axis must be avg_degree, epsilon or alpha, got {cfg.sweep.axis!r}")
+    if cfg.sweep.axis and cfg.sweep.axis not in SWEEP_AXES:
+        raise ConfigError(f"sweep.axis must be one of {', '.join(SWEEP_AXES)}, got {cfg.sweep.axis!r}")
+    if cfg.sweep.axis == "avg_degree" and cfg.graph.kind != ER:
+        raise ConfigError(f"sweep.axis = avg_degree needs graph.kind = er, got {cfg.graph.kind!r}")
     try:
-        cost_from_spec(cfg.model.cost)  # validates the cost spec string
-        model_params(cfg)  # validates model parameter ranges
+        model_params(cfg)  # validates the cost spec and the parameter ranges
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"model: {exc}") from exc
+    if cfg.graph.kind == ER and not 0.0 <= cfg.graph.avg_degree <= cfg.model.population - 1:
+        raise ConfigError(f"graph.avg_degree must lie in [0, population - 1], got {cfg.graph.avg_degree:g}")
+    grid = sweep_values(cfg)  # parsed even without an axis, which an override may add
+    if cfg.sweep.axis:  # every grid point must pass as a run of its own
+        for value in grid:
+            validate_config(replace(override_axis(cfg, cfg.sweep.axis, value), sweep=SweepSection()))
+
+
+def sweep_values(cfg: RunConfig) -> list[float]:
+    """The sweep grid: `sweep.values` as comma-separated numbers."""
+    try:
+        return [float(v) for v in cfg.sweep.values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"sweep.values: cannot parse {cfg.sweep.values!r} as numbers") from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -227,13 +230,10 @@ def apply_overrides(cfg: RunConfig, assignments) -> RunConfig:
 
 
 def override_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
-    if axis == "avg_degree":
-        return replace(cfg, graph=replace(cfg.graph, avg_degree=float(value)))
-    if axis == "epsilon":
-        return replace(cfg, model=replace(cfg.model, epsilon=float(value)))
-    if axis == "alpha":
-        return replace(cfg, model=replace(cfg.model, alpha=float(value)))
-    raise ConfigError(f"unknown axis {axis!r}")
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown axis {axis!r}")
+    section = "graph" if axis == "avg_degree" else "model"
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{axis: float(value)})})
 
 
 def cost_from_spec(spec: str) -> CostFunction:

@@ -12,7 +12,6 @@ share across workers.
 from __future__ import annotations
 
 import io
-import os
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -291,23 +290,29 @@ class IngestResult:
 _INT64 = np.iinfo(np.int64)
 
 
+def read_source(source) -> str:
+    """The text behind a path or text argument.
+
+    A file object is read; a `str` holding a newline is the text itself;
+    any other `str`, or a path, names a file that must exist.
+    """
+    if hasattr(source, "read"):
+        return source.read()
+    if isinstance(source, str) and "\n" in source:
+        return source
+    with open(source, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def ingest_edge_list(source) -> IngestResult:
     """Parse '#'-commented 'u v' integer pairs into a simple graph.
 
     Edges are undirected: a line and its reverse are one edge.  External
     node ids (64-bit integers) are remapped to dense 0..n-1 in ascending
     order; the map is retained in the result.  Self-loops are dropped and
-    counted, and duplicate edges collapse.
+    counted, and duplicate edges collapse.  `source` follows `read_source`.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    elif isinstance(source, str) and "\n" in source:
-        lines = source.splitlines()
-    elif isinstance(source, str) and not os.path.exists(source):
-        lines = source.splitlines()  # single-line inline text
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    lines = read_source(source).splitlines()
 
     rows: list[tuple[int, int]] = []
     id_min, id_max = _INT64.min, _INT64.max

@@ -1,7 +1,9 @@
 """Peer-prediction payment constants.
 
-All operations are pure.  The engine in `sim` applies the payment rule to
-report counts; the per-user reference rules live with the tests.
+All operations are pure.  `design_Z` and `design_Z0_Z1` are composed with
+the majority-consistency probability in one place, `analytics.predict`;
+the engine in `sim` applies the resulting `MechanismConfig` to report
+counts, and the per-user reference rules live with the tests.
 """
 
 from __future__ import annotations
@@ -25,20 +27,14 @@ class MechanismError(ValueError):
 
 @dataclass(frozen=True)
 class MechanismConfig:
-    """Payment constants and the majority-consistency probabilities behind them."""
+    """Payment constants: z1 pays a 1-report, z0 a 0-report, matching the others' majority."""
 
-    z: float
     z0: float
     z1: float
-    beta0: float
-    beta1: float
-    epsilon: float
 
     def __post_init__(self) -> None:
         if self.z0 <= 0.0 or self.z1 <= 0.0:
             raise MechanismError("payment constants must be positive")
-        if self.beta0 + self.beta1 <= 1.0:
-            raise MechanismError("need beta0 + beta1 > 1")
 
 
 def design_Z(epsilon: float, theta0: float, cost: CostFunction) -> float:

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import analytics
 from . import config as configmod
-from .analytics import ReportLaw, band_bounds, graph_report_moments
+from .analytics import Prediction, ReportLaw, band_bounds, graph_report_moments
 from .graph import Graph
-from .mechanism import MechanismConfig, design_Z, design_Z0_Z1
+from .mechanism import MechanismConfig
 from .model import (
     TAG_TRIAL, ModelParams, sample_group_signals, sample_private_signals, sample_world, substream,
 )
@@ -35,7 +35,6 @@ from .model import (
 __all__ = [
     "TrialResult",
     "Estimate",
-    "AnalyticBlock",
     "SimResult",
     "NormalityReport",
     "SweepRow",
@@ -51,7 +50,6 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-MV_PROFILE = "mv"
 ND_PROFILE = "nd"
 
 
@@ -188,20 +186,6 @@ class Estimate:
 
 
 @dataclass(frozen=True)
-class AnalyticBlock:
-    """Closed-form predictions on the realized graph the trials ran on."""
-
-    graph_mu1: float  # realized-graph mean report probability
-    graph_kappa: float  # realized-graph variance coefficient (exact pairs)
-    beta: float
-    z: float
-    z0: float
-    z1: float
-    expected_payment_per_user: float
-    bhattacharyya_mv: float  # for the profile actually simulated
-
-
-@dataclass(frozen=True)
 class SimResult:
     trials: int
     profile: str
@@ -212,7 +196,7 @@ class SimResult:
     empirical_mu1: Estimate
     empirical_kappa1: Estimate
     empirical_majority_match: Estimate
-    analytic: AnalyticBlock
+    analytic: Prediction  # of the realized graph the trials ran on
     nodes: int  # of the graph the trials ran on
     edges: int
 
@@ -282,25 +266,10 @@ def _build_experiment(config, graph_stream_index: int = 0, built=None):
         law = analytics.nd_report_law(params)
     else:
         law = analytics.mv_report_law(params)
-    graph_mu, graph_kappa = graph_report_moments(graph, law)
-    beta = analytics.beta_from_moments(graph.n, graph_mu, graph_kappa)
-    z = design_Z(params.epsilon, params.theta0, params.cost)
-    z0, z1 = design_Z0_Z1(z, beta, beta, params.prior_w1)
-    scale = config.mechanism.payment_scale
-    mech = MechanismConfig(
-        z=z * scale, z0=z0 * scale, z1=z1 * scale,
-        beta0=beta, beta1=beta, epsilon=params.epsilon,
+    analytic = analytics.predict(
+        params, graph.n, *graph_report_moments(graph, law), config.mechanism.payment_scale
     )
-    engine = _Engine(graph, law, mech, params)
-    analytic = AnalyticBlock(
-        graph_mu1=graph_mu, graph_kappa=graph_kappa, beta=beta,
-        z=mech.z, z0=mech.z0, z1=mech.z1,
-        expected_payment_per_user=analytics.expected_total_payment(
-            mech.z0, beta, graph_mu, graph.n
-        )
-        / graph.n,
-        bhattacharyya_mv=analytics.bhattacharyya_from(graph.n, graph_mu, graph_kappa),
-    )
+    engine = _Engine(graph, law, MechanismConfig(z0=analytic.z0, z1=analytic.z1), params)
     return params, graph, engine, analytic
 
 
@@ -385,7 +354,7 @@ def normality_probe(config, trials: int) -> NormalityReport:
     per_state = trials // 2
     if per_state < 10:
         raise ValueError("need at least 20 trials")
-    mu, kappa = analytic.graph_mu1, analytic.graph_kappa
+    mu, kappa = analytic.mu1, analytic.kappa1
     ks: dict[int, float] = {}
     blocks = -(-per_state // engine.block)
     for w in (0, 1):
@@ -421,9 +390,8 @@ def sweep(config, axis: str, values: Sequence[float], trials: int | None = None,
 
     A generated graph is drawn per grid point, from the stream of its
     index; an edge list is ingested once and shared, since no axis changes it.
+    An axis outside `config.SWEEP_AXES` raises ConfigError before any trial.
     """
-    if axis not in ("avg_degree", "epsilon", "alpha"):
-        raise ValueError(f"unknown sweep axis {axis!r}")
     built = configmod.build_graph(config) if config.graph.kind == configmod.EDGE_LIST else None
     rows = []
     for idx, value in enumerate(values):
@@ -453,7 +421,7 @@ def _result_row(r: SimResult) -> str:
         r.accuracy.value, r.accuracy.ci_half,
         r.avg_payment_per_user.value, r.avg_payment_per_user.ci_half,
         r.avg_privacy_cost.value, r.avg_privacy_cost.ci_half,
-        a.graph_mu1, a.beta, a.expected_payment_per_user, a.bhattacharyya_mv,
+        a.mu1, a.beta, a.payment_per_user, a.bhattacharyya,
     ]
     return ",".join(_fmt(c) for c in cells)
 

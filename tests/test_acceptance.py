@@ -140,10 +140,10 @@ def test_criterion_4_monte_carlo_default_config():
     cfg = apply_overrides(default_config(), ["sim.trials=10000", "sim.workers=2"])
     result = run_experiment(cfg)
     n = cfg.model.population
-    mu_gap = abs(result.empirical_mu1.value - result.analytic.graph_mu1)
+    mu_gap = abs(result.empirical_mu1.value - result.analytic.mu1)
     mu_ok = mu_gap < 3 * result.empirical_mu1.se
     total_emp = result.avg_payment_per_user.value * n
-    total_pred = result.analytic.expected_payment_per_user * n
+    total_pred = result.analytic.payment_per_user * n
     pay_tol = max(3 * result.avg_payment_per_user.se * n, 0.10 * total_pred)
     pay_ok = abs(total_emp - total_pred) < pay_tol
     elapsed = time.monotonic() - start
@@ -194,7 +194,7 @@ def test_criterion_7_error_bound(degree_sweep):
     details = []
     for row in degree_sweep:
         err = 1.0 - row.result.accuracy.value
-        bound = math.exp(-row.result.analytic.bhattacharyya_mv) + 3 * row.result.accuracy.se
+        bound = math.exp(-row.result.analytic.bhattacharyya) + 3 * row.result.accuracy.se
         details.append(f"deg {row.value:g}: err {err:.4f} <= {bound:.4f}")
         if err > bound:
             failures.append(row.value)
@@ -219,10 +219,11 @@ def test_criterion_9_baseline_regime():
     dist = DegreeDistribution.binomial(249, 4.0 / 249.0)
     nd, mv = nd_moments(params, dist), mv_moments_equal_priors(params, dist)
     b_nd = bhattacharyya(250, nd)
-    from privmarket.analytics import payment_bound
+    from privmarket.analytics import payment_bound, predict
 
+    pred = predict(params, 250, mv.mu1, mv.kappa1)
     slack_ok = all(
-        payment_bound(p_e, params, mv, nd, 250).regime == "slack"
+        payment_bound(p_e, pred, b_nd).regime == "slack"
         for p_e in (0.5, math.exp(-b_nd), min(0.9, 2 * math.exp(-b_nd)))
     )
 
@@ -232,7 +233,7 @@ def test_criterion_9_baseline_regime():
         default_config(), ["sim.profile=nd", "sim.trials=200", "model.population=250"]
     )
     ref = run_experiment(probe_cfg, trials=200)
-    scale = delta / ref.analytic.expected_payment_per_user
+    scale = delta / ref.analytic.payment_per_user
     cfg = apply_overrides(
         default_config(),
         ["sim.profile=nd", "sim.trials=2000", "model.population=250",
@@ -249,7 +250,7 @@ def test_criterion_9_baseline_regime():
 
     graph, _ = build_graph(cfg, 0)
     p = make_params(population=graph.n)
-    mech = MechanismConfig(z=1.0, z0=1.0, z1=1.0, beta0=0.99, beta1=0.99, epsilon=p.epsilon)
+    mech = MechanismConfig(z0=1.0, z1=1.0)
     trial = run_trial(substream(1, 5, 0), graph, nd_report_law(p), mech, p)
     all_zero = bool(np.all(trial.privacy_costs == 0.0))
     _report(

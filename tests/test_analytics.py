@@ -20,12 +20,14 @@ from privmarket.analytics import (
     nd_moments,
     nd_report_law,
     payment_bound,
+    predict,
     std_normal_cdf,
 )
 from privmarket import analytics
 from privmarket.graph import (
     DegreeDistribution, Graph, binomial_pmf, generate_erdos_renyi, ingest_edge_list,
 )
+from privmarket.mechanism import MechanismError
 from privmarket.model import linear_capped_cost, quadratic_cost
 from privmarket.strategy import build_mv_strategy, nd_baseline_strategy
 
@@ -240,12 +242,41 @@ class TestBhattacharyya:
             assert b_mv >= b_nd - 1e-12
 
 
+class TestPrediction:
+    DIST = DegreeDistribution.poisson_truncated(4.0, 16)
+
+    def test_matches_hand_composed_design(self, default_params):
+        from privmarket.mechanism import design_Z, design_Z0_Z1
+
+        mv = mv_moments_equal_priors(default_params, self.DIST)
+        pred = predict(default_params, 250, mv.mu1, mv.kappa1)
+        beta = beta_accuracy(250, mv)
+        z = design_Z(0.1, 0.7, default_params.cost)
+        z0, z1 = design_Z0_Z1(z, beta, beta, 0.5)
+        total = expected_total_payment(z0, beta, mv.mu1, 250)
+        assert (pred.beta, pred.z, pred.z0, pred.z1) == (beta, z, z0, z1)
+        assert (pred.total_payment, pred.payment_per_user) == (total, total / 250)
+        assert pred.bhattacharyya == bhattacharyya(250, mv)
+
+    def test_scale_multiplies_constants_and_payout(self, default_params):
+        base = predict(default_params, 250, 0.6, 0.3)
+        scaled = predict(default_params, 250, 0.6, 0.3, scale=0.37)
+        assert scaled.beta == base.beta and scaled.bhattacharyya == base.bhattacharyya
+        for key in ("z", "z0", "z1", "total_payment", "payment_per_user"):
+            assert getattr(scaled, key) == pytest.approx(0.37 * getattr(base, key), rel=1e-15)
+
+    def test_uninformative_profile_rejected(self, default_params):
+        # beta = 1/2 leaves Z0 and Z1 undefined
+        with pytest.raises(MechanismError):
+            predict(default_params, 250, 0.5, 0.25)
+
+
 class TestPaymentBound:
     DIST = DegreeDistribution.poisson_truncated(4.0, 16)
 
     def _bound(self, p_e, params):
         mv, nd = mv_moments_equal_priors(params, self.DIST), nd_moments(params, self.DIST)
-        return payment_bound(p_e, params, mv, nd, 250)
+        return payment_bound(p_e, predict(params, 250, mv.mu1, mv.kappa1), bhattacharyya(250, nd))
 
     def test_loose_target_is_slack(self, default_params):
         rep = self._bound(0.5, default_params)

@@ -349,6 +349,68 @@ class TestCli:
         assert main(["analytics", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
+class TestSweepSettings:
+    """Sweep settings that no run can use are config errors, found before any trial."""
+
+    @pytest.mark.parametrize("case", [
+        "avg_degree-config-model", "avg_degree-edge-list", "bad-value", "bad-grid-point",
+        "one-trial",
+    ])
+    def test_rejected_before_any_trial(self, tmp_path, monkeypatch, capsys, case):
+        from privmarket import sim
+
+        edge_list = tmp_path / "edges.txt"
+        edge_list.write_text("0 1\n1 2\n")
+        extra = {
+            "avg_degree-config-model":
+                "graph.kind = config-model\ngraph.pmf = 1:0.5;2:0.5\n"
+                "sweep.axis = avg_degree\nsweep.values = 1,8\n",
+            "avg_degree-edge-list":
+                f"graph.kind = edge-list\ngraph.path = {edge_list}\n"
+                "sweep.axis = avg_degree\nsweep.values = 1,8\n",
+            "bad-value": "sweep.axis = epsilon\nsweep.values = 0.1,x\n",
+            "bad-grid-point": "sweep.axis = alpha\nsweep.values = 0.1,0.7\n",
+            "one-trial": "sim.trials = 1\n",
+        }[case]
+        calls = []
+        monkeypatch.setattr(sim, "run_experiment", lambda *a, **k: calls.append(a))
+        cfg = _write_config(tmp_path, extra)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert calls == []
+
+    def test_grid_point_named(self):
+        with pytest.raises(ConfigError, match="alpha must lie .* got 0.7"):
+            parse_config("sweep.axis = alpha\nsweep.values = 0.1,0.7\n")
+        with pytest.raises(ConfigError, match="avg_degree must lie .* got 300"):
+            parse_config("sweep.axis = avg_degree\nsweep.values = 4,300\n")
+
+    def test_values_without_axis_wait_for_an_override(self, tmp_path):
+        cfg = _write_config(tmp_path, "sweep.values = 0.1,0.5\nsim.trials = 4\n")
+        assert parse_config(cfg).sweep.axis == ""
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--set", "sweep.axis=epsilon"]) == 0
+        assert len((out / "results.csv").read_text().splitlines()) == 3
+
+
+class TestPathOrText:
+    def test_missing_path_names_the_file(self, tmp_path):
+        for read in (parse_config, ingest_edge_list):
+            for name in ("typo.cfg", str(tmp_path / "typo.txt"), tmp_path / "typo.txt"):
+                with pytest.raises(FileNotFoundError, match="typo"):
+                    read(name)
+
+    def test_text_file_and_file_object_agree(self, tmp_path):
+        import io
+
+        text = "model.theta0 = 0.8\n"
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert parse_config(text) == parse_config(path) == parse_config(str(path))
+        assert parse_config(io.StringIO(text)) == parse_config(text)
+
+
 class TestRealWorldLayouts:
     def test_collaboration_fixture_counts(self, tmp_path):
         path = write_grqc_like(tmp_path / "grqc.txt")

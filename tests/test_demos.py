@@ -26,3 +26,4 @@ def test_demo_runs(script, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    assert not list(tmp_path.glob("privmarket_demo_*")), "the demo left a temporary directory"

@@ -52,7 +52,7 @@ class TestMajorityExcluding:
 
 
 class TestPeerPayment:
-    CFG = MechanismConfig(z=1.0, z0=2.0, z1=3.0, beta0=0.9, beta1=0.9, epsilon=0.1)
+    CFG = MechanismConfig(z0=2.0, z1=3.0)
 
     def test_matching_majority_pays(self):
         assert peer_payment(1, 1, self.CFG) == 3.0
@@ -120,7 +120,7 @@ class TestDesignZ0Z1:
         z = 1.7
         for beta in (0.99, 0.999, 0.9999):
             z0, z1 = design_Z0_Z1(z, beta, beta, prior)
-            cfg = MechanismConfig(z=z, z0=z0, z1=z1, beta0=beta, beta1=beta, epsilon=0.1)
+            cfg = MechanismConfig(z0=z0, z1=z1)
             assert peer_payment(1, 1, cfg) == pytest.approx(
                 genie_payment(1, 1, z, prior), rel=20 * (1 - beta)
             )

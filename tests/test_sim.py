@@ -59,7 +59,7 @@ class TestMapEstimate:
 
 
 def _simple_mech():
-    return MechanismConfig(z=1.0, z0=1.0, z1=1.0, beta0=0.99, beta1=0.99, epsilon=0.1)
+    return MechanismConfig(z0=1.0, z1=1.0)
 
 
 class TestRunTrial:
@@ -107,7 +107,7 @@ class TestEngineMatchesMechanismOps:
         params = make_params(population=7)
         graph = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3)])
         law = mv_report_law(params)
-        mech = MechanismConfig(z=1.3, z0=1.7, z1=2.1, beta0=0.9, beta1=0.9, epsilon=0.1)
+        mech = MechanismConfig(z0=1.7, z1=2.1)
         for k in range(25):
             trial = run_trial(substream(8, 5, k), graph, law, mech, params)
             reports = [int(x) for x in trial.reports]
@@ -120,7 +120,7 @@ class TestEngineMatchesMechanismOps:
 
 def _engine(graph):
     params = make_params(population=graph.n)
-    mech = MechanismConfig(z=1.3, z0=1.7, z1=2.1, beta0=0.9, beta1=0.9, epsilon=0.1)
+    mech = MechanismConfig(z0=1.7, z1=2.1)
     return sim._Engine(graph, mv_report_law(params), mech, params)
 
 
@@ -132,7 +132,7 @@ class TestBlockEngine:
     def test_agrees_with_per_trial_loop(self):
         cfg = apply_overrides(default_config(), ["model.population=60"])
         _, _, engine, analytic = sim._build_experiment(cfg)
-        moments = mirrored_moments(analytic.graph_mu1, analytic.graph_kappa)
+        moments = mirrored_moments(analytic.mu1, analytic.kappa1)
         trials = 2000
         w, _, paid, _, sums, matched = sim._run_trials(engine, 11, trials, 1)
         loop = np.array([trial_stats_loop(engine, 12, i, moments) for i in range(trials)])
@@ -253,7 +253,7 @@ class TestRunExperiment:
     def test_empirical_mean_matches_analytics(self):
         cfg = apply_overrides(default_config(), ["sim.trials=600", "model.population=200"])
         r = run_experiment(cfg)
-        assert abs(r.empirical_mu1.value - r.analytic.graph_mu1) < 3 * r.empirical_mu1.se
+        assert abs(r.empirical_mu1.value - r.analytic.mu1) < 3 * r.empirical_mu1.se
         assert abs(r.empirical_majority_match.value - r.analytic.beta) < max(
             3 * r.empirical_majority_match.se, 5e-4
         )
@@ -282,8 +282,8 @@ class TestRunExperiment:
              "model.population=100", "sim.trials=200"],
         )
         r = run_experiment(cfg)
-        assert abs(r.empirical_mu1.value - r.analytic.graph_mu1) < 4 * r.empirical_mu1.se
-        assert r.analytic.graph_mu1 > 0.5
+        assert abs(r.empirical_mu1.value - r.analytic.mu1) < 4 * r.empirical_mu1.se
+        assert r.analytic.mu1 > 0.5
 
     def test_epsilon_zero_plays_fair_coin_at_ties(self):
         # At epsilon = 0 a tie randomizes with a fair coin, as the closed
@@ -294,7 +294,7 @@ class TestRunExperiment:
              "sim.trials=600"],
         )
         r = run_experiment(cfg)
-        assert abs(r.empirical_mu1.value - r.analytic.graph_mu1) < 3 * r.empirical_mu1.se
+        assert abs(r.empirical_mu1.value - r.analytic.mu1) < 3 * r.empirical_mu1.se
 
     def test_unequal_priors_rejected(self):
         cfg = apply_overrides(default_config(), ["model.prior_w1=0.6", "sim.trials=10"])
@@ -365,7 +365,7 @@ class TestSweep:
     def test_epsilon_axis_changes_accuracy_inputs(self):
         cfg = apply_overrides(default_config(), ["sim.trials=400", "model.population=100"])
         rows = sweep(cfg, "epsilon", [0.1, 0.5], trials=400)
-        mus = [r.result.analytic.graph_mu1 for r in rows]
+        mus = [r.result.analytic.mu1 for r in rows]
         assert mus[1] > mus[0]
         # paying for more revealing reports cannot hurt the estimator
         lo, hi = rows[0].result.accuracy, rows[1].result.accuracy
