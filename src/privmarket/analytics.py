@@ -5,10 +5,11 @@ priors: the equilibrium majority-voting profile (band half-width tau solved
 from the model, randomized-response level epsilon inside the band) and the
 all-non-disclosive baseline (tau = 0, epsilon = 0, i.e. a fair coin at
 ties).  `ReportLaw` captures one such profile: `band_bounds` gives a
-degree's band, `ReportLaw.play` is what each user reports and pays (the
-Monte Carlo engine plays it), and the per-degree conditional report
-probabilities that everything else is assembled from are sums over the
-same band.
+degree's band, `ReportLaw.play` is what each user reports and pays given
+her sum's side of the band, `ReportLaw.side_table` is the law of that side
+given her degree and her friends' signals (the Monte Carlo engine draws
+from it and plays), and the per-degree conditional report probabilities
+that everything else is assembled from are sums over the same band.
 
 Two variance coefficients are reported side by side:
 
@@ -98,6 +99,9 @@ def lambda_sr(epsilon: float, theta0: float) -> float:
     return (theta0 * ee + 1.0 - theta0) / (ee + 1.0)
 
 
+_SIDE_CHUNK = 1 << 16  # (a, flipped) cells per step of `ReportLaw.side_table`
+
+
 class ReportLaw:
     """Conditional report law of one symmetric profile, given W = 1.
 
@@ -169,17 +173,62 @@ class ReportLaw:
             self._mean, self._M, self._G, self._edge = mean, m, g, edge
         return self._mean, self._M, self._G
 
-    # -- single-user -----------------------------------------------------
-    def play(self, f, s, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """(Pr(report 1), in band) of users with group-signal sums f and own signals s.
+    def side_table(self, degrees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(offset, below, at_most): the law of a group-signal sum's side of the band.
 
-        `lo`, `hi` are the users' band bounds from `band_bounds`: inside the
-        band a user randomizes her signal at level epsilon (a fair coin when
-        epsilon = 0) and pays `band_cost` = g(epsilon); outside it she
-        reports the group majority at no cost.
+        A user of degree d, a of whose friends hold private signal 1,
+        receives each friend's signal flipped with probability alpha, so
+        her sum is f ~ Binomial(a, 1 - alpha) + Binomial(d - a, alpha).  For
+        every degree d in `degrees` and a = 0..d, entry offset[d] + a of
+        `below` is Pr(f < lo) and of `at_most` is Pr(f <= hi), with lo, hi
+        from `band_bounds`.  The flat arrays hold d + 1 entries per distinct
+        degree; `offset` is indexed by degree and meaningful only at the
+        degrees given.  Building them holds two (d_max + 1)^2 float tables.
         """
-        in_band = (lo <= f) & (f <= hi)
-        return np.where(in_band, self._coin.take(s), f > hi), in_band
+        present = np.unique(np.asarray(degrees)).tolist()
+        d_max = present[-1]
+        # pmf[j, i] = Pr(Binomial(j, alpha) = i); cdf[j, i + 1] = Pr(Binomial(j, alpha) <= i)
+        # for i = -1..d_max, exactly 0 below the range and exactly 1 from j up.
+        pmf = np.zeros((d_max + 1, d_max + 1))
+        cdf = np.ones((d_max + 1, d_max + 2))
+        cdf[:, 0] = 0.0
+        for j in range(d_max + 1):
+            pmf[j, :j + 1] = binomial_pmf(j, self.params.alpha)
+            cdf[j, 1:j + 1] = np.cumsum(pmf[j, :j])
+        offset = np.zeros(d_max + 1, dtype=np.int64)
+        offset[present] = np.cumsum([0] + [d + 1 for d in present[:-1]])
+        lo, hi = (b.tolist() for b in band_bounds(present, self.tau))
+        step = max(1, _SIDE_CHUNK // (d_max + 1))  # rows of a per step: bounded temporaries
+        blocks = []
+        for d, lo_d, hi_d in zip(present, lo, hi):
+            c = np.array([lo_d - 1, hi_d])[:, None, None]
+            span = np.arange(d + 1)
+            flipped = span  # of the a ones, this many arrive as 0
+            block = np.empty((2, d + 1))
+            for start in range(0, d + 1, step):
+                rows = slice(start, min(start + step, d + 1))
+                a = span[rows, None]
+                # f <= c  <=>  flips among the d - a zeros <= c - a + flipped
+                idx = np.clip(c - a + flipped + 1, 0, d_max + 1)
+                block[:, rows] = (pmf[rows, :d + 1] * cdf[d - a, idx]).sum(axis=2)
+            if hi_d >= d:
+                block[1] = 1.0  # the band reaches the top: exactly 1, not a sum of masses
+            blocks.append(block)
+        below, at_most = np.concatenate(blocks, axis=1)
+        return offset, below, at_most
+
+    # -- single-user -----------------------------------------------------
+    def play(self, side, s) -> tuple[np.ndarray, np.ndarray]:
+        """(Pr(report 1), in band) of users whose group-signal sums fall on `side` of their band.
+
+        `side` is -1 below the band, 0 inside it and 1 above it, and `s`
+        holds the users' own signals.  Inside the band a user randomizes
+        her signal at level epsilon (a fair coin when epsilon = 0) and pays
+        `band_cost` = g(epsilon); outside it she reports the group majority
+        at no cost.
+        """
+        in_band = side == 0
+        return np.where(in_band, self._coin.take(s), side > 0), in_band
 
     def mean(self, d: int) -> float:
         """Pr(X = 1 | W = 1, degree d)."""

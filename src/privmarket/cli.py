@@ -43,7 +43,7 @@ def _setup_logging() -> None:
 
 
 def _load_config(args) -> RunConfig:
-    cfg = parse_config(Path(args.config))
+    cfg = parse_config(Path(args.config), validate=False)  # checked with the overrides
     overrides = list(args.set or [])
     if args.seed is not None:
         overrides.append(f"sim.seed={args.seed}")
@@ -159,8 +159,6 @@ def cmd_simulate(cfg: RunConfig, out: _AtomicOutputs) -> None:
     trials, workers = cfg.sim.trials, cfg.sim.workers
     if cfg.sweep.axis:
         values = sweep_values(cfg)
-        if not values:
-            raise ConfigError("sweep.values must list at least one grid point")
         rows = simmod.sweep(cfg, cfg.sweep.axis, values, trials=trials, workers=workers)
         csv_text = simmod.sweep_csv(rows)
         extra = {"sweep_axis": cfg.sweep.axis, "sweep_values": values}

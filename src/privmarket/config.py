@@ -146,11 +146,14 @@ def _set_key(cfg: RunConfig, dotted: str, raw: str) -> RunConfig:
     return replace(cfg, **{section_name: replace(section, **{key: value})})
 
 
-def parse_config(source) -> RunConfig:
+def parse_config(source, validate: bool = True) -> RunConfig:
     """Parse text, a path, or an open file into a validated RunConfig.
 
     `source` follows `graph.read_source`: a `str` holding a newline is the
-    config text, any other `str` or a `Path` names a file.
+    config text, any other `str` or a `Path` names a file.  With
+    `validate=False` the settings are returned unchecked, for a caller that
+    applies overrides first (`apply_overrides` validates), so that a file
+    and its overrides are checked as one run.
     """
     cfg = default_config()
     for lineno, line in enumerate(read_source(source).splitlines(), start=1):
@@ -161,15 +164,21 @@ def parse_config(source) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'section.key = value', got {line!r}")
         dotted, raw = stripped.split("=", 1)
         cfg = _set_key(cfg, dotted.strip(), raw.strip())
-    validate_config(cfg)
+    if validate:
+        validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: RunConfig) -> None:
     if cfg.graph.kind not in (ER, CONFIG_MODEL, EDGE_LIST):
         raise ConfigError(f"graph.kind must be one of er, config-model, edge-list; got {cfg.graph.kind!r}")
-    if cfg.graph.kind == CONFIG_MODEL and not cfg.graph.pmf and cfg.graph.poisson_mean <= 0:
-        raise ConfigError("config-model graphs need graph.pmf or graph.poisson_mean (with graph.d_max)")
+    if cfg.graph.kind == CONFIG_MODEL:
+        try:
+            _pmf_distribution(cfg.graph)
+        except ValueError as exc:
+            if isinstance(exc, ConfigError):
+                raise
+            raise ConfigError(f"config-model degree law: {exc}") from exc
     if cfg.graph.kind == EDGE_LIST:
         if not cfg.graph.path:
             raise ConfigError("edge-list graphs need graph.path")
@@ -181,6 +190,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"sim.workers must be >= 1, got {cfg.sim.workers}")
     if cfg.sim.profile not in ("mv", "nd"):
         raise ConfigError(f"sim.profile must be mv or nd, got {cfg.sim.profile!r}")
+    if not cfg.mechanism.payment_scale > 0.0:
+        raise ConfigError(f"mechanism.payment_scale must be > 0, got {cfg.mechanism.payment_scale:g}")
+    if not 0.0 < cfg.analytics.p_e < 1.0:
+        raise ConfigError(f"analytics.p_e must lie in (0, 1), got {cfg.analytics.p_e:g}")
     if cfg.sweep.axis and cfg.sweep.axis not in SWEEP_AXES:
         raise ConfigError(f"sweep.axis must be one of {', '.join(SWEEP_AXES)}, got {cfg.sweep.axis!r}")
     if cfg.sweep.axis == "avg_degree" and cfg.graph.kind != ER:
@@ -195,6 +208,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"graph.avg_degree must lie in [0, population - 1], got {cfg.graph.avg_degree:g}")
     grid = sweep_values(cfg)  # parsed even without an axis, which an override may add
     if cfg.sweep.axis:  # every grid point must pass as a run of its own
+        if not grid:
+            raise ConfigError("sweep.values must list at least one grid point")
         for value in grid:
             validate_config(replace(override_axis(cfg, cfg.sweep.axis, value), sweep=SweepSection()))
 

@@ -1,9 +1,13 @@
 """Market model: parameters, privacy cost functions, and world/signal sampling.
 
 The market has a binary world state W, one private signal per user, and one
-noisy "group signal" per directed edge of the social graph.  Everything in
-this module is either an immutable parameter object or a pure sampling
-function driven by an explicitly passed `numpy.random.Generator`.
+noisy "group signal" per directed edge of the social graph: a friend's
+private signal, flipped with probability alpha.  Everything in this module
+is either an immutable parameter object or a pure sampling function driven
+by an explicitly passed `numpy.random.Generator`.  The group signals are
+not sampled edge by edge: a user acts on hers only through their sum's side
+of her band, which the Monte Carlo engine draws from its exact law
+(`analytics.ReportLaw.side_table`).
 
 Randomness contract: streams are derived from a master seed plus a purpose
 tag and index via `substream`, so that any piece of the simulation can be
@@ -30,7 +34,6 @@ __all__ = [
     "substream",
     "sample_world",
     "sample_private_signals",
-    "sample_group_signals",
 ]
 
 
@@ -192,18 +195,3 @@ def sample_private_signals(rng: np.random.Generator, w, params: ModelParams) -> 
     w = np.asarray(w, dtype=np.int8)[..., None]
     match = rng.random(w.shape[:-1] + (params.population,)) < params.theta0
     return np.where(match, w, 1 - w)
-
-
-def sample_group_signals(rng: np.random.Generator, graph, s: np.ndarray, alpha: float) -> np.ndarray:
-    """One group-signal bit per directed edge, aligned with `graph.directed_send`.
-
-    Bit k is the signal of sender `directed_send[k]` as received by
-    `directed_recv[k]`, flipped with probability alpha.  The two directions
-    of an edge flip independently.  Leading axes of `s` (one row per trial)
-    carry over to the result.
-    """
-    if s.shape[-1] != graph.n:
-        raise ParameterError("signal vector length does not match the graph")
-    sent = s[..., graph.directed_send].astype(np.int8, copy=False)
-    flips = rng.random(sent.shape) < alpha
-    return sent ^ flips

@@ -1,7 +1,10 @@
 """Monte Carlo engine.
 
-A trial realizes the world state, signals and group signals on a fixed
-graph with the model's samplers, lets every user play the profile's
+A trial draws the world state and the private signals on a fixed graph
+with the model's samplers, counts each user's friends holding signal 1,
+draws the side of her band her group-signal sum falls on from its exact
+law given her degree and that count (`ReportLaw.side_table`; the per-edge
+flips never enter a report otherwise), lets every user play the profile's
 `ReportLaw` (randomize inside her band, report the group majority outside
 it), pays every user through the peer mechanism, and runs the collector's
 MAP rule, the majority under equal priors, on the report sum.  The closed
@@ -25,11 +28,11 @@ import numpy as np
 
 from . import analytics
 from . import config as configmod
-from .analytics import Prediction, ReportLaw, band_bounds, graph_report_moments
+from .analytics import Prediction, ReportLaw, graph_report_moments
 from .graph import Graph
 from .mechanism import MechanismConfig
 from .model import (
-    TAG_TRIAL, ModelParams, sample_group_signals, sample_private_signals, sample_world, substream,
+    TAG_TRIAL, ModelParams, ParameterError, sample_private_signals, sample_world, substream,
 )
 
 __all__ = [
@@ -79,9 +82,11 @@ class TrialResult:
 
 
 # Trials per block: as many as keep block x (n + 2m) user and directed-edge
-# cells within _BLOCK_CELLS, from 1 to _MAX_BLOCK.  Small graphs share the
-# fixed cost of a draw among many trials; a block's arrays stay cache-sized.
-_BLOCK_CELLS = 2**15
+# cells within _BLOCK_CELLS, from 1 to _MAX_BLOCK.  A block's fixed cost (its
+# stream, a dozen array calls) is shared by its trials.  2**18 cells is the
+# measured knee: at 2**19 a 250-node graph runs fewer trials per second (its
+# per-user arrays outgrow the cache) and a 3700-node graph gains under 10%.
+_BLOCK_CELLS = 2**18
 _MAX_BLOCK = 256
 
 
@@ -89,10 +94,10 @@ class _Engine:
     """A profile's report law, played on one graph in blocks of trials.
 
     Block b holds trials b*block .. b*block + block - 1, drawn as
-    (block x n) and (block x 2m) arrays from the stream (master seed, trial
-    tag, b).  The block size depends only on the graph, and every block
-    draws all its rows, so a trial's outcome depends neither on the number
-    of trials nor on the number of workers.
+    (block x n) arrays from the stream (master seed, trial tag, b).  The
+    block size depends only on the graph, and every block draws all its
+    rows, so a trial's outcome depends neither on the number of trials nor
+    on the number of workers.
     """
 
     def __init__(
@@ -102,30 +107,44 @@ class _Engine:
         mech: MechanismConfig,
         params: ModelParams,
     ):
+        if graph.n != params.population:
+            raise ParameterError(
+                f"graph has {graph.n} nodes but params.population is {params.population}"
+            )
         self.graph = graph
         self.law = law
         self.params = params
         self.mech = mech
-        self._lo, self._hi = band_bounds(graph.degrees, law.tau)
+        offset, self._below, self._at_most = law.side_table(graph.degrees)
+        self._row = offset[graph.degrees]  # user i's (d, a) entry is _row[i] + a
+        self._linked = graph.degrees > 0
+        self._runs = graph.recv_starts[:-1][self._linked]
         cells = graph.n + 2 * graph.num_edges
         self.block = min(max(_BLOCK_CELLS // cells, 1), _MAX_BLOCK)
 
+    def friends_ones(self, s: np.ndarray) -> np.ndarray:
+        """Per user, how many of her friends hold private signal 1; leading axes carry over."""
+        sent = np.take(s, self.graph.directed_send, axis=-1)
+        ones = np.zeros(s.shape, dtype=np.int32)
+        ones[..., self._linked] = np.add.reduceat(sent, self._runs, axis=-1, dtype=np.int32)
+        return ones
+
     def play(self, rng: np.random.Generator, rows: int, force_w: int | None = None):
-        """(w, reports, in band) of `rows` trials: shapes (rows,), (rows, n), (rows, n)."""
-        graph, params = self.graph, self.params
-        w = sample_world(rng, params, rows)
+        """(w, reports, in band) of `rows` trials: shapes (rows,), (rows, n), (rows, n).
+
+        A user's received bits enter her report only through the side of
+        her band their sum falls on, so that side is drawn from its exact
+        law given her degree and her friends' signals (`side_table`), one
+        uniform per user instead of one flip per directed edge.
+        """
+        w = sample_world(rng, self.params, rows)
         if force_w is not None:
             w[:] = force_w
-        s = sample_private_signals(rng, w, params)
-        bits = sample_group_signals(rng, graph, s, params.alpha)
-        # Group sums: the running bit count differenced at each receiver's CSR
-        # bounds.  A row counts at most 2m bits, which fits int32 for any
-        # graph whose edge arrays fit in memory.
-        running = np.zeros((rows, bits.shape[1] + 1), dtype=np.int32)
-        np.cumsum(bits, axis=1, dtype=np.int32, out=running[:, 1:])
-        starts = graph.recv_starts
-        f = running[:, starts[1:]] - running[:, starts[:-1]]
-        p1, in_band = self.law.play(f, s, self._lo, self._hi)
+        s = sample_private_signals(rng, w, self.params)
+        entry = self._row + self.friends_ones(s)
+        u = rng.random(entry.shape)
+        side = (u >= self._at_most.take(entry)).astype(np.int8) - (u < self._below.take(entry))
+        p1, in_band = self.law.play(side, s)
         reports = rng.random(p1.shape) < p1
         return w, reports, in_band
 
@@ -161,8 +180,6 @@ def run_trial(
     params: ModelParams,
 ) -> TrialResult:
     """Simulate one market round with every user playing `law`."""
-    if graph.n != params.population:
-        raise ValueError("graph size does not match params.population")
     engine = _Engine(graph, law, cfg, params)
     (w,), (reports,), (in_band,) = engine.play(rng, 1)
     total = int(reports.sum())

@@ -21,7 +21,7 @@ from privmarket.analytics import ReportLaw, band_bounds
 from privmarket.graph import DegreeDistribution, Graph
 from privmarket.mechanism import MechanismConfig
 from privmarket.model import (
-    TAG_TRIAL, ModelParams, sample_group_signals, sample_private_signals, sample_world, substream,
+    TAG_TRIAL, ModelParams, ParameterError, sample_private_signals, sample_world, substream,
 )
 from privmarket.strategy import DegreeStrategy
 
@@ -372,8 +372,60 @@ def peer_payment(x_i: int, m, cfg: MechanismConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the per-trial engine the block engine replaced
+# the per-trial engine the block engine replaced, and its per-edge draw
 # ---------------------------------------------------------------------------
+
+def sample_group_signals(rng: np.random.Generator, graph, s: np.ndarray, alpha: float) -> np.ndarray:
+    """One group-signal bit per directed edge, aligned with `graph.directed_send`.
+
+    Bit k is the signal of sender `directed_send[k]` as received by
+    `directed_recv[k]`, flipped with probability alpha.  The two directions
+    of an edge flip independently.  Leading axes of `s` (one row per trial)
+    carry over to the result.
+    """
+    if s.shape[-1] != graph.n:
+        raise ParameterError("signal vector length does not match the graph")
+    sent = s[..., graph.directed_send].astype(np.int8, copy=False)
+    flips = rng.random(sent.shape) < alpha
+    return sent ^ flips
+
+
+def band_side(f, lo, hi):
+    """-1, 0 or 1 where the group-signal sums f fall below, inside or above lo..hi."""
+    f = np.asarray(f)
+    return (f > hi).astype(np.int8) - (f < lo)
+
+
+def side_probs_enumerated(d: int, a: int, lo: int, hi: int, alpha: float) -> tuple[float, float]:
+    """(Pr(f < lo), Pr(f <= hi)) over all 2^d flip patterns of a degree-d user.
+
+    Her first a friends hold signal 1 and the others 0; each received bit
+    is its sender's signal flipped with probability alpha.
+    """
+    flips = (np.arange(2**d)[:, None] >> np.arange(d)) & 1
+    k = flips.sum(axis=1)
+    prob = [alpha**int(x) * (1.0 - alpha) ** (d - int(x)) for x in k]
+    f = a - flips[:, :a].sum(axis=1) + flips[:, a:].sum(axis=1)
+    return (
+        math.fsum(p for p, x in zip(prob, f) if x < lo),
+        math.fsum(p for p, x in zip(prob, f) if x <= hi),
+    )
+
+
+def side_probs_comb(d: int, a: int, lo: int, hi: int, alpha: float) -> tuple[float, float]:
+    """(Pr(f < lo), Pr(f <= hi)) for f ~ Binomial(a, 1 - alpha) + Binomial(d - a, alpha)."""
+
+    def mass(k: int, m: int, p: float) -> float:
+        return math.comb(m, k) * p**k * (1.0 - p) ** (m - k)
+
+    def at_most(c: int) -> float:
+        return math.fsum(
+            mass(x, a, 1.0 - alpha) * mass(y, d - a, alpha)
+            for x in range(a + 1) for y in range(d - a + 1) if x + y <= c
+        )
+
+    return at_most(lo - 1), at_most(hi)
+
 
 def mirrored_moments(mu1: float, kappa: float) -> SimpleNamespace:
     """Moments of both sum hypotheses when the W = 0 law mirrors the W = 1 law."""
@@ -391,30 +443,61 @@ def map_estimate_scalar(sum_reports: float, n: int, summary, prior_w1: float) ->
 
 
 def trial_stats_loop(engine, master_seed: int, index: int, moments) -> tuple:
-    """One trial of an `_Engine`'s experiment, drawn and scored on its own.
+    """One trial of an `_Engine`'s experiment, drawn edge by edge and scored on its own.
 
     Trial `index` owns the stream (master seed, trial tag, index) and draws
     one world bit, then vectors of n signals, 2m group-signal bits and n
-    reports.  Per-user payments and privacy costs are summed with `fsum`.
-    The collector's estimate is the quadratic MAP rule on `moments`.
-    Returns (w, correct, payment, privacy cost, report sum, majority match)
-    with payment and privacy cost per user.
+    reports.  This is the engine's law, not its stream.
     """
-    graph, law, mech, params = engine.graph, engine.law, engine.mech, engine.params
-    n = graph.n
+    graph, law, params = engine.graph, engine.law, engine.params
     rng = substream(master_seed, TAG_TRIAL, index)
     w = sample_world(rng, params)
     s = sample_private_signals(rng, w, params)
     bits = sample_group_signals(rng, graph, s, params.alpha)
-    f = np.bincount(graph.directed_recv, weights=bits, minlength=n)
-    p1, in_band = law.play(f, s, *band_bounds(graph.degrees, law.tau))
-    reports = (rng.random(n) < p1).astype(np.int64)
+    f = np.bincount(graph.directed_recv, weights=bits, minlength=graph.n)
+    p1, in_band = law.play(band_side(f, *band_bounds(graph.degrees, law.tau)), s)
+    return _score(engine, w, (rng.random(graph.n) < p1).astype(np.int64), in_band, moments)
+
+
+def trial_stats_user_loop(engine, master_seed: int, index: int, moments) -> tuple:
+    """One trial of an `_Engine`'s experiment in the engine's own stream, user by user.
+
+    Trial `index` owns the stream (master seed, trial tag, index) and draws
+    one world bit, n signals, one uniform per user for the side of her band
+    (against `side_probs_comb` at her degree and her count of friends with
+    signal 1, found by a loop over her neighbours) and n reports, as a
+    one-row block does.
+    """
+    graph, law, params = engine.graph, engine.law, engine.params
+    n = graph.n
+    rng = substream(master_seed, TAG_TRIAL, index)
+    w = sample_world(rng, params)
+    s = sample_private_signals(rng, w, params)
+    u = rng.random(n)
+    side = np.empty(n, dtype=np.int8)
+    for i in range(n):
+        d = int(graph.degrees[i])
+        a = sum(int(s[j]) for j in graph.neighbors(i))
+        lo, hi = (int(b) for b in band_bounds(d, law.tau))
+        below, at_most = side_probs_comb(d, a, lo, hi, params.alpha)
+        side[i] = 1 if u[i] >= at_most else (-1 if u[i] < below else 0)
+    p1, in_band = law.play(side, s)
+    return _score(engine, w, (rng.random(n) < p1).astype(np.int64), in_band, moments)
+
+
+def _score(engine, w: int, reports: np.ndarray, in_band: np.ndarray, moments) -> tuple:
+    """(w, correct, payment, privacy cost, report sum, majority match) of one trial.
+
+    Per-user payments and privacy costs are summed with `fsum` and divided
+    by n.  The collector's estimate is the quadratic MAP rule on `moments`.
+    """
+    law, mech, n = engine.law, engine.mech, engine.graph.n
     total = int(reports.sum())
     majority_others = (total - reports) >= (n - 1) // 2 + 1
     payments = np.where(
         reports == 1, mech.z1 * majority_others, mech.z0 * (1 - majority_others)
     ).astype(float)
-    w_hat = map_estimate_scalar(total, n, moments, params.prior_w1)
+    w_hat = map_estimate_scalar(total, n, moments, engine.params.prior_w1)
     return (
         w,
         int(w_hat == w),

@@ -42,6 +42,8 @@ from oracles import (
     gaussian_bhattacharyya_quadrature,
     graph_report_moments_loop,
     normal_cdf_quadrature,
+    side_probs_comb,
+    side_probs_enumerated,
 )
 
 
@@ -80,6 +82,50 @@ class TestNuValues:
             for tau in (0.0, 0.1, 0.6, 1.3):
                 band, tail = _band_and_tail(d, tau, 0.6)
                 assert band + tail <= 1.0 + 1e-12
+
+
+class TestSideTable:
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.25, 0.45])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+    def test_matches_flip_enumeration(self, alpha, epsilon):
+        # every degree d <= 10 and count a of friends holding 1, against all
+        # 2^d flip patterns; the widest band (alpha 0.45, epsilon 1) covers
+        # 0..d for d <= 2, and odd degrees at small tau have an empty band
+        params = make_params(alpha=alpha, epsilon=epsilon)
+        for law in (mv_report_law(params), nd_report_law(params)):
+            offset, below, at_most = law.side_table(np.arange(11))
+            assert len(below) == len(at_most) == sum(d + 1 for d in range(11))
+            for d in range(11):
+                lo, hi = (int(b) for b in band_bounds(d, law.tau))
+                for a in range(d + 1):
+                    got = (below[offset[d] + a], at_most[offset[d] + a])
+                    assert got == pytest.approx(
+                        side_probs_enumerated(d, a, lo, hi, alpha), abs=1e-12, rel=0
+                    ), (d, a)
+                    if alpha == 0.0:  # nothing flips: f = a
+                        assert got == (float(a < lo), float(a <= hi))
+
+    def test_rows_in_steps_match_one_step(self, monkeypatch):
+        law = mv_report_law(make_params(alpha=0.25, epsilon=0.5))
+        whole = law.side_table(np.arange(41))
+        monkeypatch.setattr(analytics, "_SIDE_CHUNK", 100)  # two values of a per step
+        stepped = law.side_table(np.arange(41))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(whole, stepped))
+
+    def test_only_given_degrees_and_large_degree(self):
+        law = mv_report_law(make_params(alpha=0.25, epsilon=0.5))
+        offset, below, at_most = law.side_table(np.array([40, 0, 3, 40, 3]))
+        assert len(below) == 1 + 4 + 41
+        full = law.side_table(np.arange(41))
+        for d in (0, 3, 40):
+            rows = slice(offset[d], offset[d] + d + 1)
+            full_rows = slice(full[0][d], full[0][d] + d + 1)
+            assert below[rows].tolist() == full[1][full_rows].tolist()
+            assert at_most[rows].tolist() == full[2][full_rows].tolist()
+        lo, hi = (int(b) for b in band_bounds(40, law.tau))
+        for a in range(41):
+            got = (below[offset[40] + a], at_most[offset[40] + a])
+            assert got == pytest.approx(side_probs_comb(40, a, lo, hi, 0.25), abs=1e-12, rel=0)
 
 
 class TestMvMoments:

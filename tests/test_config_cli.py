@@ -385,6 +385,15 @@ class TestSweepSettings:
         with pytest.raises(ConfigError, match="avg_degree must lie .* got 300"):
             parse_config("sweep.axis = avg_degree\nsweep.values = 4,300\n")
 
+    def test_axis_without_values_waits_for_an_override(self, tmp_path):
+        cfg = _write_config(tmp_path, "sweep.axis = epsilon\nsim.trials = 4\n")
+        with pytest.raises(ConfigError, match="sweep.values must list at least one grid point"):
+            parse_config(cfg)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--set", "sweep.values=0.1,0.5"]) == 0
+        assert len((out / "results.csv").read_text().splitlines()) == 3
+
     def test_values_without_axis_wait_for_an_override(self, tmp_path):
         cfg = _write_config(tmp_path, "sweep.values = 0.1,0.5\nsim.trials = 4\n")
         assert parse_config(cfg).sweep.axis == ""
@@ -392,6 +401,31 @@ class TestSweepSettings:
         assert main(["simulate", "--config", str(cfg), "--out", str(out),
                      "--set", "sweep.axis=epsilon"]) == 0
         assert len((out / "results.csv").read_text().splitlines()) == 3
+
+
+class TestLoadTimeChecks:
+    """Values no command can use fail when the config loads, not mid-run."""
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("simulate", "mechanism.payment_scale = 0\n", "mechanism.payment_scale must be > 0"),
+        ("analytics", "analytics.p_e = 1.5\n", r"analytics.p_e must lie in \(0, 1\)"),
+        ("simulate", "graph.kind = config-model\ngraph.pmf = 1:x\n", "bad graph.pmf entry '1:x'"),
+        ("simulate", "graph.kind = config-model\ngraph.pmf = 1:0.5;2:0.4\n",
+         "config-model degree law: mass sums to"),
+        ("simulate", "sweep.axis = epsilon\nsweep.values =\n",
+         "sweep.values must list at least one grid point"),
+    ], ids=["payment-scale", "p_e", "pmf-entry", "pmf-mass", "empty-sweep"])
+    def test_rejected_at_load(self, tmp_path, monkeypatch, capsys, command, extra, message):
+        from privmarket import sim
+
+        calls = []
+        monkeypatch.setattr(sim, "run_experiment", lambda *a, **k: calls.append(a))
+        cfg = _write_config(tmp_path, extra)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(cfg)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert calls == []
 
 
 class TestPathOrText:

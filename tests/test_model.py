@@ -13,7 +13,6 @@ from privmarket.model import (
     audit_cost_function,
     linear_capped_cost,
     quadratic_cost,
-    sample_group_signals,
     sample_private_signals,
     sample_world,
     substream,
@@ -22,6 +21,7 @@ from privmarket.model import (
 )
 
 from conftest import make_params
+from oracles import sample_group_signals
 
 
 class TestTheta1:

@@ -11,7 +11,7 @@ from privmarket import analytics, config, sim
 from privmarket.config import ConfigError, default_config, apply_overrides, override_axis
 from privmarket.graph import Graph, generate_erdos_renyi
 from privmarket.mechanism import MechanismConfig
-from privmarket.model import linear_capped_cost, quadratic_cost, substream
+from privmarket.model import ParameterError, linear_capped_cost, quadratic_cost, substream
 from privmarket.sim import (
     SweepRow,
     ZeroVarianceError,
@@ -27,7 +27,8 @@ from privmarket.strategy import SR, build_mv_strategy
 
 from conftest import make_params
 from oracles import (
-    majority_excluding, map_estimate_scalar, mirrored_moments, peer_payment, trial_stats_loop,
+    band_side, majority_excluding, map_estimate_scalar, mirrored_moments, peer_payment,
+    trial_stats_loop, trial_stats_user_loop,
 )
 from test_acceptance import PARAM_GRID
 
@@ -153,7 +154,7 @@ class TestBlockEngine:
             trial = run_trial(
                 substream(8, 5, k), engine.graph, engine.law, engine.mech, engine.params
             )
-            w, correct, paid, cost, total, _ = trial_stats_loop(engine, 8, k, moments)
+            w, correct, paid, cost, total, _ = trial_stats_user_loop(engine, 8, k, moments)
             assert (trial.w, int(trial.w_hat == trial.w), trial.sum_reports) == (w, correct, total)
             assert math.fsum(trial.payments) / 40 == paid
             assert math.fsum(trial.privacy_costs) / 40 == cost
@@ -184,7 +185,7 @@ class TestBlockEngine:
             for short, full in zip(stats, longest):
                 assert short.tobytes() == full[:trials].tobytes()
 
-    @pytest.mark.parametrize("n, degree", [(7, 2), (250, 4), (2000, 4), (9000, 6)])
+    @pytest.mark.parametrize("n, degree", [(7, 2), (250, 4), (2000, 4), (9000, 6), (40000, 6)])
     def test_block_stays_within_cell_budget(self, n, degree):
         # ring lattices: every node joined to its `degree` nearest neighbours
         edges = [(i, (i + k) % n) for i in range(n) for k in range(1, degree // 2 + 1)]
@@ -229,6 +230,36 @@ class TestBlockEngine:
         cfg = apply_overrides(default_config(), ["model.population=60"])
         with pytest.raises(ValueError, match="workers"):
             run_experiment(cfg, trials=10, workers=0)
+
+
+class TestEngineSetup:
+    def test_population_must_match_graph(self):
+        params = make_params(population=7)
+        graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+        with pytest.raises(ParameterError, match="6 nodes but params.population is 7"):
+            sim._Engine(graph, mv_report_law(params), _simple_mech(), params)
+        with pytest.raises(ParameterError):
+            run_trial(substream(3, 5, 0), graph, mv_report_law(params), _simple_mech(), params)
+
+    def test_friends_ones_counts_each_neighbour(self):
+        # a hub of degree 200 (counts past int8), isolated nodes, a path
+        n = 210
+        edges = [(0, j) for j in range(1, 201)] + [(201, 202), (202, 203)]
+        engine = _engine(Graph(n, edges))
+        s = (np.random.default_rng(4).random((3, n)) < 0.8).astype(np.int8)
+        s[0, 1:201] = 1
+        ones = engine.friends_ones(s)
+        assert ones.shape == (3, n) and ones.dtype == np.int32
+        for row in range(3):
+            for i in range(n):
+                assert ones[row, i] == sum(int(s[row, j]) for j in engine.graph.neighbors(i))
+        assert ones[0, 0] == 200
+
+    def test_edgeless_graph_plays_the_coin(self):
+        # every degree-0 user sits in her band (f = 0 = d/2) and randomizes
+        engine = _engine(Graph(5, []))
+        w, reports, in_band = engine.play(substream(1, 5, 0), 4)
+        assert in_band.all()
 
 
 class TestConditionalIndependence:
@@ -421,7 +452,7 @@ class TestLawMatchesStrategyTables:
                     f = np.arange(d + 1)
                     lo, hi = band_bounds(d, law.tau)
                     for s in (0, 1):
-                        p1, in_band = law.play(f, np.full(d + 1, s), lo, hi)
+                        p1, in_band = law.play(band_side(f, lo, hi), np.full(d + 1, s))
                         paid = in_band * law.band_cost
                         for entry in strat.entries:
                             level = entry.xi if entry.regime == SR else 0.0
