@@ -11,9 +11,13 @@ MAP rule, the majority under equal priors, on the report sum.  The closed
 forms read the same law, so simulation and analytics describe one profile.
 Trials run in blocks whose size depends only on the graph; block b owns
 the stream (master seed, trial tag, b), so results are byte-identical
-across runs and across worker counts.  Per-trial payments and privacy
-costs are integer counts times constants, and aggregation over the
-trial-indexed arrays uses exactly-rounded summation.
+across runs and across worker counts.  A block's friends' counts are
+taken at once: its trials are packed as lanes of 64-bit words (bytes
+while the largest degree fits in one), one row of words per user, and
+each user sums her friends' rows; no count can exceed the largest degree,
+so no lane overflows and the word sums are exact.  Per-trial payments and
+privacy costs are integer counts times constants, and aggregation over
+the trial-indexed arrays uses exactly-rounded summation.
 """
 
 from __future__ import annotations
@@ -83,9 +87,14 @@ class TrialResult:
 
 # Trials per block: as many as keep block x (n + 2m) user and directed-edge
 # cells within _BLOCK_CELLS, from 1 to _MAX_BLOCK.  A block's fixed cost (its
-# stream, a dozen array calls) is shared by its trials.  2**18 cells is the
-# measured knee: at 2**19 a 250-node graph runs fewer trials per second (its
-# per-user arrays outgrow the cache) and a 3700-node graph gains under 10%.
+# stream, a dozen array calls, one sum call per user) is shared by its trials.
+# The cells do not cost alike: per trial a user holds about 70 bytes of arrays
+# (her draws, table lookups, count and report), a directed edge one count lane
+# of a gathered word (a byte while the largest degree is below 256).  2**18
+# cells is the measured knee of both benchmark graphs: from 2**18 to 2**20
+# neither the 250-node README graph nor a 3700-node collaboration graph runs
+# more trials per second beyond run-to-run spread.  Both constants key the
+# random stream, so changing them changes every simulated result.
 _BLOCK_CELLS = 2**18
 _MAX_BLOCK = 256
 
@@ -119,15 +128,30 @@ class _Engine:
         self._row = offset[graph.degrees]  # user i's (d, a) entry is _row[i] + a
         self._linked = graph.degrees > 0
         self._runs = graph.recv_starts[:-1][self._linked]
+        self._lane = np.min_scalar_type(graph.max_degree())  # holds any user's count
         cells = graph.n + 2 * graph.num_edges
         self.block = min(max(_BLOCK_CELLS // cells, 1), _MAX_BLOCK)
 
     def friends_ones(self, s: np.ndarray) -> np.ndarray:
-        """Per user, how many of her friends hold private signal 1; leading axes carry over."""
-        sent = np.take(s, self.graph.directed_send, axis=-1)
-        ones = np.zeros(s.shape, dtype=np.int32)
-        ones[..., self._linked] = np.add.reduceat(sent, self._runs, axis=-1, dtype=np.int32)
-        return ones
+        """Per user, how many of her friends hold private signal 1: (rows, n) in, int32 out.
+
+        The rows are packed as lanes of the smallest unsigned type that holds
+        the largest degree, a user's lanes padded to whole 64-bit words, so
+        one gathered row of words per directed edge and one sum per user
+        count all rows at once.  A lane's count never exceeds its user's
+        degree, so no carry crosses into the next lane and the word sums
+        are exact.
+        """
+        rows, n = s.shape
+        per_word = 8 // self._lane.itemsize
+        lanes = np.zeros((n, -(-rows // per_word) * per_word), dtype=self._lane)
+        lanes[:, :rows] = s.T
+        words = lanes.view(np.uint64)
+        counts = np.zeros_like(words)
+        counts[self._linked] = np.add.reduceat(
+            np.take(words, self.graph.directed_send, axis=0), self._runs, axis=0
+        )
+        return counts.view(self._lane)[:, :rows].T.astype(np.int32)
 
     def play(self, rng: np.random.Generator, rows: int, force_w: int | None = None):
         """(w, reports, in band) of `rows` trials: shapes (rows,), (rows, n), (rows, n).

@@ -390,6 +390,14 @@ def sample_group_signals(rng: np.random.Generator, graph, s: np.ndarray, alpha: 
     return sent ^ flips
 
 
+def friends_ones_bincount(graph, s: np.ndarray) -> np.ndarray:
+    """Per row of `s` and per user, how many of her friends hold signal 1: one bincount per row."""
+    return np.array([
+        np.bincount(graph.directed_recv, weights=row[graph.directed_send], minlength=graph.n)
+        for row in s
+    ]).astype(np.int64)
+
+
 def band_side(f, lo, hi):
     """-1, 0 or 1 where the group-signal sums f fall below, inside or above lo..hi."""
     f = np.asarray(f)

@@ -514,3 +514,33 @@ class TestRealWorldLayouts:
         assert calls == {"build_graph": 1, "graph_report_moments": 2, "_summary_from_law": 0}
         manifest = json.loads((out / "manifest.json").read_text())
         assert (manifest["nodes"], manifest["edges"]) == (5242, 14496)
+
+
+class TestSimulateGolden:
+    """`simulate` output pinned byte for byte.
+
+    The files hold the output of the random stream as it stands; work that
+    keeps the stream must leave them equal.  A change that alters the
+    stream on purpose regenerates them and records the old and new cells.
+    """
+
+    def _simulate(self, tmp_path: Path, config: str, *flags: str) -> bytes:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), *flags]) == 0
+        return (out / "results.csv").read_bytes()
+
+    def test_readme_run(self, tmp_path):
+        got = self._simulate(tmp_path, README_CONFIG, "--trials", "2000")
+        assert got == (Path(__file__).parent / "golden" / "simulate_readme.csv").read_bytes()
+
+    def test_collaboration_epsilon_sweep(self, tmp_path):
+        path = write_grqc_like(tmp_path / "grqc.txt")
+        got = self._simulate(
+            tmp_path,
+            f"graph.kind = edge-list\ngraph.path = {path}\nsim.trials = 300\nsim.seed = 7\n"
+            "sweep.axis = epsilon\nsweep.values = 0.1,1\n",
+        )
+        golden = Path(__file__).parent / "golden" / "simulate_grqc_epsilon.csv"
+        assert got == golden.read_bytes()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from privmarket.strategy import SR, build_mv_strategy
 
 from conftest import make_params
 from oracles import (
-    band_side, majority_excluding, map_estimate_scalar, mirrored_moments, peer_payment,
-    trial_stats_loop, trial_stats_user_loop,
+    band_side, friends_ones_bincount, majority_excluding, map_estimate_scalar, mirrored_moments,
+    peer_payment, trial_stats_loop, trial_stats_user_loop,
 )
 from test_acceptance import PARAM_GRID
 
@@ -254,6 +255,32 @@ class TestEngineSetup:
             for i in range(n):
                 assert ones[row, i] == sum(int(s[row, j]) for j in engine.graph.neighbors(i))
         assert ones[0, 0] == 200
+
+    @pytest.mark.parametrize("hub, lane", [(255, np.uint8), (256, np.uint16), (65536, np.uint32)])
+    @pytest.mark.parametrize("rows", [1, 3, 9, 17])
+    def test_friends_ones_lanes_stay_exact(self, hub, lane, rows):
+        # a star whose hub count fills its lane, a path and an isolated
+        # user; rows of all ones beside rows of all zeros put a full lane
+        # next to an empty one, where a carry across lanes would show, and
+        # these row counts leave the last word part empty
+        n = hub + 5
+        edges = [(0, j) for j in range(1, hub + 1)] + [(hub + 1, hub + 2), (hub + 2, hub + 3)]
+        graph = Graph(n, edges)
+        params = make_params(population=n)
+        # the count never reads the law; a real side table of a 65 536-friend
+        # hub would hold two 65 537^2 float tables
+        law = SimpleNamespace(side_table=lambda degrees: (
+            np.zeros(hub + 1, dtype=np.int64), np.zeros(1), np.ones(1)))
+        engine = sim._Engine(graph, law, _simple_mech(), params)
+        assert engine._lane == lane
+        alternating = np.zeros((rows, n), dtype=np.int8)
+        alternating[::2] = 1
+        random = (np.random.default_rng(rows).random((rows, n)) < 0.5).astype(np.int8)
+        for s in (alternating, random):
+            ones = engine.friends_ones(s)
+            assert ones.shape == (rows, n) and ones.dtype == np.int32
+            np.testing.assert_array_equal(ones, friends_ones_bincount(graph, s))
+        assert engine.friends_ones(alternating)[:, 0].tolist() == [hub, 0] * (rows // 2) + [hub]
 
     def test_edgeless_graph_plays_the_coin(self):
         # every degree-0 user sits in her band (f = 0 = d/2) and randomizes
