@@ -194,4 +194,4 @@ def sample_private_signals(rng: np.random.Generator, w, params: ModelParams) -> 
     """
     w = np.asarray(w, dtype=np.int8)[..., None]
     match = rng.random(w.shape[:-1] + (params.population,)) < params.theta0
-    return np.where(match, w, 1 - w)
+    return (match ^ (w == 0)).view(np.int8)

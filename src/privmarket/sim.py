@@ -126,8 +126,6 @@ class _Engine:
         self.mech = mech
         offset, self._below, self._at_most = law.side_table(graph.degrees)
         self._row = offset[graph.degrees]  # user i's (d, a) entry is _row[i] + a
-        self._linked = graph.degrees > 0
-        self._runs = graph.recv_starts[:-1][self._linked]
         self._lane = np.min_scalar_type(graph.max_degree())  # holds any user's count
         cells = graph.n + 2 * graph.num_edges
         self.block = min(max(_BLOCK_CELLS // cells, 1), _MAX_BLOCK)
@@ -137,20 +135,25 @@ class _Engine:
 
         The rows are packed as lanes of the smallest unsigned type that holds
         the largest degree, a user's lanes padded to whole 64-bit words, so
-        one gathered row of words per directed edge and one sum per user
-        count all rows at once.  A lane's count never exceeds its user's
-        degree, so no carry crosses into the next lane and the word sums
-        are exact.
+        one gathered row of words per directed edge counts all rows at once.
+        The gathered rows are summed in place into a prefix sum, and a
+        user's counts are its difference across her run of received edges
+        (`recv_starts`).  The prefix sum carries across lanes and wraps,
+        but its differences are exact modulo 2**64, and a user's true word
+        sum is below 2**64 with no carry between lanes, because no lane's
+        count exceeds her degree.
         """
         rows, n = s.shape
         per_word = 8 // self._lane.itemsize
         lanes = np.zeros((n, -(-rows // per_word) * per_word), dtype=self._lane)
         lanes[:, :rows] = s.T
         words = lanes.view(np.uint64)
-        counts = np.zeros_like(words)
-        counts[self._linked] = np.add.reduceat(
-            np.take(words, self.graph.directed_send, axis=0), self._runs, axis=0
-        )
+        send = self.graph.directed_send
+        sums = np.zeros((len(send) + 1, words.shape[1]), dtype=np.uint64)
+        np.take(words, send, axis=0, out=sums[1:])
+        np.cumsum(sums, axis=0, out=sums)
+        starts = self.graph.recv_starts
+        counts = sums[starts[1:]] - sums[starts[:-1]]
         return counts.view(self._lane)[:, :rows].T.astype(np.int32)
 
     def play(self, rng: np.random.Generator, rows: int, force_w: int | None = None):
