@@ -5,10 +5,11 @@ priors: the equilibrium majority-voting profile (band half-width tau solved
 from the model, randomized-response level epsilon inside the band) and the
 all-non-disclosive baseline (tau = 0, epsilon = 0, i.e. a fair coin at
 ties).  `ReportLaw` captures one such profile: `band_bounds` gives a
-degree's band, `ReportLaw.play` is what each user reports and pays given
-her sum's side of the band, `ReportLaw.side_table` is the law of that side
-given her degree and her friends' signals (the Monte Carlo engine draws
-from it and plays), and the per-degree conditional report probabilities
+degree's band, `ReportLaw.side_table` is the law of a user's group-signal
+sum's side of the band given her degree and her friends' signals, and
+`ReportLaw.cut_table` splits each of those laws by what she reports, so
+that the Monte Carlo engine draws a user's whole move (report and band
+side) from one uniform.  The per-degree conditional report probabilities
 that everything else is assembled from are sums over the same band.
 
 Two variance coefficients are reported side by side:
@@ -217,19 +218,25 @@ class ReportLaw:
         below, at_most = np.concatenate(blocks, axis=1)
         return offset, below, at_most
 
-    # -- single-user -----------------------------------------------------
-    def play(self, side, s) -> tuple[np.ndarray, np.ndarray]:
-        """(Pr(report 1), in band) of users whose group-signal sums fall on `side` of their band.
+    def cut_table(self, below: np.ndarray, at_most: np.ndarray) -> np.ndarray:
+        """cut[e, s]: where a user of `side_table` entry e and own signal s starts reporting 1.
 
-        `side` is -1 below the band, 0 inside it and 1 above it, and `s`
-        holds the users' own signals.  Inside the band a user randomizes
-        her signal at level epsilon (a fair coin when epsilon = 0) and pays
-        `band_cost` = g(epsilon); outside it she reports the group majority
-        at no cost.
+        One uniform u per user draws her whole move.  Her unit interval is
+        split into four cells: [0, below) lies below the band and reports
+        0, [below, cut) lies in the band and reports 0, [cut, at_most) lies
+        in the band and reports 1, and [at_most, 1) lies above the band
+        and reports 1.  So she reports u >= cut and sits in her band when
+        below <= u < at_most.  Inside the band she randomizes her signal at
+        level epsilon (a fair coin when epsilon = 0) and pays `band_cost` =
+        g(epsilon); outside it she reports the group majority at no cost.
+        The cut is at_most - (at_most - below) * Pr(randomized report = 1 | s),
+        clipped to [below, at_most] so that rounding never lets two cells
+        overlap.
         """
-        in_band = side == 0
-        return np.where(in_band, self._coin.take(s), side > 0), in_band
+        lo, hi = below[:, None], at_most[:, None]
+        return np.clip(hi - (hi - lo) * self._coin, lo, hi)
 
+    # -- single-user -----------------------------------------------------
     def mean(self, d: int) -> float:
         """Pr(X = 1 | W = 1, degree d)."""
         if d < 0:

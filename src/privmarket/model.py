@@ -7,7 +7,7 @@ is either an immutable parameter object or a pure sampling function driven
 by an explicitly passed `numpy.random.Generator`.  The group signals are
 not sampled edge by edge: a user acts on hers only through their sum's side
 of her band, which the Monte Carlo engine draws from its exact law
-(`analytics.ReportLaw.side_table`).
+(`analytics.ReportLaw.side_table`) with the same uniform as her report.
 
 Randomness contract: streams are derived from a master seed plus a purpose
 tag and index via `substream`, so that any piece of the simulation can be

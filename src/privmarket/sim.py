@@ -2,22 +2,27 @@
 
 A trial draws the world state and the private signals on a fixed graph
 with the model's samplers, counts each user's friends holding signal 1,
-draws the side of her band her group-signal sum falls on from its exact
-law given her degree and that count (`ReportLaw.side_table`; the per-edge
-flips never enter a report otherwise), lets every user play the profile's
-`ReportLaw` (randomize inside her band, report the group majority outside
-it), pays every user through the peer mechanism, and runs the collector's
-MAP rule, the majority under equal priors, on the report sum.  The closed
-forms read the same law, so simulation and analytics describe one profile.
-Trials run in blocks whose size depends only on the graph; block b owns
-the stream (master seed, trial tag, b), so results are byte-identical
-across runs and across worker counts.  A block's friends' counts are
-taken at once: its trials are packed as lanes of 64-bit words (bytes
-while the largest degree fits in one), one row of words per user, and
-each user sums her friends' rows; no count can exceed the largest degree,
-so no lane overflows and the word sums are exact.  Per-trial payments and
-privacy costs are integer counts times constants, and aggregation over
-the trial-indexed arrays uses exactly-rounded summation.
+and draws each user's whole move from one uniform: the law of her
+group-signal sum's side of her band given her degree and that count
+(`ReportLaw.side_table`; the per-edge flips never enter a report
+otherwise), split by what the profile's `ReportLaw` has her report there
+(randomize inside her band, report the group majority outside it;
+`ReportLaw.cut_table`), takes four cells of her unit interval, so one
+threshold table indexed by (degree, friends' ones, own signal) gives her
+report and whether she pays for being in her band.  Every user is paid
+through the peer mechanism, and the collector's MAP rule, the majority
+under equal priors, runs on the report sum.  The closed forms read the
+same law, so simulation and analytics describe one profile.  Trials run
+in blocks whose size depends only on the graph; block b owns the stream
+(master seed, trial tag, b), so results are byte-identical across runs
+and across worker counts.  A block's friends' counts are taken at once:
+its trials are packed as lanes of 64-bit words (bytes while the largest
+degree fits in one), one row of words per user, and the friends' rows
+gathered for all users are summed into one prefix sum, which each user
+differences across her run of friends; no count can exceed the largest
+degree, so no lane overflows and the differences are exact.  Per-trial
+payments and privacy costs are integer counts times constants, and
+aggregation over the trial-indexed arrays uses exactly-rounded summation.
 """
 
 from __future__ import annotations
@@ -87,14 +92,15 @@ class TrialResult:
 
 # Trials per block: as many as keep block x (n + 2m) user and directed-edge
 # cells within _BLOCK_CELLS, from 1 to _MAX_BLOCK.  A block's fixed cost (its
-# stream, a dozen array calls, one sum call per user) is shared by its trials.
-# The cells do not cost alike: per trial a user holds about 70 bytes of arrays
-# (her draws, table lookups, count and report), a directed edge one count lane
-# of a gathered word (a byte while the largest degree is below 256).  2**18
-# cells is the measured knee of both benchmark graphs: from 2**18 to 2**20
-# neither the 250-node README graph nor a 3700-node collaboration graph runs
-# more trials per second beyond run-to-run spread.  Both constants key the
-# random stream, so changing them changes every simulated result.
+# stream and a few dozen array calls) is shared by its trials.  The cells do
+# not cost alike: per trial a user holds about 50 bytes of arrays (two
+# uniforms, her signal, table key, three table lookups, report and band
+# flags), a directed edge one count lane of a gathered word and its share of
+# the word's prefix sum (a byte while the largest degree is below 256).
+# 2**18 cells is the measured knee of both benchmark graphs: from 2**18 to
+# 2**20 neither the 250-node README graph nor a 3700-node collaboration graph
+# runs more trials per second beyond run-to-run spread.  Both constants key
+# the random stream, so changing them changes every simulated result.
 _BLOCK_CELLS = 2**18
 _MAX_BLOCK = 256
 
@@ -124,8 +130,12 @@ class _Engine:
         self.law = law
         self.params = params
         self.mech = mech
-        offset, self._below, self._at_most = law.side_table(graph.degrees)
-        self._row = offset[graph.degrees]  # user i's (d, a) entry is _row[i] + a
+        offset, below, at_most = law.side_table(graph.degrees)
+        # Entry 2 * (offset[d] + a) + s of each table serves a user of degree
+        # d, a of whose friends hold signal 1, with own signal s.
+        self._below, self._at_most = np.repeat(below, 2), np.repeat(at_most, 2)
+        self._cut = law.cut_table(below, at_most).ravel()
+        self._row = (2 * offset[graph.degrees]).astype(np.int32)
         self._lane = np.min_scalar_type(graph.max_degree())  # holds any user's count
         cells = graph.n + 2 * graph.num_edges
         self.block = min(max(_BLOCK_CELLS // cells, 1), _MAX_BLOCK)
@@ -149,30 +159,34 @@ class _Engine:
         lanes[:, :rows] = s.T
         words = lanes.view(np.uint64)
         send = self.graph.directed_send
-        sums = np.zeros((len(send) + 1, words.shape[1]), dtype=np.uint64)
+        sums = np.empty((len(send) + 1, words.shape[1]), dtype=np.uint64)
+        sums[0] = 0
         np.take(words, send, axis=0, out=sums[1:])
         np.cumsum(sums, axis=0, out=sums)
-        starts = self.graph.recv_starts
-        counts = sums[starts[1:]] - sums[starts[:-1]]
+        counts = np.diff(sums[self.graph.recv_starts], axis=0)
         return counts.view(self._lane)[:, :rows].T.astype(np.int32)
 
     def play(self, rng: np.random.Generator, rows: int, force_w: int | None = None):
         """(w, reports, in band) of `rows` trials: shapes (rows,), (rows, n), (rows, n).
 
         A user's received bits enter her report only through the side of
-        her band their sum falls on, so that side is drawn from its exact
-        law given her degree and her friends' signals (`side_table`), one
-        uniform per user instead of one flip per directed edge.
+        her band their sum falls on, and that side's law given her degree
+        and her friends' signals (`side_table`), split by what she then
+        reports (`cut_table`), takes four cells of her unit interval.  So
+        one uniform per user draws her report and whether she sits in her
+        band, instead of one flip per directed edge and a coin.
         """
         w = sample_world(rng, self.params, rows)
         if force_w is not None:
             w[:] = force_w
         s = sample_private_signals(rng, w, self.params)
-        entry = self._row + self.friends_ones(s)
-        u = rng.random(entry.shape)
-        side = (u >= self._at_most.take(entry)).astype(np.int8) - (u < self._below.take(entry))
-        p1, in_band = self.law.play(side, s)
-        reports = rng.random(p1.shape) < p1
+        key = self.friends_ones(s)
+        key *= 2
+        key += s
+        key += self._row
+        u = rng.random(key.shape)
+        reports = u >= self._cut.take(key)
+        in_band = (u >= self._below.take(key)) & (u < self._at_most.take(key))
         return w, reports, in_band
 
     def stats(self, w, reports, in_band) -> np.ndarray:

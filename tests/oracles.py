@@ -372,7 +372,8 @@ def peer_payment(x_i: int, m, cfg: MechanismConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the per-trial engine the block engine replaced, and its per-edge draw
+# the per-trial engine the block engine replaced: its per-edge draw and its
+# report rule given the band side (the block engine draws both from one uniform)
 # ---------------------------------------------------------------------------
 
 def sample_group_signals(rng: np.random.Generator, graph, s: np.ndarray, alpha: float) -> np.ndarray:
@@ -402,6 +403,24 @@ def band_side(f, lo, hi):
     """-1, 0 or 1 where the group-signal sums f fall below, inside or above lo..hi."""
     f = np.asarray(f)
     return (f > hi).astype(np.int8) - (f < lo)
+
+
+def randomized_one(epsilon: float, s):
+    """Pr(randomized report = 1) of users with own signals `s` at level epsilon."""
+    ee = math.exp(epsilon)
+    return np.where(np.asarray(s) == 1, ee / (ee + 1.0), 1.0 / (ee + 1.0))
+
+
+def play_side(law, side, s) -> tuple[np.ndarray, np.ndarray]:
+    """(Pr(report 1), in band) of users whose group-signal sums fall on `side` of their band.
+
+    `side` is -1 below the band, 0 inside it and 1 above it, and `s` holds
+    the users' own signals.  Inside the band a user randomizes her signal
+    at level epsilon (a fair coin when epsilon = 0); outside it she reports
+    the group majority.
+    """
+    in_band = np.asarray(side) == 0
+    return np.where(in_band, randomized_one(law.epsilon, s), np.asarray(side) > 0), in_band
 
 
 def side_probs_enumerated(d: int, a: int, lo: int, hi: int, alpha: float) -> tuple[float, float]:
@@ -463,7 +482,7 @@ def trial_stats_loop(engine, master_seed: int, index: int, moments) -> tuple:
     s = sample_private_signals(rng, w, params)
     bits = sample_group_signals(rng, graph, s, params.alpha)
     f = np.bincount(graph.directed_recv, weights=bits, minlength=graph.n)
-    p1, in_band = law.play(band_side(f, *band_bounds(graph.degrees, law.tau)), s)
+    p1, in_band = play_side(law, band_side(f, *band_bounds(graph.degrees, law.tau)), s)
     return _score(engine, w, (rng.random(graph.n) < p1).astype(np.int64), in_band, moments)
 
 
@@ -471,10 +490,12 @@ def trial_stats_user_loop(engine, master_seed: int, index: int, moments) -> tupl
     """One trial of an `_Engine`'s experiment in the engine's own stream, user by user.
 
     Trial `index` owns the stream (master seed, trial tag, index) and draws
-    one world bit, n signals, one uniform per user for the side of her band
-    (against `side_probs_comb` at her degree and her count of friends with
-    signal 1, found by a loop over her neighbours) and n reports, as a
-    one-row block does.
+    one world bit, n signals and one uniform u per user, as a one-row block
+    does.  A user's side law comes from `side_probs_comb` at her degree and
+    her count of friends with signal 1, found by a loop over her
+    neighbours: she sits in her band when Pr(f < lo) <= u < Pr(f <= hi),
+    and reports 1 when u lies in the top `randomized_one` share of the
+    band or above it.
     """
     graph, law, params = engine.graph, engine.law, engine.params
     n = graph.n
@@ -482,15 +503,17 @@ def trial_stats_user_loop(engine, master_seed: int, index: int, moments) -> tupl
     w = sample_world(rng, params)
     s = sample_private_signals(rng, w, params)
     u = rng.random(n)
-    side = np.empty(n, dtype=np.int8)
+    reports = np.empty(n, dtype=np.int64)
+    in_band = np.empty(n, dtype=bool)
     for i in range(n):
         d = int(graph.degrees[i])
         a = sum(int(s[j]) for j in graph.neighbors(i))
         lo, hi = (int(b) for b in band_bounds(d, law.tau))
         below, at_most = side_probs_comb(d, a, lo, hi, params.alpha)
-        side[i] = 1 if u[i] >= at_most else (-1 if u[i] < below else 0)
-    p1, in_band = law.play(side, s)
-    return _score(engine, w, (rng.random(n) < p1).astype(np.int64), in_band, moments)
+        cut = at_most - (at_most - below) * float(randomized_one(law.epsilon, s[i]))
+        reports[i] = u[i] >= min(max(cut, below), at_most)
+        in_band[i] = below <= u[i] < at_most
+    return _score(engine, w, reports, in_band, moments)
 
 
 def _score(engine, w: int, reports: np.ndarray, in_band: np.ndarray, moments) -> tuple:

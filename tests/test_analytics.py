@@ -128,6 +128,42 @@ class TestSideTable:
             assert got == pytest.approx(side_probs_comb(40, a, lo, hi, 0.25), abs=1e-12, rel=0)
 
 
+class TestCutTable:
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.25, 0.45])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+    def test_cells_split_the_side_law_by_report(self, alpha, epsilon):
+        # every degree d <= 10, count a and own signal s: the four cells of
+        # the unit interval hold Pr(f < lo), the band mass times
+        # Pr(randomized report = 0 | s) and = 1 | s, and Pr(f > hi)
+        params = make_params(alpha=alpha, epsilon=epsilon)
+        for law in (mv_report_law(params), nd_report_law(params)):
+            ee = math.exp(law.epsilon)  # the nd profile's coin is fair at every epsilon
+            coin = (1.0 / (ee + 1.0), ee / (ee + 1.0))
+            offset, below, at_most = law.side_table(np.arange(11))
+            cut = law.cut_table(below, at_most)
+            assert cut.shape == (len(below), 2)
+            for d in range(11):
+                lo, hi = (int(b) for b in band_bounds(d, law.tau))
+                for a in range(d + 1):
+                    e = offset[d] + a
+                    lower, upper = below[e], at_most[e]
+                    band = upper - lower
+                    p_below, p_at_most = side_probs_enumerated(d, a, lo, hi, alpha)
+                    for s in (0, 1):
+                        c = cut[e, s]
+                        assert lower <= c <= upper, (d, a, s)
+                        assert c - lower == pytest.approx(band * (1.0 - coin[s]), abs=1e-15, rel=0)
+                        assert upper - c == pytest.approx(band * coin[s], abs=1e-15, rel=0)
+                        cells = (lower, c - lower, upper - c, 1.0 - upper)
+                        exact = (
+                            p_below,
+                            (p_at_most - p_below) * (1.0 - coin[s]),
+                            (p_at_most - p_below) * coin[s],
+                            1.0 - p_at_most,
+                        )
+                        assert cells == pytest.approx(exact, abs=1e-12, rel=0), (d, a, s)
+
+
 class TestMvMoments:
     def test_no_learning_reduces_to_single_responder(self):
         params = make_params(epsilon=0.1)

@@ -28,7 +28,7 @@ from privmarket.strategy import SR, build_mv_strategy
 
 from conftest import make_params
 from oracles import (
-    band_side, friends_ones_bincount, majority_excluding, map_estimate_scalar, mirrored_moments,
+    friends_ones_bincount, majority_excluding, map_estimate_scalar, mirrored_moments,
     peer_payment, trial_stats_loop, trial_stats_user_loop,
 )
 from test_acceptance import PARAM_GRID
@@ -136,7 +136,7 @@ class TestBlockEngine:
         _, _, engine, analytic = sim._build_experiment(cfg)
         moments = mirrored_moments(analytic.mu1, analytic.kappa1)
         trials = 2000
-        w, _, paid, _, sums, matched = sim._run_trials(engine, 11, trials, 1)
+        w, _, paid, cost, sums, matched = sim._run_trials(engine, 11, trials, 1)
         loop = np.array([trial_stats_loop(engine, 12, i, moments) for i in range(trials)])
         n = engine.graph.n
 
@@ -146,6 +146,8 @@ class TestBlockEngine:
 
         assert gap_in_se(sums[w == 1] / n, loop[loop[:, 0] == 1, 4] / n) < 4
         assert gap_in_se(paid, loop[:, 2]) < 4
+        # one uniform draws both a user's band side and her report
+        assert gap_in_se(cost, loop[:, 3]) < 4
         assert gap_in_se(matched, loop[:, 5]) < 4
 
     def test_run_trial_is_a_one_row_block_of_the_loop_stream(self):
@@ -269,8 +271,10 @@ class TestEngineSetup:
         params = make_params(population=n)
         # the count never reads the law; a real side table of a 65 536-friend
         # hub would hold two 65 537^2 float tables
-        law = SimpleNamespace(side_table=lambda degrees: (
-            np.zeros(hub + 1, dtype=np.int64), np.zeros(1), np.ones(1)))
+        law = SimpleNamespace(
+            side_table=lambda degrees: (np.zeros(hub + 1, dtype=np.int64), np.zeros(1), np.ones(1)),
+            cut_table=lambda below, at_most: np.ones((1, 2)),
+        )
         engine = sim._Engine(graph, law, _simple_mech(), params)
         assert engine._lane == lane
         alternating = np.zeros((rows, n), dtype=np.int8)
@@ -466,7 +470,9 @@ class TestLawMatchesStrategyTables:
     def test_report_probabilities_and_costs_match_bisection(self):
         # Under equal priors the tables hold the closed-form xi(f) = epsilon
         # in every cell (test_strategy checks it against the bisection) and
-        # cut at d/2 +- tau, so the law plays the table's rows.
+        # cut at d/2 +- tau, so the law plays the table's rows.  A user whose
+        # sum is f for sure has below, at_most in {0, 1}: she reports 1 with
+        # probability 1 - cut and sits in her band with at_most - below.
         worst = 0.0
         for base in PARAM_GRID:
             for cost in (quadratic_cost(), linear_capped_cost()):
@@ -478,9 +484,11 @@ class TestLawMatchesStrategyTables:
                     strat = build_mv_strategy(d, params)
                     f = np.arange(d + 1)
                     lo, hi = band_bounds(d, law.tau)
+                    below, at_most = (f < lo).astype(float), (f <= hi).astype(float)
+                    cut = law.cut_table(below, at_most)
+                    paid = (at_most - below) * law.band_cost
                     for s in (0, 1):
-                        p1, in_band = law.play(band_side(f, lo, hi), np.full(d + 1, s))
-                        paid = in_band * law.band_cost
+                        p1 = 1.0 - cut[:, s]
                         for entry in strat.entries:
                             level = entry.xi if entry.regime == SR else 0.0
                             worst = max(
