@@ -32,15 +32,15 @@ for p_e in (0.5, math.exp(-b_nd), math.exp(-b_nd) / 10.0, 1e-4):
         print(f"target P_e = {p_e:9.2e}: tight -- per-user bound {rep.bound_per_user:.4f}")
 
 print("\nsimulated baseline run (all users non-disclosive, payments scaled for delta = 1e-6):")
-ref = run_experiment(
-    apply_overrides(default_config(), ["sim.profile=nd", "sim.trials=300"]), trials=300
+(ref,) = run_experiment(
+    [apply_overrides(default_config(), ["sim.profile=nd", "sim.trials=300"])], trials=300
 )
 scale = 1e-6 / ref.analytic.payment_per_user
 cfg = apply_overrides(
     default_config(),
     ["sim.profile=nd", "sim.trials=2000", f"mechanism.payment_scale={scale!r}"],
 )
-result = run_experiment(cfg)
+(result,) = run_experiment([cfg])
 print(f"  avg privacy cost: {result.avg_privacy_cost.value} (exactly zero)")
 print(f"  total payment:    {result.avg_payment_per_user.value * 250:.3e} "
       f"(target {1e-6 * 250:.3e})")

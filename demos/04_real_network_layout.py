@@ -45,7 +45,7 @@ with tempfile.TemporaryDirectory(prefix="privmarket_demo_") as workdir:
         default_config(),
         ["graph.kind=edge-list", f"graph.path={path}", "sim.trials=400"],
     )
-    res = run_experiment(cfg)
+    (res,) = run_experiment([cfg])
 print(f"\nsimulated {res.trials} rounds on the ingested graph:")
 print(f"  accuracy         {res.accuracy.value:.4f} +/- {res.accuracy.ci_half:.4f}")
 print(f"  payment per user {res.avg_payment_per_user.value:.4f}")

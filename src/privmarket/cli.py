@@ -164,8 +164,8 @@ def cmd_simulate(cfg: RunConfig, out: _AtomicOutputs) -> None:
         extra = {"sweep_axis": cfg.sweep.axis, "sweep_values": values}
         first = rows[0].result
     else:
-        first = simmod.run_experiment(cfg, trials=trials, workers=workers,
-                                      axis_value=cfg.graph.avg_degree)
+        (first,) = simmod.run_experiment([cfg], trials=trials, workers=workers,
+                                         axis_values=[cfg.graph.avg_degree])
         csv_text = simmod.simresult_csv(first)
         extra = {"nodes": first.nodes}
     if cfg.graph.kind == EDGE_LIST:

@@ -469,25 +469,26 @@ def map_estimate_scalar(sum_reports: float, n: int, summary, prior_w1: float) ->
     return 1 if lhs > rhs else 0
 
 
-def trial_stats_loop(engine, master_seed: int, index: int, moments) -> tuple:
-    """One trial of an `_Engine`'s experiment, drawn edge by edge and scored on its own.
+def trial_stats_loop(engine, point, master_seed: int, index: int, moments) -> tuple:
+    """One trial of an `_Engine` point's experiment, drawn edge by edge and scored on its own.
 
     Trial `index` owns the stream (master seed, trial tag, index) and draws
     one world bit, then vectors of n signals, 2m group-signal bits and n
-    reports.  This is the engine's law, not its stream.
+    reports.  This is the point's law, not the engine's stream.
     """
-    graph, law, params = engine.graph, engine.law, engine.params
+    graph, law, params = engine.graph, point.law, engine.params
     rng = substream(master_seed, TAG_TRIAL, index)
     w = sample_world(rng, params)
     s = sample_private_signals(rng, w, params)
     bits = sample_group_signals(rng, graph, s, params.alpha)
     f = np.bincount(graph.directed_recv, weights=bits, minlength=graph.n)
     p1, in_band = play_side(law, band_side(f, *band_bounds(graph.degrees, law.tau)), s)
-    return _score(engine, w, (rng.random(graph.n) < p1).astype(np.int64), in_band, moments)
+    return _score(engine, point, w, (rng.random(graph.n) < p1).astype(np.int64), in_band,
+                  moments)
 
 
-def trial_stats_user_loop(engine, master_seed: int, index: int, moments) -> tuple:
-    """One trial of an `_Engine`'s experiment in the engine's own stream, user by user.
+def trial_stats_user_loop(engine, point, master_seed: int, index: int, moments) -> tuple:
+    """One trial of an `_Engine` point's experiment in the engine's own stream, user by user.
 
     Trial `index` owns the stream (master seed, trial tag, index) and draws
     one world bit, n signals and one uniform u per user, as a one-row block
@@ -497,7 +498,7 @@ def trial_stats_user_loop(engine, master_seed: int, index: int, moments) -> tupl
     and reports 1 when u lies in the top `randomized_one` share of the
     band or above it.
     """
-    graph, law, params = engine.graph, engine.law, engine.params
+    graph, law, params = engine.graph, point.law, engine.params
     n = graph.n
     rng = substream(master_seed, TAG_TRIAL, index)
     w = sample_world(rng, params)
@@ -513,16 +514,16 @@ def trial_stats_user_loop(engine, master_seed: int, index: int, moments) -> tupl
         cut = at_most - (at_most - below) * float(randomized_one(law.epsilon, s[i]))
         reports[i] = u[i] >= min(max(cut, below), at_most)
         in_band[i] = below <= u[i] < at_most
-    return _score(engine, w, reports, in_band, moments)
+    return _score(engine, point, w, reports, in_band, moments)
 
 
-def _score(engine, w: int, reports: np.ndarray, in_band: np.ndarray, moments) -> tuple:
+def _score(engine, point, w: int, reports: np.ndarray, in_band: np.ndarray, moments) -> tuple:
     """(w, correct, payment, privacy cost, report sum, majority match) of one trial.
 
     Per-user payments and privacy costs are summed with `fsum` and divided
     by n.  The collector's estimate is the quadratic MAP rule on `moments`.
     """
-    law, mech, n = engine.law, engine.mech, engine.graph.n
+    law, mech, n = point.law, point.mech, engine.graph.n
     total = int(reports.sum())
     majority_others = (total - reports) >= (n - 1) // 2 + 1
     payments = np.where(

@@ -138,7 +138,7 @@ def test_criterion_3_noiseless_exactness():
 def test_criterion_4_monte_carlo_default_config():
     start = time.monotonic()
     cfg = apply_overrides(default_config(), ["sim.trials=10000", "sim.workers=2"])
-    result = run_experiment(cfg)
+    (result,) = run_experiment([cfg])
     n = cfg.model.population
     mu_gap = abs(result.empirical_mu1.value - result.analytic.mu1)
     mu_ok = mu_gap < 3 * result.empirical_mu1.se
@@ -234,14 +234,14 @@ def test_criterion_9_baseline_regime():
     probe_cfg = apply_overrides(
         default_config(), ["sim.profile=nd", "sim.trials=200", "model.population=250"]
     )
-    ref = run_experiment(probe_cfg, trials=200)
+    (ref,) = run_experiment([probe_cfg], trials=200)
     scale = delta / ref.analytic.payment_per_user
     cfg = apply_overrides(
         default_config(),
         ["sim.profile=nd", "sim.trials=2000", "model.population=250",
          f"mechanism.payment_scale={scale!r}"],
     )
-    result = run_experiment(cfg)
+    (result,) = run_experiment([cfg])
     total = result.avg_payment_per_user.value * 250
     target = delta * 250
     pay_ok = abs(total - target) < max(3 * result.avg_payment_per_user.se * 250, 0.1 * target)
@@ -284,8 +284,8 @@ def test_criterion_11_determinism():
     cfg = apply_overrides(
         default_config(), ["sim.trials=150", "model.population=120", "sim.seed=777"]
     )
-    outputs = {w: simresult_csv(run_experiment(cfg, workers=w)) for w in (1, 4, 16)}
-    rerun = simresult_csv(run_experiment(cfg, workers=4))
+    outputs = {w: simresult_csv(run_experiment([cfg], workers=w)[0]) for w in (1, 4, 16)}
+    rerun = simresult_csv(run_experiment([cfg], workers=4)[0])
     sweep_a = sweep_csv(sweep(cfg, "epsilon", [0.1, 0.3], trials=60, workers=1))
     sweep_b = sweep_csv(sweep(cfg, "epsilon", [0.1, 0.3], trials=60, workers=4))
     ok = (

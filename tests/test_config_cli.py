@@ -544,3 +544,13 @@ class TestSimulateGolden:
         )
         golden = Path(__file__).parent / "golden" / "simulate_grqc_epsilon.csv"
         assert got == golden.read_bytes()
+
+    def test_collaboration_alpha_sweep(self, tmp_path):
+        path = write_grqc_like(tmp_path / "grqc.txt")
+        got = self._simulate(
+            tmp_path,
+            f"graph.kind = edge-list\ngraph.path = {path}\nsim.trials = 300\nsim.seed = 7\n"
+            "sweep.axis = alpha\nsweep.values = 0.1,0.25,0.4\n",
+        )
+        golden = Path(__file__).parent / "golden" / "simulate_grqc_alpha.csv"
+        assert got == golden.read_bytes()

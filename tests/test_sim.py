@@ -123,7 +123,7 @@ class TestEngineMatchesMechanismOps:
 def _engine(graph):
     params = make_params(population=graph.n)
     mech = MechanismConfig(z0=1.7, z1=2.1)
-    return sim._Engine(graph, mv_report_law(params), mech, params)
+    return sim._Engine(graph, [mv_report_law(params)], [mech], params)
 
 
 def _er_engine(n, avg_degree):
@@ -133,11 +133,13 @@ def _er_engine(n, avg_degree):
 class TestBlockEngine:
     def test_agrees_with_per_trial_loop(self):
         cfg = apply_overrides(default_config(), ["model.population=60"])
-        _, _, engine, analytic = sim._build_experiment(cfg)
+        _, engine, (analytic,) = sim._build_experiment([cfg])
+        (point,) = engine.points
         moments = mirrored_moments(analytic.mu1, analytic.kappa1)
         trials = 2000
-        w, _, paid, cost, sums, matched = sim._run_trials(engine, 11, trials, 1)
-        loop = np.array([trial_stats_loop(engine, 12, i, moments) for i in range(trials)])
+        w, counts = sim._run_trials(engine, 11, trials, 1)
+        w, _, paid, cost, sums, matched = point.stats(w, *counts[0])
+        loop = np.array([trial_stats_loop(engine, point, 12, i, moments) for i in range(trials)])
         n = engine.graph.n
 
         def gap_in_se(a, b):
@@ -152,12 +154,14 @@ class TestBlockEngine:
 
     def test_run_trial_is_a_one_row_block_of_the_loop_stream(self):
         engine = _er_engine(40, 3.0)
-        moments = mirrored_moments(*graph_report_moments(engine.graph, engine.law))
+        (point,) = engine.points
+        moments = mirrored_moments(*graph_report_moments(engine.graph, point.law))
         for k in range(10):
             trial = run_trial(
-                substream(8, 5, k), engine.graph, engine.law, engine.mech, engine.params
+                substream(8, 5, k), engine.graph, point.law, point.mech, engine.params
             )
-            w, correct, paid, cost, total, _ = trial_stats_user_loop(engine, 8, k, moments)
+            w, correct, paid, cost, total, _ = trial_stats_user_loop(
+                engine, point, 8, k, moments)
             assert (trial.w, int(trial.w_hat == trial.w), trial.sum_reports) == (w, correct, total)
             assert math.fsum(trial.payments) / 40 == paid
             assert math.fsum(trial.privacy_costs) / 40 == cost
@@ -166,9 +170,16 @@ class TestBlockEngine:
     def test_count_statistics_match_per_user_sums(self, n, avg_degree):
         engine = _er_engine(n, avg_degree)
         assert engine.block > 1
-        w, reports, in_band = engine.play(substream(21, 5, 0), engine.block)
-        _, _, paid, cost, sums, matched = engine.stats(w, reports, in_band)
-        mech, law = engine.mech, engine.law
+        (point,) = engine.points
+        w, key, u = engine.draw(substream(21, 5, 0), engine.block)
+        reports, in_band = point.play(key, u)
+        k1, band = reports.sum(axis=1), in_band.sum(axis=1)
+        # a block keeps only the world bits and these counts
+        block_w, ((block_k1, block_band),) = engine.counts(substream(21, 5, 0), engine.block)
+        assert (block_w.tolist(), block_k1.tolist(), block_band.tolist()) == (
+            w.tolist(), k1.tolist(), band.tolist())
+        _, _, paid, cost, sums, matched = point.stats(block_w, block_k1, block_band)
+        mech, law = point.mech, point.law
         for row in range(engine.block):
             x = [int(v) for v in reports[row]]
             majorities = [majority_excluding(x, i) for i in range(n)]
@@ -181,12 +192,12 @@ class TestBlockEngine:
     def test_leading_trials_do_not_depend_on_trial_count(self):
         engine = _er_engine(100, 4.0)
         b = engine.block
-        longest = sim._run_trials(engine, 3, 3 * b + 2, 1)
+        longest_w, longest = sim._run_trials(engine, 3, 3 * b + 2, 1)
         for trials in (2, b - 1, b, b + 1, 3 * b + 2):
-            stats = sim._run_trials(engine, 3, trials, 1)
-            assert stats.shape == (6, trials)
-            for short, full in zip(stats, longest):
-                assert short.tobytes() == full[:trials].tobytes()
+            w, counts = sim._run_trials(engine, 3, trials, 1)
+            assert w.shape == (trials,) and counts.shape == (1, 2, trials)
+            assert w.tobytes() == longest_w[:trials].tobytes()
+            assert counts.tobytes() == longest[..., :trials].tobytes()
 
     @pytest.mark.parametrize("n, degree", [(7, 2), (250, 4), (2000, 4), (9000, 6), (40000, 6)])
     def test_block_stays_within_cell_budget(self, n, degree):
@@ -222,17 +233,17 @@ class TestBlockEngine:
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", RecordingPool)
         monkeypatch.setattr(sim, "_POOL_ENGINE", None)
         cfg = apply_overrides(default_config(), ["model.population=100"])
-        trials = 2 * sim._build_experiment(cfg)[2].block
-        wide = simresult_csv(run_experiment(cfg, trials=trials, workers=64))
+        trials = 2 * sim._build_experiment([cfg])[1].block
+        wide = simresult_csv(run_experiment([cfg], trials=trials, workers=64)[0])
         assert requested == [2]
-        assert wide == simresult_csv(run_experiment(cfg, trials=trials, workers=1))
+        assert wide == simresult_csv(run_experiment([cfg], trials=trials, workers=1)[0])
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ConfigError, match="sim.workers"):
             apply_overrides(default_config(), ["sim.workers=0"])
         cfg = apply_overrides(default_config(), ["model.population=60"])
         with pytest.raises(ValueError, match="workers"):
-            run_experiment(cfg, trials=10, workers=0)
+            run_experiment([cfg], trials=10, workers=0)
 
 
 class TestEngineSetup:
@@ -240,9 +251,24 @@ class TestEngineSetup:
         params = make_params(population=7)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         with pytest.raises(ParameterError, match="6 nodes but params.population is 7"):
-            sim._Engine(graph, mv_report_law(params), _simple_mech(), params)
+            sim._Engine(graph, [mv_report_law(params)], [_simple_mech()], params)
         with pytest.raises(ParameterError):
             run_trial(substream(3, 5, 0), graph, mv_report_law(params), _simple_mech(), params)
+
+    @pytest.mark.parametrize("field, value", [
+        ("population", 7), ("prior_w1", 0.6), ("theta0", 0.8),
+    ])
+    def test_laws_must_share_the_draw_inputs(self, field, value):
+        # a draw reads population, prior_w1 and theta0: a law that differs
+        # in any of them cannot be played on it
+        params = make_params(population=6)
+        graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+        other = nd_report_law(make_params(**{"population": 6, field: value}))
+        with pytest.raises(ParameterError, match=f"law 1 has {field} = {value} "):
+            sim._Engine(graph, [mv_report_law(params), other], [_simple_mech()] * 2, params)
+        alpha_eps = mv_report_law(make_params(population=6, alpha=0.1, epsilon=1.0))
+        engine = sim._Engine(graph, [mv_report_law(params), alpha_eps], [_simple_mech()] * 2, params)
+        assert engine.points[1].law is alpha_eps
 
     def test_friends_ones_counts_each_neighbour(self):
         # a hub of degree 200 (counts past int8), isolated nodes, a path
@@ -272,10 +298,11 @@ class TestEngineSetup:
         # the count never reads the law; a real side table of a 65 536-friend
         # hub would hold two 65 537^2 float tables
         law = SimpleNamespace(
+            params=params,
             side_table=lambda degrees: (np.zeros(hub + 1, dtype=np.int64), np.zeros(1), np.ones(1)),
             cut_table=lambda below, at_most: np.ones((1, 2)),
         )
-        engine = sim._Engine(graph, law, _simple_mech(), params)
+        engine = sim._Engine(graph, [law], [_simple_mech()], params)
         assert engine._lane == lane
         alternating = np.zeros((rows, n), dtype=np.int8)
         alternating[::2] = 1
@@ -289,7 +316,8 @@ class TestEngineSetup:
     def test_edgeless_graph_plays_the_coin(self):
         # every degree-0 user sits in her band (f = 0 = d/2) and randomizes
         engine = _engine(Graph(5, []))
-        w, reports, in_band = engine.play(substream(1, 5, 0), 4)
+        w, key, u = engine.draw(substream(1, 5, 0), 4)
+        _, in_band = engine.points[0].play(key, u)
         assert in_band.all()
 
 
@@ -314,7 +342,7 @@ class TestConditionalIndependence:
 class TestRunExperiment:
     def test_empirical_mean_matches_analytics(self):
         cfg = apply_overrides(default_config(), ["sim.trials=600", "model.population=200"])
-        r = run_experiment(cfg)
+        (r,) = run_experiment([cfg])
         assert abs(r.empirical_mu1.value - r.analytic.mu1) < 3 * r.empirical_mu1.se
         assert abs(r.empirical_majority_match.value - r.analytic.beta) < max(
             3 * r.empirical_majority_match.se, 5e-4
@@ -322,19 +350,19 @@ class TestRunExperiment:
 
     def test_workers_do_not_change_results(self):
         cfg = apply_overrides(default_config(), ["sim.trials=120", "model.population=100"])
-        csv1 = simresult_csv(run_experiment(cfg, workers=1))
-        csv4 = simresult_csv(run_experiment(cfg, workers=4))
+        csv1 = simresult_csv(run_experiment([cfg], workers=1)[0])
+        csv4 = simresult_csv(run_experiment([cfg], workers=4)[0])
         assert csv1 == csv4
 
     def test_repeat_runs_identical(self):
         cfg = apply_overrides(default_config(), ["sim.trials=80", "model.population=80"])
-        assert simresult_csv(run_experiment(cfg)) == simresult_csv(run_experiment(cfg))
+        assert simresult_csv(run_experiment([cfg])[0]) == simresult_csv(run_experiment([cfg])[0])
 
     def test_nd_profile_zero_privacy_cost(self):
         cfg = apply_overrides(
             default_config(), ["sim.trials=60", "model.population=80", "sim.profile=nd"]
         )
-        r = run_experiment(cfg)
+        (r,) = run_experiment([cfg])
         assert r.avg_privacy_cost.value == 0.0
 
     def test_config_model_graph_end_to_end(self):
@@ -343,7 +371,7 @@ class TestRunExperiment:
             ["graph.kind=config-model", "graph.pmf=1:0.4;2:0.4;3:0.2",
              "model.population=100", "sim.trials=200"],
         )
-        r = run_experiment(cfg)
+        (r,) = run_experiment([cfg])
         assert abs(r.empirical_mu1.value - r.analytic.mu1) < 4 * r.empirical_mu1.se
         assert r.analytic.mu1 > 0.5
 
@@ -355,16 +383,16 @@ class TestRunExperiment:
             ["model.cost=linear-capped", "model.epsilon=0", "model.population=200",
              "sim.trials=600"],
         )
-        r = run_experiment(cfg)
+        (r,) = run_experiment([cfg])
         assert abs(r.empirical_mu1.value - r.analytic.mu1) < 3 * r.empirical_mu1.se
 
     def test_unequal_priors_rejected(self):
         cfg = apply_overrides(default_config(), ["model.prior_w1=0.6", "sim.trials=10"])
         with pytest.raises(NotImplementedError):
-            run_experiment(cfg)
+            run_experiment([cfg])
 
     @pytest.mark.parametrize("run, points", [
-        (lambda cfg: run_experiment(cfg, trials=4), 1),
+        (lambda cfg: run_experiment([cfg], trials=4), 1),
         (lambda cfg: sweep(cfg, "epsilon", [0.1, 0.5], trials=4), 2),
         (lambda cfg: normality_probe(cfg, trials=20), 1),
     ], ids=["single", "sweep", "normality_probe"])
@@ -438,7 +466,7 @@ class TestSweep:
         """The sweep's CSV from one run per grid point, each building its own graph."""
         return sweep_csv([
             SweepRow(axis, v, run_experiment(
-                override_axis(cfg, axis, v), axis_value=v, graph_stream_index=i))
+                [override_axis(cfg, axis, v)], axis_values=[v], graph_stream_index=i)[0])
             for i, v in enumerate(values)
         ])
 
@@ -448,12 +476,21 @@ class TestSweep:
         assert sweep_csv(sweep(cfg, "avg_degree", values)) == self._standalone_csv(
             cfg, "avg_degree", values)
 
-    def test_edge_list_ingested_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _edge_list_config(tmp_path, *overrides, hub=False):
+        """An edge-list config on a 120-node ER graph, with a hub of 300 friends added if `hub`."""
+        graph = generate_erdos_renyi(np.random.default_rng(5), 120, 4.0)
+        if hub:
+            graph = Graph(301, graph.edges().tolist() + [(0, j) for j in range(1, 301)])
         path = tmp_path / "edges.txt"
-        path.write_text(generate_erdos_renyi(np.random.default_rng(5), 120, 4.0).to_edge_list_text())
-        cfg = apply_overrides(
-            default_config(), ["graph.kind=edge-list", f"graph.path={path}", "sim.trials=60"]
+        path.write_text(graph.to_edge_list_text())
+        return apply_overrides(
+            default_config(),
+            ["graph.kind=edge-list", f"graph.path={path}", "sim.trials=60", *overrides],
         )
+
+    def test_edge_list_ingested_once(self, tmp_path, monkeypatch):
+        cfg = self._edge_list_config(tmp_path)
         values = [0.1, 0.5, 1.0]
         alone = self._standalone_csv(cfg, "epsilon", values)
         calls = []
@@ -464,6 +501,40 @@ class TestSweep:
         rows = sweep(cfg, "epsilon", values)
         assert len(calls) == 1
         assert sweep_csv(rows) == alone
+
+    @pytest.mark.parametrize("hub", [False, True], ids=["er120", "hub300"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("profile", ["mv", "nd"])
+    @pytest.mark.parametrize("axis, values", [
+        ("epsilon", [0.1, 0.5, 1.0]), ("alpha", [0.1, 0.25, 0.4]),
+    ], ids=["epsilon", "alpha"])
+    def test_fused_sweep_matches_standalone_runs(self, tmp_path, axis, values, profile,
+                                                 workers, hub):
+        # every grid point of an edge-list sweep is played on one shared
+        # draw per block, and each gets the CSV row it gets on its own; the
+        # hub puts the friends' counts in 16-bit lanes
+        cfg = self._edge_list_config(
+            tmp_path, f"sim.profile={profile}", f"sim.workers={workers}", hub=hub)
+        assert sim._build_experiment([cfg])[1]._lane == (np.uint16 if hub else np.uint8)
+        assert sweep_csv(sweep(cfg, axis, values)) == self._standalone_csv(cfg, axis, values)
+
+    def test_one_draw_serves_every_grid_point(self, tmp_path, monkeypatch):
+        cfg = self._edge_list_config(tmp_path)
+        draws, groups = [], []
+        monkeypatch.setattr(sim._Engine, "draw", lambda self, *a, _draw=sim._Engine.draw, **k: (
+            draws.append(len(self.points)) or _draw(self, *a, **k)))
+        run = sim.run_experiment
+        monkeypatch.setattr(sim, "run_experiment",
+                            lambda configs, **k: groups.append(len(configs)) or run(configs, **k))
+        sweep(cfg, "alpha", [0.1, 0.25, 0.4])
+        assert groups == [3]
+        assert draws == [3] * -(-60 // sim._build_experiment([cfg])[1].block)
+
+    def test_configs_on_one_draw_share_graph_and_seed(self):
+        cfg = apply_overrides(default_config(), ["model.population=60"])
+        for other in (["graph.avg_degree=3"], ["sim.seed=5"]):
+            with pytest.raises(ValueError, match="one graph section and one sim.seed"):
+                run_experiment([cfg, apply_overrides(cfg, other)], trials=4)
 
 
 class TestLawMatchesStrategyTables:
