@@ -11,17 +11,16 @@ from privmarket.config import apply_overrides, default_config
 from privmarket.sim import sweep, sweep_csv
 
 cfg = apply_overrides(default_config(), ["sim.trials=1500", "sim.workers=2"])
-rows = sweep(cfg, "avg_degree", [1, 2, 4, 8, 16], trials=1500)
+results = sweep(cfg, "avg_degree", [1, 2, 4, 8, 16], trials=1500)
 
 print(f"{'E[D]':>5} {'accuracy':>9} {'payment/user':>13} {'privacy cost':>13}"
       f" {'mu1 (mc)':>9} {'mu1 (cf)':>9} {'beta':>8}")
-for row in rows:
-    r = row.result
+for r in results:
     print(
-        f"{row.value:5.0f} {r.accuracy.value:9.4f} {r.avg_payment_per_user.value:13.4f}"
+        f"{r.axis_value:5.0f} {r.accuracy.value:9.4f} {r.avg_payment_per_user.value:13.4f}"
         f" {r.avg_privacy_cost.value:13.6f} {r.empirical_mu1.value:9.4f}"
         f" {r.analytic.mu1:9.4f} {r.analytic.beta:8.5f}"
     )
 
 print("\nplot-ready CSV:\n")
-print(sweep_csv(rows))
+print(sweep_csv(results))

@@ -46,10 +46,8 @@ from .analytics import (  # noqa: F401
 )
 from .sim import (  # noqa: F401
     SimResult,
-    TrialResult,
     map_estimate,
     normality_probe,
     run_experiment,
-    run_trial,
     sweep,
 )

@@ -16,10 +16,13 @@ Two variance coefficients are reported side by side:
 
 * `kappa1` follows the displayed closed form, whose cross-pair term
   `delta` is a first-order approximation of the pairwise covariances;
-* `kappa1_pairs` assembles the dependency-graph CLT variance from the
-  exact pairwise report probabilities (`pair_adjacent`,
-  `pair_common_friend`), which match brute-force enumeration and are the
-  right normalizer for Monte Carlo comparisons.
+* `kappa1_pairs` assembles the degree law's dependency-graph CLT
+  variance from the exact pairwise report probabilities
+  (`pair_adjacent`, `pair_common_friend`), which match brute-force
+  enumeration.
+
+Neither feeds a simulation: Monte Carlo comparisons and the normality
+probe normalize by the realized graph's kappa from `graph_report_moments`.
 
 `predict` is the one place that designs the payment constants: from a
 profile's (n, mu1, kappa1) it gives beta, Z, Z0, Z1, the expected payout

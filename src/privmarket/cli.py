@@ -91,7 +91,7 @@ def _strategy_d_max(cfg: RunConfig) -> int:
     if cfg.graph.kind == CONFIG_MODEL:
         return analytic_distribution(cfg).d_max
     if cfg.graph.kind == EDGE_LIST:
-        graph, _ = build_graph(cfg, 0)
+        graph, _ = build_graph(cfg)
         return graph.max_degree()
     return 20  # er default export range
 
@@ -110,7 +110,7 @@ def _fmt(x: float) -> str:
 
 def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
     if cfg.graph.kind == EDGE_LIST:
-        graph, dist = build_graph(cfg, 0)
+        graph, dist = build_graph(cfg)
         params = params_for_graph(cfg, graph)
     else:
         params, dist = model_params(cfg), analytic_distribution(cfg)
@@ -159,10 +159,10 @@ def cmd_simulate(cfg: RunConfig, out: _AtomicOutputs) -> None:
     trials, workers = cfg.sim.trials, cfg.sim.workers
     if cfg.sweep.axis:
         values = sweep_values(cfg)
-        rows = simmod.sweep(cfg, cfg.sweep.axis, values, trials=trials, workers=workers)
-        csv_text = simmod.sweep_csv(rows)
+        results = simmod.sweep(cfg, cfg.sweep.axis, values, trials=trials, workers=workers)
+        csv_text = simmod.sweep_csv(results)
         extra = {"sweep_axis": cfg.sweep.axis, "sweep_values": values}
-        first = rows[0].result
+        first = results[0]
     else:
         (first,) = simmod.run_experiment([cfg], trials=trials, workers=workers,
                                          axis_values=[cfg.graph.avg_degree])

@@ -184,6 +184,10 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("edge-list graphs need graph.path")
         if not Path(cfg.graph.path).exists():
             raise ConfigError(f"graph.path does not exist: {cfg.graph.path}")
+    if cfg.sim.seed < 0:
+        raise ConfigError(f"sim.seed must be >= 0, got {cfg.sim.seed}")
+    if cfg.graph.d_max < -1:
+        raise ConfigError(f"graph.d_max must be >= -1 (-1: unset), got {cfg.graph.d_max}")
     if cfg.sim.trials < 2:
         raise ConfigError(f"sim.trials must be >= 2, got {cfg.sim.trials}")
     if cfg.sim.workers < 1:
@@ -317,15 +321,19 @@ def analytic_distribution(cfg: RunConfig) -> DegreeDistribution:
         return DegreeDistribution.binomial(n - 1, cfg.graph.avg_degree / (n - 1))
     if cfg.graph.kind == CONFIG_MODEL:
         return _pmf_distribution(cfg.graph)
-    return build_graph(cfg, 0)[1]
+    return build_graph(cfg)[1]
 
 
-def build_graph(cfg: RunConfig, stream_index: int = 0) -> tuple[Graph, DegreeDistribution]:
-    """Realize the configured graph plus the matching analytic degree law."""
+def build_graph(cfg: RunConfig) -> tuple[Graph, DegreeDistribution]:
+    """Realize the configured graph plus the matching analytic degree law.
+
+    A generated graph is drawn from the stream (sim.seed, graph tag, 0), so
+    one config always builds one graph.
+    """
     if cfg.graph.kind == EDGE_LIST:
         graph = ingest_edge_list(cfg.graph.path).graph
         return graph, DegreeDistribution.from_graph(graph)
-    rng = substream(cfg.sim.seed, TAG_GRAPH, stream_index)
+    rng = substream(cfg.sim.seed, TAG_GRAPH, 0)
     if cfg.graph.kind == ER:
         graph = generate_erdos_renyi(rng, cfg.model.population, cfg.graph.avg_degree)
         return graph, analytic_distribution(cfg)

@@ -25,17 +25,22 @@ degree, so no lane overflows and the differences are exact.
 The draw (world bits, signals, friends' counts, table keys and uniforms)
 reads only the graph, the seed and the model's population, prior and
 theta0, so laws that differ only in epsilon, alpha or profile share it:
-an edge-list sweep over epsilon or alpha draws each block once and plays
-every grid point's tables on it, at three table lookups and three
-comparisons per user-trial and law.  A block keeps only integer counts,
-the world bit and per law the 1-report and in-band counts (1 + 8 bytes
-per trial and law); per-trial payments and privacy costs are those counts
-times constants, computed once per law over the whole run, and
-aggregation over the trial-indexed arrays uses exactly-rounded summation.
+every run, sweep and normality probe reaches trials through one path,
+`_run_trials`, which draws each block once and plays every grid point's
+tables on it, at three table lookups and three comparisons per
+user-trial and law.  A sweep plays each run of consecutive grid points
+that share a graph section (any epsilon or alpha sweep) on one graph and
+one draw per block; an avg_degree point builds its own graph.  A block
+keeps only integer counts, the world bit and per law the 1-report and
+in-band counts (1 + 8 bytes per trial and law); per-trial payments and
+privacy costs are those counts times constants, computed once per law
+over the whole run, and aggregation over the trial-indexed arrays uses
+exactly-rounded summation.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import multiprocessing
@@ -54,14 +59,11 @@ from .model import (
 )
 
 __all__ = [
-    "TrialResult",
     "Estimate",
     "SimResult",
     "NormalityReport",
-    "SweepRow",
     "ZeroVarianceError",
     "map_estimate",
-    "run_trial",
     "run_experiment",
     "normality_probe",
     "sweep",
@@ -87,16 +89,6 @@ def map_estimate(sum_reports, n: int) -> np.ndarray:
     exact tie decides 0.
     """
     return (2 * np.asarray(sum_reports) > n).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    w: int
-    w_hat: int
-    reports: np.ndarray
-    payments: np.ndarray
-    privacy_costs: np.ndarray
-    sum_reports: int
 
 
 # Trials per block: as many as keep block x (n + 2m) user and directed-edge
@@ -245,15 +237,13 @@ class _Engine:
         counts = np.diff(sums[self.graph.recv_starts], axis=0)
         return counts.view(self._lane)[:, :rows].T.astype(np.int32)
 
-    def draw(self, rng: np.random.Generator, rows: int, force_w: int | None = None):
+    def draw(self, rng: np.random.Generator, rows: int):
         """(w, key, u) of `rows` trials: shapes (rows,), (rows, n), (rows, n).
 
         Each user's table key is 2 * (offset[d] + a) + s for her degree d,
         friends' ones a and own signal s; u is her one uniform.
         """
         w = sample_world(rng, self.params, rows)
-        if force_w is not None:
-            w[:] = force_w
         s = sample_private_signals(rng, w, self.params)
         key = self.friends_ones(s)
         key *= 2
@@ -261,40 +251,19 @@ class _Engine:
         key += self._row
         return w, key, rng.random(key.shape)
 
-    def counts(self, rng: np.random.Generator, rows: int, force_w: int | None = None):
+    def counts(self, rng: np.random.Generator, rows: int):
         """(w, counts) of `rows` trials on one draw: (rows,) int8 and (points, 2, rows) int32.
 
         counts[i] holds the 1-report counts and the in-band counts of every
         trial under law i.
         """
-        w, key, u = self.draw(rng, rows, force_w)
+        w, key, u = self.draw(rng, rows)
         counts = np.empty((len(self.points), 2, rows), dtype=np.int32)
         for point, (k1, band) in zip(self.points, counts):
             reports, in_band = point.play(key, u)
             reports.sum(axis=1, out=k1)
             in_band.sum(axis=1, out=band)
         return w.astype(np.int8), counts
-
-
-def run_trial(
-    rng: np.random.Generator,
-    graph: Graph,
-    law: ReportLaw,
-    cfg: MechanismConfig,
-    params: ModelParams,
-) -> TrialResult:
-    """Simulate one market round with every user playing `law`."""
-    engine = _Engine(graph, [law], [cfg], params)
-    (w,), key, u = engine.draw(rng, 1)
-    (reports,), (in_band,) = engine.points[0].play(key, u)
-    total = int(reports.sum())
-    majority_others = (total - reports) >= (graph.n - 1) // 2 + 1
-    payments = np.where(reports, cfg.z1 * majority_others, cfg.z0 * ~majority_others)
-    return TrialResult(
-        w=int(w), w_hat=int(map_estimate(total, graph.n)),
-        reports=reports.astype(np.int64), payments=payments,
-        privacy_costs=in_band * law.band_cost, sum_reports=total,
-    )
 
 
 @dataclass(frozen=True)
@@ -380,20 +349,18 @@ def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int):
     return w[:trials], counts[..., :trials]
 
 
-def _build_experiment(configs, graph_stream_index: int = 0, built=None):
+def _build_experiment(configs):
     """Graph, engine and realized-graph predictions of RunConfigs that share one draw.
 
-    The graph is built from the first config, from the graph stream of
-    `graph_stream_index`, unless `built`, a (graph, degree law) pair from
-    `config.build_graph`, is given.  Each config adds its report law and
-    payment constants to the engine; they must agree on the graph section,
-    `sim.seed` and the draw's model parameters.
+    The graph is built once, from the first config.  Each config adds its
+    report law and payment constants to the engine; they must agree on the
+    graph section, `sim.seed` and the draw's model parameters.
     """
     first = configs[0]
     for config in configs[1:]:
         if config.graph != first.graph or config.sim.seed != first.sim.seed:
             raise ValueError("experiments on one draw need one graph section and one sim.seed")
-    graph, _ = built or configmod.build_graph(first, graph_stream_index)
+    graph, _ = configmod.build_graph(first)
     laws, mechs, predictions = [], [], []
     for config in configs:
         params = configmod.params_for_graph(config, graph)
@@ -447,15 +414,14 @@ def _sim_result(config, axis_value: float, stats: np.ndarray, analytic: Predicti
 
 def run_experiment(
     configs, trials: int | None = None, workers: int | None = None,
-    axis_values: Sequence[float] | None = None, graph_stream_index: int = 0, built=None,
+    axis_values: Sequence[float] | None = None,
 ) -> list[SimResult]:
     """Run configured experiments that share one draw; one SimResult each, with predictions.
 
     The configs differ only in what a law reads (`model.epsilon`,
-    `model.alpha`, `sim.profile`, the payment scale): the graph is drawn
-    once, from its own stream, or taken from `built` (see
-    `_build_experiment`), and each block of trials is drawn once and
-    played under every config's law.  A config's result is byte-identical
+    `model.alpha`, `sim.profile`, the payment scale): the graph is built
+    once, and each block of trials is drawn once and played under every
+    config's law.  A config's result is byte-identical
     to the one it gets on its own.  Trials and workers default to the first
     config's; trials are parallelizable and order-independent, and one pool
     serves every config.
@@ -467,7 +433,7 @@ def run_experiment(
         raise ValueError("need at least 2 trials")
     if axis_values is None:
         axis_values = [float("nan")] * len(configs)
-    graph, engine, predictions = _build_experiment(configs, graph_stream_index, built)
+    graph, engine, predictions = _build_experiment(configs)
     w, counts = _run_trials(engine, first.sim.seed, trials, workers)
     return [
         _sim_result(config, value, point.stats(w, k1, band), analytic, graph)
@@ -479,7 +445,7 @@ def run_experiment(
 @dataclass(frozen=True)
 class NormalityReport:
     n: int
-    trials_per_state: int
+    trials_per_state: dict[int, int]
     ks_statistic: dict[int, float]
     mu_used: float
     kappa_used: float
@@ -503,28 +469,27 @@ _ASYMPTOTIC_MIN_N = 500  # populations from which the normality claim is made
 def normality_probe(config, trials: int) -> NormalityReport:
     """Kolmogorov-Smirnov distance of the normalized report sum per world state.
 
-    The sum is normalized by the realized-graph mean and exact-pair variance
-    coefficient.  A degenerate profile, whose report sum never varies,
-    raises ZeroVarianceError.
+    The probe reads the trials `simulate` runs on the same config (the
+    first `trials` of them, at `sim.workers`) and splits their report sums
+    by the drawn world bit; a state drawn fewer than 10 times raises
+    ValueError.  Each state's sums are normalized by the realized-graph
+    mean and exact-pair variance coefficient.  A degenerate profile, whose
+    report sum never varies, raises ZeroVarianceError.
     """
     graph, engine, (analytic,) = _build_experiment([config])
-    per_state = trials // 2
-    if per_state < 10:
-        raise ValueError("need at least 20 trials")
+    w, counts = _run_trials(engine, config.sim.seed, trials, config.sim.workers)
+    per_state = {state: int(np.count_nonzero(w == state)) for state in (0, 1)}
+    if min(per_state.values()) < 10:
+        raise ValueError(f"need at least 10 trials in each world state, got {per_state}")
     mu, kappa = analytic.mu1, analytic.kappa1
+    scale = math.sqrt(graph.n * kappa)
     ks: dict[int, float] = {}
-    blocks = -(-per_state // engine.block)
-    for w in (0, 1):
-        sums = np.concatenate([
-            engine.counts(substream(config.sim.seed, TAG_TRIAL, w * blocks + b), engine.block,
-                          force_w=w)[1][0, 0]
-            for b in range(blocks)
-        ])[:per_state]
-        if sums.max() - sums.min() == 0.0:
+    for state in (0, 1):
+        sums = counts[0, 0, w == state]
+        if sums.max() - sums.min() == 0:
             raise ZeroVarianceError("report sum is constant; degenerate strategy profile")
-        mean_w = mu * graph.n if w == 1 else (1.0 - mu) * graph.n
-        scale = math.sqrt(graph.n * kappa)
-        ks[w] = _ks_statistic((sums - mean_w) / scale)
+        mean = mu * graph.n if state == 1 else (1.0 - mu) * graph.n
+        ks[state] = _ks_statistic((sums - mean) / scale)
     asymptotic = graph.n >= _ASYMPTOTIC_MIN_N
     passed = (max(ks.values()) < _KS_THRESHOLD) if asymptotic else None
     return NormalityReport(
@@ -534,36 +499,26 @@ def normality_probe(config, trials: int) -> NormalityReport:
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    axis: str
-    value: float
-    result: SimResult
-
-
 def sweep(config, axis: str, values: Sequence[float], trials: int | None = None,
-          workers: int | None = None) -> list[SweepRow]:
-    """One experiment per grid value; deterministic given the master seed.
+          workers: int | None = None) -> list[SimResult]:
+    """One SimResult per grid value, its `axis_value` the value; deterministic given the seed.
 
-    A generated graph is drawn per grid point, from the stream of its
-    index, so each point runs on its own.  An edge list is ingested once,
-    and since no axis changes it or any other draw input, every grid point
-    is played on one shared draw per block (`run_experiment`), each with
-    the result it gets on its own.  An axis outside `config.SWEEP_AXES`
+    Consecutive grid points with one graph section are one
+    `run_experiment` group: the graph is built (or the edge list ingested)
+    once and every point is played on one shared draw per block.  So an
+    epsilon or alpha sweep on any graph kind plays one graph and one draw,
+    and each avg_degree point builds its own graph.  Every graph comes
+    from the same stream, so each row is the one its point gets from
+    `run_experiment` on its own.  An axis outside `config.SWEEP_AXES`
     raises ConfigError before any trial.
     """
-    subs = [configmod.override_axis(config, axis, value) for value in values]
-    points = [float(value) for value in values]
-    if config.graph.kind == configmod.EDGE_LIST and subs:
-        results = run_experiment(subs, trials=trials, workers=workers, axis_values=points,
-                                 built=configmod.build_graph(config))
-    else:
-        results = [
-            run_experiment([sub], trials=trials, workers=workers, axis_values=[value],
-                           graph_stream_index=idx)[0]
-            for idx, (sub, value) in enumerate(zip(subs, points))
-        ]
-    return [SweepRow(axis=axis, value=value, result=r) for value, r in zip(points, results)]
+    points = [(configmod.override_axis(config, axis, value), float(value)) for value in values]
+    results = []
+    for _, group in itertools.groupby(points, key=lambda point: point[0].graph):
+        subs, group_values = zip(*group)
+        results += run_experiment(subs, trials=trials, workers=workers,
+                                  axis_values=group_values)
+    return results
 
 
 CSV_HEADER = (
@@ -592,8 +547,8 @@ def simresult_csv(result: SimResult) -> str:
     return CSV_HEADER + "\n" + _result_row(result) + "\n"
 
 
-def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    return CSV_HEADER + "\n" + "\n".join(_result_row(r.result) for r in rows) + "\n"
+def sweep_csv(results: Sequence[SimResult]) -> str:
+    return CSV_HEADER + "\n" + "\n".join(_result_row(r) for r in results) + "\n"
 
 
 def run_manifest(config, trials: int, workers: int, extra: dict | None = None) -> str:

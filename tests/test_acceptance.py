@@ -26,7 +26,6 @@ from privmarket.model import substream
 from privmarket.sim import (
     normality_probe,
     run_experiment,
-    run_trial,
     simresult_csv,
     sweep,
     sweep_csv,
@@ -194,18 +193,18 @@ def degree_sweep():
 def test_criterion_7_error_bound(degree_sweep):
     failures = []
     details = []
-    for row in degree_sweep:
-        err = 1.0 - row.result.accuracy.value
-        bound = math.exp(-row.result.analytic.bhattacharyya) + 3 * row.result.accuracy.se
-        details.append(f"deg {row.value:g}: err {err:.4f} <= {bound:.4f}")
+    for r in degree_sweep:
+        err = 1.0 - r.accuracy.value
+        bound = math.exp(-r.analytic.bhattacharyya) + 3 * r.accuracy.se
+        details.append(f"deg {r.axis_value:g}: err {err:.4f} <= {bound:.4f}")
         if err > bound:
-            failures.append(row.value)
+            failures.append(r.axis_value)
     _report(7, not failures, "; ".join(details))
 
 
 def test_criterion_8_trend_reproduction(degree_sweep):
-    acc = [(r.result.accuracy.value, r.result.accuracy.ci_half) for r in degree_sweep]
-    cost = [(r.result.avg_privacy_cost.value, r.result.avg_privacy_cost.ci_half) for r in degree_sweep]
+    acc = [(r.accuracy.value, r.accuracy.ci_half) for r in degree_sweep]
+    cost = [(r.avg_privacy_cost.value, r.avg_privacy_cost.ci_half) for r in degree_sweep]
     acc_ok = all(b + cb >= a - ca for (a, ca), (b, cb) in zip(acc, acc[1:]))
     cost_ok = all(b - cb <= a + ca for (a, ca), (b, cb) in zip(cost, cost[1:]))
     _report(
@@ -246,15 +245,18 @@ def test_criterion_9_baseline_regime():
     target = delta * 250
     pay_ok = abs(total - target) < max(3 * result.avg_payment_per_user.se * 250, 0.1 * target)
     cost_ok = result.avg_privacy_cost.value == 0.0
-    # per-trial check that every single cost is exactly zero
+    # per-user check that every single cost is exactly zero
     from privmarket.config import build_graph
     from privmarket.mechanism import MechanismConfig
+    from privmarket.sim import _Engine
 
-    graph, _ = build_graph(cfg, 0)
+    graph, _ = build_graph(cfg)
     p = make_params(population=graph.n)
-    mech = MechanismConfig(z0=1.0, z1=1.0)
-    trial = run_trial(substream(1, 5, 0), graph, nd_report_law(p), mech, p)
-    all_zero = bool(np.all(trial.privacy_costs == 0.0))
+    law = nd_report_law(p)
+    engine = _Engine(graph, [law], [MechanismConfig(z0=1.0, z1=1.0)], p)
+    _, key, u = engine.draw(substream(1, 5, 0), engine.block)
+    _, in_band = engine.points[0].play(key, u)
+    all_zero = bool(np.all(in_band * law.band_cost == 0.0))
     _report(
         9,
         slack_ok and pay_ok and cost_ok and all_zero,

@@ -414,7 +414,10 @@ class TestLoadTimeChecks:
          "config-model degree law: mass sums to"),
         ("simulate", "sweep.axis = epsilon\nsweep.values =\n",
          "sweep.values must list at least one grid point"),
-    ], ids=["payment-scale", "p_e", "pmf-entry", "pmf-mass", "empty-sweep"])
+        ("analytics", "sim.seed = -1\n", "sim.seed must be >= 0, got -1"),
+        ("strategy", "graph.d_max = -7\n", "graph.d_max must be >= -1"),
+    ], ids=["payment-scale", "p_e", "pmf-entry", "pmf-mass", "empty-sweep", "negative-seed",
+            "d_max"])
     def test_rejected_at_load(self, tmp_path, monkeypatch, capsys, command, extra, message):
         from privmarket import sim
 

@@ -14,12 +14,10 @@ from privmarket.graph import Graph, generate_erdos_renyi
 from privmarket.mechanism import MechanismConfig
 from privmarket.model import ParameterError, linear_capped_cost, quadratic_cost, substream
 from privmarket.sim import (
-    SweepRow,
     ZeroVarianceError,
     map_estimate,
     normality_probe,
     run_experiment,
-    run_trial,
     simresult_csv,
     sweep,
     sweep_csv,
@@ -64,60 +62,45 @@ def _simple_mech():
     return MechanismConfig(z0=1.0, z1=1.0)
 
 
+def _one_trial(graph, law, params, rng):
+    """(w, reports, in band) of one trial: a one-row block played under `law`."""
+    engine = sim._Engine(graph, [law], [_simple_mech()], params)
+    (w,), key, u = engine.draw(rng, 1)
+    (reports,), (in_band,) = engine.points[0].play(key, u)
+    return int(w), reports, in_band
+
+
 class TestRunTrial:
     def test_noiseless_agreeing_group_signals_follow_majority(self):
         # 4-cycle: every user has degree 2; alpha = 0 and theta0 near 1 make
         # all signals equal w, so f = 2 for everyone: report w w.p. 1
         params = make_params(alpha=0.0, theta0=1.0 - 1e-12, population=4)
         graph = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        result = run_trial(
-            substream(3, 5, 0), graph, mv_report_law(params), _simple_mech(), params
-        )
-        assert np.all(result.reports == result.w)
+        w, reports, _ = _one_trial(graph, mv_report_law(params), params, substream(3, 5, 0))
+        assert np.all(reports == w)
 
     def test_nd_baseline_has_zero_privacy_costs(self):
         params = make_params(population=6)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
-        result = run_trial(
-            substream(3, 5, 1), graph, nd_report_law(params), _simple_mech(), params
-        )
-        assert np.all(result.privacy_costs == 0.0)
+        law = nd_report_law(params)
+        _, _, in_band = _one_trial(graph, law, params, substream(3, 5, 1))
+        assert np.all(in_band * law.band_cost == 0.0)
 
     def test_fixed_seed_reproduces_bytes(self):
         params = make_params(population=6)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         law = mv_report_law(params)
-        a = run_trial(substream(3, 5, 2), graph, law, _simple_mech(), params)
-        b = run_trial(substream(3, 5, 2), graph, law, _simple_mech(), params)
-        assert a.w == b.w and a.sum_reports == b.sum_reports
-        assert a.reports.tobytes() == b.reports.tobytes()
-        assert a.payments.tobytes() == b.payments.tobytes()
-        assert a.privacy_costs.tobytes() == b.privacy_costs.tobytes()
+        a = _one_trial(graph, law, params, substream(3, 5, 2))
+        b = _one_trial(graph, law, params, substream(3, 5, 2))
+        assert a[0] == b[0]
+        assert a[1].tobytes() == b[1].tobytes() and a[2].tobytes() == b[2].tobytes()
 
     def test_payments_nonnegative(self):
         params = make_params(population=6)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
-        for k in range(10):
-            result = run_trial(
-                substream(3, 5, 10 + k), graph, mv_report_law(params), _simple_mech(), params
-            )
-            assert np.all(result.payments >= 0.0)
-
-
-class TestEngineMatchesMechanismOps:
-    def test_vectorized_payments_agree_with_scalar_mechanism(self):
-        params = make_params(population=7)
-        graph = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3)])
-        law = mv_report_law(params)
-        mech = MechanismConfig(z0=1.7, z1=2.1)
-        for k in range(25):
-            trial = run_trial(substream(8, 5, k), graph, law, mech, params)
-            reports = [int(x) for x in trial.reports]
-            for i in range(7):
-                m = majority_excluding(reports, i)
-                assert trial.payments[i] == pytest.approx(
-                    peer_payment(reports[i], m, mech), abs=1e-15
-                )
+        engine = sim._Engine(graph, [mv_report_law(params)], [_simple_mech()], params)
+        w, ((k1, band),) = engine.counts(substream(3, 5, 10), 10)
+        assert np.all(engine.points[0].stats(w, k1, band)[2] >= 0.0)  # row 2: payment
 
 
 def _engine(graph):
@@ -157,14 +140,11 @@ class TestBlockEngine:
         (point,) = engine.points
         moments = mirrored_moments(*graph_report_moments(engine.graph, point.law))
         for k in range(10):
-            trial = run_trial(
-                substream(8, 5, k), engine.graph, point.law, point.mech, engine.params
-            )
-            w, correct, paid, cost, total, _ = trial_stats_user_loop(
-                engine, point, 8, k, moments)
-            assert (trial.w, int(trial.w_hat == trial.w), trial.sum_reports) == (w, correct, total)
-            assert math.fsum(trial.payments) / 40 == paid
-            assert math.fsum(trial.privacy_costs) / 40 == cost
+            w, ((k1, band),) = engine.counts(substream(8, 5, k), 1)
+            block = point.stats(w, k1, band)[:, 0]
+            loop = trial_stats_user_loop(engine, point, 8, k, moments)
+            assert block[[0, 1, 4]].tolist() == [loop[0], loop[1], loop[4]]  # w, correct, sum
+            assert block[2:4] == pytest.approx(loop[2:4], rel=1e-15, abs=0)  # payment, cost
 
     @pytest.mark.parametrize("n, avg_degree", [(7, 2.0), (100, 4.0)])
     def test_count_statistics_match_per_user_sums(self, n, avg_degree):
@@ -252,8 +232,6 @@ class TestEngineSetup:
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         with pytest.raises(ParameterError, match="6 nodes but params.population is 7"):
             sim._Engine(graph, [mv_report_law(params)], [_simple_mech()], params)
-        with pytest.raises(ParameterError):
-            run_trial(substream(3, 5, 0), graph, mv_report_law(params), _simple_mech(), params)
 
     @pytest.mark.parametrize("field, value", [
         ("population", 7), ("prior_w1", 0.6), ("theta0", 0.8),
@@ -324,17 +302,15 @@ class TestEngineSetup:
 class TestConditionalIndependence:
     def test_distant_users_uncorrelated(self):
         # path 0-1-2-3-4-5: users 0 and 5 are non-adjacent with no common friend
-        params = make_params(population=6)
-        graph = Graph(6, [(i, i + 1) for i in range(5)])
-        law = mv_report_law(params)
-        mech = _simple_mech()
-        trials = 4000
+        engine = _engine(Graph(6, [(i, i + 1) for i in range(5)]))
+        blocks = -(-4000 // engine.block)
         x0, x5 = [], []
-        for k in range(trials):
-            r = run_trial(substream(17, 5, k), graph, law, mech, params)
-            if r.w == 1:
-                x0.append(r.reports[0])
-                x5.append(r.reports[5])
+        for b in range(blocks):
+            w, key, u = engine.draw(substream(17, 5, b), engine.block)
+            reports, _ = engine.points[0].play(key, u)
+            x0.append(reports[w == 1, 0])
+            x5.append(reports[w == 1, 5])
+        x0, x5 = np.concatenate(x0), np.concatenate(x5)
         corr = np.corrcoef(x0, x5)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(len(x0))
 
@@ -394,7 +370,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("run, points", [
         (lambda cfg: run_experiment([cfg], trials=4), 1),
         (lambda cfg: sweep(cfg, "epsilon", [0.1, 0.5], trials=4), 2),
-        (lambda cfg: normality_probe(cfg, trials=20), 1),
+        (lambda cfg: normality_probe(cfg, trials=60), 1),
     ], ids=["single", "sweep", "normality_probe"])
     def test_reads_only_realized_graph_moments(self, monkeypatch, run, points):
         # one realized-graph moment pair per grid point, no degree-law summary
@@ -430,6 +406,25 @@ class TestNormalityProbe:
         with pytest.raises(ZeroVarianceError):
             normality_probe(cfg, trials=40)
 
+    def test_reads_the_trials_simulate_runs(self, monkeypatch):
+        # the probe's state-1 sums are the W = 1 report sums of the run's trials
+        cfg = apply_overrides(default_config(), ["model.population=80", "sim.workers=2"])
+        _, engine, _ = sim._build_experiment([cfg])
+        w, counts = sim._run_trials(engine, cfg.sim.seed, 300, 1)
+        samples = []
+        ks = sim._ks_statistic
+        monkeypatch.setattr(sim, "_ks_statistic", lambda x: samples.append(x) or ks(x))
+        report = normality_probe(cfg, trials=300)
+        assert report.trials_per_state == {0: int((w == 0).sum()), 1: int((w == 1).sum())}
+        scale = math.sqrt(80 * report.kappa_used)
+        assert np.rint(samples[1] * scale + report.mu_used * 80).tolist() == (
+            counts[0, 0, w == 1].tolist())
+
+    def test_each_state_needs_ten_trials(self):
+        cfg = apply_overrides(default_config(), ["model.population=60"])
+        with pytest.raises(ValueError, match="at least 10 trials in each world state"):
+            normality_probe(cfg, trials=18)
+
 
 class TestKsStatistic:
     @pytest.mark.parametrize("n", [10, 100, 1000, 5000])
@@ -447,7 +442,7 @@ class TestSweep:
     def test_grid_structure_and_determinism(self):
         cfg = apply_overrides(default_config(), ["sim.trials=60", "model.population=80"])
         rows = sweep(cfg, "avg_degree", [1, 2, 4], trials=60)
-        assert [r.value for r in rows] == [1.0, 2.0, 4.0]
+        assert [r.axis_value for r in rows] == [1.0, 2.0, 4.0]
         text = sweep_csv(rows)
         assert text == sweep_csv(sweep(cfg, "avg_degree", [1, 2, 4], trials=60))
         assert text.count("\n") == 4  # header + 3 rows
@@ -455,26 +450,36 @@ class TestSweep:
     def test_epsilon_axis_changes_accuracy_inputs(self):
         cfg = apply_overrides(default_config(), ["sim.trials=400", "model.population=100"])
         rows = sweep(cfg, "epsilon", [0.1, 0.5], trials=400)
-        mus = [r.result.analytic.mu1 for r in rows]
+        mus = [r.analytic.mu1 for r in rows]
         assert mus[1] > mus[0]
         # paying for more revealing reports cannot hurt the estimator
-        lo, hi = rows[0].result.accuracy, rows[1].result.accuracy
+        lo, hi = rows[0].accuracy, rows[1].accuracy
         assert hi.value >= lo.value - (lo.ci_half + hi.ci_half)
 
     @staticmethod
     def _standalone_csv(cfg, axis, values):
         """The sweep's CSV from one run per grid point, each building its own graph."""
         return sweep_csv([
-            SweepRow(axis, v, run_experiment(
-                [override_axis(cfg, axis, v)], axis_values=[v], graph_stream_index=i)[0])
-            for i, v in enumerate(values)
+            run_experiment([override_axis(cfg, axis, v)], axis_values=[v])[0] for v in values
         ])
 
     def test_generated_graph_drawn_per_grid_point(self):
+        # a repeated degree builds the same graph again, so its rows agree
         cfg = apply_overrides(default_config(), ["sim.trials=60", "model.population=80"])
-        values = [2.0, 4.0]
-        assert sweep_csv(sweep(cfg, "avg_degree", values)) == self._standalone_csv(
-            cfg, "avg_degree", values)
+        values = [2.0, 4.0, 2.0]
+        text = sweep_csv(sweep(cfg, "avg_degree", values))
+        assert text == self._standalone_csv(cfg, "avg_degree", values)
+        rows = text.splitlines()
+        assert rows[1] == rows[3] != rows[2]
+
+    @pytest.mark.parametrize("kind", ["er", "config-model"])
+    @pytest.mark.parametrize("axis, values", [
+        ("epsilon", [0.1, 0.5, 1.0]), ("alpha", [0.1, 0.25, 0.4]),
+    ], ids=["epsilon", "alpha"])
+    def test_generated_graph_sweep_matches_standalone_runs(self, tmp_path, kind, axis, values):
+        # an epsilon or alpha sweep plays one generated graph and one draw
+        cfg = self._graph_config(tmp_path, kind, "sim.workers=2")
+        assert sweep_csv(sweep(cfg, axis, values)) == self._standalone_csv(cfg, axis, values)
 
     @staticmethod
     def _edge_list_config(tmp_path, *overrides, hub=False):
@@ -488,6 +493,16 @@ class TestSweep:
             default_config(),
             ["graph.kind=edge-list", f"graph.path={path}", "sim.trials=60", *overrides],
         )
+
+    @classmethod
+    def _graph_config(cls, tmp_path, kind, *overrides):
+        """A 60-trial config on a graph of `kind`: 80-node ER or config model, or the edge list."""
+        if kind == "edge-list":
+            return cls._edge_list_config(tmp_path, *overrides)
+        graph = {"er": ["graph.avg_degree=3"],
+                 "config-model": ["graph.kind=config-model", "graph.pmf=1:0.3;2:0.4;5:0.3"]}[kind]
+        return apply_overrides(
+            default_config(), [*graph, "model.population=80", "sim.trials=60", *overrides])
 
     def test_edge_list_ingested_once(self, tmp_path, monkeypatch):
         cfg = self._edge_list_config(tmp_path)
@@ -518,8 +533,9 @@ class TestSweep:
         assert sim._build_experiment([cfg])[1]._lane == (np.uint16 if hub else np.uint8)
         assert sweep_csv(sweep(cfg, axis, values)) == self._standalone_csv(cfg, axis, values)
 
-    def test_one_draw_serves_every_grid_point(self, tmp_path, monkeypatch):
-        cfg = self._edge_list_config(tmp_path)
+    @pytest.mark.parametrize("kind", ["er", "config-model", "edge-list"])
+    def test_one_draw_serves_every_grid_point(self, tmp_path, monkeypatch, kind):
+        cfg = self._graph_config(tmp_path, kind)
         draws, groups = [], []
         monkeypatch.setattr(sim._Engine, "draw", lambda self, *a, _draw=sim._Engine.draw, **k: (
             draws.append(len(self.points)) or _draw(self, *a, **k)))
