@@ -12,6 +12,7 @@ share across workers.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -289,6 +290,14 @@ class IngestResult:
 
 _INT64 = np.iinfo(np.int64)
 
+# Text the C parse takes: tabs, newlines and printable ASCII, with "\r\n"
+# read as a newline.  On it `str.splitlines`, `str.strip` and `str.split`
+# cut where numpy's reader cuts, and an id of at most 18 digits always fits
+# in 64 bits, so `int` and numpy read the same pairs.
+_PLAIN_BYTES = b"\t\n" + bytes(range(0x20, 0x7F))
+_SKIPPED_LINE = re.compile(rb"^[ \t]*(?:#[^\n]*\n|\n)", re.MULTILINE)
+_DIGITS_AS_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
+
 
 def read_source(source) -> str:
     """The text behind a path or text argument.
@@ -304,19 +313,40 @@ def read_source(source) -> str:
         return fh.read()
 
 
-def ingest_edge_list(source) -> IngestResult:
-    """Parse '#'-commented 'u v' integer pairs into a simple graph.
+def _parse_plain_pairs(text: str) -> np.ndarray | None:
+    """The (rows, 2) int64 ids of the edge lines, parsed in C; None if the C parse declines.
 
-    Edges are undirected: a line and its reverse are one edge.  External
-    node ids (64-bit integers) are remapped to dense 0..n-1 in ascending
-    order; the map is retained in the result.  Self-loops are dropped and
-    counted, and duplicate edges collapse.  `source` follows `read_source`.
+    It declines text that is not plain (see `_PLAIN_BYTES`), text with no
+    edge line, an edge line holding anything but ids of at most 18 digits,
+    signs and blanks, and an edge line that does not hold exactly two ids.
     """
-    lines = read_source(source).splitlines()
+    if not text.isascii():
+        return None
+    data = text.replace("\r\n", "\n").encode("ascii")
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    body = _SKIPPED_LINE.sub(b"", data + b"\n")
+    ids = body.translate(_DIGITS_AS_ZERO)
+    if not body or ids.translate(None, b"0+- \t\n") or b"0" * 19 in ids:
+        return None
+    try:
+        pairs = np.loadtxt(io.StringIO(body.decode("ascii")), dtype=np.int64, comments=None,
+                           ndmin=2)
+    except ValueError:  # a malformed id, or lines of unequal width
+        return None
+    return pairs if pairs.shape[1] == 2 else None
 
+
+def _read_pairs(text: str) -> np.ndarray:
+    """The (rows, 2) int64 ids of the edge lines, read line by line.
+
+    This reader defines the format: it takes any text, and raises
+    GraphFormatError naming the first edge line that does not hold
+    exactly two 64-bit integer ids.
+    """
     rows: list[tuple[int, int]] = []
     id_min, id_max = _INT64.min, _INT64.max
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -330,13 +360,33 @@ def ingest_edge_list(source) -> IngestResult:
         if not (id_min <= u_ext <= id_max and id_min <= v_ext <= id_max):
             raise GraphFormatError(f"line {lineno}: node id outside the 64-bit range in {line!r}")
         rows.append((u_ext, v_ext))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
-    if not rows:
+
+def ingest_edge_list(source) -> IngestResult:
+    """Parse '#'-commented 'u v' integer pairs into a simple graph.
+
+    Blank lines and lines whose first non-blank character is '#' are
+    skipped; every other line holds exactly two whitespace-separated
+    64-bit integer ids, or GraphFormatError names it.  Plain text is
+    parsed in C, and any other text, or text the C parse rejects, is read
+    line by line (`_read_pairs`), so the result and the error are those of
+    the line reader either way.  Edges are undirected: a line and its
+    reverse are one edge.  External node ids are remapped to dense 0..n-1
+    in ascending order; the map is retained in the result.  Self-loops are
+    dropped and counted, and duplicate edges collapse.  `source` follows
+    `read_source`.
+    """
+    text = read_source(source)
+    pairs = _parse_plain_pairs(text)
+    if pairs is None:
+        pairs = _read_pairs(text)
+    if not len(pairs):
         raise GraphFormatError("empty input: no edges found")
 
     # Canonical compaction: sorted external ids -> 0..n-1, so re-emitting and
     # re-ingesting reproduces the identical labeled graph.
-    ext_ids, dense = np.unique(np.array(rows, dtype=np.int64), return_inverse=True)
+    ext_ids, dense = np.unique(pairs, return_inverse=True)
     dense = dense.reshape(-1, 2)
     loops = dense[:, 0] == dense[:, 1]
     graph = Graph(len(ext_ids), dense[~loops])
@@ -345,8 +395,8 @@ def ingest_edge_list(source) -> IngestResult:
         graph=graph,
         id_map=dict(zip(ext_ids.tolist(), range(len(ext_ids)))),
         self_loops_dropped=self_loops,
-        duplicates_dropped=len(rows) - self_loops - graph.num_edges,
-        lines_read=len(rows),
+        duplicates_dropped=len(pairs) - self_loops - graph.num_edges,
+        lines_read=len(pairs),
     )
 
 

@@ -28,14 +28,15 @@ theta0, so laws that differ only in epsilon, alpha or profile share it:
 every run, sweep and normality probe reaches trials through one path,
 `_run_trials`, which draws each block once and plays every grid point's
 tables on it, at three table lookups and three comparisons per
-user-trial and law.  A sweep plays each run of consecutive grid points
-that share a graph section (any epsilon or alpha sweep) on one graph and
-one draw per block; an avg_degree point builds its own graph.  A block
-keeps only integer counts, the world bit and per law the 1-report and
-in-band counts (1 + 8 bytes per trial and law); per-trial payments and
-privacy costs are those counts times constants, computed once per law
-over the whole run, and aggregation over the trial-indexed arrays uses
-exactly-rounded summation.
+user-trial and law; the table keys are C-ordered `np.intp`, the index
+array numpy's gather reads fastest.  A sweep plays each run of
+consecutive grid points that share a graph section (any epsilon or alpha
+sweep) on one graph and one draw per block; an avg_degree point builds
+its own graph.  A block keeps only integer counts, the world bit and per
+law the 1-report and in-band counts (1 + 8 bytes per trial and law);
+per-trial payments and privacy costs are those counts times constants,
+computed once per law over the whole run, and aggregation over the
+trial-indexed arrays uses exactly-rounded summation.
 """
 
 from __future__ import annotations
@@ -94,11 +95,12 @@ def map_estimate(sum_reports, n: int) -> np.ndarray:
 # Trials per block: as many as keep block x (n + 2m) user and directed-edge
 # cells within _BLOCK_CELLS, from 1 to _MAX_BLOCK.  A block's fixed cost (its
 # stream and a few dozen array calls) is shared by its trials.  The cells do
-# not cost alike.  Per trial the shared draw holds about 21 bytes a user (two
-# uniforms, her signal and table key), a directed edge one count lane of a
-# gathered word and its share of the word's prefix sum (a byte while the
-# largest degree is below 256); each law on the draw then adds, one law at a
-# time, about 27 bytes a user (three table lookups, report and band flags).
+# not cost alike.  Per trial the shared draw holds about 25 bytes a user (two
+# uniforms, her signal and her 8-byte table key), a directed edge one count
+# lane of a gathered word and its share of the word's prefix sum (a byte
+# while the largest degree is below 256); each law on the draw then adds, one
+# law at a time, about 27 bytes a user (three table lookups, report and band
+# flags).
 # A block keeps 1 + 8 bytes per trial and law (the world bit, the 1-report
 # and band counts).  2**18 cells is the measured knee of both benchmark
 # graphs: from 2**18 to 2**20 neither the 250-node README graph nor a
@@ -206,13 +208,13 @@ class _Engine:
             # the offsets depend on the degrees alone, so every law keys alike
             offset, below, at_most = law.side_table(graph.degrees)
             self.points.append(_Point(law, mech, graph.n, below, at_most))
-        self._row = (2 * offset[graph.degrees]).astype(np.int32)
+        self._row = (2 * offset[graph.degrees]).astype(np.intp)
         self._lane = np.min_scalar_type(graph.max_degree())  # holds any user's count
         cells = graph.n + 2 * graph.num_edges
         self.block = min(max(_BLOCK_CELLS // cells, 1), _MAX_BLOCK)
 
     def friends_ones(self, s: np.ndarray) -> np.ndarray:
-        """Per user, how many of her friends hold private signal 1: (rows, n) in, int32 out.
+        """Per user, how many of her friends hold private signal 1: (rows, n) in, intp out.
 
         The rows are packed as lanes of the smallest unsigned type that holds
         the largest degree, a user's lanes padded to whole 64-bit words, so
@@ -222,7 +224,8 @@ class _Engine:
         (`recv_starts`).  The prefix sum carries across lanes and wraps,
         but its differences are exact modulo 2**64, and a user's true word
         sum is below 2**64 with no carry between lanes, because no lane's
-        count exceeds her degree.
+        count exceeds her degree.  The counts come out C-ordered in
+        `np.intp`, as `draw` turns them into table keys in place.
         """
         rows, n = s.shape
         per_word = 8 // self._lane.itemsize
@@ -235,13 +238,16 @@ class _Engine:
         np.take(words, send, axis=0, out=sums[1:])
         np.cumsum(sums, axis=0, out=sums)
         counts = np.diff(sums[self.graph.recv_starts], axis=0)
-        return counts.view(self._lane)[:, :rows].T.astype(np.int32)
+        return counts.view(self._lane)[:, :rows].T.astype(np.intp, order="C")
 
     def draw(self, rng: np.random.Generator, rows: int):
         """(w, key, u) of `rows` trials: shapes (rows,), (rows, n), (rows, n).
 
         Each user's table key is 2 * (offset[d] + a) + s for her degree d,
-        friends' ones a and own signal s; u is her one uniform.
+        friends' ones a and own signal s; u is her one uniform.  The keys
+        are a C-ordered `np.intp` array: numpy's take copies any other index
+        array to a temporary intp one, whose fresh pages can cost several
+        times the gather on a block of tens of thousands of keys.
         """
         w = sample_world(rng, self.params, rows)
         s = sample_private_signals(rng, w, self.params)

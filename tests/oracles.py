@@ -183,19 +183,27 @@ def graph_arrays_loop(n: int, edges) -> dict:
 def ingest_counts_loop(text: str) -> dict:
     """Edge-list ingest with id, pair and seen sets: dense edges, id map, counters.
 
-    Returns None when the text holds no edge line.  Every edge line must
-    hold two integers.
+    Returns None when the text holds no edge line, and {"error": message}
+    for the first edge line that does not hold two 64-bit integers.
     """
     ext_ids: set[int] = set()
     ext_pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     self_loops = duplicates = lines_read = 0
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         lines_read += 1
-        u_ext, v_ext = (int(x) for x in stripped.split())
+        parts = stripped.split()
+        if len(parts) != 2:
+            return {"error": f"line {lineno}: expected two node ids, got {line!r}"}
+        try:
+            u_ext, v_ext = int(parts[0]), int(parts[1])
+        except ValueError:
+            return {"error": f"line {lineno}: non-integer node id in {line!r}"}
+        if not (-(2**63) <= min(u_ext, v_ext) and max(u_ext, v_ext) < 2**63):
+            return {"error": f"line {lineno}: node id outside the 64-bit range in {line!r}"}
         ext_ids.update((u_ext, v_ext))
         if u_ext == v_ext:
             self_loops += 1

@@ -39,7 +39,23 @@ def _assert_graph_matches(graph: Graph, ref: dict) -> None:
 # Node ids: a dense small range, so lines repeat, reverse and self-loop
 # often, plus sparse and negative ids anywhere in the 64-bit range.
 _IDS = st.one_of(st.integers(-3, 12), st.integers(-(2**63), 2**63 - 1))
-_SEPARATORS = st.sampled_from([" ", "\t", "  "])
+_SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t "])
+# Lines that `int` and `str.splitlines`, `strip` and `split` read but a C
+# parse may not: signs, underscores, leading zeros past 18 digits,
+# non-ASCII digits and blanks, a comment in non-ASCII text, and comments
+# that a vertical tab or a carriage return breaks before an edge.
+_ODD_EDGE_LINES = st.sampled_from([
+    "+5 -0", "1_000 7", "0000000000000000000003 4", f"{2**63 - 1} {-(2**63)}",
+    "\u0661 \u0662", "5\u3000 6", "8\xa09", "7\x1f8", "# na\u00efve", "  9 10  ",
+    "# x\x0b11 12", "# y\r13 14",
+])
+# Lines the format rejects, each naming its line: an inline comment, one or
+# three ids, non-integer ids, ids outside 64 bits, a form feed (which
+# `str.splitlines` breaks at) and a stray carriage return.
+_BAD_LINES = st.sampled_from([
+    "0 1 # x", "0 1 2", "7", "0 x", "1.0 2", "0x1 2", "1e3 2", "+-5 1", "5- 1",
+    f"{2**63} 0", f"0 {-(2**63) - 1}", "3\x0c4", "3\r4",
+])
 
 
 class TestGraphBasics:
@@ -184,25 +200,35 @@ class TestIngest:
         lines=st.lists(
             st.one_of(
                 st.tuples(_IDS, _SEPARATORS, _IDS).map(lambda t: f"{t[0]}{t[1]}{t[2]}"),
-                st.sampled_from(["# comment", "", "   ", "#3 4", "  # 5 6"]),
+                st.sampled_from(["# comment", "", "   ", "#3 4", "  # 5 6", "\t#\t7"]),
+                _ODD_EDGE_LINES,
             ),
             max_size=60,
         ),
         echoes=st.lists(st.tuples(st.integers(0, 59), st.booleans()), max_size=20),
+        bad=st.none() | st.tuples(st.integers(0, 80), _BAD_LINES),
+        newline=st.sampled_from(["\n", "\r\n"]),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_set_and_loop_reference(self, lines, echoes):
+    @settings(max_examples=300, deadline=None)
+    def test_matches_set_and_loop_reference(self, lines, echoes, bad, newline):
         # Echo some edge lines again, reversed or as they were.
         edge_lines = [ln.split() for ln in lines if ln.strip() and not ln.strip().startswith("#")]
         for k, reverse in echoes:
             if edge_lines:
                 u, v = edge_lines[k % len(edge_lines)]
                 lines.append(f"{v} {u}" if reverse else f"{u} {v}")
-        text = "\n".join(lines) + "\n"
+        if bad is not None:
+            lines.insert(bad[0] % (len(lines) + 1), bad[1])
+        text = newline.join(lines) + newline
         ref = ingest_counts_loop(text)
         if ref is None:
             with pytest.raises(GraphFormatError, match="empty input"):
                 ingest_edge_list(text)
+            return
+        if "error" in ref:
+            with pytest.raises(GraphFormatError) as info:
+                ingest_edge_list(text)
+            assert str(info.value) == ref["error"]
             return
         res = ingest_edge_list(text)
         assert res.graph.n == ref["n"]

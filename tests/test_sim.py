@@ -256,7 +256,7 @@ class TestEngineSetup:
         s = (np.random.default_rng(4).random((3, n)) < 0.8).astype(np.int8)
         s[0, 1:201] = 1
         ones = engine.friends_ones(s)
-        assert ones.shape == (3, n) and ones.dtype == np.int32
+        assert ones.shape == (3, n) and ones.dtype == np.intp and ones.flags.c_contiguous
         for row in range(3):
             for i in range(n):
                 assert ones[row, i] == sum(int(s[row, j]) for j in engine.graph.neighbors(i))
@@ -287,9 +287,21 @@ class TestEngineSetup:
         random = (np.random.default_rng(rows).random((rows, n)) < 0.5).astype(np.int8)
         for s in (alternating, random):
             ones = engine.friends_ones(s)
-            assert ones.shape == (rows, n) and ones.dtype == np.int32
+            assert ones.shape == (rows, n) and ones.dtype == np.intp and ones.flags.c_contiguous
             np.testing.assert_array_equal(ones, friends_ones_bincount(graph, s))
         assert engine.friends_ones(alternating)[:, 0].tolist() == [hub, 0] * (rows // 2) + [hub]
+
+    def test_draw_keys_take_the_fast_gather(self):
+        # the README graph's block holds more than 50k keys; numpy's take
+        # copies an index array that is not C-ordered intp to a temporary
+        # one, whose fresh pages cost several times the gather at that size
+        _, engine, _ = sim._build_experiment([default_config()])
+        _, key, u = engine.draw(substream(1, 5, 0), engine.block)
+        assert key.size > 50_000
+        assert key.dtype == np.intp and key.flags.c_contiguous
+        assert u.flags.c_contiguous
+        for index in (engine.graph.directed_send, engine.graph.recv_starts):
+            assert index.dtype == np.intp
 
     def test_edgeless_graph_plays_the_coin(self):
         # every degree-0 user sits in her band (f = 0 = d/2) and randomizes
