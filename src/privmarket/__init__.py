@@ -35,7 +35,6 @@ from .analytics import (  # noqa: F401
     MomentSummary,
     Prediction,
     ReportLaw,
-    beta_accuracy,
     bhattacharyya,
     expected_total_payment,
     mv_moments_equal_priors,

@@ -9,8 +9,9 @@ degree's band, `ReportLaw.side_table` is the law of a user's group-signal
 sum's side of the band given her degree and her friends' signals, and
 `ReportLaw.cut_table` splits each of those laws by what she reports, so
 that the Monte Carlo engine draws a user's whole move (report and band
-side) from one uniform.  The per-degree conditional report probabilities
-that everything else is assembled from are sums over the same band.
+side) from one uniform.  `ReportLaw.terms` tabulates the per-degree
+conditional report probabilities that everything else is assembled from
+(`DegreeTerms`); they are sums over the same band.
 
 Two variance coefficients are reported side by side:
 
@@ -18,8 +19,8 @@ Two variance coefficients are reported side by side:
   `delta` is a first-order approximation of the pairwise covariances;
 * `kappa1_pairs` assembles the degree law's dependency-graph CLT
   variance from the exact pairwise report probabilities
-  (`pair_adjacent`, `pair_common_friend`), which match brute-force
-  enumeration.
+  (`DegreeTerms.pair_adjacent`, `DegreeTerms.pair_common_friend`), which
+  match brute-force enumeration.
 
 Neither feeds a simulation: Monte Carlo comparisons and the normality
 probe normalize by the realized graph's kappa from `graph_report_moments`.
@@ -29,10 +30,11 @@ profile's (n, mu1, kappa1) it gives beta, Z, Z0, Z1, the expected payout
 and the Bhattacharyya distance.
 
 All degree expectations are exact finite sums over the truncated support;
-nothing in this module samples.  `ReportLaw` keeps its per-degree terms as
-arrays, so a degree-law average costs O(|support|) and the realized-graph
-variance O(edges + wedges) array work.  Binomial masses come from the
-numpy recurrence in `graph.binomial_pmf`; the module imports no scipy.
+nothing in this module samples.  Each closed form builds one
+`DegreeTerms` up to the largest degree it reads, so a degree-law average
+costs O(|support|) and the realized-graph variance O(edges + wedges) array
+work.  Binomial masses come from the numpy recurrence in
+`graph.binomial_pmf`; the module imports no scipy.
 """
 
 from __future__ import annotations
@@ -46,10 +48,11 @@ import numpy as np
 from .graph import DegreeDistribution, Graph, binomial_pmf
 from .mechanism import design_Z, design_Z0_Z1
 from .model import ModelParams
-from .strategy import equal_priors_tau
+from .strategy import CUT_TOL, equal_priors_tau
 
 __all__ = [
     "AnalyticsError",
+    "DegreeTerms",
     "MomentSummary",
     "PaymentBoundReport",
     "Prediction",
@@ -62,7 +65,6 @@ __all__ = [
     "nd_moments",
     "graph_report_moments",
     "std_normal_cdf",
-    "beta_accuracy",
     "beta_from_moments",
     "expected_total_payment",
     "bhattacharyya",
@@ -76,19 +78,19 @@ class AnalyticsError(ValueError):
     """Degenerate inputs to a closed-form computation."""
 
 
-_INT_TOL = 1e-9
-
-
 def band_bounds(d, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi): the integer group-signal sums of the band d/2 +- tau, both included.
+
+    A sum within `strategy.CUT_TOL` of an end counts as on it, as in the
+    strategy tables.
 
     `d` is a degree or an array of degrees.  Sums below lo report 0, sums
     above hi report 1; a band wider than the whole range covers 0..d.
     """
     d = np.asarray(d)
     return (
-        np.ceil(d / 2 - tau - _INT_TOL).astype(np.int64),
-        np.floor(d / 2 + tau + _INT_TOL).astype(np.int64),
+        np.ceil(d / 2 - tau - CUT_TOL).astype(np.int64),
+        np.floor(d / 2 + tau + CUT_TOL).astype(np.int64),
     )
 
 
@@ -106,24 +108,83 @@ def lambda_sr(epsilon: float, theta0: float) -> float:
 _SIDE_CHUNK = 1 << 16  # (a, flipped) cells per step of `ReportLaw.side_table`
 
 
-class ReportLaw:
-    """Conditional report law of one symmetric profile, given W = 1.
-
-    Under equal priors the W = 0 law is the mirror image, so a single
-    conditional covers both hypotheses.  Per-degree quantities are cached
-    as arrays indexed by degree, built once for degrees 0..d and rebuilt
-    only when a larger degree is asked for:
+@dataclass(frozen=True, eq=False)
+class DegreeTerms:
+    """Per-degree report probabilities of one `ReportLaw`, rows 0..d_max, read-only.
 
     * `mean[d]`    = Pr(X = 1 | degree d);
     * `M[d, s, t]` = Pr(X = 1 | degree d, own signal s, one friend's signal t);
     * `G[d, t]`    = the same with the own signal averaged out;
     * `edge[d]`    = the Binomial(d - 1, theta1) mass of the other d - 1
       received bits at hi and at lo - 1 of the band (the boundary terms
-      of the displayed delta).
+      of the displayed delta);
+    * `pr`         = (Pr(signal = 0), Pr(signal = 1)).
 
-    Every pair probability is a sum of products of one term per endpoint,
-    so degree averages of pair probabilities factor into products of
-    single-degree averages.
+    A friendless user receives no friend's signal, so row 0 of M and G is
+    NaN and row 0 of edge is zero.  The pair probabilities take degrees or
+    arrays of degrees, in either order.  Each is a sum of products of one
+    term per endpoint, so degree averages of pair probabilities factor into
+    products of single-degree averages.
+    """
+
+    mean: np.ndarray
+    M: np.ndarray
+    G: np.ndarray
+    edge: np.ndarray
+    pr: tuple[float, float]
+
+    def pair_adjacent(self, di, dj):
+        """Pr(X_i = X_j = 1 | W = 1) for friends i, j with no common friend."""
+        lo, hi = _linked_degrees(di, dj)
+        m, pr = self.M, self.pr
+        return sum(pr[si] * pr[sj] * m[lo, si, sj] * m[hi, sj, si]
+                   for si in (0, 1) for sj in (0, 1))
+
+    def pair_common_friend(self, di, dj):
+        """Pr(X_i = X_j = 1 | W = 1) for non-friends sharing exactly one friend."""
+        lo, hi = _linked_degrees(di, dj)
+        g, pr = self.G, self.pr
+        return pr[0] * g[lo, 0] * g[hi, 0] + pr[1] * g[lo, 1] * g[hi, 1]
+
+    def ensemble_pair_probs(self, dist: DegreeDistribution) -> tuple[float, float]:
+        """Degree-averaged (adjacent, common-friend) pair probabilities.
+
+        Both endpoints are weighted by the degree law conditioned on D > 0,
+        matching the closed-form treatment of linked users.  The two
+        endpoints are independent draws, so each average over pairs of
+        degrees is a product of averages over one degree, O(|support|).
+        """
+        rt = dist.rho_tilde()
+        keep = rt.mass > 0
+        supp, mass = rt.support[keep], rt.mass[keep]
+        pr = self.pr
+
+        def avg(values: np.ndarray) -> float:
+            return math.fsum((mass * values).tolist())
+
+        em = [[avg(self.M[supp, s, t]) for t in (0, 1)] for s in (0, 1)]
+        eg = [avg(self.G[supp, t]) for t in (0, 1)]
+        vs = sum(pr[s] * pr[t] * em[s][t] * em[t][s] for s in (0, 1) for t in (0, 1))
+        vst = sum(pr[t] * eg[t] * eg[t] for t in (0, 1))
+        return vs, vst
+
+
+def _linked_degrees(di, dj):
+    """(min, max) of two endpoint degrees, elementwise; both must be >= 1."""
+    lo, hi = np.minimum(di, dj), np.maximum(di, dj)
+    if np.any(lo < 1):
+        raise AnalyticsError("a user with a friend has degree >= 1")
+    return lo, hi
+
+
+class ReportLaw:
+    """Conditional report law of one symmetric profile, given W = 1.
+
+    Under equal priors the W = 0 law is the mirror image, so a single
+    conditional covers both hypotheses.  A law holds only its constants;
+    `terms(d_max)` tabulates the per-degree report probabilities that the
+    closed forms read, and `side_table`/`cut_table` the engine's
+    thresholds.
     """
 
     def __init__(self, params: ModelParams, tau: float, epsilon: float):
@@ -135,47 +196,35 @@ class ReportLaw:
         # Pr(randomized report = 1 | own signal 0, 1), and what randomizing costs
         self._coin = np.array([1.0 / (ee + 1.0), ee / (ee + 1.0)])
         self.band_cost = params.cost.value(self.epsilon)
-        self._pr = (1.0 - params.theta0, params.theta0)  # Pr(signal = 0), Pr(signal = 1)
-        self._mean = np.empty(0)
-        self._M = np.empty((0, 2, 2))
-        self._G = np.empty((0, 2))
-        self._edge = np.empty((0, 2))
 
-    def _tables(self, d_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mean, M, G) covering degrees 0..d_max at least; row 0 of M and G is NaN.
-
-        `edge` is rebuilt alongside, with row 0 zero.
-
-        A rebuild at least doubles the covered range, so asking for degrees
-        one at a time in increasing order costs O(d_max) pmf rows, not O(d_max^2).
-        """
-        if d_max >= len(self._mean):
-            d_max = max(d_max, 2 * len(self._mean))
-            th0, th1, alpha = self.params.theta0, self.params.theta1, self.params.alpha
-            c = self._coin
-            lo, hi = (b.tolist() for b in band_bounds(np.arange(d_max + 1), self.tau))
-            mean = np.empty(d_max + 1)
-            j = np.full((d_max + 1, 2, 2), np.nan)  # [d, k, l]: own signal k, one received bit l
-            edge = np.zeros((d_max + 1, 2))
-            prev = None  # Binomial(d - 1, theta1) mass: the d - 1 other received bits
-            for d in range(d_max + 1):
-                pmf = binomial_pmf(d, th1)
-                nu_sr, nu_nd = _band_tail(pmf, lo[d], hi[d])
-                mean[d] = nu_nd + self.lam * nu_sr
-                if prev is not None:
-                    for l in (0, 1):  # l received bits are fixed, so the band shifts by l
-                        band, tail = _band_tail(prev, lo[d] - l, hi[d] - l)
-                        j[d, :, l] = tail + c * band
-                    if 0 <= hi[d] < d:
-                        edge[d, 0] = prev[hi[d]]
-                    if 0 < lo[d] <= d:
-                        edge[d, 1] = prev[lo[d] - 1]
-                prev = pmf
-            # The friend's bit arrives flipped with probability alpha.
-            m = (1.0 - alpha) * j + alpha * j[:, :, ::-1]
-            g = th0 * m[:, 1, :] + (1.0 - th0) * m[:, 0, :]
-            self._mean, self._M, self._G, self._edge = mean, m, g, edge
-        return self._mean, self._M, self._G
+    def terms(self, d_max: int) -> DegreeTerms:
+        """The law's `DegreeTerms` for degrees 0..d_max."""
+        th0, th1, alpha = self.params.theta0, self.params.theta1, self.params.alpha
+        c = self._coin
+        lo, hi = (b.tolist() for b in band_bounds(np.arange(d_max + 1), self.tau))
+        mean = np.empty(d_max + 1)
+        j = np.full((d_max + 1, 2, 2), np.nan)  # [d, k, l]: own signal k, one received bit l
+        edge = np.zeros((d_max + 1, 2))
+        prev = None  # Binomial(d - 1, theta1) mass: the d - 1 other received bits
+        for d in range(d_max + 1):
+            pmf = binomial_pmf(d, th1)
+            nu_sr, nu_nd = _band_tail(pmf, lo[d], hi[d])
+            mean[d] = nu_nd + self.lam * nu_sr
+            if prev is not None:
+                for l in (0, 1):  # l received bits are fixed, so the band shifts by l
+                    band, tail = _band_tail(prev, lo[d] - l, hi[d] - l)
+                    j[d, :, l] = tail + c * band
+                if 0 <= hi[d] < d:
+                    edge[d, 0] = prev[hi[d]]
+                if 0 < lo[d] <= d:
+                    edge[d, 1] = prev[lo[d] - 1]
+            prev = pmf
+        # The friend's bit arrives flipped with probability alpha.
+        m = (1.0 - alpha) * j + alpha * j[:, :, ::-1]
+        g = th0 * m[:, 1, :] + (1.0 - th0) * m[:, 0, :]
+        for table in (mean, m, g, edge):
+            table.flags.writeable = False
+        return DegreeTerms(mean=mean, M=m, G=g, edge=edge, pr=(1.0 - th0, th0))
 
     def side_table(self, degrees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(offset, below, at_most): the law of a group-signal sum's side of the band.
@@ -239,70 +288,6 @@ class ReportLaw:
         lo, hi = below[:, None], at_most[:, None]
         return np.clip(hi - (hi - lo) * self._coin, lo, hi)
 
-    # -- single-user -----------------------------------------------------
-    def mean(self, d: int) -> float:
-        """Pr(X = 1 | W = 1, degree d)."""
-        if d < 0:
-            raise AnalyticsError("d must be >= 0")
-        return float(self._tables(d)[0][d])
-
-    def ensemble_mean(self, dist: DegreeDistribution) -> float:
-        return dist.expect(self.mean)
-
-    # -- pairwise --------------------------------------------------------
-    def _pair_adjacent(self, lo, hi):
-        """pair_adjacent on degree arrays with lo <= hi elementwise (tables built)."""
-        m, pr = self._M, self._pr
-        total = 0
-        for si in (0, 1):
-            for sj in (0, 1):
-                total = total + pr[si] * pr[sj] * m[lo, si, sj] * m[hi, sj, si]
-        return total
-
-    def _pair_common_friend(self, lo, hi):
-        """pair_common_friend on degree arrays with lo <= hi elementwise (tables built)."""
-        g, pr = self._G, self._pr
-        return pr[0] * g[lo, 0] * g[hi, 0] + pr[1] * g[lo, 1] * g[hi, 1]
-
-    def pair_adjacent(self, di: int, dj: int) -> float:
-        """Pr(X_i = X_j = 1 | W = 1) for friends i, j with no common friend."""
-        lo, hi = min(di, dj), max(di, dj)
-        if lo < 1:
-            raise AnalyticsError("a user with a friend has degree >= 1")
-        self._tables(hi)
-        return float(self._pair_adjacent(lo, hi))
-
-    def pair_common_friend(self, di: int, dj: int) -> float:
-        """Pr(X_i = X_j = 1 | W = 1) for non-friends sharing exactly one friend."""
-        lo, hi = min(di, dj), max(di, dj)
-        if lo < 1:
-            raise AnalyticsError("a user with a friend has degree >= 1")
-        self._tables(hi)
-        return float(self._pair_common_friend(lo, hi))
-
-    def ensemble_pair_probs(self, dist: DegreeDistribution) -> tuple[float, float]:
-        """Degree-averaged (adjacent, common-friend) pair probabilities.
-
-        Both endpoints are weighted by the degree law conditioned on D > 0,
-        matching the closed-form treatment of linked users.  The two
-        endpoints are independent draws, so each average over pairs of
-        degrees is a product of averages over one degree, O(|support|).
-        """
-        rt = dist.rho_tilde()
-        keep = rt.mass > 0
-        supp, mass = rt.support[keep], rt.mass[keep]
-        _, m, g = self._tables(int(supp.max()))
-
-        def avg(values: np.ndarray) -> float:
-            return math.fsum((mass * values).tolist())
-
-        em = [[avg(m[supp, s, t]) for t in (0, 1)] for s in (0, 1)]
-        eg = [avg(g[supp, t]) for t in (0, 1)]
-        pr = self._pr
-        vs = sum(pr[s] * pr[t] * em[s][t] * em[t][s] for s in (0, 1) for t in (0, 1))
-        vst = sum(pr[t] * eg[t] * eg[t] for t in (0, 1))
-        return vs, vst
-
 
 def mv_report_law(params: ModelParams) -> ReportLaw:
     """Report law of the equilibrium majority-voting profile (equal priors)."""
@@ -328,14 +313,13 @@ class MomentSummary:
     epsilon: float
 
 
-def _delta_display(law: ReportLaw, rho_tilde: DegreeDistribution) -> float:
+def _delta_display(law: ReportLaw, terms: DegreeTerms, rho_tilde: DegreeDistribution) -> float:
     """First-order cross-pair coefficient: the two boundary pmf terms."""
     th0, alpha = law.params.theta0, law.params.alpha
     ee = math.exp(law.epsilon)
     coef_hi = ee * (1.0 - th0) + th0
     coef_lo = th0 * ee + 1.0 - th0
-    law._tables(int(rho_tilde.support[rho_tilde.mass > 0].max()))
-    edge = law._edge
+    edge = terms.edge
 
     def boundary_term(d: int) -> float:
         return (coef_hi * edge[d, 0] + coef_lo * edge[d, 1]) / (ee + 1.0)
@@ -356,16 +340,17 @@ def _summary_from_law(law: ReportLaw, dist: DegreeDistribution) -> MomentSummary
             mu1=lam, kappa1=var, lam=lam, delta=0.0, delta_tilde=0.0,
             kappa1_pairs=var, tau=law.tau, epsilon=law.epsilon,
         )
-    mu1 = law.ensemble_mean(dist)
+    terms = law.terms(dist.d_max)
+    mu1 = dist.expect(lambda d: terms.mean[d])
     mean_d = dist.mean()
     mean_d2 = dist.second_moment()
     rho_tilde = dist.rho_tilde()
     delta_tilde = (
         rho0 / (1.0 - rho0) ** 2 * (mu1 * mu1 * (2.0 - rho0) - 2.0 * mu1 * lam + rho0 * lam * lam)
     )
-    delta = _delta_display(law, rho_tilde)
+    delta = _delta_display(law, terms, rho_tilde)
     kappa1 = mu1 - mu1 * mu1 + delta_tilde * mean_d2 + delta * (mean_d2 - mean_d)
-    vs, vst = law.ensemble_pair_probs(dist)
+    vs, vst = terms.ensemble_pair_probs(dist)
     kappa1_pairs = mu1 - mu1 * mu1 + mean_d * (vs - vst) + mean_d2 * (vst - mu1 * mu1)
     return MomentSummary(
         mu1=mu1, kappa1=kappa1, lam=lam, delta=delta, delta_tilde=delta_tilde,
@@ -386,7 +371,7 @@ def nd_moments(params: ModelParams, dist: DegreeDistribution) -> MomentSummary:
 _WEDGE_CHUNK = 1 << 16  # wedge terms gathered per step (plus at most d_max - 1)
 
 
-def _wedge_terms(graph: Graph, law: ReportLaw, means: np.ndarray):
+def _wedge_terms(graph: Graph, terms: DegreeTerms, means: np.ndarray):
     """Per chunk: the list of 2 cov(X_a, X_b) over wedges a - c - b that are not edges.
 
     Wedges are enumerated from the neighbor lists of each centre c as
@@ -416,8 +401,7 @@ def _wedge_terms(graph: Graph, law: ReportLaw, means: np.ndarray):
         pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
         open_ = edge_keys[pos] != keys
         a, b = a[open_], b[open_]
-        da, db = deg[a], deg[b]
-        pair = law._pair_common_friend(np.minimum(da, db), np.maximum(da, db))
+        pair = terms.pair_common_friend(deg[a], deg[b])
         yield (2.0 * (pair - means[a] * means[b])).tolist()
 
 
@@ -431,21 +415,20 @@ def graph_report_moments(graph: Graph, law: ReportLaw) -> tuple[float, float]:
     and triangle pairs keep only their edge term; both patterns are rare
     in sparse graphs.
 
-    Every term is gathered from the law's per-degree arrays, edges at once
+    Every term is gathered from the law's `DegreeTerms`, edges at once
     and wedges in bounded chunks, so the cost is O(edges + wedges) array
     work and the memory does not grow with the wedge count.  The terms are
     added with `math.fsum`, so the result does not depend on their order.
     """
     deg = graph.degrees
-    mean_by_degree, _, _ = law._tables(graph.max_degree())
-    means = mean_by_degree[deg]
+    terms = law.terms(graph.max_degree())
+    means = terms.mean[deg]
     u, v = graph.edges().T
-    du, dv = deg[u], deg[v]
-    edge_pair = law._pair_adjacent(np.minimum(du, dv), np.maximum(du, dv))
+    edge_pair = terms.pair_adjacent(deg[u], deg[v])
     var_sum = math.fsum(chain(
         (means * (1.0 - means)).tolist(),
         (2.0 * (edge_pair - means[u] * means[v])).tolist(),
-        chain.from_iterable(_wedge_terms(graph, law, means)),
+        chain.from_iterable(_wedge_terms(graph, terms, means)),
     ))
     return float(means.mean()), var_sum / graph.n
 
@@ -462,11 +445,6 @@ def beta_from_moments(n: int, mu1: float, kappa1: float) -> float:
     if kappa1 <= 0.0:
         raise AnalyticsError(f"variance coefficient must be positive, got {kappa1}")
     return std_normal_cdf(math.sqrt((n - 1) / kappa1) * (mu1 - 0.5))
-
-
-def beta_accuracy(n: int, summary: MomentSummary) -> float:
-    """Majority-consistency probability from an equal-priors moment summary."""
-    return beta_from_moments(n, summary.mu1, summary.kappa1)
 
 
 def expected_total_payment(z: float, beta: float, mu1: float, n: int) -> float:

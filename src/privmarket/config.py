@@ -210,6 +210,11 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"model: {exc}") from exc
     if cfg.graph.kind == ER and not 0.0 <= cfg.graph.avg_degree <= cfg.model.population - 1:
         raise ConfigError(f"graph.avg_degree must lie in [0, population - 1], got {cfg.graph.avg_degree:g}")
+    if cfg.graph.kind == CONFIG_MODEL and cfg.graph.pmf:
+        d_max = _pmf_distribution(cfg.graph).d_max
+        if d_max >= cfg.model.population:
+            raise ConfigError(f"graph.pmf puts mass on degree {d_max}, but no user of "
+                              f"model.population = {cfg.model.population} can have that many friends")
     grid = sweep_values(cfg)  # parsed even without an axis, which an override may add
     if cfg.sweep.axis:  # every grid point must pass as a run of its own
         if not grid:

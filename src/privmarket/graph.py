@@ -100,7 +100,6 @@ class Graph:
         # Directed view, grouped by receiver with senders ascending.
         recv, send = np.concatenate([lo, hi]), np.concatenate([hi, lo])
         order = np.lexsort((send, recv))
-        self.directed_recv = recv[order]
         self.directed_send = send[order]
         self.degrees = np.bincount(recv, minlength=n)
         self.recv_starts = np.concatenate([[0], np.cumsum(self.degrees)])

@@ -20,8 +20,8 @@ This solver builds the tables `privmarket strategy` exports and is the only
 encoding of the profile under unequal priors.  Under equal priors both
 cuts are d/2 +- `equal_priors_tau`, so simulation and the closed forms
 play the same profile as the (tau, epsilon) law `analytics.ReportLaw`;
-the tables here are their reference.  A cell exactly at a cut is
-non-disclosive in the tables, while the law randomizes there.
+the tables here are their reference.  Both put a sum within `CUT_TOL` of
+a cut inside the band, so the two agree cell by cell.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 XI_TOLERANCE = 1e-10
+# A group-signal sum within CUT_TOL of a cut lies on it: both cuts belong
+# to the band (`analytics.band_bounds` reads the same constant).
+CUT_TOL = 1e-9
 XI_CEILING = 1e6
 
 ND = "nd"
@@ -283,8 +286,9 @@ def build_mv_strategy(d: int, params: ModelParams) -> DegreeStrategy:
     """Equilibrium majority-voting strategy entries for one degree.
 
     Per f: solve the SR level xi(f), evaluate both clamped cuts at xi(f),
-    then classify the cell.  A friendless user always randomizes at xi(0);
-    boundary hits (f exactly at a cut) resolve to the non-disclosive side.
+    then classify the cell.  The band includes both cuts (to within
+    `CUT_TOL`), so a friendless user always randomizes at xi(0) and a sum
+    exactly at a cut randomizes too.
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
@@ -295,11 +299,9 @@ def build_mv_strategy(d: int, params: ModelParams) -> DegreeStrategy:
         u1 = upsilon(1, xi, f, d, params)
         cut_low = d / 2 - u0
         cut_high = d / 2 + u1
-        if d == 0:
-            regime, rows = SR, _sr_rows(xi)
-        elif f <= cut_low:
+        if f < cut_low - CUT_TOL:
             regime, rows = ND, _nd_rows(0.0)
-        elif f >= cut_high:
+        elif f > cut_high + CUT_TOL:
             regime, rows = ND, _nd_rows(1.0)
         else:
             regime, rows = SR, _sr_rows(xi)

@@ -3,9 +3,9 @@
 Nothing here calls the closed-form code paths it is used to check.  Report
 probabilities come straight from strategy-table rows; expectations are
 exact sums over all signal outcomes.  The loop references check how the
-array code assembles sums: they take the per-degree pair probabilities
-from `ReportLaw`'s scalar methods (which the enumeration oracles check)
-and sum them pair by pair.
+array code assembles sums: they build a law's `DegreeTerms` once, take
+each per-degree pair probability from it one degree pair at a time (the
+enumeration oracles check those values), and sum them pair by pair.
 """
 
 from __future__ import annotations
@@ -120,22 +120,24 @@ def enumerate_pair_common_friend(
 # ---------------------------------------------------------------------------
 
 def ensemble_pair_probs_double_sum(law: ReportLaw, dist: DegreeDistribution) -> tuple[float, float]:
-    """ReportLaw.ensemble_pair_probs as an O(|support|^2) sum over degree pairs."""
+    """DegreeTerms.ensemble_pair_probs as an O(|support|^2) sum over degree pairs."""
     rt = dist.rho_tilde()
     supp = [int(d) for d, m in zip(rt.support, rt.mass) if m > 0]
     mass = {int(d): m for d, m in zip(rt.support, rt.mass) if m > 0}
-    vs = sum(mass[a] * mass[b] * law.pair_adjacent(a, b) for a in supp for b in supp)
-    vst = sum(mass[a] * mass[b] * law.pair_common_friend(a, b) for a in supp for b in supp)
+    terms = law.terms(max(supp))
+    vs = sum(mass[a] * mass[b] * terms.pair_adjacent(a, b) for a in supp for b in supp)
+    vst = sum(mass[a] * mass[b] * terms.pair_common_friend(a, b) for a in supp for b in supp)
     return vs, vst
 
 
 def graph_report_moments_loop(graph: Graph, law: ReportLaw) -> tuple[float, float]:
     """graph_report_moments as a Python loop over nodes, edges and wedges."""
     deg = graph.degrees
-    means = np.array([law.mean(int(d)) for d in deg])
+    terms = law.terms(graph.max_degree())
+    means = np.array([terms.mean[int(d)] for d in deg])
     var_sum = float(np.sum(means * (1.0 - means)))
     for u, v in graph.edges():
-        cov = law.pair_adjacent(int(deg[u]), int(deg[v])) - means[u] * means[v]
+        cov = terms.pair_adjacent(int(deg[u]), int(deg[v])) - means[u] * means[v]
         var_sum += 2.0 * cov
     for center in range(graph.n):
         nbrs = graph.neighbors(center)
@@ -144,7 +146,7 @@ def graph_report_moments_loop(graph: Graph, law: ReportLaw) -> tuple[float, floa
                 a, b = int(nbrs[x]), int(nbrs[y])
                 if graph.has_edge(a, b):
                     continue
-                cov = law.pair_common_friend(int(deg[a]), int(deg[b])) - means[a] * means[b]
+                cov = terms.pair_common_friend(int(deg[a]), int(deg[b])) - means[a] * means[b]
                 var_sum += 2.0 * cov
     return float(means.mean()), var_sum / graph.n
 
@@ -174,7 +176,6 @@ def graph_arrays_loop(n: int, edges) -> dict:
         "edges": edge_array,
         "neighbors": neighbors,
         "degrees": degrees,
-        "directed_recv": np.repeat(np.arange(n), degrees),
         "directed_send": np.concatenate(neighbors).astype(np.int64),
         "recv_starts": np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64),
     }
@@ -384,11 +385,16 @@ def peer_payment(x_i: int, m, cfg: MechanismConfig) -> float:
 # report rule given the band side (the block engine draws both from one uniform)
 # ---------------------------------------------------------------------------
 
+def receivers(graph) -> np.ndarray:
+    """The receiver of each entry of `graph.directed_send`."""
+    return np.repeat(np.arange(graph.n), graph.degrees)
+
+
 def sample_group_signals(rng: np.random.Generator, graph, s: np.ndarray, alpha: float) -> np.ndarray:
     """One group-signal bit per directed edge, aligned with `graph.directed_send`.
 
-    Bit k is the signal of sender `directed_send[k]` as received by
-    `directed_recv[k]`, flipped with probability alpha.  The two directions
+    Bit k is the signal of sender `directed_send[k]` as received by the
+    user whose run of `recv_starts` holds k, flipped with probability alpha.  The two directions
     of an edge flip independently.  Leading axes of `s` (one row per trial)
     carry over to the result.
     """
@@ -402,7 +408,7 @@ def sample_group_signals(rng: np.random.Generator, graph, s: np.ndarray, alpha: 
 def friends_ones_bincount(graph, s: np.ndarray) -> np.ndarray:
     """Per row of `s` and per user, how many of her friends hold signal 1: one bincount per row."""
     return np.array([
-        np.bincount(graph.directed_recv, weights=row[graph.directed_send], minlength=graph.n)
+        np.bincount(receivers(graph), weights=row[graph.directed_send], minlength=graph.n)
         for row in s
     ]).astype(np.int64)
 
@@ -489,7 +495,7 @@ def trial_stats_loop(engine, point, master_seed: int, index: int, moments) -> tu
     w = sample_world(rng, params)
     s = sample_private_signals(rng, w, params)
     bits = sample_group_signals(rng, graph, s, params.alpha)
-    f = np.bincount(graph.directed_recv, weights=bits, minlength=graph.n)
+    f = np.bincount(receivers(graph), weights=bits, minlength=graph.n)
     p1, in_band = play_side(law, band_side(f, *band_bounds(graph.degrees, law.tau)), s)
     return _score(engine, point, w, (rng.random(graph.n) < p1).astype(np.int64), in_band,
                   moments)

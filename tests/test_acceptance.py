@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from privmarket.analytics import (
-    beta_accuracy,
+    beta_from_moments,
     bhattacharyya,
     mv_moments_equal_priors,
     nd_moments,
@@ -175,7 +175,7 @@ def test_criterion_6_beta_limit():
     dist = DegreeDistribution.binomial(249, 4.0 / 249.0)
     summary = mv_moments_equal_priors(params, dist)
     ns = [2, 10, 100, 1000, 10_000, 100_000]
-    betas = [beta_accuracy(n, summary) for n in ns]
+    betas = [beta_from_moments(n, summary.mu1, summary.kappa1) for n in ns]
     monotone = all(b >= a for a, b in zip(betas, betas[1:]))
     _report(
         6,

@@ -8,7 +8,6 @@ import pytest
 from privmarket.analytics import (
     AnalyticsError,
     band_bounds,
-    beta_accuracy,
     beta_from_moments,
     bhattacharyya,
     bhattacharyya_from,
@@ -195,14 +194,14 @@ class TestMvMoments:
             assert abs(s.mu1 - oracle) < 1e-10, d
 
     def test_pair_probs_match_enumeration(self, default_params):
-        law = mv_report_law(default_params)
+        terms = mv_report_law(default_params).terms(4)
         for di, dj in ((1, 1), (2, 2), (2, 3), (4, 2)):
             si = build_mv_strategy(di, default_params)
             sj = build_mv_strategy(dj, default_params)
-            assert law.pair_adjacent(di, dj) == pytest.approx(
+            assert terms.pair_adjacent(di, dj) == pytest.approx(
                 enumerate_pair_adjacent(si, sj, default_params), abs=1e-10
             )
-            assert law.pair_common_friend(di, dj) == pytest.approx(
+            assert terms.pair_common_friend(di, dj) == pytest.approx(
                 enumerate_pair_common_friend(si, sj, default_params), abs=1e-10
             )
 
@@ -211,8 +210,8 @@ class TestMvMoments:
         params = make_params(epsilon=0.3)
         dist = DegreeDistribution([0, 2, 5], [0.3, 0.4, 0.3])
         s = mv_moments_equal_priors(params, dist)
-        law = mv_report_law(params)
-        mu_pos = law.ensemble_mean(dist.rho_tilde())
+        terms = mv_report_law(params).terms(5)
+        mu_pos = dist.rho_tilde().expect(lambda d: terms.mean[d])
         assert s.delta_tilde == pytest.approx(mu_pos**2 - s.mu1**2, abs=1e-12)
 
 
@@ -230,13 +229,13 @@ class TestNdMoments:
             assert abs(s.mu1 - oracle) < 1e-10, d
 
     def test_pair_probs_match_enumeration(self, default_params):
-        law = nd_report_law(default_params)
+        terms = nd_report_law(default_params).terms(3)
         for di, dj in ((2, 2), (3, 2)):
             si, sj = nd_baseline_strategy(di), nd_baseline_strategy(dj)
-            assert law.pair_adjacent(di, dj) == pytest.approx(
+            assert terms.pair_adjacent(di, dj) == pytest.approx(
                 enumerate_pair_adjacent(si, sj, default_params), abs=1e-10
             )
-            assert law.pair_common_friend(di, dj) == pytest.approx(
+            assert terms.pair_common_friend(di, dj) == pytest.approx(
                 enumerate_pair_common_friend(si, sj, default_params), abs=1e-10
             )
 
@@ -244,8 +243,8 @@ class TestNdMoments:
         params = make_params()
         dist = DegreeDistribution([0, 2], [0.25, 0.75])
         s = nd_moments(params, dist)
-        law = nd_report_law(params)
-        mu_pos = law.ensemble_mean(dist.rho_tilde())
+        terms = nd_report_law(params).terms(2)
+        mu_pos = dist.rho_tilde().expect(lambda d: terms.mean[d])
         assert s.delta_tilde == pytest.approx(mu_pos**2 - s.mu1**2, abs=1e-12)
         # coin flip for isolated users
         assert s.lam == 0.5
@@ -274,7 +273,7 @@ class TestBetaAccuracy:
         params = make_params()
         dist = DegreeDistribution.poisson_truncated(4.0, 16)
         s = mv_moments_equal_priors(params, dist)
-        values = [beta_accuracy(n, s) for n in (10, 100, 1000, 10_000)]
+        values = [beta_from_moments(n, s.mu1, s.kappa1) for n in (10, 100, 1000, 10_000)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] > 0.999
 
@@ -332,7 +331,7 @@ class TestPrediction:
 
         mv = mv_moments_equal_priors(default_params, self.DIST)
         pred = predict(default_params, 250, mv.mu1, mv.kappa1)
-        beta = beta_accuracy(250, mv)
+        beta = beta_from_moments(250, mv.mu1, mv.kappa1)
         z = design_Z(0.1, 0.7, default_params.cost)
         z0, z1 = design_Z0_Z1(z, beta, beta, 0.5)
         total = expected_total_payment(z0, beta, mv.mu1, 250)
@@ -377,7 +376,7 @@ class TestPaymentBound:
         rep = self._bound(math.exp(-b_nd) / 10.0, default_params)
         assert rep.regime == "tight"
         mv = mv_moments_equal_priors(default_params, self.DIST)
-        beta = beta_accuracy(250, mv)
+        beta = beta_from_moments(250, mv.mu1, mv.kappa1)
         z = design_Z(0.1, 0.7, default_params.cost)
         z0, _ = design_Z0_Z1(z, beta, beta, 0.5)
         assert rep.bound_per_user == pytest.approx(
@@ -392,9 +391,10 @@ class TestGraphMoments:
         g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         law = mv_report_law(default_params)
         mu, kappa = graph_report_moments(g, law)
-        m = law.mean(2)
-        vs = law.pair_adjacent(2, 2)
-        vst = law.pair_common_friend(2, 2)
+        terms = law.terms(2)
+        m = terms.mean[2]
+        vs = terms.pair_adjacent(2, 2)
+        vst = terms.pair_common_friend(2, 2)
         expected = m * (1 - m) + 2 * (vs - m * m) + 2 * (vst - m * m)
         assert mu == pytest.approx(m, abs=1e-15)
         assert kappa == pytest.approx(expected, abs=1e-12)
@@ -402,8 +402,9 @@ class TestGraphMoments:
     def test_triangle_skips_wedge_terms(self, default_params):
         g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         law = mv_report_law(default_params)
-        m = law.mean(2)
-        vs = law.pair_adjacent(2, 2)
+        terms = law.terms(2)
+        m = terms.mean[2]
+        vs = terms.pair_adjacent(2, 2)
         _, kappa = graph_report_moments(g, law)
         assert kappa == pytest.approx(m * (1 - m) + 2 * (vs - m * m), abs=1e-12)
 
@@ -488,7 +489,7 @@ class TestArrayFormsMatchLoops:
     def _check_ensemble(moments, report_law, params, dist_name):
         dist = (DegreeDistribution.binomial(249, 4 / 249) if dist_name == "readme_binomial"
                 else DegreeDistribution.poisson_truncated(4.0, 16))
-        vs, vst = report_law(params).ensemble_pair_probs(dist)
+        vs, vst = report_law(params).terms(dist.d_max).ensemble_pair_probs(dist)
         vs_ref, vst_ref = ensemble_pair_probs_double_sum(report_law(params), dist)
         assert vs == pytest.approx(vs_ref, rel=REL, abs=0.0)
         assert vst == pytest.approx(vst_ref, rel=REL, abs=0.0)
@@ -499,12 +500,35 @@ class TestArrayFormsMatchLoops:
         delta_ref = delta_display_comb(report_law(params), dist.rho_tilde())
         assert s.delta == pytest.approx(delta_ref, rel=REL, abs=0.0)
 
-    def test_tables_grow_on_demand(self, default_params):
+    def test_terms_lead_larger_builds(self, default_params):
         law = mv_report_law(default_params)
-        fresh = mv_report_law(default_params)
-        small = law.pair_adjacent(2, 3)
-        big = law.pair_common_friend(40, 7)  # rebuilds past degree 3
-        assert law.pair_adjacent(2, 3) == small
-        assert fresh.pair_common_friend(7, 40) == big
-        with pytest.raises(AnalyticsError):
-            law.pair_adjacent(0, 3)
+        small, big = law.terms(3), law.terms(40)
+        for name in ("mean", "M", "G", "edge"):
+            lead = getattr(big, name)[:4]
+            assert np.array_equal(getattr(small, name), lead, equal_nan=True), name
+        assert small.pair_adjacent(2, 3) == big.pair_adjacent(3, 2)
+        assert big.pair_common_friend(40, 7) == big.pair_common_friend(7, 40)
+        degrees = np.array([7, 1, 40, 2])
+        pairs = big.pair_adjacent(degrees, degrees[::-1])
+        assert pairs.tolist() == [big.pair_adjacent(int(a), int(b))
+                                  for a, b in zip(degrees, degrees[::-1])]
+        # a degree-0 endpoint has no friend, scalar or in an array
+        for pair in (small.pair_adjacent, small.pair_common_friend):
+            with pytest.raises(AnalyticsError):
+                pair(0, 3)
+            with pytest.raises(AnalyticsError):
+                pair(np.array([2, 3]), np.array([1, 0]))
+            empty = np.array([], dtype=np.int64)  # an edgeless graph
+            assert pair(empty, empty).shape == (0,)
+
+    def test_law_holds_only_constants(self, default_params):
+        law = mv_report_law(default_params)
+        before = dict(vars(law))
+        graph = generate_erdos_renyi(np.random.default_rng(5), 250, 4.0)
+        graph_report_moments(graph, law)
+        law.terms(60)
+        law.side_table(graph.degrees)
+        assert vars(law).keys() == before.keys()
+        assert all(vars(law)[k] is v for k, v in before.items())
+        with pytest.raises(ValueError):
+            law.terms(4).mean[1] = 0.0

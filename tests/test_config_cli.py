@@ -209,7 +209,7 @@ class TestCli:
             line.split(" = ") for line in (out / "analytics.txt").read_text().splitlines()
         )
         law = mv_report_law(model_params(cfg))
-        assert float(values["mu1"]) == pytest.approx(law.mean(point), rel=1e-15)
+        assert float(values["mu1"]) == pytest.approx(law.terms(point).mean[point], rel=1e-15)
 
     @pytest.mark.parametrize("command", [["analytics"], ["simulate", "--trials", "2"]])
     def test_cli_never_imports_scipy(self, tmp_path, command):
@@ -412,12 +412,14 @@ class TestLoadTimeChecks:
         ("simulate", "graph.kind = config-model\ngraph.pmf = 1:x\n", "bad graph.pmf entry '1:x'"),
         ("simulate", "graph.kind = config-model\ngraph.pmf = 1:0.5;2:0.4\n",
          "config-model degree law: mass sums to"),
+        ("analytics", "graph.kind = config-model\ngraph.pmf = 1:0.5;30:0.5\nmodel.population = 20\n",
+         "graph.pmf puts mass on degree 30, but no user of model.population = 20"),
         ("simulate", "sweep.axis = epsilon\nsweep.values =\n",
          "sweep.values must list at least one grid point"),
         ("analytics", "sim.seed = -1\n", "sim.seed must be >= 0, got -1"),
         ("strategy", "graph.d_max = -7\n", "graph.d_max must be >= -1"),
-    ], ids=["payment-scale", "p_e", "pmf-entry", "pmf-mass", "empty-sweep", "negative-seed",
-            "d_max"])
+    ], ids=["payment-scale", "p_e", "pmf-entry", "pmf-mass", "pmf-degree", "empty-sweep",
+            "negative-seed", "d_max"])
     def test_rejected_at_load(self, tmp_path, monkeypatch, capsys, command, extra, message):
         from privmarket import sim
 
@@ -557,3 +559,34 @@ class TestSimulateGolden:
         )
         golden = Path(__file__).parent / "golden" / "simulate_grqc_alpha.csv"
         assert got == golden.read_bytes()
+
+
+class TestAnalyticsGolden:
+    """`analytics` output pinned byte for byte.
+
+    The closed forms are deterministic, so any change to the printed
+    numbers fails here; a change that moves them on purpose regenerates
+    the files and records the old and new lines.
+    """
+
+    def _analytics(self, tmp_path: Path, config: str) -> bytes:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["analytics", "--config", str(cfg), "--out", str(out)]) == 0
+        return (out / "analytics.txt").read_bytes()
+
+    def test_readme_law(self, tmp_path):
+        got = self._analytics(tmp_path, README_CONFIG)
+        assert got == (Path(__file__).parent / "golden" / "analytics_readme.txt").read_bytes()
+
+    def test_collaboration_graph(self, tmp_path):
+        path = write_grqc_like(tmp_path / "grqc.txt")
+        got = self._analytics(tmp_path, f"graph.kind = edge-list\ngraph.path = {path}\n")
+        assert got == (Path(__file__).parent / "golden" / "analytics_grqc.txt").read_bytes()
+
+    def test_poisson_config_model(self, tmp_path):
+        got = self._analytics(
+            tmp_path, README_CONFIG + "graph.kind = config-model\ngraph.poisson_mean = 3\n"
+        )
+        assert got == (Path(__file__).parent / "golden" / "analytics_poisson3.txt").read_bytes()

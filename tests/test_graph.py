@@ -29,7 +29,7 @@ def _assert_graph_matches(graph: Graph, ref: dict) -> None:
     """`graph` carries the reference's edges, CSR view, degrees and neighbor lists."""
     assert np.array_equal(graph.edges(), ref["edges"])
     assert graph.edges().shape == ref["edges"].shape
-    for name in ("directed_recv", "directed_send", "recv_starts", "degrees"):
+    for name in ("directed_send", "recv_starts", "degrees"):
         assert np.array_equal(getattr(graph, name), ref[name]), name
         assert getattr(graph, name).dtype == np.int64, name
     for i in range(graph.n):

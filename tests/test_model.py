@@ -95,7 +95,7 @@ def _bit(graph: Graph, bits: np.ndarray, i: int, j: int) -> int:
     """The group-signal bit user i received from friend j."""
     start = graph.recv_starts[i]
     pos = int(np.searchsorted(graph.neighbors(i), j))
-    assert graph.directed_recv[start + pos] == i and graph.directed_send[start + pos] == j
+    assert pos < graph.degrees[i] and graph.directed_send[start + pos] == j
     return int(bits[start + pos])
 
 

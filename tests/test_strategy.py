@@ -217,6 +217,16 @@ class TestBuildMvStrategy:
         assert strat.entry(0).regime == SR
         assert strat.entry(0).xi == pytest.approx(0.3, abs=1e-9)
 
+    def test_epsilon_zero_exports_the_baseline(self):
+        # At epsilon = 0 the band is the tie alone and randomizing there is
+        # a fair coin, so every exported action row is the baseline's; only
+        # a tie's regime label differs (sr at level 0, against nd's coin).
+        params = make_params(epsilon=0.0)
+        for d in range(9):
+            mv = table_to_text([build_mv_strategy(d, params)]).splitlines()
+            nd = table_to_text([nd_baseline_strategy(d)]).splitlines()
+            assert [r.split("\t")[:6] for r in mv] == [r.split("\t")[:6] for r in nd], d
+
     def test_default_case_band(self):
         params = make_params(epsilon=0.5)
         strat = build_mv_strategy(4, params)
