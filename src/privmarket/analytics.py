@@ -13,17 +13,19 @@ side) from one uniform.  `ReportLaw.terms` tabulates the per-degree
 conditional report probabilities that everything else is assembled from
 (`DegreeTerms`); they are sums over the same band.
 
-Two variance coefficients are reported side by side:
-
-* `kappa1` follows the displayed closed form, whose cross-pair term
-  `delta` is a first-order approximation of the pairwise covariances;
-* `kappa1_pairs` assembles the degree law's dependency-graph CLT
-  variance from the exact pairwise report probabilities
-  (`DegreeTerms.pair_adjacent`, `DegreeTerms.pair_common_friend`), which
-  match brute-force enumeration.
-
-Neither feeds a simulation: Monte Carlo comparisons and the normality
-probe normalize by the realized graph's kappa from `graph_report_moments`.
+There is one variance coefficient, kappa1, the report sum's variance over
+n, with two sources of pair counts.  On a realized graph,
+`graph_report_moments` assembles the report sum's variance as the pair sum
+of the dependency-graph CLT (Baldi & Rinott 1989): per-user variances plus
+one covariance per edge and per open wedge, each read from the exact
+pairwise report probabilities (`DegreeTerms.pair_adjacent`,
+`DegreeTerms.pair_common_friend`), which match brute-force enumeration.
+On a degree law, `mv_moments_equal_priors` and `nd_moments` give the same
+sum's configuration-model expectation: every count is replaced by its
+expected value, and a friend's degree follows the size-biased law
+d rho(d) / E[D] (Newman, Strogatz & Watts 2001).  On a regular graph
+without 3- or 4-cycles the two agree exactly.  `analytics` prints the
+degree law's; `simulate` and the normality probe read the realized graph's.
 
 `predict` is the one place that designs the payment constants: from a
 profile's (n, mu1, kappa1) it gives beta, Z, Z0, Z1, the expected payout
@@ -115,22 +117,18 @@ class DegreeTerms:
     * `mean[d]`    = Pr(X = 1 | degree d);
     * `M[d, s, t]` = Pr(X = 1 | degree d, own signal s, one friend's signal t);
     * `G[d, t]`    = the same with the own signal averaged out;
-    * `edge[d]`    = the Binomial(d - 1, theta1) mass of the other d - 1
-      received bits at hi and at lo - 1 of the band (the boundary terms
-      of the displayed delta);
     * `pr`         = (Pr(signal = 0), Pr(signal = 1)).
 
     A friendless user receives no friend's signal, so row 0 of M and G is
-    NaN and row 0 of edge is zero.  The pair probabilities take degrees or
-    arrays of degrees, in either order.  Each is a sum of products of one
-    term per endpoint, so degree averages of pair probabilities factor into
-    products of single-degree averages.
+    NaN.  The pair probabilities take degrees or arrays of degrees, in
+    either order.  Each is a sum of products of one term per endpoint, so
+    degree averages of pair probabilities factor into products of
+    single-degree averages.
     """
 
     mean: np.ndarray
     M: np.ndarray
     G: np.ndarray
-    edge: np.ndarray
     pr: tuple[float, float]
 
     def pair_adjacent(self, di, dj):
@@ -147,16 +145,17 @@ class DegreeTerms:
         return pr[0] * g[lo, 0] * g[hi, 0] + pr[1] * g[lo, 1] * g[hi, 1]
 
     def ensemble_pair_probs(self, dist: DegreeDistribution) -> tuple[float, float]:
-        """Degree-averaged (adjacent, common-friend) pair probabilities.
+        """(adjacent, common-friend) pair probabilities averaged over the configuration model.
 
-        Both endpoints are weighted by the degree law conditioned on D > 0,
-        matching the closed-form treatment of linked users.  The two
-        endpoints are independent draws, so each average over pairs of
+        In a configuration-model graph the two ends of an edge, and the two
+        ends of a wedge, each have a degree drawn from the size-biased law
+        d rho(d) / E[D], independently.  So each average over pairs of
         degrees is a product of averages over one degree, O(|support|).
+        The law must have E[D] > 0.
         """
-        rt = dist.rho_tilde()
-        keep = rt.mass > 0
-        supp, mass = rt.support[keep], rt.mass[keep]
+        keep = (dist.mass > 0) & (dist.support > 0)
+        supp = dist.support[keep]
+        mass = supp * dist.mass[keep] / dist.mean()
         pr = self.pr
 
         def avg(values: np.ndarray) -> float:
@@ -204,7 +203,6 @@ class ReportLaw:
         lo, hi = (b.tolist() for b in band_bounds(np.arange(d_max + 1), self.tau))
         mean = np.empty(d_max + 1)
         j = np.full((d_max + 1, 2, 2), np.nan)  # [d, k, l]: own signal k, one received bit l
-        edge = np.zeros((d_max + 1, 2))
         prev = None  # Binomial(d - 1, theta1) mass: the d - 1 other received bits
         for d in range(d_max + 1):
             pmf = binomial_pmf(d, th1)
@@ -214,17 +212,13 @@ class ReportLaw:
                 for l in (0, 1):  # l received bits are fixed, so the band shifts by l
                     band, tail = _band_tail(prev, lo[d] - l, hi[d] - l)
                     j[d, :, l] = tail + c * band
-                if 0 <= hi[d] < d:
-                    edge[d, 0] = prev[hi[d]]
-                if 0 < lo[d] <= d:
-                    edge[d, 1] = prev[lo[d] - 1]
             prev = pmf
         # The friend's bit arrives flipped with probability alpha.
         m = (1.0 - alpha) * j + alpha * j[:, :, ::-1]
         g = th0 * m[:, 1, :] + (1.0 - th0) * m[:, 0, :]
-        for table in (mean, m, g, edge):
+        for table in (mean, m, g):
             table.flags.writeable = False
-        return DegreeTerms(mean=mean, M=m, G=g, edge=edge, pr=(1.0 - th0, th0))
+        return DegreeTerms(mean=mean, M=m, G=g, pr=(1.0 - th0, th0))
 
     def side_table(self, degrees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(offset, below, at_most): the law of a group-signal sum's side of the band.
@@ -301,70 +295,51 @@ def nd_report_law(params: ModelParams) -> ReportLaw:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Report moments of a symmetric profile given W = 1; W = 0 mirrors them."""
+    """Report moments of a symmetric profile given W = 1; W = 0 mirrors them.
+
+    `kappa1` is the variance of the report sum over n: on a degree law, the
+    configuration-model expectation of `graph_report_moments`' pair sum.
+    """
 
     mu1: float
     kappa1: float
     lam: float
-    delta: float
-    delta_tilde: float
-    kappa1_pairs: float
     tau: float
     epsilon: float
 
 
-def _delta_display(law: ReportLaw, terms: DegreeTerms, rho_tilde: DegreeDistribution) -> float:
-    """First-order cross-pair coefficient: the two boundary pmf terms."""
-    th0, alpha = law.params.theta0, law.params.alpha
-    ee = math.exp(law.epsilon)
-    coef_hi = ee * (1.0 - th0) + th0
-    coef_lo = th0 * ee + 1.0 - th0
-    edge = terms.edge
-
-    def boundary_term(d: int) -> float:
-        return (coef_hi * edge[d, 0] + coef_lo * edge[d, 1]) / (ee + 1.0)
-
-    return th0 * (1.0 - th0) * (1.0 - 2.0 * alpha) * rho_tilde.expect(boundary_term)
-
-
 def _summary_from_law(law: ReportLaw, dist: DegreeDistribution) -> MomentSummary:
-    params = law.params
-    if not params.equal_priors:
+    """Moments of `law` on a configuration-model graph of degree law `dist`.
+
+    Per user, the graph holds E[D] / 2 edges and E[D(D - 1)] / 2 open
+    wedges in expectation, and each end of an edge or wedge has a
+    size-biased degree; pairs sharing two or more friends have vanishing
+    density.  So kappa1 = sum_d rho(d) m_d (1 - m_d)
+    + E[D] (P_adj - mbar^2) + E[D(D - 1)] (P_cf - mbar^2), with m_d the
+    report mean at degree d and mbar its size-biased average.
+    """
+    if not law.params.equal_priors:
         raise AnalyticsError("closed-form moments require equal priors")
-    lam = law.lam
-    rho0 = dist.rho0
-    if rho0 >= 1.0:
-        # No social learning at all: i.i.d. randomized responses.
-        var = lam - lam * lam
-        return MomentSummary(
-            mu1=lam, kappa1=var, lam=lam, delta=0.0, delta_tilde=0.0,
-            kappa1_pairs=var, tau=law.tau, epsilon=law.epsilon,
-        )
     terms = law.terms(dist.d_max)
-    mu1 = dist.expect(lambda d: terms.mean[d])
+    mean = terms.mean
+    mu1 = dist.expect(lambda d: mean[d])
+    kappa1 = dist.expect(lambda d: mean[d] * (1.0 - mean[d]))
     mean_d = dist.mean()
-    mean_d2 = dist.second_moment()
-    rho_tilde = dist.rho_tilde()
-    delta_tilde = (
-        rho0 / (1.0 - rho0) ** 2 * (mu1 * mu1 * (2.0 - rho0) - 2.0 * mu1 * lam + rho0 * lam * lam)
-    )
-    delta = _delta_display(law, terms, rho_tilde)
-    kappa1 = mu1 - mu1 * mu1 + delta_tilde * mean_d2 + delta * (mean_d2 - mean_d)
-    vs, vst = terms.ensemble_pair_probs(dist)
-    kappa1_pairs = mu1 - mu1 * mu1 + mean_d * (vs - vst) + mean_d2 * (vst - mu1 * mu1)
-    return MomentSummary(
-        mu1=mu1, kappa1=kappa1, lam=lam, delta=delta, delta_tilde=delta_tilde,
-        kappa1_pairs=kappa1_pairs, tau=law.tau, epsilon=law.epsilon,
-    )
+    if mean_d > 0.0:
+        m_bar = dist.expect(lambda d: d * mean[d]) / mean_d
+        p_adj, p_cf = terms.ensemble_pair_probs(dist)
+        kappa1 += (mean_d * (p_adj - m_bar * m_bar)
+                   + (dist.second_moment() - mean_d) * (p_cf - m_bar * m_bar))
+    return MomentSummary(mu1=mu1, kappa1=kappa1, lam=law.lam, tau=law.tau, epsilon=law.epsilon)
 
 
 def mv_moments_equal_priors(params: ModelParams, dist: DegreeDistribution) -> MomentSummary:
-    """Moments of the equilibrium profile: mean from the band masses, both kappas."""
+    """Moments of the equilibrium profile on a configuration-model graph of degree law `dist`."""
     return _summary_from_law(mv_report_law(params), dist)
 
 
 def nd_moments(params: ModelParams, dist: DegreeDistribution) -> MomentSummary:
-    """Moments of the all-non-disclosive baseline (tau = 0, coin at ties)."""
+    """The same for the all-non-disclosive baseline (tau = 0, coin at ties)."""
     return _summary_from_law(nd_report_law(params), dist)
 
 

@@ -124,11 +124,8 @@ def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
         pairs = [
             ("mu1", mv.mu1), ("mu0", 1.0 - mv.mu1),
             ("kappa1", mv.kappa1), ("kappa0", mv.kappa1),
-            ("kappa1_pairs", mv.kappa1_pairs),
             ("tau", mv.tau), ("lambda", mv.lam),
-            ("delta", mv.delta), ("delta_tilde", mv.delta_tilde),
             ("beta", pred.beta),
-            ("beta_pairs", an.beta_from_moments(n, mv.mu1, mv.kappa1_pairs)),
             ("Z", pred.z), ("Z0", pred.z0), ("Z1", pred.z1),
             ("expected_total_payment", pred.total_payment),
             ("expected_payment_per_user", pred.payment_per_user),

@@ -172,13 +172,6 @@ def parse_config(source, validate: bool = True) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     if cfg.graph.kind not in (ER, CONFIG_MODEL, EDGE_LIST):
         raise ConfigError(f"graph.kind must be one of er, config-model, edge-list; got {cfg.graph.kind!r}")
-    if cfg.graph.kind == CONFIG_MODEL:
-        try:
-            _pmf_distribution(cfg.graph)
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"config-model degree law: {exc}") from exc
     if cfg.graph.kind == EDGE_LIST:
         if not cfg.graph.path:
             raise ConfigError("edge-list graphs need graph.path")
@@ -210,11 +203,21 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"model: {exc}") from exc
     if cfg.graph.kind == ER and not 0.0 <= cfg.graph.avg_degree <= cfg.model.population - 1:
         raise ConfigError(f"graph.avg_degree must lie in [0, population - 1], got {cfg.graph.avg_degree:g}")
-    if cfg.graph.kind == CONFIG_MODEL and cfg.graph.pmf:
-        d_max = _pmf_distribution(cfg.graph).d_max
-        if d_max >= cfg.model.population:
+    if cfg.graph.kind == CONFIG_MODEL:
+        population = cfg.model.population
+        try:
+            d_max = _pmf_distribution(cfg.graph, population).d_max
+        except ValueError as exc:
+            if isinstance(exc, ConfigError):
+                raise
+            raise ConfigError(f"config-model degree law: {exc}") from exc
+        if cfg.graph.pmf and d_max >= population:
             raise ConfigError(f"graph.pmf puts mass on degree {d_max}, but no user of "
-                              f"model.population = {cfg.model.population} can have that many friends")
+                              f"model.population = {population} can have that many friends")
+        if not cfg.graph.pmf and cfg.graph.d_max >= population:
+            raise ConfigError(f"graph.d_max = {cfg.graph.d_max} truncates the Poisson law above degree "
+                              f"{population - 1}, the most friends a user of "
+                              f"model.population = {population} can have")
     grid = sweep_values(cfg)  # parsed even without an axis, which an override may add
     if cfg.sweep.axis:  # every grid point must pass as a run of its own
         if not grid:
@@ -302,7 +305,12 @@ def params_for_graph(cfg: RunConfig, graph: Graph) -> ModelParams:
     return replace(model_params(cfg), population=graph.n)
 
 
-def _pmf_distribution(cfg: GraphSection) -> DegreeDistribution:
+def _pmf_distribution(cfg: GraphSection, population: int) -> DegreeDistribution:
+    """The config-model degree law: graph.pmf, or the Poisson law truncated at graph.d_max.
+
+    By default the Poisson law stops at max(20, 4 * mean), but never above
+    population - 1, the most friends a user can have.
+    """
     if cfg.pmf:
         support, mass = [], []
         for chunk in cfg.pmf.split(";"):
@@ -314,7 +322,7 @@ def _pmf_distribution(cfg: GraphSection) -> DegreeDistribution:
                 raise ConfigError(f"bad graph.pmf entry {chunk!r}") from exc
         return DegreeDistribution(support, mass)
     if cfg.poisson_mean > 0:
-        d_max = cfg.d_max if cfg.d_max >= 0 else max(20, int(cfg.poisson_mean * 4))
+        d_max = cfg.d_max if cfg.d_max >= 0 else min(max(20, int(cfg.poisson_mean * 4)), population - 1)
         return DegreeDistribution.poisson_truncated(cfg.poisson_mean, d_max)
     raise ConfigError("config-model graphs need graph.pmf or graph.poisson_mean")
 
@@ -325,7 +333,7 @@ def analytic_distribution(cfg: RunConfig) -> DegreeDistribution:
         n = cfg.model.population
         return DegreeDistribution.binomial(n - 1, cfg.graph.avg_degree / (n - 1))
     if cfg.graph.kind == CONFIG_MODEL:
-        return _pmf_distribution(cfg.graph)
+        return _pmf_distribution(cfg.graph, cfg.model.population)
     return build_graph(cfg)[1]
 
 

@@ -184,13 +184,6 @@ class DegreeDistribution:
     def second_moment(self) -> float:
         return float(np.dot(self.support.astype(float) ** 2, self.mass))
 
-    def rho_tilde(self) -> "DegreeDistribution":
-        """Conditional law given D > 0; undefined when rho0 = 1."""
-        if self.rho0 >= 1.0:
-            raise ValueError("rho_tilde is undefined: all mass is at degree 0")
-        keep = self.support > 0
-        return DegreeDistribution(self.support[keep], self.mass[keep] / (1.0 - self.rho0))
-
     def expect(self, fn) -> float:
         """Exact finite sum of fn(d) over the support."""
         return float(sum(m * fn(int(d)) for d, m in zip(self.support, self.mass) if m > 0))

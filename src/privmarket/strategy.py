@@ -194,7 +194,7 @@ def _b_value(eta: float, params: ModelParams) -> float:
     )
 
 
-def upsilon(side: int, eta: float, f: int, d: int, params: ModelParams) -> float:
+def upsilon(side: int, eta: float, params: ModelParams) -> float:
     """Band half-width on the given side (0: low-f cut, 1: high-f cut).
 
     Computes the raw cut A_side(eta) and clamps it to [0, bar_A].  The prior
@@ -295,8 +295,8 @@ def build_mv_strategy(d: int, params: ModelParams) -> DegreeStrategy:
     entries = []
     for f in range(d + 1):
         xi = solve_xi(f, d, params)
-        u0 = upsilon(0, xi, f, d, params)
-        u1 = upsilon(1, xi, f, d, params)
+        u0 = upsilon(0, xi, params)
+        u1 = upsilon(1, xi, params)
         cut_low = d / 2 - u0
         cut_high = d / 2 + u1
         if f < cut_low - CUT_TOL:

@@ -120,13 +120,16 @@ def enumerate_pair_common_friend(
 # ---------------------------------------------------------------------------
 
 def ensemble_pair_probs_double_sum(law: ReportLaw, dist: DegreeDistribution) -> tuple[float, float]:
-    """DegreeTerms.ensemble_pair_probs as an O(|support|^2) sum over degree pairs."""
-    rt = dist.rho_tilde()
-    supp = [int(d) for d, m in zip(rt.support, rt.mass) if m > 0]
-    mass = {int(d): m for d, m in zip(rt.support, rt.mass) if m > 0}
+    """DegreeTerms.ensemble_pair_probs as an O(|support|^2) sum over degree pairs.
+
+    Each endpoint's degree is drawn from the size-biased law d rho(d) / E[D].
+    """
+    mean_d = sum(int(d) * m for d, m in zip(dist.support, dist.mass))
+    weight = {int(d): int(d) * m / mean_d for d, m in zip(dist.support, dist.mass) if d > 0 and m > 0}
+    supp = sorted(weight)
     terms = law.terms(max(supp))
-    vs = sum(mass[a] * mass[b] * terms.pair_adjacent(a, b) for a in supp for b in supp)
-    vst = sum(mass[a] * mass[b] * terms.pair_common_friend(a, b) for a in supp for b in supp)
+    vs = sum(weight[a] * weight[b] * terms.pair_adjacent(a, b) for a in supp for b in supp)
+    vst = sum(weight[a] * weight[b] * terms.pair_common_friend(a, b) for a in supp for b in supp)
     return vs, vst
 
 
@@ -305,27 +308,6 @@ def gaussian_bhattacharyya_quadrature(m1: float, v1: float, m0: float, v0: float
 
     val, _ = integrate.quad(integrand, lo, hi, limit=400)
     return -math.log(val)
-
-
-def delta_display_comb(law, rho_tilde) -> float:
-    """The displayed cross-pair coefficient delta, one degree at a time.
-
-    Its two boundary terms are the Binomial(d - 1, theta1) masses at
-    floor(d/2 + tau) and ceil(d/2 - tau - 1), taken from `math.comb`.
-    """
-    params = law.params
-    th0, th1, alpha = params.theta0, params.theta1, params.alpha
-    ee = math.exp(law.epsilon)
-
-    def mass(k: int, m: int) -> float:
-        return math.comb(m, k) * th1**k * (1.0 - th1) ** (m - k) if 0 <= k <= m else 0.0
-
-    total = 0.0
-    for d, w in zip(rho_tilde.support.tolist(), rho_tilde.mass.tolist()):
-        hi = mass(math.floor(d / 2 + law.tau), d - 1)
-        lo = mass(math.ceil(d / 2 - law.tau - 1), d - 1)
-        total += w * ((ee * (1.0 - th0) + th0) * hi + (th0 * ee + 1.0 - th0) * lo) / (ee + 1.0)
-    return th0 * (1.0 - th0) * (1.0 - 2.0 * alpha) * total
 
 
 def truncated_poisson_mean(mean: float, d_max: int) -> float:

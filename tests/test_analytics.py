@@ -23,17 +23,18 @@ from privmarket.analytics import (
     std_normal_cdf,
 )
 from privmarket import analytics
+from privmarket.config import analytic_distribution, apply_overrides, default_config, model_params
 from privmarket.graph import (
     DegreeDistribution, Graph, binomial_pmf, generate_erdos_renyi, ingest_edge_list,
 )
 from privmarket.mechanism import MechanismError
 from privmarket.model import linear_capped_cost, quadratic_cost
+from privmarket.sim import run_experiment
 from privmarket.strategy import build_mv_strategy, nd_baseline_strategy
 
 from conftest import make_params
 from datasets import write_grqc_like
 from oracles import (
-    delta_display_comb,
     ensemble_pair_probs_double_sum,
     enumerate_mu1,
     enumerate_pair_adjacent,
@@ -171,7 +172,6 @@ class TestMvMoments:
         lam = lambda_sr(0.1, 0.7)
         assert s.mu1 == pytest.approx(lam, abs=1e-15)
         assert s.kappa1 == pytest.approx(lam - lam * lam, abs=1e-15)
-        assert s.delta == 0.0 and s.delta_tilde == 0.0
 
     def test_point_mass_two_matches_enumeration(self):
         params = make_params(alpha=0.0, epsilon=0.1)
@@ -205,22 +205,12 @@ class TestMvMoments:
                 enumerate_pair_common_friend(si, sj, default_params), abs=1e-10
             )
 
-    def test_delta_tilde_identity(self):
-        # delta_tilde equals the population/positive-degree mean-square gap
-        params = make_params(epsilon=0.3)
-        dist = DegreeDistribution([0, 2, 5], [0.3, 0.4, 0.3])
-        s = mv_moments_equal_priors(params, dist)
-        terms = mv_report_law(params).terms(5)
-        mu_pos = dist.rho_tilde().expect(lambda d: terms.mean[d])
-        assert s.delta_tilde == pytest.approx(mu_pos**2 - s.mu1**2, abs=1e-12)
-
 
 class TestNdMoments:
     def test_all_degree_two(self):
         params = make_params()  # theta1 = 0.6
         s = nd_moments(params, DegreeDistribution.point_mass(2))
         assert s.mu1 == pytest.approx(0.36 + 0.5 * 0.48, abs=1e-12)
-        assert s.delta_tilde == 0.0  # rho0 = 0
 
     def test_matches_enumeration(self, default_params):
         for d in range(0, 7):
@@ -239,13 +229,16 @@ class TestNdMoments:
                 enumerate_pair_common_friend(si, sj, default_params), abs=1e-10
             )
 
-    def test_delta_tilde_identity_with_isolated_users(self):
+    def test_isolated_users_match_realized_graph(self):
+        # 25 isolated users and a 75-cycle realize the law exactly: isolated
+        # users add only their variance, and a friend always has degree 2
         params = make_params()
         dist = DegreeDistribution([0, 2], [0.25, 0.75])
         s = nd_moments(params, dist)
-        terms = nd_report_law(params).terms(2)
-        mu_pos = dist.rho_tilde().expect(lambda d: terms.mean[d])
-        assert s.delta_tilde == pytest.approx(mu_pos**2 - s.mu1**2, abs=1e-12)
+        graph = Graph(100, [(25 + i, 25 + (i + 1) % 75) for i in range(75)])
+        mu, kappa = graph_report_moments(graph, nd_report_law(params))
+        assert s.mu1 == pytest.approx(mu, rel=1e-12, abs=0.0)
+        assert s.kappa1 == pytest.approx(kappa, rel=1e-12, abs=0.0)
         # coin flip for isolated users
         assert s.lam == 0.5
 
@@ -273,9 +266,10 @@ class TestBetaAccuracy:
         params = make_params()
         dist = DegreeDistribution.poisson_truncated(4.0, 16)
         s = mv_moments_equal_priors(params, dist)
-        values = [beta_from_moments(n, s.mu1, s.kappa1) for n in (10, 100, 1000, 10_000)]
+        # beta rounds to exactly 1 from about n = 1000 on this law
+        values = [beta_from_moments(n, s.mu1, s.kappa1) for n in (10, 30, 100, 300)]
         assert all(b > a for a, b in zip(values, values[1:]))
-        assert values[-1] > 0.999
+        assert 0.999 < values[-1] < 1.0
 
     def test_zero_variance_rejected(self):
         with pytest.raises(AnalyticsError):
@@ -409,6 +403,60 @@ class TestGraphMoments:
         assert kappa == pytest.approx(m * (1 - m) + 2 * (vs - m * m), abs=1e-12)
 
 
+def _cycle(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _petersen() -> Graph:
+    """3-regular with girth 5: outer 5-cycle, spokes, inner pentagram."""
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+_GIRTH_FIVE = {"C5": lambda: _cycle(5), "C8": lambda: _cycle(8), "C13": lambda: _cycle(13),
+               "petersen": _petersen}
+
+
+class TestDegreeLawIsGraphExpectation:
+    """On a regular graph of girth >= 5 every neighbour pair is an edge and
+    every pair at distance two shares exactly one friend, so the realized
+    graph holds exactly the configuration model's expected pair counts and
+    the degree law's moments equal `graph_report_moments`."""
+
+    @pytest.mark.parametrize("graph_name", sorted(_GIRTH_FIVE))
+    @pytest.mark.parametrize("law_name", ["mv", "nd"])
+    def test_regular_girth_five(self, graph_name, law_name):
+        graph = _GIRTH_FIVE[graph_name]()
+        dist = DegreeDistribution.from_graph(graph)
+        moments, report_law = ((mv_moments_equal_priors, mv_report_law) if law_name == "mv"
+                               else (nd_moments, nd_report_law))
+        for theta0 in (0.55, 0.7, 0.9):
+            for alpha in (0.05, 0.25, 0.4):
+                for eps in (0.1, 0.5, 1.5):
+                    params = make_params(theta0=theta0, alpha=alpha, epsilon=eps)
+                    s = moments(params, dist)
+                    mu, kappa = graph_report_moments(graph, report_law(params))
+                    point = (theta0, alpha, eps)
+                    assert s.mu1 == pytest.approx(mu, rel=1e-12, abs=0.0), point
+                    assert s.kappa1 == pytest.approx(kappa, rel=1e-12, abs=0.0), point
+
+
+class TestDegreeLawMatchesSimulation:
+    def test_poisson_config_model(self):
+        # The README model on a configuration-model graph of 4000 users
+        # with Poisson(3) degrees: the degree law's kappa is the expectation
+        # over such graphs, so it must sit within 3 se of the variance of
+        # the simulated report sum.  12 000 trials, about 1.5 s.
+        cfg = apply_overrides(default_config(), [
+            "graph.kind=config-model", "graph.poisson_mean=3", "model.population=4000",
+            "model.epsilon=0.5", "sim.seed=20240101",
+        ])
+        s = mv_moments_equal_priors(model_params(cfg), analytic_distribution(cfg))
+        (result,) = run_experiment([cfg], trials=12_000, workers=1)
+        got = result.empirical_kappa1
+        assert abs(s.kappa1 - got.value) < 3.0 * got.se, (s.kappa1, got)
+
+
 # The array code sums in another order than the loop references (products
 # of single-degree averages, math.fsum over graph terms), so agreement is
 # to a relative tolerance fixed beforehand, far above double rounding.
@@ -493,17 +541,19 @@ class TestArrayFormsMatchLoops:
         vs_ref, vst_ref = ensemble_pair_probs_double_sum(report_law(params), dist)
         assert vs == pytest.approx(vs_ref, rel=REL, abs=0.0)
         assert vst == pytest.approx(vst_ref, rel=REL, abs=0.0)
-        s = moments(params, dist)
-        mu1, mean_d, mean_d2 = s.mu1, dist.mean(), dist.second_moment()
-        kappa_ref = mu1 - mu1 * mu1 + mean_d * (vs_ref - vst_ref) + mean_d2 * (vst_ref - mu1 * mu1)
-        assert s.kappa1_pairs == pytest.approx(kappa_ref, rel=REL, abs=0.0)
-        delta_ref = delta_display_comb(report_law(params), dist.rho_tilde())
-        assert s.delta == pytest.approx(delta_ref, rel=REL, abs=0.0)
+        mean = report_law(params).terms(dist.d_max).mean
+        law = [(int(d), m) for d, m in zip(dist.support, dist.mass) if m > 0]
+        mean_d = sum(d * m for d, m in law)
+        m_bar = sum(d * m * mean[d] for d, m in law) / mean_d
+        kappa_ref = (sum(m * mean[d] * (1.0 - mean[d]) for d, m in law)
+                     + mean_d * (vs_ref - m_bar**2)
+                     + sum(d * (d - 1) * m for d, m in law) * (vst_ref - m_bar**2))
+        assert moments(params, dist).kappa1 == pytest.approx(kappa_ref, rel=REL, abs=0.0)
 
     def test_terms_lead_larger_builds(self, default_params):
         law = mv_report_law(default_params)
         small, big = law.terms(3), law.terms(40)
-        for name in ("mean", "M", "G", "edge"):
+        for name in ("mean", "M", "G"):
             lead = getattr(big, name)[:4]
             assert np.array_equal(getattr(small, name), lead, equal_nan=True), name
         assert small.pair_adjacent(2, 3) == big.pair_adjacent(3, 2)

@@ -71,6 +71,15 @@ class TestConfig:
         dist = analytic_distribution(cfg)
         assert dist.d_max == 0 and dist.pmf(0) == 1.0
 
+    def test_poisson_default_truncation_stops_at_population(self, tmp_path):
+        # no user of 20 can have 20 friends, whatever max(20, 4 * mean) says
+        law = "graph.kind = config-model\ngraph.poisson_mean = 15\n"
+        cfg = _write_config(tmp_path, law + "model.population = 20\n")
+        assert analytic_distribution(parse_config(cfg)).d_max == 19
+        assert main(["analytics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        wide = parse_config(_write_config(tmp_path, law + "model.population = 250\n"))
+        assert analytic_distribution(wide).d_max == 60
+
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# comment\n\nmodel.theta0 = 0.8\n")
         assert cfg.model.theta0 == 0.8
@@ -414,11 +423,13 @@ class TestLoadTimeChecks:
          "config-model degree law: mass sums to"),
         ("analytics", "graph.kind = config-model\ngraph.pmf = 1:0.5;30:0.5\nmodel.population = 20\n",
          "graph.pmf puts mass on degree 30, but no user of model.population = 20"),
+        ("analytics", "graph.kind = config-model\ngraph.poisson_mean = 15\nmodel.population = 20\n"
+         "graph.d_max = 25\n", "graph.d_max = 25 truncates the Poisson law above degree 19"),
         ("simulate", "sweep.axis = epsilon\nsweep.values =\n",
          "sweep.values must list at least one grid point"),
         ("analytics", "sim.seed = -1\n", "sim.seed must be >= 0, got -1"),
         ("strategy", "graph.d_max = -7\n", "graph.d_max must be >= -1"),
-    ], ids=["payment-scale", "p_e", "pmf-entry", "pmf-mass", "pmf-degree", "empty-sweep",
+    ], ids=["payment-scale", "p_e", "pmf-entry", "pmf-mass", "pmf-degree", "poisson-d_max", "empty-sweep",
             "negative-seed", "d_max"])
     def test_rejected_at_load(self, tmp_path, monkeypatch, capsys, command, extra, message):
         from privmarket import sim

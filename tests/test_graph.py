@@ -297,25 +297,16 @@ class TestDegreeMoments:
         assert m.second_moment() == pytest.approx(2.0)
         assert m.rho0 == 0.0
 
-    def test_edgeless_has_no_conditional_law(self):
+    def test_edgeless(self):
         m = DegreeDistribution.from_graph(Graph(5, []))
         assert m.rho0 == 1.0
-        with pytest.raises(ValueError):
-            m.rho_tilde()
-        with pytest.raises(ValueError):
-            DegreeDistribution.point_mass(0).rho_tilde()
+        assert m.mean() == 0.0 and m.second_moment() == 0.0 and m.d_max == 0
 
 
 class TestDegreeDistribution:
     def test_mass_must_sum_to_one(self):
         with pytest.raises(ValueError):
             DegreeDistribution([0, 1], [0.5, 0.49])
-
-    def test_rho_tilde_renormalizes(self):
-        dist = DegreeDistribution([0, 2], [0.25, 0.75])
-        rt = dist.rho_tilde()
-        assert rt.pmf(2) == pytest.approx(1.0)
-        assert rt.pmf(0) == 0.0
 
 
 def _assert_matches_scipy(mass: np.ndarray, reference: np.ndarray) -> None:

@@ -137,7 +137,7 @@ class TestSolveXi:
         params = make_params(prior_w1=0.55, epsilon=0.4)
         xi = solve_xi(0, 400, params)
         assert 0.0 <= xi < 10.0
-        assert math.isfinite(upsilon(0, xi, 0, 400, params))
+        assert math.isfinite(upsilon(0, xi, params))
 
     def test_linear_cost_can_pin_zero(self):
         # unit marginal cost, unfavorable prior, strongly one-sided group
@@ -153,7 +153,7 @@ class TestUpsilon:
         params = make_params(epsilon=0.5)
         a_bar = bar_A(params.theta0, params.theta1)
         # huge eta: the cost term dominates and the raw cut collapses to 0
-        assert upsilon(0, 6.0, 2, 4, params) == 0.0
+        assert upsilon(0, 6.0, params) == 0.0
         # a (deliberately invalid) negative cost drives the raw cut past the
         # ceiling; the clamp returns bar_A
         from privmarket.model import CostFunction
@@ -162,15 +162,15 @@ class TestUpsilon:
             epsilon=0.5,
             cost=CostFunction(value=lambda z: -z, derivative=lambda z: 1.0, name="bad"),
         )
-        assert upsilon(1, 3.0, 2, 4, bad) == pytest.approx(a_bar, abs=1e-12)
-        assert 0.0 <= upsilon(1, 0.5, 2, 4, params) <= a_bar
+        assert upsilon(1, 3.0, bad) == pytest.approx(a_bar, abs=1e-12)
+        assert 0.0 <= upsilon(1, 0.5, params) <= a_bar
         # with audited costs the raw cut stays strictly below the ceiling
-        assert upsilon(1, 8.0, 2, 4, make_params(epsilon=8.0)) < a_bar
+        assert upsilon(1, 8.0, make_params(epsilon=8.0)) < a_bar
 
     def test_equal_priors_both_sides_match_closed_form(self):
         params = make_params(epsilon=0.5)
-        u0 = upsilon(0, 0.5, 2, 4, params)
-        u1 = upsilon(1, 0.5, 2, 4, params)
+        u0 = upsilon(0, 0.5, params)
+        u1 = upsilon(1, 0.5, params)
         assert u0 == pytest.approx(0.1257, abs=1e-3)
         assert u0 == pytest.approx(0.12580841337743276, abs=1e-12)
         assert u1 == pytest.approx(u0, abs=1e-12)
