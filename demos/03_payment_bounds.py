@@ -20,7 +20,7 @@ dist = DegreeDistribution.binomial(249, 4.0 / 249.0)
 
 nd, mv = nd_moments(params, dist), mv_moments_equal_priors(params, dist)
 design = predict(params, 250, mv.mu1, mv.kappa1)  # Z0, Z1 and the payout at the equilibrium
-b_nd = bhattacharyya(250, nd)
+b_nd = bhattacharyya(250, *nd)
 print(f"B(baseline) = {b_nd:.3f}  -> free-collection threshold e^-B = {math.exp(-b_nd):.4f}")
 print(f"B(equilibrium) = {design.bhattacharyya:.3f} (>= baseline)\n")
 

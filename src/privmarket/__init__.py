@@ -20,8 +20,6 @@ from .strategy import (  # noqa: F401
     bar_A,
     build_mv_strategy,
     equal_priors_tau,
-    ml_estimate,
-    nd_baseline_strategy,
     privacy_level,
     solve_xi,
     upsilon,
@@ -32,9 +30,9 @@ from .mechanism import (  # noqa: F401
     design_Z0_Z1,
 )
 from .analytics import (  # noqa: F401
-    MomentSummary,
     Prediction,
     ReportLaw,
+    ReportMoments,
     bhattacharyya,
     expected_total_payment,
     mv_moments_equal_priors,

@@ -14,24 +14,28 @@ conditional report probabilities that everything else is assembled from
 (`DegreeTerms`); they are sums over the same band.
 
 There is one variance coefficient, kappa1, the report sum's variance over
-n, with two sources of pair counts.  On a realized graph,
-`graph_report_moments` assembles the report sum's variance as the pair sum
-of the dependency-graph CLT (Baldi & Rinott 1989): per-user variances plus
-one covariance per edge and per open wedge, each read from the exact
-pairwise report probabilities (`DegreeTerms.pair_adjacent`,
-`DegreeTerms.pair_common_friend`), which match brute-force enumeration.
-On a degree law, `mv_moments_equal_priors` and `nd_moments` give the same
-sum's configuration-model expectation: every count is replaced by its
-expected value, and a friend's degree follows the size-biased law
-d rho(d) / E[D] (Newman, Strogatz & Watts 2001).  On a regular graph
-without 3- or 4-cycles the two agree exactly.  `analytics` prints the
-degree law's; `simulate` and the normality probe read the realized graph's.
+n, with two sources of pair counts and one pair function per pair type
+(`_adjacent_from_rows`, `_common_friend_from_rows`), applied to the two
+ends' `DegreeTerms` rows; they match brute-force enumeration.  On a
+realized graph, `graph_report_moments` assembles the report sum's
+variance as the pair sum of the dependency-graph CLT (Baldi & Rinott
+1989): per-user variances plus one covariance per edge and per open
+wedge, each from the rows of the pair's two degrees.  On a degree law,
+`mv_moments_equal_priors` and `nd_moments` give the same sum's
+configuration-model expectation: every count is replaced by its expected
+value, and a friend's degree follows the size-biased law d rho(d) / E[D]
+(Newman, Strogatz & Watts 2001), so the pair functions read the
+size-biased average rows.  On a regular graph without 3- or 4-cycles the
+two agree exactly.  All three return `ReportMoments(mu1, kappa1)`.
+`analytics` prints the degree law's; `simulate` and the normality probe
+read the realized graph's.
 
 `predict` is the one place that designs the payment constants: from a
 profile's (n, mu1, kappa1) it gives beta, Z, Z0, Z1, the expected payout
 and the Bhattacharyya distance.
 
-All degree expectations are exact finite sums over the truncated support;
+A degree law is one per-degree mass vector (`graph.DegreeDistribution`),
+and its expectations are finite sums over the degrees it gives mass;
 nothing in this module samples.  Each closed form builds one
 `DegreeTerms` up to the largest degree it reads, so a degree-law average
 costs O(|support|) and the realized-graph variance O(edges + wedges) array
@@ -44,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,10 +60,10 @@ from .strategy import CUT_TOL, equal_priors_tau
 __all__ = [
     "AnalyticsError",
     "DegreeTerms",
-    "MomentSummary",
     "PaymentBoundReport",
     "Prediction",
     "ReportLaw",
+    "ReportMoments",
     "band_bounds",
     "lambda_sr",
     "mv_report_law",
@@ -70,7 +75,6 @@ __all__ = [
     "beta_from_moments",
     "expected_total_payment",
     "bhattacharyya",
-    "bhattacharyya_from",
     "predict",
     "payment_bound",
 ]
@@ -110,20 +114,38 @@ def lambda_sr(epsilon: float, theta0: float) -> float:
 _SIDE_CHUNK = 1 << 16  # (a, flipped) cells per step of `ReportLaw.side_table`
 
 
+def _adjacent_from_rows(pr, m_i, m_j):
+    """Pr(X_i = X_j = 1 | W = 1) for friends i, j with no common friend.
+
+    m_i, m_j: the ends' `DegreeTerms.M` rows [own signal, friend's signal, ...].
+    """
+    return sum(pr[si] * pr[sj] * m_i[si, sj] * m_j[sj, si] for si in (0, 1) for sj in (0, 1))
+
+
+def _common_friend_from_rows(pr, g_i, g_j):
+    """Pr(X_i = X_j = 1 | W = 1) for non-friends sharing exactly one friend.
+
+    g_i, g_j: the ends' `DegreeTerms.G` rows [the shared friend's signal, ...].
+    """
+    return pr[0] * g_i[0] * g_j[0] + pr[1] * g_i[1] * g_j[1]
+
+
 @dataclass(frozen=True, eq=False)
 class DegreeTerms:
-    """Per-degree report probabilities of one `ReportLaw`, rows 0..d_max, read-only.
+    """Per-degree report probabilities of one `ReportLaw`, degrees 0..d_max, read-only.
 
     * `mean[d]`    = Pr(X = 1 | degree d);
-    * `M[d, s, t]` = Pr(X = 1 | degree d, own signal s, one friend's signal t);
-    * `G[d, t]`    = the same with the own signal averaged out;
+    * `M[s, t, d]` = Pr(X = 1 | own signal s, one friend's signal t, degree d);
+    * `G[t, d]`    = the same with the own signal averaged out;
     * `pr`         = (Pr(signal = 0), Pr(signal = 1)).
 
-    A friendless user receives no friend's signal, so row 0 of M and G is
-    NaN.  The pair probabilities take degrees or arrays of degrees, in
-    either order.  Each is a sum of products of one term per endpoint, so
-    degree averages of pair probabilities factor into products of
-    single-degree averages.
+    A degree's row is `M[..., d]`; the rows of an array of degrees stack
+    along trailing axes.  A friendless user receives no friend's signal,
+    so degree 0's entries of M and G are NaN.  Every pair probability is a
+    row function above applied to the two ends' rows: the rows of two
+    degrees or arrays of degrees, in either order (`pair_adjacent`,
+    `pair_common_friend`), or rows averaged over a degree law
+    (`ensemble_pair_probs`).
     """
 
     mean: np.ndarray
@@ -133,47 +155,41 @@ class DegreeTerms:
 
     def pair_adjacent(self, di, dj):
         """Pr(X_i = X_j = 1 | W = 1) for friends i, j with no common friend."""
-        lo, hi = _linked_degrees(di, dj)
-        m, pr = self.M, self.pr
-        return sum(pr[si] * pr[sj] * m[lo, si, sj] * m[hi, sj, si]
-                   for si in (0, 1) for sj in (0, 1))
+        return _adjacent_from_rows(self.pr, *_linked_rows(self.M, di, dj))
 
     def pair_common_friend(self, di, dj):
         """Pr(X_i = X_j = 1 | W = 1) for non-friends sharing exactly one friend."""
-        lo, hi = _linked_degrees(di, dj)
-        g, pr = self.G, self.pr
-        return pr[0] * g[lo, 0] * g[hi, 0] + pr[1] * g[lo, 1] * g[hi, 1]
+        return _common_friend_from_rows(self.pr, *_linked_rows(self.G, di, dj))
 
     def ensemble_pair_probs(self, dist: DegreeDistribution) -> tuple[float, float]:
         """(adjacent, common-friend) pair probabilities averaged over the configuration model.
 
         In a configuration-model graph the two ends of an edge, and the two
         ends of a wedge, each have a degree drawn from the size-biased law
-        d rho(d) / E[D], independently.  So each average over pairs of
-        degrees is a product of averages over one degree, O(|support|).
-        The law must have E[D] > 0.
+        d rho(d) / E[D], independently.  A pair probability is a sum of
+        products of one row entry per end, so its average is the row
+        function of the size-biased average rows, each entry a
+        `math.fsum`: O(|support|).  The law must have E[D] > 0.
         """
-        keep = (dist.mass > 0) & (dist.support > 0)
-        supp = dist.support[keep]
-        mass = supp * dist.mass[keep] / dist.mean()
-        pr = self.pr
-
-        def avg(values: np.ndarray) -> float:
-            return math.fsum((mass * values).tolist())
-
-        em = [[avg(self.M[supp, s, t]) for t in (0, 1)] for s in (0, 1)]
-        eg = [avg(self.G[supp, t]) for t in (0, 1)]
-        vs = sum(pr[s] * pr[t] * em[s][t] * em[t][s] for s in (0, 1) for t in (0, 1))
-        vst = sum(pr[t] * eg[t] * eg[t] for t in (0, 1))
-        return vs, vst
+        degrees = np.flatnonzero(dist.mass)
+        degrees = degrees[degrees > 0]
+        weight = degrees * dist.mass[degrees] / dist.mean()
+        m, g = (np.apply_along_axis(math.fsum, -1, weight * np.take(table, degrees, axis=-1))
+                for table in (self.M, self.G))
+        return (float(_adjacent_from_rows(self.pr, m, m)),
+                float(_common_friend_from_rows(self.pr, g, g)))
 
 
-def _linked_degrees(di, dj):
-    """(min, max) of two endpoint degrees, elementwise; both must be >= 1."""
+def _linked_rows(table: np.ndarray, di, dj) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `table` at two endpoint degrees, the lower degree first, elementwise.
+
+    Both degrees must be >= 1.  `np.take` gathers along the last (degree)
+    axis several times faster than `table[..., d]` does.
+    """
     lo, hi = np.minimum(di, dj), np.maximum(di, dj)
     if np.any(lo < 1):
         raise AnalyticsError("a user with a friend has degree >= 1")
-    return lo, hi
+    return np.take(table, lo, axis=-1), np.take(table, hi, axis=-1)
 
 
 class ReportLaw:
@@ -202,7 +218,7 @@ class ReportLaw:
         c = self._coin
         lo, hi = (b.tolist() for b in band_bounds(np.arange(d_max + 1), self.tau))
         mean = np.empty(d_max + 1)
-        j = np.full((d_max + 1, 2, 2), np.nan)  # [d, k, l]: own signal k, one received bit l
+        j = np.full((2, 2, d_max + 1), np.nan)  # [k, l, d]: own signal k, one received bit l
         prev = None  # Binomial(d - 1, theta1) mass: the d - 1 other received bits
         for d in range(d_max + 1):
             pmf = binomial_pmf(d, th1)
@@ -211,11 +227,11 @@ class ReportLaw:
             if prev is not None:
                 for l in (0, 1):  # l received bits are fixed, so the band shifts by l
                     band, tail = _band_tail(prev, lo[d] - l, hi[d] - l)
-                    j[d, :, l] = tail + c * band
+                    j[:, l, d] = tail + c * band
             prev = pmf
         # The friend's bit arrives flipped with probability alpha.
-        m = (1.0 - alpha) * j + alpha * j[:, :, ::-1]
-        g = th0 * m[:, 1, :] + (1.0 - th0) * m[:, 0, :]
+        m = (1.0 - alpha) * j + alpha * j[:, ::-1]
+        g = th0 * m[1] + (1.0 - th0) * m[0]
         for table in (mean, m, g):
             table.flags.writeable = False
         return DegreeTerms(mean=mean, M=m, G=g, pr=(1.0 - th0, th0))
@@ -232,7 +248,7 @@ class ReportLaw:
         degree; `offset` is indexed by degree and meaningful only at the
         degrees given.  Building them holds two (d_max + 1)^2 float tables.
         """
-        present = np.unique(np.asarray(degrees)).tolist()
+        present = np.flatnonzero(np.bincount(degrees)).tolist()
         d_max = present[-1]
         # pmf[j, i] = Pr(Binomial(j, alpha) = i); cdf[j, i + 1] = Pr(Binomial(j, alpha) <= i)
         # for i = -1..d_max, exactly 0 below the range and exactly 1 from j up.
@@ -293,22 +309,18 @@ def nd_report_law(params: ModelParams) -> ReportLaw:
     return ReportLaw(params, tau=0.0, epsilon=0.0)
 
 
-@dataclass(frozen=True)
-class MomentSummary:
+class ReportMoments(NamedTuple):
     """Report moments of a symmetric profile given W = 1; W = 0 mirrors them.
 
-    `kappa1` is the variance of the report sum over n: on a degree law, the
-    configuration-model expectation of `graph_report_moments`' pair sum.
+    `mu1` is the mean report probability, and `kappa1` the variance of the
+    report sum over n.
     """
 
     mu1: float
     kappa1: float
-    lam: float
-    tau: float
-    epsilon: float
 
 
-def _summary_from_law(law: ReportLaw, dist: DegreeDistribution) -> MomentSummary:
+def _summary_from_law(law: ReportLaw, dist: DegreeDistribution) -> ReportMoments:
     """Moments of `law` on a configuration-model graph of degree law `dist`.
 
     Per user, the graph holds E[D] / 2 edges and E[D(D - 1)] / 2 open
@@ -316,29 +328,30 @@ def _summary_from_law(law: ReportLaw, dist: DegreeDistribution) -> MomentSummary
     size-biased degree; pairs sharing two or more friends have vanishing
     density.  So kappa1 = sum_d rho(d) m_d (1 - m_d)
     + E[D] (P_adj - mbar^2) + E[D(D - 1)] (P_cf - mbar^2), with m_d the
-    report mean at degree d and mbar its size-biased average.
+    report mean at degree d and mbar its size-biased average: the
+    configuration-model expectation of `graph_report_moments`' pair sum.
     """
     if not law.params.equal_priors:
         raise AnalyticsError("closed-form moments require equal priors")
     terms = law.terms(dist.d_max)
     mean = terms.mean
-    mu1 = dist.expect(lambda d: mean[d])
-    kappa1 = dist.expect(lambda d: mean[d] * (1.0 - mean[d]))
+    mu1 = dist.expect(mean)
+    kappa1 = dist.expect(mean * (1.0 - mean))
     mean_d = dist.mean()
     if mean_d > 0.0:
-        m_bar = dist.expect(lambda d: d * mean[d]) / mean_d
+        m_bar = dist.expect(np.arange(len(mean)) * mean) / mean_d
         p_adj, p_cf = terms.ensemble_pair_probs(dist)
         kappa1 += (mean_d * (p_adj - m_bar * m_bar)
                    + (dist.second_moment() - mean_d) * (p_cf - m_bar * m_bar))
-    return MomentSummary(mu1=mu1, kappa1=kappa1, lam=law.lam, tau=law.tau, epsilon=law.epsilon)
+    return ReportMoments(mu1, kappa1)
 
 
-def mv_moments_equal_priors(params: ModelParams, dist: DegreeDistribution) -> MomentSummary:
+def mv_moments_equal_priors(params: ModelParams, dist: DegreeDistribution) -> ReportMoments:
     """Moments of the equilibrium profile on a configuration-model graph of degree law `dist`."""
     return _summary_from_law(mv_report_law(params), dist)
 
 
-def nd_moments(params: ModelParams, dist: DegreeDistribution) -> MomentSummary:
+def nd_moments(params: ModelParams, dist: DegreeDistribution) -> ReportMoments:
     """The same for the all-non-disclosive baseline (tau = 0, coin at ties)."""
     return _summary_from_law(nd_report_law(params), dist)
 
@@ -380,7 +393,7 @@ def _wedge_terms(graph: Graph, terms: DegreeTerms, means: np.ndarray):
         yield (2.0 * (pair - means[a] * means[b])).tolist()
 
 
-def graph_report_moments(graph: Graph, law: ReportLaw) -> tuple[float, float]:
+def graph_report_moments(graph: Graph, law: ReportLaw) -> ReportMoments:
     """(mean report probability, variance coefficient) on a realized graph.
 
     The variance of the report sum is assembled exactly from the graph:
@@ -405,7 +418,7 @@ def graph_report_moments(graph: Graph, law: ReportLaw) -> tuple[float, float]:
         (2.0 * (edge_pair - means[u] * means[v])).tolist(),
         chain.from_iterable(_wedge_terms(graph, terms, means)),
     ))
-    return float(means.mean()), var_sum / graph.n
+    return ReportMoments(float(means.mean()), var_sum / graph.n)
 
 
 def std_normal_cdf(x: float) -> float:
@@ -429,7 +442,7 @@ def expected_total_payment(z: float, beta: float, mu1: float, n: int) -> float:
     return z * (1.0 - beta + mu1 / (2.0 * beta - 1.0)) * n
 
 
-def bhattacharyya_from(n: int, mu1: float, kappa1: float) -> float:
+def bhattacharyya(n: int, mu1: float, kappa1: float) -> float:
     """Gaussian-approximation Bhattacharyya distance of the two sum hypotheses.
 
     `mu1` and `kappa1` are the W = 1 moments; the W = 0 law mirrors them.
@@ -437,10 +450,6 @@ def bhattacharyya_from(n: int, mu1: float, kappa1: float) -> float:
     if kappa1 <= 0.0:
         raise AnalyticsError("zero variance: Bhattacharyya distance undefined")
     return n / 4.0 * (mu1 - (1.0 - mu1)) ** 2 / (kappa1 + kappa1)
-
-
-def bhattacharyya(n: int, summary: MomentSummary) -> float:
-    return bhattacharyya_from(n, summary.mu1, summary.kappa1)
 
 
 @dataclass(frozen=True)
@@ -474,7 +483,7 @@ def predict(params: ModelParams, n: int, mu1: float, kappa1: float, scale: float
     return Prediction(
         n=n, mu1=mu1, kappa1=kappa1, beta=beta, z=z, z0=z0, z1=z1,
         total_payment=expected_total_payment(z0, beta, mu1, n),
-        bhattacharyya=bhattacharyya_from(n, mu1, kappa1),
+        bhattacharyya=bhattacharyya(n, mu1, kappa1),
     )
 
 

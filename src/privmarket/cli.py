@@ -116,15 +116,16 @@ def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
         params, dist = model_params(cfg), analytic_distribution(cfg)
     n = params.population
     if params.equal_priors:
+        law = an.mv_report_law(params)
         mv = an.mv_moments_equal_priors(params, dist)
         nd = an.nd_moments(params, dist)
         pred = an.predict(params, n, mv.mu1, mv.kappa1)
-        b_nd = an.bhattacharyya(n, nd)
+        b_nd = an.bhattacharyya(n, nd.mu1, nd.kappa1)
         bound = an.payment_bound(cfg.analytics.p_e, pred, b_nd)
         pairs = [
             ("mu1", mv.mu1), ("mu0", 1.0 - mv.mu1),
             ("kappa1", mv.kappa1), ("kappa0", mv.kappa1),
-            ("tau", mv.tau), ("lambda", mv.lam),
+            ("tau", law.tau), ("lambda", law.lam),
             ("beta", pred.beta),
             ("Z", pred.z), ("Z0", pred.z0), ("Z1", pred.z1),
             ("expected_total_payment", pred.total_payment),

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .graph import (DegreeDistribution, Graph, generate_configuration_model, generate_erdos_renyi,
                     ingest_edge_list, read_source)
 from .model import (
@@ -206,14 +208,11 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.graph.kind == CONFIG_MODEL:
         population = cfg.model.population
         try:
-            d_max = _pmf_distribution(cfg.graph, population).d_max
+            _pmf_distribution(cfg.graph, population)
         except ValueError as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"config-model degree law: {exc}") from exc
-        if cfg.graph.pmf and d_max >= population:
-            raise ConfigError(f"graph.pmf puts mass on degree {d_max}, but no user of "
-                              f"model.population = {population} can have that many friends")
         if not cfg.graph.pmf and cfg.graph.d_max >= population:
             raise ConfigError(f"graph.d_max = {cfg.graph.d_max} truncates the Poisson law above degree "
                               f"{population - 1}, the most friends a user of "
@@ -308,19 +307,35 @@ def params_for_graph(cfg: RunConfig, graph: Graph) -> ModelParams:
 def _pmf_distribution(cfg: GraphSection, population: int) -> DegreeDistribution:
     """The config-model degree law: graph.pmf, or the Poisson law truncated at graph.d_max.
 
-    By default the Poisson law stops at max(20, 4 * mean), but never above
-    population - 1, the most friends a user can have.
+    A graph.pmf law may list a degree with zero mass at any size, but
+    positive mass at a degree of population or more is an error, found
+    before the mass vector is allocated.  By default the Poisson law stops
+    at max(20, 4 * mean), but never above population - 1, the most friends
+    a user can have.
     """
     if cfg.pmf:
-        support, mass = [], []
+        degrees, masses = [], []
         for chunk in cfg.pmf.split(";"):
             d, _, m = chunk.partition(":")
             try:
-                support.append(int(d))
-                mass.append(float(m))
+                degrees.append(int(d))
+                masses.append(float(m))
             except ValueError as exc:
                 raise ConfigError(f"bad graph.pmf entry {chunk!r}") from exc
-        return DegreeDistribution(support, mass)
+        if any(d < 0 for d in degrees):
+            raise ValueError("degrees must be nonnegative")
+        if len(set(degrees)) != len(degrees):
+            raise ValueError("duplicate degrees in support")
+        if any(m < 0 for m in masses):
+            raise ValueError("mass values must be nonnegative")
+        carried = {d: m for d, m in zip(degrees, masses) if m != 0}
+        top = max(carried, default=0)
+        if top >= population:
+            raise ConfigError(f"graph.pmf puts mass on degree {top}, but no user of "
+                              f"model.population = {population} can have that many friends")
+        mass = np.zeros(top + 1)
+        mass[list(carried)] = list(carried.values())
+        return DegreeDistribution(mass)
     if cfg.poisson_mean > 0:
         d_max = cfg.d_max if cfg.d_max >= 0 else min(max(20, int(cfg.poisson_mean * 4)), population - 1)
         return DegreeDistribution.poisson_truncated(cfg.poisson_mean, d_max)

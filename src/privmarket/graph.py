@@ -7,6 +7,10 @@ once per direction, grouped by receiver with senders ascending, and
 view, and the samplers consume it directly.  All of it is built with numpy
 from the edge array.  Instances are immutable by convention and safe to
 share across workers.
+
+A degree law (`DegreeDistribution`) is one mass vector indexed by degree,
+mass[d] = Pr(D = d); the configuration model draws degrees as indices
+into it.
 """
 
 from __future__ import annotations
@@ -95,7 +99,8 @@ class Graph:
             if u[k] == v[k]:
                 raise ValueError(f"self-loop at node {u[k]}")
             raise ValueError(f"edge ({u[k]}, {v[k]}) out of range for n={n}")
-        lo, hi = np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n)
+        keys = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)  # each key once
         self._edges = np.column_stack([lo, hi])
         # Directed view, grouped by receiver with senders ascending.
         recv, send = np.concatenate([lo, hi]), np.concatenate([hi, lo])
@@ -145,57 +150,42 @@ class Graph:
 
 
 class DegreeDistribution:
-    """Finite-support degree law rho_d with exact moment accessors."""
+    """Degree law on 0..len(mass) - 1: mass[d] = Pr(D = d), with exact moment accessors."""
 
-    def __init__(self, support: Sequence[int], mass: Sequence[float]):
-        support = np.asarray(support, dtype=np.int64)
+    def __init__(self, mass: Sequence[float]):
         mass = np.asarray(mass, dtype=float)
-        if support.ndim != 1 or support.shape != mass.shape or len(support) == 0:
-            raise ValueError("support and mass must be equal-length 1-d sequences")
-        if np.any(support < 0):
-            raise ValueError("degrees must be nonnegative")
-        if len(np.unique(support)) != len(support):
-            raise ValueError("duplicate degrees in support")
+        if mass.ndim != 1 or len(mass) == 0:
+            raise ValueError("mass must be a nonempty 1-d sequence")
         if np.any(mass < 0):
             raise ValueError("mass values must be nonnegative")
-        if abs(mass.sum() - 1.0) > 1e-12:
+        if not abs(mass.sum() - 1.0) <= 1e-12:  # a NaN mass fails here too
             raise ValueError(f"mass sums to {mass.sum()!r}, not 1")
-        order = np.argsort(support)
-        self.support = support[order]
-        self.mass = mass[order]
+        self.mass = mass
 
     @property
     def d_max(self) -> int:
-        nz = self.support[self.mass > 0]
-        return int(nz.max()) if len(nz) else 0
-
-    @property
-    def rho0(self) -> float:
-        idx = np.flatnonzero(self.support == 0)
-        return float(self.mass[idx[0]]) if len(idx) else 0.0
-
-    def pmf(self, d: int) -> float:
-        idx = np.flatnonzero(self.support == d)
-        return float(self.mass[idx[0]]) if len(idx) else 0.0
+        """The largest degree with positive mass."""
+        return int(np.flatnonzero(self.mass)[-1])
 
     def mean(self) -> float:
-        return float(np.dot(self.support, self.mass))
+        return float(np.dot(np.arange(len(self.mass)), self.mass))
 
     def second_moment(self) -> float:
-        return float(np.dot(self.support.astype(float) ** 2, self.mass))
+        return float(np.dot(np.arange(len(self.mass), dtype=float) ** 2, self.mass))
 
-    def expect(self, fn) -> float:
-        """Exact finite sum of fn(d) over the support."""
-        return float(sum(m * fn(int(d)) for d, m in zip(self.support, self.mass) if m > 0))
+    def expect(self, values: np.ndarray) -> float:
+        """Sum of mass[d] * values[d] over the degrees with positive mass.
+
+        `values` is an array indexed by degree, up to at least `d_max`.  The
+        terms are added left to right in degree order, as numpy scalars:
+        Python's `sum` compensates only plain floats.
+        """
+        carried = np.flatnonzero(self.mass)
+        return float(sum(self.mass[carried] * values[carried]))
 
     @classmethod
     def point_mass(cls, d: int) -> "DegreeDistribution":
-        return cls([d], [1.0])
-
-    @classmethod
-    def uniform(cls, degrees: Sequence[int]) -> "DegreeDistribution":
-        degrees = list(degrees)
-        return cls(degrees, [1.0 / len(degrees)] * len(degrees))
+        return cls(_point_mass(d + 1, d))
 
     @classmethod
     def poisson_truncated(cls, mean: float, d_max: int) -> "DegreeDistribution":
@@ -205,19 +195,18 @@ class DegreeDistribution:
         if mean < 0.0:
             raise ValueError(f"mean must be >= 0, got {mean}")
         if mean == 0.0:
-            return cls(np.arange(d_max + 1), _point_mass(d_max + 1, 0))
+            return cls(_point_mass(d_max + 1, 0))
         k = np.arange(d_max, dtype=float)
         mass = _pmf_from_mode(mean / (k + 1.0), (k + 1.0) / mean, min(int(mean), d_max))
-        return cls(np.arange(d_max + 1), mass)
+        return cls(mass)
 
     @classmethod
     def binomial(cls, n_trials: int, p: float) -> "DegreeDistribution":
-        return cls(np.arange(n_trials + 1), binomial_pmf(n_trials, p))
+        return cls(binomial_pmf(n_trials, p))
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "DegreeDistribution":
-        counts = np.bincount(graph.degrees)
-        return cls(np.arange(len(counts)), counts / graph.n)
+        return cls(np.bincount(graph.degrees) / graph.n)
 
 
 def generate_configuration_model(
@@ -232,10 +221,10 @@ def generate_configuration_model(
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    degrees = rng.choice(dist.support, size=n, p=dist.mass)
+    degrees = rng.choice(len(dist.mass), size=n, p=dist.mass)
     parity_guard = 0
     while degrees.sum() % 2 == 1:
-        degrees[rng.integers(n)] = rng.choice(dist.support, p=dist.mass)
+        degrees[rng.integers(n)] = rng.choice(len(dist.mass), p=dist.mass)
         parity_guard += 1
         if parity_guard > 10000:
             raise PairingError("could not reach an even degree sum (is the support all-odd?)")
@@ -250,8 +239,7 @@ def generate_configuration_model(
         if np.any(a == b):
             continue
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        keys = lo * n + hi
-        if len(np.unique(keys)) != len(keys):
+        if np.any(np.diff(np.sort(lo * n + hi)) == 0):
             continue
         return Graph(n, np.column_stack([lo, hi]))
     raise PairingError(

@@ -21,7 +21,9 @@ encoding of the profile under unequal priors.  Under equal priors both
 cuts are d/2 +- `equal_priors_tau`, so simulation and the closed forms
 play the same profile as the (tau, epsilon) law `analytics.ReportLaw`;
 the tables here are their reference.  Both put a sum within `CUT_TOL` of
-a cut inside the band, so the two agree cell by cell.
+a cut inside the band, so the two agree cell by cell.  At epsilon = 0
+the band is the tie alone and randomizing there is a fair coin, so the
+table's action rows are the all-non-disclosive baseline's.
 """
 
 from __future__ import annotations
@@ -41,12 +43,10 @@ __all__ = [
     "StrategyDomainError",
     "privacy_level",
     "bar_A",
-    "ml_estimate",
     "solve_xi",
     "upsilon",
     "equal_priors_tau",
     "build_mv_strategy",
-    "nd_baseline_strategy",
     "table_to_text",
 ]
 
@@ -103,15 +103,6 @@ def privacy_level(row_s1: ActionDistribution, row_s0: ActionDistribution) -> flo
 def bar_A(theta0: float, theta1: float) -> float:
     """Half-width of the private-signal tiebreak region of the ML rule."""
     return 0.5 * math.log(theta0 / (1.0 - theta0)) / math.log(theta1 / (1.0 - theta1))
-
-
-def ml_estimate(s: int, f: int, d: int, a_bar: float) -> int:
-    """Maximum-likelihood local estimate of the world bit."""
-    if f > d / 2 + a_bar:
-        return 1
-    if f < d / 2 - a_bar:
-        return 0
-    return int(s)
 
 
 def _log_ratio_power(d: int, f: int, theta1: float) -> float:
@@ -307,24 +298,6 @@ def build_mv_strategy(d: int, params: ModelParams) -> DegreeStrategy:
             regime, rows = SR, _sr_rows(xi)
         entries.append(
             StrategyEntry(f=f, regime=regime, xi=xi, rows=rows, cut_low=cut_low, cut_high=cut_high)
-        )
-    return DegreeStrategy(d=d, entries=tuple(entries))
-
-
-def nd_baseline_strategy(d: int) -> DegreeStrategy:
-    """All-non-disclosive baseline: report the group-signal majority, coin at ties."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    entries = []
-    for f in range(d + 1):
-        if f * 2 > d:
-            rows = _nd_rows(1.0)
-        elif f * 2 < d:
-            rows = _nd_rows(0.0)
-        else:
-            rows = _nd_rows(0.5)
-        entries.append(
-            StrategyEntry(f=f, regime=ND, xi=0.0, rows=rows, cut_low=d / 2, cut_high=d / 2)
         )
     return DegreeStrategy(d=d, entries=tuple(entries))
 

@@ -123,13 +123,17 @@ def ensemble_pair_probs_double_sum(law: ReportLaw, dist: DegreeDistribution) -> 
     """DegreeTerms.ensemble_pair_probs as an O(|support|^2) sum over degree pairs.
 
     Each endpoint's degree is drawn from the size-biased law d rho(d) / E[D].
+    The pair probabilities of every (a, b) degree pair are taken at once, as
+    arrays, and each weighted double sum is a `math.fsum`.
     """
-    mean_d = sum(int(d) * m for d, m in zip(dist.support, dist.mass))
-    weight = {int(d): int(d) * m / mean_d for d, m in zip(dist.support, dist.mass) if d > 0 and m > 0}
-    supp = sorted(weight)
-    terms = law.terms(max(supp))
-    vs = sum(weight[a] * weight[b] * terms.pair_adjacent(a, b) for a in supp for b in supp)
-    vst = sum(weight[a] * weight[b] * terms.pair_common_friend(a, b) for a in supp for b in supp)
+    mean_d = sum(d * m for d, m in enumerate(dist.mass))
+    degrees = np.array([d for d, m in enumerate(dist.mass) if d > 0 and m > 0])
+    weight = degrees * dist.mass[degrees] / mean_d
+    terms = law.terms(int(degrees.max()))
+    pair_weight = weight[:, None] * weight[None, :]
+    a, b = degrees[:, None], degrees[None, :]
+    vs = math.fsum((pair_weight * terms.pair_adjacent(a, b)).ravel().tolist())
+    vst = math.fsum((pair_weight * terms.pair_common_friend(a, b)).ravel().tolist())
     return vs, vst
 
 

@@ -219,7 +219,7 @@ def test_criterion_9_baseline_regime():
     params = make_params()
     dist = DegreeDistribution.binomial(249, 4.0 / 249.0)
     nd, mv = nd_moments(params, dist), mv_moments_equal_priors(params, dist)
-    b_nd = bhattacharyya(250, nd)
+    b_nd = bhattacharyya(250, *nd)
     from privmarket.analytics import payment_bound, predict
 
     pred = predict(params, 250, mv.mu1, mv.kappa1)

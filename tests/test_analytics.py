@@ -9,8 +9,8 @@ from privmarket.analytics import (
     AnalyticsError,
     band_bounds,
     beta_from_moments,
+    ReportMoments,
     bhattacharyya,
-    bhattacharyya_from,
     expected_total_payment,
     graph_report_moments,
     lambda_sr,
@@ -30,7 +30,7 @@ from privmarket.graph import (
 from privmarket.mechanism import MechanismError
 from privmarket.model import linear_capped_cost, quadratic_cost
 from privmarket.sim import run_experiment
-from privmarket.strategy import build_mv_strategy, nd_baseline_strategy
+from privmarket.strategy import build_mv_strategy
 
 from conftest import make_params
 from datasets import write_grqc_like
@@ -206,6 +206,11 @@ class TestMvMoments:
             )
 
 
+def _baseline_table(d: int):
+    """The baseline's strategy table: the solver's export at epsilon = 0."""
+    return build_mv_strategy(d, make_params(epsilon=0.0))
+
+
 class TestNdMoments:
     def test_all_degree_two(self):
         params = make_params()  # theta1 = 0.6
@@ -215,13 +220,13 @@ class TestNdMoments:
     def test_matches_enumeration(self, default_params):
         for d in range(0, 7):
             s = nd_moments(default_params, DegreeDistribution.point_mass(d))
-            oracle = enumerate_mu1(nd_baseline_strategy(d), default_params)
+            oracle = enumerate_mu1(_baseline_table(d), default_params)
             assert abs(s.mu1 - oracle) < 1e-10, d
 
     def test_pair_probs_match_enumeration(self, default_params):
         terms = nd_report_law(default_params).terms(3)
         for di, dj in ((2, 2), (3, 2)):
-            si, sj = nd_baseline_strategy(di), nd_baseline_strategy(dj)
+            si, sj = _baseline_table(di), _baseline_table(dj)
             assert terms.pair_adjacent(di, dj) == pytest.approx(
                 enumerate_pair_adjacent(si, sj, default_params), abs=1e-10
             )
@@ -233,14 +238,17 @@ class TestNdMoments:
         # 25 isolated users and a 75-cycle realize the law exactly: isolated
         # users add only their variance, and a friend always has degree 2
         params = make_params()
-        dist = DegreeDistribution([0, 2], [0.25, 0.75])
+        dist = DegreeDistribution([0.25, 0.0, 0.75])
         s = nd_moments(params, dist)
         graph = Graph(100, [(25 + i, 25 + (i + 1) % 75) for i in range(75)])
-        mu, kappa = graph_report_moments(graph, nd_report_law(params))
+        realized = graph_report_moments(graph, nd_report_law(params))
+        # both sources return the same (mu1, kappa1) tuple
+        assert type(s) is type(realized) is ReportMoments
+        mu, kappa = realized
         assert s.mu1 == pytest.approx(mu, rel=1e-12, abs=0.0)
         assert s.kappa1 == pytest.approx(kappa, rel=1e-12, abs=0.0)
         # coin flip for isolated users
-        assert s.lam == 0.5
+        assert nd_report_law(params).lam == 0.5
 
 
 class TestStdNormalCdf:
@@ -290,30 +298,30 @@ class TestExpectedPayment:
 
 class TestBhattacharyya:
     def test_indistinguishable_is_zero(self):
-        assert bhattacharyya_from(100, 0.5, 0.2) == 0.0
+        assert bhattacharyya(100, 0.5, 0.2) == 0.0
 
     def test_linear_in_population(self):
-        b1 = bhattacharyya_from(100, 0.6, 0.3)
-        b2 = bhattacharyya_from(200, 0.6, 0.3)
+        b1 = bhattacharyya(100, 0.6, 0.3)
+        b2 = bhattacharyya(200, 0.6, 0.3)
         assert b2 == pytest.approx(2.0 * b1, rel=1e-12)
 
     def test_matches_gaussian_quadrature(self):
         # the W = 0 sum law mirrors W = 1: mean n (1 - mu1), the same variance
         n, mu1, kap = 250, 0.65, 0.4
-        ours = bhattacharyya_from(n, mu1, kap)
+        ours = bhattacharyya(n, mu1, kap)
         oracle = gaussian_bhattacharyya_quadrature(n * mu1, n * kap, n * (1.0 - mu1), n * kap)
         assert ours == pytest.approx(oracle, rel=1e-6)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(AnalyticsError):
-            bhattacharyya_from(10, 0.6, 0.0)
+            bhattacharyya(10, 0.6, 0.0)
 
     def test_equilibrium_at_least_baseline(self):
         dist = DegreeDistribution.poisson_truncated(4.0, 16)
         for eps in (0.1, 0.3, 0.5):
             params = make_params(epsilon=eps)
-            b_mv = bhattacharyya(250, mv_moments_equal_priors(params, dist))
-            b_nd = bhattacharyya(250, nd_moments(params, dist))
+            b_mv = bhattacharyya(250, *mv_moments_equal_priors(params, dist))
+            b_nd = bhattacharyya(250, *nd_moments(params, dist))
             assert b_mv >= b_nd - 1e-12
 
 
@@ -331,7 +339,7 @@ class TestPrediction:
         total = expected_total_payment(z0, beta, mv.mu1, 250)
         assert (pred.beta, pred.z, pred.z0, pred.z1) == (beta, z, z0, z1)
         assert (pred.total_payment, pred.payment_per_user) == (total, total / 250)
-        assert pred.bhattacharyya == bhattacharyya(250, mv)
+        assert pred.bhattacharyya == bhattacharyya(250, mv.mu1, mv.kappa1)
 
     def test_scale_multiplies_constants_and_payout(self, default_params):
         base = predict(default_params, 250, 0.6, 0.3)
@@ -351,7 +359,7 @@ class TestPaymentBound:
 
     def _bound(self, p_e, params):
         mv, nd = mv_moments_equal_priors(params, self.DIST), nd_moments(params, self.DIST)
-        return payment_bound(p_e, predict(params, 250, mv.mu1, mv.kappa1), bhattacharyya(250, nd))
+        return payment_bound(p_e, predict(params, 250, mv.mu1, mv.kappa1), bhattacharyya(250, *nd))
 
     def test_loose_target_is_slack(self, default_params):
         rep = self._bound(0.5, default_params)
@@ -359,14 +367,14 @@ class TestPaymentBound:
         assert rep.bound_per_user is None
 
     def test_boundary_included_in_slack(self, default_params):
-        b_nd = bhattacharyya(250, nd_moments(default_params, self.DIST))
+        b_nd = bhattacharyya(250, *nd_moments(default_params, self.DIST))
         rep = self._bound(math.exp(-b_nd), default_params)
         assert rep.regime == "slack"
 
     def test_tight_target_bounds_by_equilibrium_payment(self, default_params):
         from privmarket.mechanism import design_Z, design_Z0_Z1
 
-        b_nd = bhattacharyya(250, nd_moments(default_params, self.DIST))
+        b_nd = bhattacharyya(250, *nd_moments(default_params, self.DIST))
         rep = self._bound(math.exp(-b_nd) / 10.0, default_params)
         assert rep.regime == "tight"
         mv = mv_moments_equal_priors(default_params, self.DIST)
@@ -542,7 +550,7 @@ class TestArrayFormsMatchLoops:
         assert vs == pytest.approx(vs_ref, rel=REL, abs=0.0)
         assert vst == pytest.approx(vst_ref, rel=REL, abs=0.0)
         mean = report_law(params).terms(dist.d_max).mean
-        law = [(int(d), m) for d, m in zip(dist.support, dist.mass) if m > 0]
+        law = [(d, m) for d, m in enumerate(dist.mass) if m > 0]
         mean_d = sum(d * m for d, m in law)
         m_bar = sum(d * m * mean[d] for d, m in law) / mean_d
         kappa_ref = (sum(m * mean[d] * (1.0 - mean[d]) for d, m in law)
@@ -554,7 +562,7 @@ class TestArrayFormsMatchLoops:
         law = mv_report_law(default_params)
         small, big = law.terms(3), law.terms(40)
         for name in ("mean", "M", "G"):
-            lead = getattr(big, name)[:4]
+            lead = getattr(big, name)[..., :4]
             assert np.array_equal(getattr(small, name), lead, equal_nan=True), name
         assert small.pair_adjacent(2, 3) == big.pair_adjacent(3, 2)
         assert big.pair_common_friend(40, 7) == big.pair_common_friend(7, 40)

@@ -69,7 +69,7 @@ class TestConfig:
             ["graph.kind=config-model", "graph.poisson_mean=3", "graph.d_max=0"],
         )
         dist = analytic_distribution(cfg)
-        assert dist.d_max == 0 and dist.pmf(0) == 1.0
+        assert dist.d_max == 0 and dist.mass[0] == 1.0
 
     def test_poisson_default_truncation_stops_at_population(self, tmp_path):
         # no user of 20 can have 20 friends, whatever max(20, 4 * mean) says
@@ -211,7 +211,7 @@ class TestCli:
         cfg_path = _write_config(tmp_path, f"graph.avg_degree = {avg_degree}\n")
         cfg = parse_config(cfg_path)
         dist = analytic_distribution(cfg)
-        assert dist.pmf(point) == 1.0 and dist.d_max == point
+        assert dist.mass[point] == 1.0 and dist.d_max == point
         out = tmp_path / "out"
         assert main(["analytics", "--config", str(cfg_path), "--out", str(out)]) == 0
         values = dict(
@@ -231,6 +231,7 @@ class TestCli:
             "from privmarket.cli import main\n"
             "code = main(sys.argv[1:])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print('numpy.ma' in sys.modules)\n"
             "sys.exit(code)\n"
         )
         done = subprocess.run(
@@ -239,7 +240,8 @@ class TestCli:
             env=_src_env(), capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip().splitlines()[-1] == "[]"
+        # nor numpy.ma, which numpy's plain np.unique imports and no command needs
+        assert done.stdout.strip().splitlines()[-2:] == ["[]", "False"]
 
     def test_runs_with_scipy_blocked(self, tmp_path):
         # numpy is the only runtime dependency: with every scipy import
@@ -423,14 +425,20 @@ class TestLoadTimeChecks:
          "config-model degree law: mass sums to"),
         ("analytics", "graph.kind = config-model\ngraph.pmf = 1:0.5;30:0.5\nmodel.population = 20\n",
          "graph.pmf puts mass on degree 30, but no user of model.population = 20"),
+        ("simulate", "graph.kind = config-model\ngraph.pmf = 2:0.5;2:0.5\n",
+         "config-model degree law: duplicate degrees in support"),
+        ("analytics", "graph.kind = config-model\ngraph.pmf = 1:0.5;2:nan;3:0.5\n",
+         "config-model degree law: mass sums to"),
+        ("analytics", "graph.kind = config-model\ngraph.pmf = 1:0.5;1000000000:0.5\n",
+         "graph.pmf puts mass on degree 1000000000, but no user of model.population = 80"),
         ("analytics", "graph.kind = config-model\ngraph.poisson_mean = 15\nmodel.population = 20\n"
          "graph.d_max = 25\n", "graph.d_max = 25 truncates the Poisson law above degree 19"),
         ("simulate", "sweep.axis = epsilon\nsweep.values =\n",
          "sweep.values must list at least one grid point"),
         ("analytics", "sim.seed = -1\n", "sim.seed must be >= 0, got -1"),
         ("strategy", "graph.d_max = -7\n", "graph.d_max must be >= -1"),
-    ], ids=["payment-scale", "p_e", "pmf-entry", "pmf-mass", "pmf-degree", "poisson-d_max", "empty-sweep",
-            "negative-seed", "d_max"])
+    ], ids=["payment-scale", "p_e", "pmf-entry", "pmf-mass", "pmf-degree", "pmf-repeated",
+            "pmf-nan", "pmf-huge-degree", "poisson-d_max", "empty-sweep", "negative-seed", "d_max"])
     def test_rejected_at_load(self, tmp_path, monkeypatch, capsys, command, extra, message):
         from privmarket import sim
 
@@ -442,6 +450,13 @@ class TestLoadTimeChecks:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert calls == []
+
+    def test_zero_mass_degree_above_population_accepted(self, tmp_path):
+        # a degree listed with zero mass carries nothing, however large
+        cfg = _write_config(tmp_path, "graph.kind = config-model\ngraph.pmf = 1:1;30:0\n"
+                                      "model.population = 20\n")
+        assert analytic_distribution(parse_config(cfg)).mass.tolist() == [0.0, 1.0]
+        assert main(["analytics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 class TestPathOrText:

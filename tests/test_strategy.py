@@ -17,8 +17,6 @@ from privmarket.strategy import (
     bar_A,
     build_mv_strategy,
     equal_priors_tau,
-    ml_estimate,
-    nd_baseline_strategy,
     privacy_level,
     solve_xi,
     table_to_text,
@@ -75,14 +73,6 @@ class TestBarA:
     def test_hand_evaluated(self):
         assert bar_A(0.7, 0.6) == pytest.approx(1.0448468233685515, abs=1e-12)
         assert bar_A(0.9, 0.66) == pytest.approx(1.6562970998865054, abs=1e-12)
-
-
-class TestMlEstimate:
-    def test_branches(self):
-        assert ml_estimate(0, 5, 6, 1.0) == 1
-        assert ml_estimate(1, 0, 6, 1.0) == 0
-        assert ml_estimate(1, 3, 6, 1.0) == 1
-        assert ml_estimate(0, 3, 6, 1.0) == 0
 
 
 class TestSolveXi:
@@ -219,13 +209,19 @@ class TestBuildMvStrategy:
 
     def test_epsilon_zero_exports_the_baseline(self):
         # At epsilon = 0 the band is the tie alone and randomizing there is
-        # a fair coin, so every exported action row is the baseline's; only
-        # a tie's regime label differs (sr at level 0, against nd's coin).
+        # a fair coin, so every exported action row is the baseline's: the
+        # group majority whatever the own signal, a fair coin at a tie (an
+        # sr cell at level 0).
         params = make_params(epsilon=0.0)
         for d in range(9):
-            mv = table_to_text([build_mv_strategy(d, params)]).splitlines()
-            nd = table_to_text([nd_baseline_strategy(d)]).splitlines()
-            assert [r.split("\t")[:6] for r in mv] == [r.split("\t")[:6] for r in nd], d
+            rows = [r.split("\t") for r in table_to_text([build_mv_strategy(d, params)]).splitlines()[1:]]
+            assert len(rows) == 2 * (d + 1)
+            for degree, f, s, p1, p0, p_bot, regime, xi in rows:
+                f = int(f)
+                majority = 1.0 if 2 * f > d else 0.0 if 2 * f < d else 0.5
+                assert (int(degree), float(p1), float(p0), float(p_bot)) == (
+                    d, majority, 1.0 - majority, 0.0), (d, f, s)
+                assert regime == (SR if 2 * f == d else ND) and float(xi) == 0.0
 
     def test_default_case_band(self):
         params = make_params(epsilon=0.5)
@@ -303,18 +299,24 @@ class TestBuildMvStrategy:
 
 
 class TestNdBaseline:
+    """The baseline's table is the solver's export at epsilon = 0."""
+
+    @staticmethod
+    def _table(d: int):
+        return build_mv_strategy(d, make_params(epsilon=0.0))
+
     def test_tie_is_fair_coin(self):
-        strat = nd_baseline_strategy(2)
+        strat = self._table(2)
         assert strat.entry(1).row(0).p1 == 0.5
         assert strat.entry(1).row(1).p1 == 0.5
 
     def test_strict_majority(self):
-        strat = nd_baseline_strategy(3)
+        strat = self._table(3)
         assert strat.entry(2).row(0).p1 == 1.0
 
     def test_all_rows_zero_privacy(self):
         for d in range(0, 6):
-            for entry in nd_baseline_strategy(d).entries:
+            for entry in self._table(d).entries:
                 assert entry.privacy == 0.0
 
 
