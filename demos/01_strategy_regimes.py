@@ -20,11 +20,11 @@ def show_table(params: ModelParams, d_max: int = 8) -> None:
     for d in range(d_max + 1):
         strat = build_mv_strategy(d, params)
         cells = []
-        for e in strat.entries:
-            if e.regime == "sr":
+        for f in range(d + 1):
+            if strat.sr[f]:
                 cells.append("SR")
             else:
-                cells.append("0 " if e.row(0).p1 == 0.0 else "1 ")
+                cells.append("0 " if strat.p1[f, 0] == 0.0 else "1 ")
         print(f"  d={d}: f=0..{d}: " + " ".join(cells))
     print()
 

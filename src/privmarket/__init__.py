@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from .model import ModelParams, CostFunction, quadratic_cost, theta1  # noqa: F401
 from .graph import Graph, DegreeDistribution  # noqa: F401
 from .strategy import (  # noqa: F401
-    ActionDistribution,
     bar_A,
     build_mv_strategy,
     equal_priors_tau,

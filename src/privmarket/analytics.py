@@ -55,7 +55,7 @@ import numpy as np
 from .graph import DegreeDistribution, Graph, binomial_pmf
 from .mechanism import design_Z, design_Z0_Z1
 from .model import ModelParams
-from .strategy import CUT_TOL, equal_priors_tau
+from .strategy import band_ends, equal_priors_tau
 
 __all__ = [
     "AnalyticsError",
@@ -87,17 +87,14 @@ class AnalyticsError(ValueError):
 def band_bounds(d, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi): the integer group-signal sums of the band d/2 +- tau, both included.
 
-    A sum within `strategy.CUT_TOL` of an end counts as on it, as in the
-    strategy tables.
+    The cuts d/2 -+ tau become band ends by `strategy.band_ends`, the rule
+    the strategy tables classify their cells with.
 
     `d` is a degree or an array of degrees.  Sums below lo report 0, sums
     above hi report 1; a band wider than the whole range covers 0..d.
     """
     d = np.asarray(d)
-    return (
-        np.ceil(d / 2 - tau - CUT_TOL).astype(np.int64),
-        np.floor(d / 2 + tau + CUT_TOL).astype(np.int64),
-    )
+    return band_ends(d / 2 - tau, d / 2 + tau)
 
 
 def _band_tail(pmf: np.ndarray, lo: int, hi: int) -> tuple[float, float]:

@@ -119,7 +119,7 @@ def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
         law = an.mv_report_law(params)
         mv = an.mv_moments_equal_priors(params, dist)
         nd = an.nd_moments(params, dist)
-        pred = an.predict(params, n, mv.mu1, mv.kappa1)
+        pred = an.predict(params, n, mv.mu1, mv.kappa1, cfg.mechanism.payment_scale)
         b_nd = an.bhattacharyya(n, nd.mu1, nd.kappa1)
         bound = an.payment_bound(cfg.analytics.p_e, pred, b_nd)
         pairs = [
@@ -141,7 +141,7 @@ def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
     else:
         # No closed form for the majority accuracy under unequal priors:
         # emit only the quantities that remain defined.
-        z = design_Z(params.epsilon, params.theta0, params.cost)
+        z = design_Z(params.epsilon, params.theta0, params.cost) * cfg.mechanism.payment_scale
         pairs = [
             ("Z", z),
             ("note", "unequal priors: beta, moments and payment omitted (no closed form)"),

@@ -94,11 +94,16 @@ def table_cost(zetas: Sequence[float], values: Sequence[float]) -> CostFunction:
     v = np.asarray(values, dtype=float)
     if z.ndim != 1 or z.shape != v.shape or len(z) < 2:
         raise CostFunctionError("cost table needs at least two (zeta, value) pairs")
+    if not (np.isfinite(z).all() and np.isfinite(v).all()):
+        raise CostFunctionError("cost table entries must be finite numbers")
     order = np.argsort(z)
     z, v = z[order], v[order]
     if z[0] != 0.0:
         raise CostFunctionError("cost table must start at zeta = 0")
-    slopes = np.diff(v) / np.diff(z)
+    gaps = np.diff(z)
+    if np.any(gaps == 0.0):
+        raise CostFunctionError(f"cost table repeats zeta = {z[1:][gaps == 0.0][0]:g}")
+    slopes = np.diff(v) / gaps
 
     def value(x: float) -> float:
         return float(np.interp(x, z, v)) if x <= z[-1] else float(v[-1] + slopes[-1] * (x - z[-1]))
@@ -118,9 +123,11 @@ _AUDIT_GRID = np.linspace(0.0, 10.0, 1000)
 
 
 def audit_cost_function(cost: CostFunction) -> None:
-    """Check g(0)=0, monotonicity, nonnegativity and convexity on a grid."""
+    """Check finiteness, g(0)=0, monotonicity, nonnegativity and convexity on a grid."""
     vals = np.array([cost.value(z) for z in _AUDIT_GRID])
     ders = np.array([cost.derivative(z) for z in _AUDIT_GRID])
+    if not (np.isfinite(vals).all() and np.isfinite(ders).all()):
+        raise CostFunctionError("cost or its derivative is not finite on the audit grid [0, 10]")
     if abs(vals[0]) > 1e-12:
         raise CostFunctionError(f"g(0) = {vals[0]!r}, expected 0")
     if np.any(vals < -1e-12):

@@ -16,14 +16,19 @@ unequal priors xi(f) is bisected: the group-signal likelihood ratio
 sparsity cap do not overflow, and J' is strictly decreasing for convex
 costs, so bisection on an expanding bracket is guaranteed to converge.
 
+A degree's table (`DegreeStrategy`) is a set of arrays indexed by f: the
+regime, the level, both cuts, and the probabilities of reporting 1 and 0
+given the private signal.  A report is one bit; every user participates.
+
 This solver builds the tables `privmarket strategy` exports and is the only
 encoding of the profile under unequal priors.  Under equal priors both
 cuts are d/2 +- `equal_priors_tau`, so simulation and the closed forms
 play the same profile as the (tau, epsilon) law `analytics.ReportLaw`;
-the tables here are their reference.  Both put a sum within `CUT_TOL` of
-a cut inside the band, so the two agree cell by cell.  At epsilon = 0
-the band is the tie alone and randomizing there is a fair coin, so the
-table's action rows are the all-non-disclosive baseline's.
+the tables here are their reference.  Both turn cuts into integer band
+ends with `band_ends`, which puts a sum within `CUT_TOL` of a cut inside
+the band, so the two agree cell by cell.  At epsilon = 0 the band is the
+tie alone and randomizing there is a fair coin, so the table's action
+rows are the all-non-disclosive baseline's.
 """
 
 from __future__ import annotations
@@ -37,14 +42,13 @@ import numpy as np
 from .model import CostFunctionError, ModelParams
 
 __all__ = [
-    "ActionDistribution",
-    "StrategyEntry",
     "DegreeStrategy",
     "StrategyDomainError",
     "privacy_level",
     "bar_A",
     "solve_xi",
     "upsilon",
+    "band_ends",
     "equal_priors_tau",
     "build_mv_strategy",
     "table_to_text",
@@ -52,46 +56,37 @@ __all__ = [
 
 XI_TOLERANCE = 1e-10
 # A group-signal sum within CUT_TOL of a cut lies on it: both cuts belong
-# to the band (`analytics.band_bounds` reads the same constant).
+# to the band.
 CUT_TOL = 1e-9
 XI_CEILING = 1e6
 
-ND = "nd"
-SR = "sr"
+
+def band_ends(cut_low, cut_high) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the least and greatest integer sums of the band [cut_low, cut_high].
+
+    A sum within `CUT_TOL` of a cut counts as on it.  The cuts are floats
+    or arrays of them; an integer f lies below the band exactly when
+    f < lo, and above it exactly when f > hi.
+    """
+    return (
+        np.ceil(cut_low - CUT_TOL).astype(np.int64),
+        np.floor(cut_high + CUT_TOL).astype(np.int64),
+    )
 
 
 class StrategyDomainError(ValueError):
     """A strategy computation left its admissible domain (bad cost function)."""
 
 
-@dataclass(frozen=True)
-class ActionDistribution:
-    """Distribution over reports {1, 0, non-participation}."""
+def privacy_level(p: float, q: float) -> float:
+    """Worst-case |log-likelihood ratio| of a one-bit report under s=1 vs s=0.
 
-    p1: float
-    p0: float
-    p_bot: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name, p in (("p1", self.p1), ("p0", self.p0), ("p_bot", self.p_bot)):
-            if not -1e-12 <= p <= 1.0 + 1e-12:
-                raise ValueError(f"{name} = {p} is not a probability")
-        if abs(self.p1 + self.p0 + self.p_bot - 1.0) > 1e-12:
-            raise ValueError("action probabilities must sum to 1")
-
-
-def privacy_level(row_s1: ActionDistribution, row_s0: ActionDistribution) -> float:
-    """Worst-case |log-likelihood ratio| of any report event under s=1 vs s=0.
-
-    Maximizes over all nonempty event subsets of {1, 0, bot}; 0/0 counts as
-    ratio 1, and a one-sided zero yields +inf.
+    `p` and `q` are the report-1 probabilities given s = 1 and s = 0; the
+    level is the larger of the two events' ratios.  0/0 counts as ratio 1,
+    and a one-sided zero yields +inf.
     """
-    a = (row_s1.p1, row_s1.p0, row_s1.p_bot)
-    b = (row_s0.p1, row_s0.p0, row_s0.p_bot)
     worst = 0.0
-    for mask in range(1, 7):  # proper nonempty subsets; the full set has ratio 1
-        pa = sum(p for k, p in enumerate(a) if mask >> k & 1)
-        pb = sum(p for k, p in enumerate(b) if mask >> k & 1)
+    for pa, pb in ((p, q), (1.0 - p, 1.0 - q)):
         if pa <= 0.0 and pb <= 0.0:
             continue
         if pa <= 0.0 or pb <= 0.0:
@@ -232,85 +227,69 @@ def equal_priors_tau(params: ModelParams) -> float:
     return min(max(a, 0.0), bar_A(th0, th1))
 
 
-@dataclass(frozen=True)
-class StrategyEntry:
-    """Action rows for one (degree, group-signal sum) cell."""
-
-    f: int
-    regime: str  # ND or SR
-    xi: float  # SR privacy level (meaningful when regime == SR, else the solved value)
-    rows: tuple[ActionDistribution, ActionDistribution]  # indexed by s in {0, 1}
-    cut_low: float  # d/2 - Upsilon_0(xi)
-    cut_high: float  # d/2 + Upsilon_1(xi)
-
-    def row(self, s: int) -> ActionDistribution:
-        return self.rows[int(s)]
-
-    @property
-    def privacy(self) -> float:
-        return privacy_level(self.rows[1], self.rows[0])
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeStrategy:
+    """Equilibrium actions of a user with d friends, indexed by her group-signal sum f.
+
+    * `sr[f]`: she randomizes her signal (True) or reports the majority;
+    * `xi[f]`: the solved level, also where she does not randomize;
+    * `p1[f, s]`, `p0[f, s]`: Pr(report 1), Pr(report 0) given her signal s;
+    * `cut_low[f]`, `cut_high[f]`: the band's cuts d/2 - Upsilon_0 and
+      d/2 + Upsilon_1 at xi[f].
+
+    Every array is read-only and has d + 1 rows.
+    """
+
     d: int
-    entries: tuple[StrategyEntry, ...]
-
-    def entry(self, f: int) -> StrategyEntry:
-        return self.entries[f]
-
-
-def _sr_rows(xi: float) -> tuple[ActionDistribution, ActionDistribution]:
-    hi = math.exp(xi) / (1.0 + math.exp(xi))
-    return (
-        ActionDistribution(p1=1.0 - hi, p0=hi),  # s = 0
-        ActionDistribution(p1=hi, p0=1.0 - hi),  # s = 1
-    )
-
-
-def _nd_rows(report_one_prob: float) -> tuple[ActionDistribution, ActionDistribution]:
-    row = ActionDistribution(p1=report_one_prob, p0=1.0 - report_one_prob)
-    return (row, row)
+    sr: np.ndarray
+    xi: np.ndarray
+    p1: np.ndarray
+    p0: np.ndarray
+    cut_low: np.ndarray
+    cut_high: np.ndarray
 
 
 def build_mv_strategy(d: int, params: ModelParams) -> DegreeStrategy:
-    """Equilibrium majority-voting strategy entries for one degree.
+    """Equilibrium majority-voting strategy table for one degree.
 
-    Per f: solve the SR level xi(f), evaluate both clamped cuts at xi(f),
-    then classify the cell.  The band includes both cuts (to within
-    `CUT_TOL`), so a friendless user always randomizes at xi(0) and a sum
-    exactly at a cut randomizes too.
+    Per f: solve the SR level xi(f) and evaluate both clamped cuts at
+    xi(f); then `band_ends` classifies every cell.  The band includes both
+    cuts (to within `CUT_TOL`), so a friendless user always randomizes at
+    xi(0) and a sum exactly at a cut randomizes too.  A randomizer keeps
+    her signal with probability e^xi / (1 + e^xi).
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
-    entries = []
+    cells = []
     for f in range(d + 1):
         xi = solve_xi(f, d, params)
-        u0 = upsilon(0, xi, params)
-        u1 = upsilon(1, xi, params)
-        cut_low = d / 2 - u0
-        cut_high = d / 2 + u1
-        if f < cut_low - CUT_TOL:
-            regime, rows = ND, _nd_rows(0.0)
-        elif f > cut_high + CUT_TOL:
-            regime, rows = ND, _nd_rows(1.0)
-        else:
-            regime, rows = SR, _sr_rows(xi)
-        entries.append(
-            StrategyEntry(f=f, regime=regime, xi=xi, rows=rows, cut_low=cut_low, cut_high=cut_high)
-        )
-    return DegreeStrategy(d=d, entries=tuple(entries))
+        cells.append((xi, d / 2 - upsilon(0, xi, params), d / 2 + upsilon(1, xi, params)))
+    xi, cut_low, cut_high = map(np.array, zip(*cells))
+    lo, hi = band_ends(cut_low, cut_high)
+    f = np.arange(d + 1)
+    sr = (lo <= f) & (f <= hi)
+    keep = np.array([math.exp(x) / (1.0 + math.exp(x)) for x in xi.tolist()])[:, None]
+    majority = (f > hi).astype(float)[:, None]
+    p1 = np.where(sr[:, None], np.hstack([1.0 - keep, keep]), majority)
+    p0 = np.where(sr[:, None], np.hstack([keep, 1.0 - keep]), 1.0 - majority)
+    table = DegreeStrategy(d=d, sr=sr, xi=xi, p1=p1, p0=p0, cut_low=cut_low, cut_high=cut_high)
+    for array in (sr, xi, p1, p0, cut_low, cut_high):
+        array.flags.writeable = False
+    return table
 
 
 def table_to_text(strategies: Sequence[DegreeStrategy]) -> str:
-    """Flat tab-separated export: degree, f, s, p1, p0, p_bot, regime, xi."""
+    """Flat tab-separated export: degree, f, s, p1, p0, p_bot, regime, xi.
+
+    p_bot, the opt-out probability, is 0 in every row.
+    """
     lines = ["degree\tf\ts\tp1\tp0\tp_bot\tregime\txi"]
     for strat in strategies:
-        for entry in strat.entries:
+        for f in range(strat.d + 1):
+            regime = "sr" if strat.sr[f] else "nd"
             for s in (0, 1):
-                row = entry.row(s)
                 lines.append(
-                    f"{strat.d}\t{entry.f}\t{s}\t{row.p1:.17g}\t{row.p0:.17g}\t{row.p_bot:.17g}"
-                    f"\t{entry.regime}\t{entry.xi:.17g}"
+                    f"{strat.d}\t{f}\t{s}\t{strat.p1[f, s]:.17g}\t{strat.p0[f, s]:.17g}\t0"
+                    f"\t{regime}\t{strat.xi[f]:.17g}"
                 )
     return "\n".join(lines) + "\n"

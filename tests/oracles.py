@@ -41,7 +41,7 @@ def enumerate_mu1(strat: DegreeStrategy, params: ModelParams) -> float:
             pc = 1.0
             for bit in c:
                 pc *= _sig_prob(bit, th1)
-            total += ps * pc * strat.entry(sum(c)).row(s).p1
+            total += ps * pc * strat.p1[sum(c), s]
     return total
 
 
@@ -73,8 +73,8 @@ def enumerate_pair_adjacent(
                             )
                             total += (
                                 p_sig * p_cij * p_cji * p_ri * p_rj
-                                * strat_i.entry(rest_i + cij).row(si).p1
-                                * strat_j.entry(rest_j + cji).row(sj).p1
+                                * strat_i.p1[rest_i + cij, si]
+                                * strat_j.p1[rest_j + cji, sj]
                             )
     return total
 
@@ -109,8 +109,8 @@ def enumerate_pair_common_friend(
                                 )
                                 total += (
                                     p_l * p_sig * p_cil * p_cjl * p_ri * p_rj
-                                    * strat_i.entry(rest_i + cil).row(si).p1
-                                    * strat_j.entry(rest_j + cjl).row(sj).p1
+                                    * strat_i.p1[rest_i + cil, si]
+                                    * strat_j.p1[rest_j + cjl, sj]
                                 )
     return total
 

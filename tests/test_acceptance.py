@@ -30,7 +30,7 @@ from privmarket.sim import (
     sweep,
     sweep_csv,
 )
-from privmarket.strategy import ND, SR, build_mv_strategy
+from privmarket.strategy import build_mv_strategy
 
 from conftest import make_params
 from datasets import write_gnutella_like, write_grqc_like
@@ -93,18 +93,17 @@ def test_criterion_2_strategy_oracle_equivalence():
                 idx = int(np.argmax(util_sr))
                 u_sr, eta_star = float(util_sr[idx]), float(etas[idx])
                 u_nd0, u_nd1 = 0.0, k1 + k0
-                entry = strat.entry(f)
                 if d == 0 or (u_sr >= u_nd0 and u_sr >= u_nd1):
-                    if entry.regime != SR:
+                    if not strat.sr[f]:
                         mismatches += 1
                         continue
-                    worst_xi = max(worst_xi, abs(entry.xi - eta_star))
+                    worst_xi = max(worst_xi, abs(strat.xi[f] - eta_star))
                 else:
-                    if entry.regime != ND:
+                    if strat.sr[f]:
                         mismatches += 1
                         continue
                     expected_p1 = 1.0 if u_nd1 > u_nd0 else 0.0
-                    if entry.row(0).p1 != expected_p1:
+                    if strat.p1[f, 0] != expected_p1:
                         mismatches += 1
     elapsed = time.monotonic() - start
     _report(
@@ -122,15 +121,15 @@ def test_criterion_3_noiseless_exactness():
             params = make_params(theta0=theta0, alpha=0.0, epsilon=eps)
             for d in range(0, 9):
                 strat = build_mv_strategy(d, params)
-                for entry in strat.entries:
-                    is_tie = (d % 2 == 0) and (entry.f * 2 == d)
+                for f in range(d + 1):
+                    is_tie = (d % 2 == 0) and (f * 2 == d)
                     if is_tie:
-                        if entry.regime != SR:
-                            bad.append((theta0, eps, d, entry.f, "expected SR"))
+                        if not strat.sr[f]:
+                            bad.append((theta0, eps, d, f, "expected SR"))
                     else:
-                        expected = 1.0 if entry.f * 2 > d else 0.0
-                        if entry.regime != ND or entry.row(0).p1 != expected:
-                            bad.append((theta0, eps, d, entry.f, "expected pure majority"))
+                        expected = 1.0 if f * 2 > d else 0.0
+                        if strat.sr[f] or strat.p1[f, 0] != expected:
+                            bad.append((theta0, eps, d, f, "expected pure majority"))
     _report(3, not bad, f"noiseless tables exact on 6x4 configs, d <= 8 ({len(bad)} violations)")
 
 

@@ -155,6 +155,16 @@ class TestCli:
         golden = Path(__file__).parent / "golden" / "strategy_default.tsv"
         assert (out / "strategy.tsv").read_bytes() == golden.read_bytes()
 
+    def test_strategy_golden_file_unequal_priors(self, tmp_path):
+        # prior 0.7 bisects xi(f) in every cell: 32 of the 132 rows randomize
+        # at a level other than epsilon
+        cfg = _write_config(tmp_path, "model.prior_w1 = 0.7\nmodel.alpha = 0.4\n"
+                                      "model.epsilon = 1\ngraph.d_max = 10\n")
+        out = tmp_path / "out"
+        assert main(["strategy", "--config", str(cfg), "--out", str(out)]) == 0
+        golden = Path(__file__).parent / "golden" / "strategy_prior07.tsv"
+        assert (out / "strategy.tsv").read_bytes() == golden.read_bytes()
+
     def test_degree_zero_table_is_single_sr_cell(self, tmp_path):
         cfg = _write_config(tmp_path, "graph.d_max = 0\n")
         out = tmp_path / "out"
@@ -172,6 +182,29 @@ class TestCli:
                     "expected_total_payment", "bhattacharyya_mv", "bhattacharyya_nd",
                     "payment_bound_regime"):
             assert f"{key} = " in text
+
+    @pytest.mark.parametrize("prior", ["0.5", "0.7"])
+    def test_analytics_applies_the_payment_scale(self, tmp_path, prior):
+        # the scale multiplies every payment constant and so the payout;
+        # nothing else moves
+        def lines(scale):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(README_CONFIG + f"model.prior_w1 = {prior}\n"
+                           f"mechanism.payment_scale = {scale}\n", encoding="utf-8")
+            out = tmp_path / f"out{scale}"
+            assert main(["analytics", "--config", str(cfg), "--out", str(out)]) == 0
+            return dict(line.split(" = ", 1) for line in (out / "analytics.txt").read_text().splitlines())
+
+        base, doubled = lines(1), lines(2)
+        assert base.keys() == doubled.keys()
+        scaled = {"Z", "Z0", "Z1", "expected_total_payment", "expected_payment_per_user"} & base.keys()
+        assert scaled == ({"Z"} if prior == "0.7" else
+                          {"Z", "Z0", "Z1", "expected_total_payment", "expected_payment_per_user"})
+        for key in base:
+            if key in scaled:
+                assert float(doubled[key]) == 2.0 * float(base[key]), key
+            else:
+                assert doubled[key] == base[key], key
 
     def test_analytics_evaluates_each_moment_summary_once(self, tmp_path, monkeypatch):
         from privmarket import analytics
@@ -437,8 +470,12 @@ class TestLoadTimeChecks:
          "sweep.values must list at least one grid point"),
         ("analytics", "sim.seed = -1\n", "sim.seed must be >= 0, got -1"),
         ("strategy", "graph.d_max = -7\n", "graph.d_max must be >= -1"),
+        ("analytics", "model.cost = table:0:0,1:nan\n", "cost table entries must be finite"),
+        ("analytics", "model.cost = table:0:0,1:1,1:2\n", "cost table repeats zeta = 1"),
+        ("analytics", "model.cost = table:0:0,inf:1\n", "cost table entries must be finite"),
     ], ids=["payment-scale", "p_e", "pmf-entry", "pmf-mass", "pmf-degree", "pmf-repeated",
-            "pmf-nan", "pmf-huge-degree", "poisson-d_max", "empty-sweep", "negative-seed", "d_max"])
+            "pmf-nan", "pmf-huge-degree", "poisson-d_max", "empty-sweep", "negative-seed", "d_max",
+            "cost-nan", "cost-repeated-zeta", "cost-inf-zeta"])
     def test_rejected_at_load(self, tmp_path, monkeypatch, capsys, command, extra, message):
         from privmarket import sim
 

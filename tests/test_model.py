@@ -90,6 +90,26 @@ class TestCostFunctions:
         with pytest.raises(CostFunctionError):
             audit_cost_function(CostFunction(value=lambda z: -z, derivative=lambda z: -1.0))
 
+    @pytest.mark.parametrize("zetas, values, message", [
+        ([0.0, 1.0], [0.0, float("nan")], "must be finite"),
+        ([0.0, float("inf")], [0.0, 1.0], "must be finite"),
+        ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], "repeats zeta = 1"),
+    ])
+    def test_nonfinite_or_repeated_table_rejected(self, zetas, values, message):
+        # NaN compares false with everything, and a zero-width segment has
+        # an infinite slope: neither may slip through the shape checks
+        with pytest.raises(CostFunctionError, match=message):
+            table_cost(zetas, values)
+
+    def test_nonfinite_cost_fails_the_audit(self):
+        from privmarket.model import CostFunction
+
+        for cost in (CostFunction(value=lambda z: z, derivative=lambda z: float("inf")),
+                     CostFunction(value=lambda z: float("nan") if z > 5 else z,
+                                  derivative=lambda z: 1.0)):
+            with pytest.raises(CostFunctionError, match="not finite"):
+                audit_cost_function(cost)
+
 
 def _bit(graph: Graph, bits: np.ndarray, i: int, j: int) -> int:
     """The group-signal bit user i received from friend j."""

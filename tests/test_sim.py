@@ -22,7 +22,7 @@ from privmarket.sim import (
     sweep,
     sweep_csv,
 )
-from privmarket.strategy import SR, build_mv_strategy
+from privmarket.strategy import build_mv_strategy
 
 from conftest import make_params
 from oracles import (
@@ -586,13 +586,10 @@ class TestLawMatchesStrategyTables:
                     below, at_most = (f < lo).astype(float), (f <= hi).astype(float)
                     cut = law.cut_table(below, at_most)
                     paid = (at_most - below) * law.band_cost
-                    for s in (0, 1):
-                        p1 = 1.0 - cut[:, s]
-                        for entry in strat.entries:
-                            level = entry.xi if entry.regime == SR else 0.0
-                            worst = max(
-                                worst,
-                                abs(p1[entry.f] - entry.row(s).p1),
-                                abs(paid[entry.f] - cost.value(level)),
-                            )
+                    level = np.where(strat.sr, strat.xi, 0.0)
+                    worst = max(
+                        worst,
+                        float(np.abs(1.0 - cut - strat.p1).max()),
+                        max(abs(paid[k] - cost.value(level[k])) for k in range(d + 1)),
+                    )
         assert worst < 1e-9

@@ -11,10 +11,9 @@ from privmarket.mechanism import design_Z
 from privmarket import strategy
 from privmarket.model import linear_capped_cost, quadratic_cost, table_cost
 from privmarket.strategy import (
-    ND,
-    SR,
-    ActionDistribution,
+    CUT_TOL,
     bar_A,
+    band_ends,
     build_mv_strategy,
     equal_priors_tau,
     privacy_level,
@@ -30,40 +29,53 @@ from test_acceptance import PARAM_GRID
 
 class TestPrivacyLevel:
     def test_identical_rows_leak_nothing(self):
-        row = ActionDistribution(p1=0.3, p0=0.6, p_bot=0.1)
-        assert privacy_level(row, row) == 0.0
+        assert privacy_level(0.3, 0.3) == 0.0
+        assert privacy_level(0.0, 0.0) == privacy_level(1.0, 1.0) == 0.0  # 0/0 is ratio 1
 
     def test_symmetric_randomization_level(self):
         xi = 0.5
         hi = math.exp(xi) / (1 + math.exp(xi))
-        s1 = ActionDistribution(p1=hi, p0=1 - hi)
-        s0 = ActionDistribution(p1=1 - hi, p0=hi)
-        assert privacy_level(s1, s0) == pytest.approx(0.5, abs=1e-12)
+        assert privacy_level(hi, 1 - hi) == pytest.approx(0.5, abs=1e-12)
 
     def test_deterministic_disclosure_is_infinite(self):
-        s1 = ActionDistribution(p1=1.0, p0=0.0)
-        s0 = ActionDistribution(p1=0.0, p0=1.0)
-        assert privacy_level(s1, s0) == math.inf
-
-    def test_participation_asymmetry_detected(self):
-        # only the opt-out probability differs; the event {bot} leaks
-        s1 = ActionDistribution(p1=0.5, p0=0.3, p_bot=0.2)
-        s0 = ActionDistribution(p1=0.5, p0=0.4, p_bot=0.1)
-        assert privacy_level(s1, s0) >= math.log(2.0) - 1e-12
+        assert privacy_level(1.0, 0.0) == math.inf
+        assert privacy_level(0.5, 0.0) == math.inf  # a one-sided zero
 
 
 class TestPrivacyLevelProperties:
-    @given(
-        probs=st.lists(st.floats(0.01, 0.99), min_size=4, max_size=4),
-    )
+    @given(p=st.floats(0.01, 0.99), q=st.floats(0.01, 0.99))
     @settings(max_examples=100, deadline=None)
-    def test_symmetric_and_nonnegative(self, probs):
-        a1, a0, b1, b0 = probs
-        row_a = ActionDistribution(p1=a1 * 0.5, p0=a0 * 0.5, p_bot=1 - 0.5 * (a1 + a0))
-        row_b = ActionDistribution(p1=b1 * 0.5, p0=b0 * 0.5, p_bot=1 - 0.5 * (b1 + b0))
-        level = privacy_level(row_a, row_b)
+    def test_symmetric_and_nonnegative(self, p, q):
+        level = privacy_level(p, q)
         assert level >= 0.0
-        assert level == pytest.approx(privacy_level(row_b, row_a), abs=1e-12)
+        assert level == pytest.approx(privacy_level(q, p), abs=1e-12)
+        # the larger of the two events' |log ratio|
+        assert level == max(abs(math.log(p / q)), abs(math.log((1 - p) / (1 - q))))
+
+
+class TestBandEnds:
+    @pytest.mark.parametrize("cut_low, cut_high, ends", [
+        (2.0, 2.0, (2, 2)),                                  # both cuts on an integer
+        (1.0 + 0.5 * CUT_TOL, 3.0 - 0.5 * CUT_TOL, (1, 3)),  # within CUT_TOL inside
+        (1.0 - 0.5 * CUT_TOL, 3.0 + 0.5 * CUT_TOL, (1, 3)),  # within CUT_TOL outside
+        (1.0 + 2.0 * CUT_TOL, 3.0 - 2.0 * CUT_TOL, (2, 2)),  # just past the tolerance
+        (1.0 - 2.0 * CUT_TOL, 3.0 + 2.0 * CUT_TOL, (1, 3)),
+        (-0.25, 4.75, (0, 4)),
+        (1.5, 1.5, (2, 1)),                                  # no integer in the band
+    ])
+    def test_agrees_with_cut_comparisons(self, cut_low, cut_high, ends):
+        # the reference: an integer f is below the band when
+        # f < cut_low - CUT_TOL and above it when f > cut_high + CUT_TOL
+        lo, hi = band_ends(cut_low, cut_high)
+        assert (int(lo), int(hi)) == ends
+        for f in range(-2, 7):
+            assert (f < lo) == (f < cut_low - CUT_TOL), (f, lo)
+            assert (f > hi) == (f > cut_high + CUT_TOL), (f, hi)
+
+    def test_arrays_give_int64_ends(self):
+        lo, hi = band_ends(np.array([0.5, 1.0]), np.array([0.5, 3.0]))
+        assert lo.dtype == hi.dtype == np.int64
+        assert lo.tolist() == [1, 1] and hi.tolist() == [0, 3]
 
 
 class TestBarA:
@@ -189,23 +201,22 @@ class TestBuildMvStrategy:
     def test_noiseless_even_degree(self):
         params = make_params(alpha=0.0, epsilon=0.3)
         strat = build_mv_strategy(4, params)
-        regimes = [e.regime for e in strat.entries]
-        assert regimes == [ND, ND, SR, ND, ND]
-        assert strat.entry(0).row(0).p1 == 0.0
-        assert strat.entry(4).row(1).p1 == 1.0
+        assert strat.sr.tolist() == [False, False, True, False, False]
+        assert strat.p1[0, 0] == 0.0
+        assert strat.p1[4, 1] == 1.0
         hi = math.exp(0.3) / (1 + math.exp(0.3))
-        assert strat.entry(2).row(1).p1 == pytest.approx(hi, abs=1e-9)
+        assert strat.p1[2, 1] == pytest.approx(hi, abs=1e-9)
 
     def test_noiseless_odd_degree_never_randomizes(self):
         params = make_params(alpha=0.0, epsilon=0.3)
         strat = build_mv_strategy(3, params)
-        assert all(e.regime == ND for e in strat.entries)
-        assert [e.row(0).p1 for e in strat.entries] == [0.0, 0.0, 1.0, 1.0]
+        assert not strat.sr.any()
+        assert strat.p1[:, 0].tolist() == [0.0, 0.0, 1.0, 1.0]
 
     def test_friendless_user_randomizes(self):
         strat = build_mv_strategy(0, make_params(epsilon=0.3))
-        assert strat.entry(0).regime == SR
-        assert strat.entry(0).xi == pytest.approx(0.3, abs=1e-9)
+        assert strat.sr[0]
+        assert strat.xi[0] == pytest.approx(0.3, abs=1e-9)
 
     def test_epsilon_zero_exports_the_baseline(self):
         # At epsilon = 0 the band is the tie alone and randomizing there is
@@ -221,13 +232,12 @@ class TestBuildMvStrategy:
                 majority = 1.0 if 2 * f > d else 0.0 if 2 * f < d else 0.5
                 assert (int(degree), float(p1), float(p0), float(p_bot)) == (
                     d, majority, 1.0 - majority, 0.0), (d, f, s)
-                assert regime == (SR if 2 * f == d else ND) and float(xi) == 0.0
+                assert regime == ("sr" if 2 * f == d else "nd") and float(xi) == 0.0
 
     def test_default_case_band(self):
         params = make_params(epsilon=0.5)
         strat = build_mv_strategy(4, params)
-        regimes = [e.regime for e in strat.entries]
-        assert regimes == [ND, ND, SR, ND, ND]  # tau ~ 0.126 < 1
+        assert strat.sr.tolist() == [False, False, True, False, False]  # tau ~ 0.126 < 1
 
     def test_matches_brute_force_on_grid(self):
         # regime and xi against direct expected-utility maximization
@@ -243,17 +253,16 @@ class TestBuildMvStrategy:
                             strat = build_mv_strategy(d, params)
                             for f in range(d + 1):
                                 regime, eta = brute_force_best_response(f, d, params, z)
-                                entry = strat.entry(f)
                                 if d == 0:
-                                    assert entry.regime == SR
+                                    assert strat.sr[f]
                                     continue
                                 if regime == "sr":
-                                    assert entry.regime == SR, (params, d, f)
-                                    assert abs(entry.xi - eta) < 1e-3
+                                    assert strat.sr[f], (params, d, f)
+                                    assert abs(strat.xi[f] - eta) < 1e-3
                                 else:
-                                    assert entry.regime == ND, (params, d, f)
+                                    assert not strat.sr[f], (params, d, f)
                                     expected_p1 = 1.0 if regime == "nd1" else 0.0
-                                    assert entry.row(0).p1 == expected_p1
+                                    assert strat.p1[f, 0] == expected_p1
 
     def test_regime_bands_are_contiguous(self):
         # scanning f upward crosses report-0, randomize, report-1 blocks
@@ -262,13 +271,13 @@ class TestBuildMvStrategy:
             for eps in (0.1, 0.5, 1.0):
                 params = make_params(prior_w1=prior, epsilon=eps, alpha=0.35)
                 for d in range(1, 9):
-                    entries = build_mv_strategy(d, params).entries
+                    strat = build_mv_strategy(d, params)
                     labels = []
-                    for e in entries:
-                        if e.regime == SR:
+                    for f in range(d + 1):
+                        if strat.sr[f]:
                             labels.append("S")
                         else:
-                            labels.append("0" if e.row(0).p1 == 0.0 else "1")
+                            labels.append("0" if strat.p1[f, 0] == 0.0 else "1")
                     joined = "".join(labels)
                     stripped = joined.lstrip("0")
                     stripped = stripped.rstrip("1")
@@ -277,25 +286,27 @@ class TestBuildMvStrategy:
     def test_equal_priors_cuts_coincide(self):
         params = make_params(epsilon=0.5)
         for d in (1, 4, 7):
-            for e in build_mv_strategy(d, params).entries:
-                assert e.cut_low + e.cut_high == pytest.approx(d, abs=1e-9)
+            strat = build_mv_strategy(d, params)
+            np.testing.assert_allclose(strat.cut_low + strat.cut_high, d, rtol=0, atol=1e-9)
 
     def test_sr_rows_have_level_xi_and_nd_rows_zero(self):
         params = make_params(epsilon=0.5)
         for d in (0, 2, 5):
-            for entry in build_mv_strategy(d, params).entries:
-                if entry.regime == SR:
-                    assert entry.privacy == pytest.approx(entry.xi, abs=1e-9)
+            strat = build_mv_strategy(d, params)
+            for f in range(d + 1):
+                level = privacy_level(strat.p1[f, 1], strat.p1[f, 0])
+                if strat.sr[f]:
+                    assert level == pytest.approx(strat.xi[f], abs=1e-9)
                 else:
-                    assert entry.privacy == 0.0
+                    assert level == 0.0
 
     def test_cuts_respect_abar(self):
         params = make_params(epsilon=0.8, alpha=0.4)
         a_bar = bar_A(params.theta0, params.theta1)
         for d in (1, 4, 9):
-            for e in build_mv_strategy(d, params).entries:
-                assert d / 2 - e.cut_low <= a_bar + 1e-12
-                assert e.cut_high - d / 2 <= a_bar + 1e-12
+            strat = build_mv_strategy(d, params)
+            assert np.all(d / 2 - strat.cut_low <= a_bar + 1e-12)
+            assert np.all(strat.cut_high - d / 2 <= a_bar + 1e-12)
 
 
 class TestNdBaseline:
@@ -307,17 +318,18 @@ class TestNdBaseline:
 
     def test_tie_is_fair_coin(self):
         strat = self._table(2)
-        assert strat.entry(1).row(0).p1 == 0.5
-        assert strat.entry(1).row(1).p1 == 0.5
+        assert strat.p1[1, 0] == 0.5
+        assert strat.p1[1, 1] == 0.5
 
     def test_strict_majority(self):
         strat = self._table(3)
-        assert strat.entry(2).row(0).p1 == 1.0
+        assert strat.p1[2, 0] == 1.0
 
     def test_all_rows_zero_privacy(self):
         for d in range(0, 6):
-            for entry in self._table(d).entries:
-                assert entry.privacy == 0.0
+            strat = self._table(d)
+            for f in range(d + 1):
+                assert privacy_level(strat.p1[f, 1], strat.p1[f, 0]) == 0.0
 
 
 class TestExport:
@@ -328,4 +340,4 @@ class TestExport:
         assert lines[0] == "degree\tf\ts\tp1\tp0\tp_bot\tregime\txi"
         assert len(lines) == 1 + 2 * (1 + 2 + 3)  # two rows per (d, f)
         first = lines[1].split("\t")
-        assert first[0] == "0" and first[6] == SR
+        assert first[0] == "0" and first[5] == "0" and first[6] == "sr"
