@@ -38,8 +38,12 @@ A degree law is one per-degree mass vector (`graph.DegreeDistribution`),
 and its expectations are finite sums over the degrees it gives mass;
 nothing in this module samples.  Each closed form builds one
 `DegreeTerms` up to the largest degree it reads, so a degree-law average
-costs O(|support|) and the realized-graph variance O(edges + wedges) array
-work.  Binomial masses come from the numpy recurrence in
+costs O(|support|).  On a realized graph every term depends only on the
+degrees of its users: `Graph.degree_pairs` counts the edges and open
+wedges by their two degrees, O(edges + wedges) integer work once per
+graph, and each law then costs O(types) float work, one term per degree
+or degree pair present, added by `weighted_fsum`, an exactly-rounded
+count-weighted sum.  Binomial masses come from the numpy recurrence in
 `graph.binomial_pmf`; the module imports no scipy.
 """
 
@@ -47,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +74,7 @@ __all__ = [
     "mv_moments_equal_priors",
     "nd_moments",
     "graph_report_moments",
+    "weighted_fsum",
     "std_normal_cdf",
     "beta_from_moments",
     "expected_total_payment",
@@ -353,41 +357,33 @@ def nd_moments(params: ModelParams, dist: DegreeDistribution) -> ReportMoments:
     return _summary_from_law(nd_report_law(params), dist)
 
 
-_WEDGE_CHUNK = 1 << 16  # wedge terms gathered per step (plus at most d_max - 1)
+def weighted_fsum(values, counts) -> float:
+    """`math.fsum` of the list holding counts[i] copies of values[i], without building it.
 
-
-def _wedge_terms(graph: Graph, terms: DegreeTerms, means: np.ndarray):
-    """Per chunk: the list of 2 cov(X_a, X_b) over wedges a - c - b that are not edges.
-
-    Wedges are enumerated from the neighbor lists of each centre c as
-    (first, second) positions in the receiver-grouped directed view, in
-    chunks of first positions whose wedge count stays near _WEDGE_CHUNK.
-    Neighbor lists are ascending, so a < b, and a wedge closed by an edge
-    is found by binary search on the sorted edge keys a * n + b.
+    Each count is split into its binary digits, and values[i] * 2**k is
+    exact in binary floating point unless it overflows.  So the terms
+    values[i] * 2**k over the set bits k of counts[i] add up to exactly the
+    expanded list's sum, and `math.fsum`, which rounds an exact sum once,
+    returns the same float for both lists.  Non-finite values give what
+    `math.fsum` gives (nan, the infinity, or ValueError for infinities of
+    both signs), and a term beyond the float range raises its
+    OverflowError.  `values` and `counts` are arrays of one shape, the
+    counts non-negative integers below 2**63; the work is one term per set
+    bit, at most 63 per value.
     """
-    n, deg, nbr = graph.n, graph.degrees, graph.directed_send
-    edges = graph.edges()
-    edge_keys = edges[:, 0] * n + edges[:, 1]
-    # The entry at position e of centre c's list pairs with every later one.
-    centre_end = np.repeat(graph.recv_starts[1:], deg)
-    later = centre_end - np.arange(len(nbr)) - 1
-    ends = np.cumsum(later)
-    total = int(ends[-1]) if len(ends) else 0
-    bounds = np.searchsorted(ends, np.arange(_WEDGE_CHUNK, total, _WEDGE_CHUNK), side="right")
-    for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(nbr)]])):
-        counts = later[lo:hi]
-        first = np.repeat(np.arange(lo, hi), counts)
-        if len(first) == 0:
-            continue
-        run_start = np.cumsum(counts) - counts
-        second = first + np.arange(len(first)) - np.repeat(run_start, counts) + 1
-        a, b = nbr[first], nbr[second]
-        keys = a * n + b
-        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
-        open_ = edge_keys[pos] != keys
-        a, b = a[open_], b[open_]
-        pair = terms.pair_common_friend(deg[a], deg[b])
-        yield (2.0 * (pair - means[a] * means[b])).tolist()
+    values = np.asarray(values, dtype=float).ravel()
+    counts = np.asarray(counts, dtype=np.int64).ravel()
+    if np.any(counts < 0):
+        raise ValueError("counts must be non-negative")
+    terms = []
+    for k in range(int(counts.max(initial=0)).bit_length()):
+        chosen = values[((counts >> k) & 1).astype(bool)]
+        with np.errstate(over="ignore"):
+            term = np.ldexp(chosen, k)
+        if np.any(np.isinf(term) & np.isfinite(chosen)):
+            raise OverflowError("intermediate overflow in fsum")
+        terms += term.tolist()
+    return math.fsum(terms)
 
 
 def graph_report_moments(graph: Graph, law: ReportLaw) -> ReportMoments:
@@ -400,22 +396,27 @@ def graph_report_moments(graph: Graph, law: ReportLaw) -> ReportMoments:
     and triangle pairs keep only their edge term; both patterns are rare
     in sparse graphs.
 
-    Every term is gathered from the law's `DegreeTerms`, edges at once
-    and wedges in bounded chunks, so the cost is O(edges + wedges) array
-    work and the memory does not grow with the wedge count.  The terms are
-    added with `math.fsum`, so the result does not depend on their order.
+    Each term depends only on the degrees of its users, so the terms are
+    evaluated once per degree or degree pair (`Graph.degree_pairs`, whose
+    O(edges + wedges) integer counting runs once per graph) from the law's
+    `DegreeTerms`, and added with `weighted_fsum`: a law costs O(types)
+    float work, and the sum equals `math.fsum` over one term per node,
+    edge and wedge.  mu1 is numpy's mean of the users' report means.
     """
     deg = graph.degrees
     terms = law.terms(graph.max_degree())
-    means = terms.mean[deg]
-    u, v = graph.edges().T
-    edge_pair = terms.pair_adjacent(deg[u], deg[v])
-    var_sum = math.fsum(chain(
-        (means * (1.0 - means)).tolist(),
-        (2.0 * (edge_pair - means[u] * means[v])).tolist(),
-        chain.from_iterable(_wedge_terms(graph, terms, means)),
-    ))
-    return ReportMoments(float(means.mean()), var_sum / graph.n)
+    mean = terms.mean
+    edges, wedges = graph.degree_pairs()
+    var_sum = weighted_fsum(
+        np.concatenate([
+            mean * (1.0 - mean),
+            2.0 * (terms.pair_adjacent(edges.lo, edges.hi) - mean[edges.lo] * mean[edges.hi]),
+            2.0 * (terms.pair_common_friend(wedges.lo, wedges.hi)
+                   - mean[wedges.lo] * mean[wedges.hi]),
+        ]),
+        np.concatenate([np.bincount(deg), edges.count, wedges.count]),
+    )
+    return ReportMoments(float(mean[deg].mean()), var_sum / graph.n)
 
 
 def std_normal_cdf(x: float) -> float:

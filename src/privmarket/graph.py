@@ -6,7 +6,9 @@ once per direction, grouped by receiver with senders ascending, and
 `recv_starts` delimits each receiver's run.  Neighbor lookups slice that
 view, and the samplers consume it directly.  All of it is built with numpy
 from the edge array.  Instances are immutable by convention and safe to
-share across workers.
+share across workers.  `Graph.degree_pairs` counts the edges and the open
+wedges by their two ends' degrees, once per graph: every pair sum over a
+realized graph reads only those counts.
 
 A degree law (`DegreeDistribution`) is one mass vector indexed by degree,
 mass[d] = Pr(D = d); the configuration model draws degrees as indices
@@ -18,12 +20,13 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "Graph",
+    "DegreePairs",
     "DegreeDistribution",
     "SparsityReport",
     "IngestResult",
@@ -108,6 +111,7 @@ class Graph:
         self.directed_send = send[order]
         self.degrees = np.bincount(recv, minlength=n)
         self.recv_starts = np.concatenate([[0], np.cumsum(self.degrees)])
+        self._degree_pairs = None
 
     @property
     def num_edges(self) -> int:
@@ -129,6 +133,24 @@ class Graph:
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.n else 0
 
+    def degree_pairs(self) -> tuple["DegreePairs", "DegreePairs"]:
+        """(edges, open wedges), each counted by its two ends' degrees; built on first call.
+
+        An open wedge is a pair of users who are not friends, counted once
+        per common friend.  The pairs are enumerated in chunks of about
+        _WEDGE_CHUNK and counted with `np.bincount` on the ranks of the
+        degrees present, so the work is O(edges + wedges) integer array work
+        once per graph, and the memory does not grow with the wedge count.
+        """
+        if self._degree_pairs is None:
+            present = np.flatnonzero(np.bincount(self.degrees))
+            rank = np.searchsorted(present, self.degrees)
+            edges = (self._edges[i:i + _WEDGE_CHUNK].T
+                     for i in range(0, self.num_edges, _WEDGE_CHUNK))
+            self._degree_pairs = (_count_pairs(edges, rank, present),
+                                  _count_pairs(_open_wedges(self), rank, present))
+        return self._degree_pairs
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -147,6 +169,70 @@ class Graph:
         buf = io.StringIO()
         self.write_edge_list(buf)
         return buf.getvalue()
+
+
+class DegreePairs(NamedTuple):
+    """Pairs of users by degree: `count[i]` pairs join a user of degree lo[i] and one of hi[i] >= lo[i]."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    count: np.ndarray
+
+
+_WEDGE_CHUNK = 1 << 16  # pairs counted per step (plus at most d_max - 1 wedges)
+
+
+def _open_wedges(graph: Graph):
+    """Per chunk: the ends (a, b), a < b, of the wedges a - c - b that are not edges.
+
+    Wedges are enumerated from the neighbor lists of each centre c as
+    (first, second) positions in the receiver-grouped directed view, in
+    chunks of first positions whose wedge count stays near _WEDGE_CHUNK.
+    Neighbor lists are ascending, so a < b, and a wedge closed by an edge
+    is found by binary search on the sorted edge keys a * n + b.
+    """
+    n, nbr = graph.n, graph.directed_send
+    edges = graph.edges()
+    edge_keys = edges[:, 0] * n + edges[:, 1]
+    # The entry at position e of centre c's list pairs with every later one.
+    later = np.repeat(graph.recv_starts[1:], graph.degrees)
+    later -= np.arange(1, len(nbr) + 1)
+    ends = np.cumsum(later)
+    total = int(ends[-1]) if len(ends) else 0
+    bounds = np.searchsorted(ends, np.arange(_WEDGE_CHUNK, total, _WEDGE_CHUNK), side="right")
+    del ends  # the chunks need only their bounds: free 8 bytes per directed edge
+    for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(nbr)]])):
+        counts = later[lo:hi]
+        first = np.repeat(np.arange(lo, hi), counts)
+        if len(first) == 0:
+            continue
+        run_start = np.cumsum(counts) - counts
+        second = first + np.arange(len(first)) - np.repeat(run_start, counts) + 1
+        a, b = nbr[first], nbr[second]
+        keys = a * n + b
+        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+        open_ = edge_keys[pos] != keys
+        yield a[open_], b[open_]
+
+
+def _count_pairs(chunks, rank: np.ndarray, present: np.ndarray) -> DegreePairs:
+    """The pairs of user arrays (a, b) in `chunks`, counted by their (lower, higher) degree.
+
+    `present` lists the degrees that occur, ascending, and `rank` gives each
+    user her degree's index in it, so a pair's key ranges over
+    len(present)^2 <= 4 * edges values.
+    """
+    size = len(present)
+    total = np.zeros(size * size, dtype=np.int64)
+    for a, b in chunks:
+        ra, rb = rank[a], rank[b]
+        found = np.bincount(np.minimum(ra, rb) * size + np.maximum(ra, rb))
+        total[:len(found)] += found
+    keys = np.flatnonzero(total)
+    pairs = DegreePairs(present[keys // size], present[keys % size], total[keys])
+    for array in pairs:
+        array.flags.writeable = False  # every caller shares the graph's counts
+    return pairs
 
 
 class DegreeDistribution:

@@ -33,10 +33,14 @@ array numpy's gather reads fastest.  A sweep plays each run of
 consecutive grid points that share a graph section (any epsilon or alpha
 sweep) on one graph and one draw per block; an avg_degree point builds
 its own graph.  A block keeps only integer counts, the world bit and per
-law the 1-report and in-band counts (1 + 8 bytes per trial and law);
-per-trial payments and privacy costs are those counts times constants,
-computed once per law over the whole run, and aggregation over the
-trial-indexed arrays uses exactly-rounded summation.
+law the 1-report and in-band counts (1 + 8 bytes per trial and law).  A
+trial's statistics (correct estimate, payment, majority match, report
+sum, privacy cost) depend only on its world bit and 1-report count, or on
+its in-band count, so a run is aggregated from histograms of those
+counts: each statistic is evaluated once per possible count, and its mean
+and variance are exactly-rounded count-weighted sums
+(`analytics.weighted_fsum`), equal to `math.fsum` over one value per
+trial.  No float is stored per trial.
 """
 
 from __future__ import annotations
@@ -145,29 +149,26 @@ class _Point:
         in_band = (u >= self._below.take(key)) & (u < self._at_most.take(key))
         return reports, in_band
 
-    def stats(self, w, k1, band) -> np.ndarray:
-        """Rows w, correct, payment, privacy cost, report sum, majority match; a column per trial.
+    def report_stats(self, w, k1):
+        """(correct, payment, majority match) of trials with world bits `w` and `k1` 1-reports.
 
-        `k1` and `band` count a trial's 1-reports and in-band users.
-        Payment and privacy cost are per user, and the integer rows are
-        exact in float64.  All users participate under these profiles, so a
-        1-reporter sees k1 - 1 other 1-reports and a 0-reporter sees k1;
-        each total is an integer count times a constant.
+        Payment is per user.  All users participate under these profiles,
+        so a 1-reporter sees k1 - 1 other 1-reports and a 0-reporter sees
+        k1; each total is an integer count times a constant.
         """
         n = self.n
         k0 = n - k1
         threshold = (n - 1) // 2 + 1
         majority1 = k1 - 1 >= threshold  # the others' majority seen by a 1-reporter
         majority0 = k1 >= threshold  # ... and by a 0-reporter
-        # filled row by row, so a whole run's temporaries never coexist
-        rows = np.empty((6, len(k1)))
-        rows[0] = w
-        rows[1] = map_estimate(k1, n) == w
-        rows[2] = (self.mech.z1 * (k1 * majority1) + self.mech.z0 * (k0 * ~majority0)) / n
-        rows[3] = self.law.band_cost * band / n
-        rows[4] = k1
-        rows[5] = (k1 * (majority1 == w) + k0 * (majority0 == w)) / n
-        return rows
+        correct = (map_estimate(k1, n) == w).astype(float)
+        paid = (self.mech.z1 * (k1 * majority1) + self.mech.z0 * (k0 * ~majority0)) / n
+        matched = (k1 * (majority1 == w) + k0 * (majority0 == w)) / n
+        return correct, paid, matched
+
+    def privacy_cost(self, band):
+        """Per-user privacy cost of trials with `band` users in their band."""
+        return self.law.band_cost * band / self.n
 
 
 class _Engine:
@@ -311,20 +312,20 @@ def _pool_task(block):
     return block, engine.counts(substream(master_seed, TAG_TRIAL, block), engine.block)
 
 
-def _mean_var(values: np.ndarray) -> tuple[float, float]:
-    """Mean and unbiased variance of at least two values, by exactly-rounded sums.
+def _mean_var(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
+    """Mean and unbiased variance of counts[i] copies of values[i], at least two in all.
 
-    `fsum` iterates the arrays themselves: a list of a whole run's values
-    would set the run's peak memory.
+    Both are exactly-rounded sums (`analytics.weighted_fsum`), equal to
+    `math.fsum` over the expanded list.
     """
-    n = len(values)
-    mean = math.fsum(values) / n
-    return mean, math.fsum(np.square(values - mean)) / (n - 1)
+    n = int(counts.sum())
+    mean = analytics.weighted_fsum(values, counts) / n
+    return mean, analytics.weighted_fsum(np.square(values - mean), counts) / (n - 1)
 
 
-def _mean_se(values: np.ndarray) -> Estimate:
-    mean, var = _mean_var(values)
-    return Estimate(mean, math.sqrt(var / len(values)))
+def _mean_se(values: np.ndarray, counts: np.ndarray) -> Estimate:
+    mean, var = _mean_var(values, counts)
+    return Estimate(mean, math.sqrt(var / int(counts.sum())))
 
 
 def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int):
@@ -389,29 +390,37 @@ def _build_experiment(configs):
     return graph, engine, predictions
 
 
-def _sim_result(config, axis_value: float, stats: np.ndarray, analytic: Prediction,
-                graph: Graph) -> SimResult:
-    """A SimResult from one law's `_Point.stats` rows over a whole run."""
-    w, correct, paid, cost, sums, matched = stats
+def _sim_result(config, axis_value: float, point: _Point, w: np.ndarray, k1: np.ndarray,
+                band: np.ndarray, analytic: Prediction, graph: Graph) -> SimResult:
+    """A SimResult from one law's per-trial counts over a whole run.
+
+    A trial's statistics depend only on its world bit and 1-report count,
+    or on its in-band count, so they are evaluated once per possible value
+    and weighted by the run's histogram of those counts.
+    """
     n = graph.n
-    sums_w1 = sums[w == 1]
-    if len(sums_w1) >= 2:
-        mu1_est = _mean_se(sums_w1 / n)
-        var_sum = _mean_var(sums_w1)[1]
-        kappa1_est = Estimate(var_sum / n, var_sum / n * math.sqrt(2.0 / (len(sums_w1) - 1)))
+    k = np.arange(n + 1)  # every possible 1-report or in-band count
+    by_w = np.stack([np.bincount(k1[w == state], minlength=n + 1) for state in (0, 1)])
+    correct, paid, matched = point.report_stats(np.array([[0], [1]]), k)  # paid reads k alone
+    sums_w1 = by_w[1]  # how many W = 1 trials have each report sum
+    trials_w1 = int(sums_w1.sum())
+    if trials_w1 >= 2:
+        mu1_est = _mean_se(k / n, sums_w1)
+        var_sum = _mean_var(k, sums_w1)[1]
+        kappa1_est = Estimate(var_sum / n, var_sum / n * math.sqrt(2.0 / (trials_w1 - 1)))
     else:
         mu1_est = Estimate(float("nan"), float("nan"))
         kappa1_est = Estimate(float("nan"), float("nan"))
     return SimResult(
-        trials=stats.shape[1],
+        trials=len(w),
         profile=config.sim.profile,
         axis_value=axis_value,
-        accuracy=_mean_se(correct),
-        avg_payment_per_user=_mean_se(paid),
-        avg_privacy_cost=_mean_se(cost),
+        accuracy=_mean_se(correct, by_w),
+        avg_payment_per_user=_mean_se(paid, by_w.sum(axis=0)),
+        avg_privacy_cost=_mean_se(point.privacy_cost(k), np.bincount(band, minlength=n + 1)),
         empirical_mu1=mu1_est,
         empirical_kappa1=kappa1_est,
-        empirical_majority_match=_mean_se(matched),
+        empirical_majority_match=_mean_se(matched, by_w),
         analytic=analytic,
         nodes=graph.n,
         edges=graph.num_edges,
@@ -442,7 +451,7 @@ def run_experiment(
     graph, engine, predictions = _build_experiment(configs)
     w, counts = _run_trials(engine, first.sim.seed, trials, workers)
     return [
-        _sim_result(config, value, point.stats(w, k1, band), analytic, graph)
+        _sim_result(config, value, point, w, k1, band, analytic, graph)
         for config, value, point, (k1, band), analytic
         in zip(configs, axis_values, engine.points, counts, predictions, strict=True)
     ]

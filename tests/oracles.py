@@ -5,24 +5,28 @@ probabilities come straight from strategy-table rows; expectations are
 exact sums over all signal outcomes.  The loop references check how the
 array code assembles sums: they build a law's `DegreeTerms` once, take
 each per-degree pair probability from it one degree pair at a time (the
-enumeration oracles check those values), and sum them pair by pair.
+enumeration oracles check those values), and sum them pair by pair.  The
+per-item referees keep the earlier array paths that aggregate one float
+per trial, node, edge or wedge with `math.fsum`; the count-weighted sums
+must equal them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import chain, product
 from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate
 
-from privmarket.analytics import ReportLaw, band_bounds
+from privmarket.analytics import ReportLaw, ReportMoments, band_bounds
 from privmarket.graph import DegreeDistribution, Graph
 from privmarket.mechanism import MechanismConfig
 from privmarket.model import (
     TAG_TRIAL, ModelParams, ParameterError, sample_private_signals, sample_world, substream,
 )
+from privmarket.sim import Estimate, SimResult, map_estimate
 from privmarket.strategy import DegreeStrategy
 
 
@@ -156,6 +160,50 @@ def graph_report_moments_loop(graph: Graph, law: ReportLaw) -> tuple[float, floa
                 cov = terms.pair_common_friend(int(deg[a]), int(deg[b])) - means[a] * means[b]
                 var_sum += 2.0 * cov
     return float(means.mean()), var_sum / graph.n
+
+
+_WEDGE_CHUNK = 1 << 16  # wedge terms of `_wedge_terms_fsum` per step
+
+
+def _wedge_terms_fsum(graph: Graph, terms, means: np.ndarray):
+    """Per chunk: the list of 2 cov(X_a, X_b) over wedges a - c - b that are not edges."""
+    n, deg, nbr = graph.n, graph.degrees, graph.directed_send
+    edges = graph.edges()
+    edge_keys = edges[:, 0] * n + edges[:, 1]
+    centre_end = np.repeat(graph.recv_starts[1:], deg)
+    later = centre_end - np.arange(len(nbr)) - 1
+    ends = np.cumsum(later)
+    total = int(ends[-1]) if len(ends) else 0
+    bounds = np.searchsorted(ends, np.arange(_WEDGE_CHUNK, total, _WEDGE_CHUNK), side="right")
+    for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(nbr)]])):
+        counts = later[lo:hi]
+        first = np.repeat(np.arange(lo, hi), counts)
+        if len(first) == 0:
+            continue
+        run_start = np.cumsum(counts) - counts
+        second = first + np.arange(len(first)) - np.repeat(run_start, counts) + 1
+        a, b = nbr[first], nbr[second]
+        keys = a * n + b
+        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+        open_ = edge_keys[pos] != keys
+        a, b = a[open_], b[open_]
+        pair = terms.pair_common_friend(deg[a], deg[b])
+        yield (2.0 * (pair - means[a] * means[b])).tolist()
+
+
+def graph_report_moments_fsum(graph: Graph, law: ReportLaw) -> ReportMoments:
+    """graph_report_moments as one `math.fsum` over a term per node, edge and open wedge."""
+    deg = graph.degrees
+    terms = law.terms(graph.max_degree())
+    means = terms.mean[deg]
+    u, v = graph.edges().T
+    edge_pair = terms.pair_adjacent(deg[u], deg[v])
+    var_sum = math.fsum(chain(
+        (means * (1.0 - means)).tolist(),
+        (2.0 * (edge_pair - means[u] * means[v])).tolist(),
+        chain.from_iterable(_wedge_terms_fsum(graph, terms, means)),
+    ))
+    return ReportMoments(float(means.mean()), var_sum / graph.n)
 
 
 def graph_arrays_loop(n: int, edges) -> dict:
@@ -537,4 +585,66 @@ def _score(engine, point, w: int, reports: np.ndarray, in_band: np.ndarray, mome
         math.fsum(in_band * law.band_cost) / n,
         total,
         float(np.mean(majority_others == w)),
+    )
+
+
+def point_stats(point, w, k1, band) -> np.ndarray:
+    """Rows w, correct, payment, privacy cost, report sum, majority match; a column per trial.
+
+    `k1` and `band` count a trial's 1-reports and in-band users under the
+    `_Engine` point `point`; payment and privacy cost are per user.
+    """
+    n = point.n
+    k0 = n - k1
+    threshold = (n - 1) // 2 + 1
+    majority1 = k1 - 1 >= threshold  # the others' majority seen by a 1-reporter
+    majority0 = k1 >= threshold  # ... and by a 0-reporter
+    rows = np.empty((6, len(k1)))
+    rows[0] = w
+    rows[1] = map_estimate(k1, n) == w
+    rows[2] = (point.mech.z1 * (k1 * majority1) + point.mech.z0 * (k0 * ~majority0)) / n
+    rows[3] = point.law.band_cost * band / n
+    rows[4] = k1
+    rows[5] = (k1 * (majority1 == w) + k0 * (majority0 == w)) / n
+    return rows
+
+
+def _mean_var_fsum(values: np.ndarray) -> tuple[float, float]:
+    """Mean and unbiased variance of at least two values, by `math.fsum` over the values."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    return mean, math.fsum(np.square(values - mean)) / (n - 1)
+
+
+def _mean_se_fsum(values: np.ndarray) -> Estimate:
+    mean, var = _mean_var_fsum(values)
+    return Estimate(mean, math.sqrt(var / len(values)))
+
+
+def sim_result_from_rows(config, axis_value: float, stats: np.ndarray, analytic,
+                         graph: Graph) -> SimResult:
+    """A SimResult from one law's `point_stats` rows over a whole run."""
+    w, correct, paid, cost, sums, matched = stats
+    n = graph.n
+    sums_w1 = sums[w == 1]
+    if len(sums_w1) >= 2:
+        mu1_est = _mean_se_fsum(sums_w1 / n)
+        var_sum = _mean_var_fsum(sums_w1)[1]
+        kappa1_est = Estimate(var_sum / n, var_sum / n * math.sqrt(2.0 / (len(sums_w1) - 1)))
+    else:
+        mu1_est = Estimate(float("nan"), float("nan"))
+        kappa1_est = Estimate(float("nan"), float("nan"))
+    return SimResult(
+        trials=stats.shape[1],
+        profile=config.sim.profile,
+        axis_value=axis_value,
+        accuracy=_mean_se_fsum(correct),
+        avg_payment_per_user=_mean_se_fsum(paid),
+        avg_privacy_cost=_mean_se_fsum(cost),
+        empirical_mu1=mu1_est,
+        empirical_kappa1=kappa1_est,
+        empirical_majority_match=_mean_se_fsum(matched),
+        analytic=analytic,
+        nodes=graph.n,
+        edges=graph.num_edges,
     )

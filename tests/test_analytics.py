@@ -21,8 +21,10 @@ from privmarket.analytics import (
     payment_bound,
     predict,
     std_normal_cdf,
+    weighted_fsum,
 )
-from privmarket import analytics
+from privmarket import analytics, sim
+from privmarket import graph as graph_module
 from privmarket.config import analytic_distribution, apply_overrides, default_config, model_params
 from privmarket.graph import (
     DegreeDistribution, Graph, binomial_pmf, generate_erdos_renyi, ingest_edge_list,
@@ -40,6 +42,7 @@ from oracles import (
     enumerate_pair_adjacent,
     enumerate_pair_common_friend,
     gaussian_bhattacharyya_quadrature,
+    graph_report_moments_fsum,
     graph_report_moments_loop,
     normal_cdf_quadrature,
     side_probs_comb,
@@ -519,8 +522,11 @@ class TestArrayFormsMatchLoops:
                       + [(3, 20), (5, 25)])
         law = mv_report_law(make_params(epsilon=0.3))
         kappa_ref = graph_report_moments_loop(graph, law)[1]
-        monkeypatch.setattr(analytics, "_WEDGE_CHUNK", chunk)
-        assert graph_report_moments(graph, law)[1] == pytest.approx(kappa_ref, rel=REL, abs=0.0)
+        # the hub at 0 has 55 wedges, more than any chunk: its run is cut
+        monkeypatch.setattr(graph_module, "_WEDGE_CHUNK", chunk)
+        moments = graph_report_moments(graph, law)
+        assert moments[1] == pytest.approx(kappa_ref, rel=REL, abs=0.0)
+        assert moments == graph_report_moments_fsum(graph, law)
 
     def test_graph_moments_edgeless(self):
         law = mv_report_law(make_params())
@@ -590,3 +596,142 @@ class TestArrayFormsMatchLoops:
         assert all(vars(law)[k] is v for k, v in before.items())
         with pytest.raises(ValueError):
             law.terms(4).mean[1] = 0.0
+
+
+def _fsum_outcome(fn, *args):
+    """fn(*args) as a comparable value: the float's repr, or the exception's type and text."""
+    try:
+        return repr(fn(*args))
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestWeightedFsum:
+    """`weighted_fsum(values, counts)` is `math.fsum` of the expanded list, bit for bit."""
+
+    @staticmethod
+    def _expanded(values, counts):
+        return math.fsum(np.repeat(np.asarray(values, dtype=float), counts).tolist())
+
+    @staticmethod
+    def _random_values(rng, size):
+        """Mixed signs, magnitudes 1e-300..1e300, subnormals, zeros and cancelling pairs."""
+        values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300, 300, size)
+        pick = rng.random(size)
+        subnormal = np.copysign(5e-324 * rng.integers(1, 2**52, size), values)
+        values[pick < 0.1] = subnormal[pick < 0.1]
+        values[(0.1 <= pick) & (pick < 0.15)] = 0.0
+        mirror = (0.15 <= pick) & (pick < 0.35)
+        values[mirror] = -rng.permutation(values)[mirror]  # cancels another value's copies
+        return values
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_fsum_of_expanded_list(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(250):
+            size = int(rng.integers(1, 40))
+            values = self._random_values(rng, size)
+            counts = rng.integers(0, 12, size)  # zero counts drop a value
+            assert weighted_fsum(values, counts).hex() == self._expanded(values, counts).hex()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_heavy_cancellation(self, seed):
+        # huge terms cancel exactly and leave a tiny or subnormal remainder
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(200):
+            big = 10.0 ** rng.uniform(0, 300, 4) * rng.choice([-1.0, 1.0], 4)
+            small = rng.choice([5e-324, 1e-310, 1e-300, 1.0]) * rng.integers(1, 1000, 3)
+            values = np.concatenate([big, -big, small, -small[:1]])
+            big_counts = rng.integers(1, 9, 4)
+            counts = np.concatenate([big_counts, big_counts, rng.integers(0, 9, 4)])
+            assert weighted_fsum(values, counts).hex() == self._expanded(values, counts).hex()
+
+    def test_counts_up_to_two_to_the_forty(self):
+        # the expanded list cannot be built here; math.fsum is the correctly
+        # rounded exact sum, which Fraction gives (checked against the
+        # expanded list first, on counts it can hold)
+        from fractions import Fraction
+
+        def exact(values, counts):
+            return float(sum(Fraction(float(v)) * int(c) for v, c in zip(values, counts)))
+
+        rng = np.random.default_rng(40)
+        for _ in range(100):
+            values = self._random_values(rng, 20)
+            counts = rng.integers(0, 30, 20)
+            assert exact(values, counts).hex() == self._expanded(values, counts).hex()
+        for _ in range(300):
+            size = int(rng.integers(1, 30))
+            values = self._random_values(rng, size) * 1e-12  # no product reaches 2**1024
+            counts = rng.integers(0, 2**40 + 1, size, dtype=np.int64)
+            counts[rng.random(size) < 0.2] = 2**40
+            assert weighted_fsum(values, counts).hex() == exact(values, counts).hex()
+
+    @pytest.mark.parametrize("values, counts", [
+        ([math.inf, 1.0], [3, 2]),
+        ([-math.inf, 1e300], [1, 7]),
+        ([math.inf, -math.inf], [2, 1]),
+        ([math.inf, -math.inf], [2, 0]),  # a zero count drops the infinity
+        ([math.nan, 1.0], [1, 5]),
+        ([math.nan, math.inf], [4, 4]),
+        ([math.nan, math.inf, -math.inf], [1, 1, 1]),
+        ([math.nan, 2.0], [0, 3]),
+        ([1e308, 1.0], [2, 1]),  # overflow
+        ([1e308, -1e308, 1e308], [1, 1, 1]),
+        ([-0.0], [3]),
+        ([], []),
+    ])
+    def test_non_finite_values_and_overflow_as_fsum(self, values, counts):
+        expanded = np.repeat(np.asarray(values, dtype=float), counts).tolist()
+        assert _fsum_outcome(weighted_fsum, values, counts) == _fsum_outcome(math.fsum, expanded)
+
+    def test_rejects_negative_counts(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            weighted_fsum([1.0, 2.0], [3, -1])
+
+
+_EXACT_GRAPHS = {
+    "ring": lambda tmp_path: _ring_lattice(200, 2),
+    "k5_cliques": lambda tmp_path: _disjoint_cliques(20, 5),
+    "star_plus_path": lambda tmp_path: Graph(
+        60, [(0, i) for i in range(1, 60)] + [(i, i + 1) for i in range(1, 59)]),
+    "grqc_like": lambda tmp_path: ingest_edge_list(write_grqc_like(tmp_path / "grqc.txt")).graph,
+    "er250": lambda tmp_path: generate_erdos_renyi(np.random.default_rng(5), 250, 4.0),
+    "edgeless": lambda tmp_path: Graph(4, []),
+}
+
+
+class TestGraphMomentsByDegreePairs:
+    """`graph_report_moments` from degree-pair counts equals one `math.fsum`
+    over a term per node, edge and open wedge (the referee), exactly."""
+
+    @pytest.mark.parametrize("graph_name", list(_EXACT_GRAPHS))
+    @pytest.mark.parametrize("law_name", ["mv", "nd"])
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_equals_per_wedge_fsum(self, tmp_path, graph_name, law_name, eps):
+        graph = _EXACT_GRAPHS[graph_name](tmp_path)
+        params = make_params(epsilon=eps)
+        law = mv_report_law(params) if law_name == "mv" else nd_report_law(params)
+        assert graph_report_moments(graph, law) == graph_report_moments_fsum(graph, law)
+
+    def test_pair_counts(self):
+        # a triangle 0-1-2 with a tail 2-3 (degrees 2, 2, 3, 1): the wedges
+        # closed by the triangle's edges drop out
+        edges, wedges = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]).degree_pairs()
+        assert (edges.lo.tolist(), edges.hi.tolist(), edges.count.tolist()) == (
+            [1, 2, 2], [3, 2, 3], [1, 1, 2])
+        assert (wedges.lo.tolist(), wedges.hi.tolist(), wedges.count.tolist()) == (
+            [1], [2], [2])
+
+    def test_epsilon_sweep_enumerates_wedges_once(self, monkeypatch):
+        calls = []
+        wedges = graph_module._open_wedges
+        monkeypatch.setattr(graph_module, "_open_wedges",
+                            lambda graph: calls.append(graph) or wedges(graph))
+        moments = []
+        moments_fn = sim.graph_report_moments
+        monkeypatch.setattr(sim, "graph_report_moments",
+                            lambda graph, law: moments.append(law) or moments_fn(graph, law))
+        cfg = apply_overrides(default_config(), ["model.population=120"])
+        sim.sweep(cfg, "epsilon", [0.1, 0.3, 0.5], trials=4)
+        assert len(moments) == 3 and len(calls) == 1

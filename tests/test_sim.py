@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,9 +26,10 @@ from privmarket.sim import (
 from privmarket.strategy import build_mv_strategy
 
 from conftest import make_params
+from datasets import write_grqc_like
 from oracles import (
     friends_ones_bincount, majority_excluding, map_estimate_scalar, mirrored_moments,
-    peer_payment, trial_stats_loop, trial_stats_user_loop,
+    peer_payment, point_stats, sim_result_from_rows, trial_stats_loop, trial_stats_user_loop,
 )
 from test_acceptance import PARAM_GRID
 
@@ -100,7 +102,8 @@ class TestRunTrial:
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         engine = sim._Engine(graph, [mv_report_law(params)], [_simple_mech()], params)
         w, ((k1, band),) = engine.counts(substream(3, 5, 10), 10)
-        assert np.all(engine.points[0].stats(w, k1, band)[2] >= 0.0)  # row 2: payment
+        _, paid, _ = engine.points[0].report_stats(w, k1)
+        assert np.all(paid >= 0.0)
 
 
 def _engine(graph):
@@ -120,8 +123,9 @@ class TestBlockEngine:
         (point,) = engine.points
         moments = mirrored_moments(analytic.mu1, analytic.kappa1)
         trials = 2000
-        w, counts = sim._run_trials(engine, 11, trials, 1)
-        w, _, paid, cost, sums, matched = point.stats(w, *counts[0])
+        w, ((sums, band),) = sim._run_trials(engine, 11, trials, 1)
+        _, paid, matched = point.report_stats(w, sums)
+        cost = point.privacy_cost(band)
         loop = np.array([trial_stats_loop(engine, point, 12, i, moments) for i in range(trials)])
         n = engine.graph.n
 
@@ -141,10 +145,11 @@ class TestBlockEngine:
         moments = mirrored_moments(*graph_report_moments(engine.graph, point.law))
         for k in range(10):
             w, ((k1, band),) = engine.counts(substream(8, 5, k), 1)
-            block = point.stats(w, k1, band)[:, 0]
+            (correct,), (paid,), _ = point.report_stats(w, k1)
             loop = trial_stats_user_loop(engine, point, 8, k, moments)
-            assert block[[0, 1, 4]].tolist() == [loop[0], loop[1], loop[4]]  # w, correct, sum
-            assert block[2:4] == pytest.approx(loop[2:4], rel=1e-15, abs=0)  # payment, cost
+            assert [w[0], correct, k1[0]] == [loop[0], loop[1], loop[4]]  # w, correct, sum
+            assert [paid, point.privacy_cost(band)[0]] == pytest.approx(  # payment, cost
+                loop[2:4], rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("n, avg_degree", [(7, 2.0), (100, 4.0)])
     def test_count_statistics_match_per_user_sums(self, n, avg_degree):
@@ -158,7 +163,8 @@ class TestBlockEngine:
         block_w, ((block_k1, block_band),) = engine.counts(substream(21, 5, 0), engine.block)
         assert (block_w.tolist(), block_k1.tolist(), block_band.tolist()) == (
             w.tolist(), k1.tolist(), band.tolist())
-        _, _, paid, cost, sums, matched = point.stats(block_w, block_k1, block_band)
+        _, paid, matched = point.report_stats(block_w, block_k1)
+        cost, sums = point.privacy_cost(block_band), block_k1
         mech, law = point.mech, point.law
         for row in range(engine.block):
             x = [int(v) for v in reports[row]]
@@ -325,6 +331,69 @@ class TestConditionalIndependence:
         x0, x5 = np.concatenate(x0), np.concatenate(x5)
         corr = np.corrcoef(x0, x5)[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(len(x0))
+
+
+class TestHistogramAggregation:
+    """Every SimResult field, computed from count histograms, equals the
+    referee that keeps one float row per trial and sums each with
+    `math.fsum`, bit for bit (`repr` tells every float apart, NaN too)."""
+
+    @staticmethod
+    def _check(configs, trials, workers=1):
+        got = run_experiment(configs, trials=trials, workers=workers)
+        graph, engine, predictions = sim._build_experiment(configs)
+        w, counts = sim._run_trials(engine, configs[0].sim.seed, trials, workers)
+        want = [
+            sim_result_from_rows(config, math.nan, point_stats(point, w, k1, band), analytic, graph)
+            for config, point, (k1, band), analytic
+            in zip(configs, engine.points, counts, predictions, strict=True)
+        ]
+        assert repr(got) == repr(want)
+        return got
+
+    @staticmethod
+    def _hub_config(tmp_path):
+        """A hub of 400 friends plus 1200 random pairs among them: 401 users."""
+        rng = np.random.default_rng(11)
+        edges = [(0, v) for v in range(1, 401)] + rng.integers(1, 401, size=(1200, 2)).tolist()
+        path = tmp_path / "hub.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges if u != v))
+        return apply_overrides(default_config(), [
+            "graph.kind=edge-list", f"graph.path={path}", "sim.seed=11"])
+
+    @pytest.mark.parametrize("overrides", [
+        [],
+        ["model.population=251"],  # odd n: no tie in the report sum
+        ["model.cost=linear-capped", "model.epsilon=0"],  # the tie coin
+        ["sim.profile=nd"],
+    ], ids=["readme", "readme_odd_n", "epsilon0_tie_coin", "readme_nd"])
+    def test_readme_graph(self, overrides):
+        self._check([apply_overrides(default_config(), overrides)], 3000)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hub_graph_alpha_points_on_one_draw(self, tmp_path, workers):
+        cfg = self._hub_config(tmp_path)
+        assert sim._build_experiment([cfg])[0].n == 401
+        configs = [override_axis(cfg, "alpha", a) for a in (0.1, 0.25, 0.4)]
+        self._check(configs, 1000, workers)
+
+    def test_grqc_like_graph(self, tmp_path):
+        path = write_grqc_like(tmp_path / "grqc.txt")
+        cfg = apply_overrides(default_config(), [
+            "graph.kind=edge-list", f"graph.path={path}", "sim.seed=7"])
+        configs = [override_axis(cfg, "epsilon", e) for e in (0.1, 1.0)]
+        self._check(configs, 300)
+
+    def test_fewer_than_two_w1_trials_take_the_nan_path(self):
+        base = apply_overrides(default_config(), ["model.population=60"])
+        for seed in range(100):
+            cfg = apply_overrides(base, [f"sim.seed={seed}"])
+            _, engine, _ = sim._build_experiment([cfg])
+            if (sim._run_trials(engine, seed, 2, 1)[0] == 1).sum() < 2:
+                break
+        (r,) = self._check([cfg], 2)
+        assert all(math.isnan(x) for x in (*astuple(r.empirical_mu1), *astuple(r.empirical_kappa1)))
+        assert not math.isnan(r.accuracy.value)
 
 
 class TestRunExperiment:
