@@ -32,15 +32,15 @@ user-trial and law; the table keys are C-ordered `np.intp`, the index
 array numpy's gather reads fastest.  A sweep plays each run of
 consecutive grid points that share a graph section (any epsilon or alpha
 sweep) on one graph and one draw per block; an avg_degree point builds
-its own graph.  A block keeps only integer counts, the world bit and per
-law the 1-report and in-band counts (1 + 8 bytes per trial and law).  A
-trial's statistics (correct estimate, payment, majority match, report
-sum, privacy cost) depend only on its world bit and 1-report count, or on
-its in-band count, so a run is aggregated from histograms of those
-counts: each statistic is evaluated once per possible count, and its mean
-and variance are exactly-rounded count-weighted sums
+its own graph.  A trial's statistics (correct estimate, payment, majority
+match, report sum, privacy cost) depend only on its world bit and
+1-report count, or on its in-band count, so each block is tallied where
+it is drawn into histograms of those counts, and a run keeps 3·(n + 1)
+integers per law: the 1-report counts by world bit and the in-band
+counts.  Each statistic is evaluated once per possible count, and its
+mean and variance are exactly-rounded count-weighted sums
 (`analytics.weighted_fsum`), equal to `math.fsum` over one value per
-trial.  No float is stored per trial.
+trial.  Nothing is stored per trial.
 """
 
 from __future__ import annotations
@@ -104,14 +104,12 @@ def map_estimate(sum_reports, n: int) -> np.ndarray:
 # lane of a gathered word and its share of the word's prefix sum (a byte
 # while the largest degree is below 256); each law on the draw then adds, one
 # law at a time, about 27 bytes a user (three table lookups, report and band
-# flags).
-# A block keeps 1 + 8 bytes per trial and law (the world bit, the 1-report
-# and band counts).  2**18 cells is the measured knee of both benchmark
-# graphs: from 2**18 to 2**20 neither the 250-node README graph nor a
-# 3700-node collaboration graph runs more trials per second beyond
-# run-to-run spread.  Both constants key the random stream, so changing
-# them changes every simulated result; the number of laws on a draw does not
-# enter the block size.
+# flags).  A run keeps 3·(n + 1) integers per law, whatever its number of
+# blocks.  2**18 cells is the measured knee of both benchmark graphs: from
+# 2**18 to 2**20 neither the 250-node README graph nor a 3700-node
+# collaboration graph runs more trials per second beyond run-to-run spread.
+# Both constants key the random stream, so changing them changes every
+# simulated result; the number of laws on a draw does not enter the block size.
 _BLOCK_CELLS = 2**18
 _MAX_BLOCK = 256
 
@@ -258,19 +256,27 @@ class _Engine:
         key += self._row
         return w, key, rng.random(key.shape)
 
-    def counts(self, rng: np.random.Generator, rows: int):
-        """(w, counts) of `rows` trials on one draw: (rows,) int8 and (points, 2, rows) int32.
+    def tally(self, master_seed: int, trials: int, blocks) -> np.ndarray:
+        """(points, 3, n + 1) int64 histograms of the trials below `trials` in `blocks`.
 
-        counts[i] holds the 1-report counts and the in-band counts of every
-        trial under law i.
+        hist[i, w, k] counts the trials with world bit w and k 1-reports
+        under law i, hist[i, 2, k] those with k users in their band.  Block
+        b is drawn in full from the stream (master seed, trial tag, b), so
+        no draw depends on `trials`; only the trials below it are played.
         """
-        w, key, u = self.draw(rng, rows)
-        counts = np.empty((len(self.points), 2, rows), dtype=np.int32)
-        for point, (k1, band) in zip(self.points, counts):
-            reports, in_band = point.play(key, u)
-            reports.sum(axis=1, out=k1)
-            in_band.sum(axis=1, out=band)
-        return w.astype(np.int8), counts
+        n = self.graph.n
+        hist = np.zeros((len(self.points), 3, n + 1), dtype=np.int64)
+        for b in blocks:
+            w, key, u = self.draw(substream(master_seed, TAG_TRIAL, b), self.block)
+            rows = min(self.block, trials - b * self.block)
+            w, key, u = w[:rows], key[:rows], u[:rows]
+            for point, h in zip(self.points, hist):
+                reports, in_band = point.play(key, u)
+                by_w = np.bincount(w * (n + 1) + reports.sum(axis=1), minlength=2 * (n + 1))
+                h[:2] += by_w.reshape(2, n + 1)
+                h[2] += np.bincount(in_band.sum(axis=1), minlength=n + 1)
+            del w, key, u, reports, in_band  # freed before the next block is drawn
+        return hist
 
 
 @dataclass(frozen=True)
@@ -302,14 +308,14 @@ class SimResult:
 _POOL_ENGINE = None
 
 
-def _pool_init(engine, master_seed):
+def _pool_init(engine, master_seed, trials):
     global _POOL_ENGINE
-    _POOL_ENGINE = (engine, master_seed)
+    _POOL_ENGINE = (engine, master_seed, trials)
 
 
-def _pool_task(block):
-    engine, master_seed = _POOL_ENGINE
-    return block, engine.counts(substream(master_seed, TAG_TRIAL, block), engine.block)
+def _pool_task(blocks):
+    engine, master_seed, trials = _POOL_ENGINE
+    return engine.tally(master_seed, trials, blocks)
 
 
 def _mean_var(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
@@ -328,32 +334,25 @@ def _mean_se(values: np.ndarray, counts: np.ndarray) -> Estimate:
     return Estimate(mean, math.sqrt(var / int(counts.sum())))
 
 
-def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int):
-    """The `_Engine.counts` of trials 0..trials-1: (trials,) int8 and (points, 2, trials) int32.
+def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) -> np.ndarray:
+    """The `_Engine.tally` of trials 0..trials-1: (points, 3, n + 1) int64 histograms.
 
     Blocks are the unit of work; at most one process per block is started.
+    Each pool task tallies one run of consecutive blocks, and the run's
+    histograms are the sum of its tasks', which no order of completion
+    changes.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    size = engine.block
-    blocks = -(-trials // size)
-    w = np.empty(blocks * size, dtype=np.int8)
-    counts = np.empty((len(engine.points), 2, blocks * size), dtype=np.int32)
+    blocks = -(-trials // engine.block)
     processes = min(workers, blocks)
     if processes <= 1:
-        for b in range(blocks):
-            rows = slice(b * size, (b + 1) * size)
-            w[rows], counts[..., rows] = engine.counts(substream(master_seed, TAG_TRIAL, b), size)
-    else:
-        chunk = max(1, blocks // (8 * processes))
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes, initializer=_pool_init, initargs=(engine, master_seed)) as pool:
-            for b, (block_w, block_counts) in pool.imap_unordered(
-                _pool_task, range(blocks), chunksize=chunk
-            ):
-                rows = slice(b * size, (b + 1) * size)
-                w[rows], counts[..., rows] = block_w, block_counts
-    return w[:trials], counts[..., :trials]
+        return engine.tally(master_seed, trials, range(blocks))
+    chunk = max(1, blocks // (8 * processes))
+    tasks = [range(blocks)[start:start + chunk] for start in range(0, blocks, chunk)]
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(processes, initializer=_pool_init, initargs=(engine, master_seed, trials)) as pool:
+        return sum(pool.imap_unordered(_pool_task, tasks))
 
 
 def _build_experiment(configs):
@@ -390,9 +389,9 @@ def _build_experiment(configs):
     return graph, engine, predictions
 
 
-def _sim_result(config, axis_value: float, point: _Point, w: np.ndarray, k1: np.ndarray,
-                band: np.ndarray, analytic: Prediction, graph: Graph) -> SimResult:
-    """A SimResult from one law's per-trial counts over a whole run.
+def _sim_result(config, axis_value: float, point: _Point, hist: np.ndarray,
+                analytic: Prediction, graph: Graph) -> SimResult:
+    """A SimResult from one law's `_Engine.tally` histograms over a whole run.
 
     A trial's statistics depend only on its world bit and 1-report count,
     or on its in-band count, so they are evaluated once per possible value
@@ -400,7 +399,7 @@ def _sim_result(config, axis_value: float, point: _Point, w: np.ndarray, k1: np.
     """
     n = graph.n
     k = np.arange(n + 1)  # every possible 1-report or in-band count
-    by_w = np.stack([np.bincount(k1[w == state], minlength=n + 1) for state in (0, 1)])
+    by_w, band = hist[:2], hist[2]
     correct, paid, matched = point.report_stats(np.array([[0], [1]]), k)  # paid reads k alone
     sums_w1 = by_w[1]  # how many W = 1 trials have each report sum
     trials_w1 = int(sums_w1.sum())
@@ -412,12 +411,12 @@ def _sim_result(config, axis_value: float, point: _Point, w: np.ndarray, k1: np.
         mu1_est = Estimate(float("nan"), float("nan"))
         kappa1_est = Estimate(float("nan"), float("nan"))
     return SimResult(
-        trials=len(w),
+        trials=int(band.sum()),
         profile=config.sim.profile,
         axis_value=axis_value,
         accuracy=_mean_se(correct, by_w),
         avg_payment_per_user=_mean_se(paid, by_w.sum(axis=0)),
-        avg_privacy_cost=_mean_se(point.privacy_cost(k), np.bincount(band, minlength=n + 1)),
+        avg_privacy_cost=_mean_se(point.privacy_cost(k), band),
         empirical_mu1=mu1_est,
         empirical_kappa1=kappa1_est,
         empirical_majority_match=_mean_se(matched, by_w),
@@ -449,11 +448,11 @@ def run_experiment(
     if axis_values is None:
         axis_values = [float("nan")] * len(configs)
     graph, engine, predictions = _build_experiment(configs)
-    w, counts = _run_trials(engine, first.sim.seed, trials, workers)
+    hists = _run_trials(engine, first.sim.seed, trials, workers)
     return [
-        _sim_result(config, value, point, w, k1, band, analytic, graph)
-        for config, value, point, (k1, band), analytic
-        in zip(configs, axis_values, engine.points, counts, predictions, strict=True)
+        _sim_result(config, value, point, hist, analytic, graph)
+        for config, value, point, hist, analytic
+        in zip(configs, axis_values, engine.points, hists, predictions, strict=True)
     ]
 
 
@@ -485,26 +484,27 @@ def normality_probe(config, trials: int) -> NormalityReport:
     """Kolmogorov-Smirnov distance of the normalized report sum per world state.
 
     The probe reads the trials `simulate` runs on the same config (the
-    first `trials` of them, at `sim.workers`) and splits their report sums
-    by the drawn world bit; a state drawn fewer than 10 times raises
+    first `trials` of them, at `sim.workers`) as their histogram of report
+    sums by the drawn world bit; a state drawn fewer than 10 times raises
     ValueError.  Each state's sums are normalized by the realized-graph
     mean and exact-pair variance coefficient.  A degenerate profile, whose
     report sum never varies, raises ZeroVarianceError.
     """
     graph, engine, (analytic,) = _build_experiment([config])
-    w, counts = _run_trials(engine, config.sim.seed, trials, config.sim.workers)
-    per_state = {state: int(np.count_nonzero(w == state)) for state in (0, 1)}
+    by_w = _run_trials(engine, config.sim.seed, trials, config.sim.workers)[0, :2]
+    per_state = {state: int(by_w[state].sum()) for state in (0, 1)}
     if min(per_state.values()) < 10:
         raise ValueError(f"need at least 10 trials in each world state, got {per_state}")
     mu, kappa = analytic.mu1, analytic.kappa1
     scale = math.sqrt(graph.n * kappa)
+    k = np.arange(graph.n + 1)
     ks: dict[int, float] = {}
     for state in (0, 1):
-        sums = counts[0, 0, w == state]
-        if sums.max() - sums.min() == 0:
+        if np.count_nonzero(by_w[state]) == 1:
             raise ZeroVarianceError("report sum is constant; degenerate strategy profile")
         mean = mu * graph.n if state == 1 else (1.0 - mu) * graph.n
-        ks[state] = _ks_statistic((sums - mean) / scale)
+        # each report sum repeated once per trial that drew it: the sorted per-trial sample
+        ks[state] = _ks_statistic(np.repeat((k - mean) / scale, by_w[state]))
     asymptotic = graph.n >= _ASYMPTOTIC_MIN_N
     passed = (max(ks.values()) < _KS_THRESHOLD) if asymptotic else None
     return NormalityReport(

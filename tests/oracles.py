@@ -588,6 +588,32 @@ def _score(engine, point, w: int, reports: np.ndarray, in_band: np.ndarray, mome
     )
 
 
+def trial_counts(engine, master_seed: int, trials: int):
+    """(w, counts) of trials 0..trials-1: (trials,) world bits and (points, 2, trials).
+
+    counts[i] holds each trial's 1-report count and in-band count under
+    the engine's law i.  Every block is drawn in full with `engine.draw`
+    from the stream (master seed, trial tag, b) and played with each
+    point's `play`, and the rows past `trials` are cut off the end.
+    """
+    ws, counts = [], []
+    for b in range(-(-trials // engine.block)):
+        w, key, u = engine.draw(substream(master_seed, TAG_TRIAL, b), engine.block)
+        ws.append(w)
+        counts.append([[reports.sum(axis=1), in_band.sum(axis=1)]
+                       for reports, in_band in (point.play(key, u) for point in engine.points)])
+    return np.concatenate(ws)[:trials], np.concatenate(counts, axis=2)[..., :trials]
+
+
+def count_histograms(w, counts, n: int) -> np.ndarray:
+    """(points, 3, n + 1) bincounts of `trial_counts` rows: k1 where w = 0, k1 where w = 1, band."""
+    return np.array([
+        [np.bincount(k1[w == 0], minlength=n + 1), np.bincount(k1[w == 1], minlength=n + 1),
+         np.bincount(band, minlength=n + 1)]
+        for k1, band in counts
+    ])
+
+
 def point_stats(point, w, k1, band) -> np.ndarray:
     """Rows w, correct, payment, privacy cost, report sum, majority match; a column per trial.
 

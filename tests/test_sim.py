@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import tracemalloc
 from dataclasses import astuple
 from types import SimpleNamespace
 
@@ -28,8 +29,9 @@ from privmarket.strategy import build_mv_strategy
 from conftest import make_params
 from datasets import write_grqc_like
 from oracles import (
-    friends_ones_bincount, majority_excluding, map_estimate_scalar, mirrored_moments,
-    peer_payment, point_stats, sim_result_from_rows, trial_stats_loop, trial_stats_user_loop,
+    count_histograms, friends_ones_bincount, majority_excluding, map_estimate_scalar,
+    mirrored_moments, peer_payment, point_stats, sim_result_from_rows, trial_counts,
+    trial_stats_loop, trial_stats_user_loop,
 )
 from test_acceptance import PARAM_GRID
 
@@ -58,6 +60,34 @@ class TestMapEstimate:
                     s = mirrored_moments(mu1, kappa)
                     expected = [map_estimate_scalar(k, n, s, 0.5) for k in range(n + 1)]
                     assert map_estimate(sums, n).tolist() == expected, (n, mu1, kappa)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace the fork pool by one that runs its tasks in this process, last task first.
+
+    Returns the record of each pool's requested size and task list.
+    """
+    record = SimpleNamespace(requested=[], tasks=[])
+
+    class InProcessPool:
+        def __init__(self, processes, initializer, initargs):
+            record.requested.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, func, iterable, chunksize=1):
+            record.tasks.append(list(iterable))
+            return map(func, reversed(record.tasks[-1]))
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool)
+    monkeypatch.setattr(sim, "_POOL_ENGINE", None)
+    return record
 
 
 def _simple_mech():
@@ -101,8 +131,9 @@ class TestRunTrial:
         params = make_params(population=6)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         engine = sim._Engine(graph, [mv_report_law(params)], [_simple_mech()], params)
-        w, ((k1, band),) = engine.counts(substream(3, 5, 10), 10)
-        _, paid, _ = engine.points[0].report_stats(w, k1)
+        w, key, u = engine.draw(substream(3, 5, 10), 10)
+        reports, _ = engine.points[0].play(key, u)
+        _, paid, _ = engine.points[0].report_stats(w, reports.sum(axis=1))
         assert np.all(paid >= 0.0)
 
 
@@ -123,11 +154,15 @@ class TestBlockEngine:
         (point,) = engine.points
         moments = mirrored_moments(analytic.mu1, analytic.kappa1)
         trials = 2000
-        w, ((sums, band),) = sim._run_trials(engine, 11, trials, 1)
+        w, counts = trial_counts(engine, 11, trials)
+        n = engine.graph.n
+        # the run's histograms tally exactly these trials
+        np.testing.assert_array_equal(
+            sim._run_trials(engine, 11, trials, 1), count_histograms(w, counts, n))
+        ((sums, band),) = counts
         _, paid, matched = point.report_stats(w, sums)
         cost = point.privacy_cost(band)
         loop = np.array([trial_stats_loop(engine, point, 12, i, moments) for i in range(trials)])
-        n = engine.graph.n
 
         def gap_in_se(a, b):
             se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
@@ -144,7 +179,9 @@ class TestBlockEngine:
         (point,) = engine.points
         moments = mirrored_moments(*graph_report_moments(engine.graph, point.law))
         for k in range(10):
-            w, ((k1, band),) = engine.counts(substream(8, 5, k), 1)
+            w, key, u = engine.draw(substream(8, 5, k), 1)
+            reports, in_band = point.play(key, u)
+            k1, band = reports.sum(axis=1), in_band.sum(axis=1)
             (correct,), (paid,), _ = point.report_stats(w, k1)
             loop = trial_stats_user_loop(engine, point, 8, k, moments)
             assert [w[0], correct, k1[0]] == [loop[0], loop[1], loop[4]]  # w, correct, sum
@@ -159,12 +196,11 @@ class TestBlockEngine:
         w, key, u = engine.draw(substream(21, 5, 0), engine.block)
         reports, in_band = point.play(key, u)
         k1, band = reports.sum(axis=1), in_band.sum(axis=1)
-        # a block keeps only the world bits and these counts
-        block_w, ((block_k1, block_band),) = engine.counts(substream(21, 5, 0), engine.block)
-        assert (block_w.tolist(), block_k1.tolist(), block_band.tolist()) == (
-            w.tolist(), k1.tolist(), band.tolist())
-        _, paid, matched = point.report_stats(block_w, block_k1)
-        cost, sums = point.privacy_cost(block_band), block_k1
+        # a block's tally is the histogram of these counts
+        np.testing.assert_array_equal(
+            engine.tally(21, engine.block, [0]), count_histograms(w, [(k1, band)], n))
+        _, paid, matched = point.report_stats(w, k1)
+        cost, sums = point.privacy_cost(band), k1
         mech, law = point.mech, point.law
         for row in range(engine.block):
             x = [int(v) for v in reports[row]]
@@ -176,14 +212,15 @@ class TestBlockEngine:
             assert matched[row] == sum(m == w[row] for m in majorities) / n
 
     def test_leading_trials_do_not_depend_on_trial_count(self):
+        # the histograms of t trials bincount the first t trials of a longer run
         engine = _er_engine(100, 4.0)
         b = engine.block
-        longest_w, longest = sim._run_trials(engine, 3, 3 * b + 2, 1)
+        w, counts = trial_counts(engine, 3, 3 * b + 2)
         for trials in (2, b - 1, b, b + 1, 3 * b + 2):
-            w, counts = sim._run_trials(engine, 3, trials, 1)
-            assert w.shape == (trials,) and counts.shape == (1, 2, trials)
-            assert w.tobytes() == longest_w[:trials].tobytes()
-            assert counts.tobytes() == longest[..., :trials].tobytes()
+            hist = sim._run_trials(engine, 3, trials, 1)
+            assert hist.shape == (1, 3, 101) and hist.dtype == np.int64
+            np.testing.assert_array_equal(
+                hist, count_histograms(w[:trials], counts[..., :trials], 100))
 
     @pytest.mark.parametrize("n, degree", [(7, 2), (250, 4), (2000, 4), (9000, 6), (40000, 6)])
     def test_block_stays_within_cell_budget(self, n, degree):
@@ -197,32 +234,27 @@ class TestBlockEngine:
         else:
             assert 2 * cells > sim._BLOCK_CELLS
 
-    def test_never_more_processes_than_blocks(self, monkeypatch):
-        requested = []
-
-        class RecordingPool:
-            """Runs the tasks in this process and records the requested size."""
-
-            def __init__(self, processes, initializer, initargs):
-                requested.append(processes)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap_unordered(self, func, iterable, chunksize=1):
-                return map(func, iterable)
-
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", RecordingPool)
-        monkeypatch.setattr(sim, "_POOL_ENGINE", None)
+    def test_never_more_processes_than_blocks(self, in_process_pool):
         cfg = apply_overrides(default_config(), ["model.population=100"])
         trials = 2 * sim._build_experiment([cfg])[1].block
         wide = simresult_csv(run_experiment([cfg], trials=trials, workers=64)[0])
-        assert requested == [2]
+        assert in_process_pool.requested == [2]
         assert wide == simresult_csv(run_experiment([cfg], trials=trials, workers=1)[0])
+
+    @pytest.mark.parametrize("in_process", [False, True], ids=["fork", "in_process"])
+    def test_histograms_do_not_depend_on_workers(self, request, in_process):
+        # 53 blocks, the last one partial: 2 workers take tasks of 3 blocks
+        # and 3 workers tasks of 2, so the last task is partial too
+        record = request.getfixturevalue("in_process_pool") if in_process else None
+        engine = _er_engine(100, 4.0)
+        trials = 52 * engine.block + 7
+        one = sim._run_trials(engine, 9, trials, 1)
+        assert one[0, :2].sum() == one[0, 2].sum() == trials
+        for workers in (2, 3):
+            np.testing.assert_array_equal(sim._run_trials(engine, 9, trials, workers), one)
+        if record:
+            assert record.requested == [2, 3]
+            assert [[len(tasks[0]), len(tasks[-1])] for tasks in record.tasks] == [[3, 2], [2, 1]]
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ConfigError, match="sim.workers"):
@@ -342,7 +374,7 @@ class TestHistogramAggregation:
     def _check(configs, trials, workers=1):
         got = run_experiment(configs, trials=trials, workers=workers)
         graph, engine, predictions = sim._build_experiment(configs)
-        w, counts = sim._run_trials(engine, configs[0].sim.seed, trials, workers)
+        w, counts = trial_counts(engine, configs[0].sim.seed, trials)
         want = [
             sim_result_from_rows(config, math.nan, point_stats(point, w, k1, band), analytic, graph)
             for config, point, (k1, band), analytic
@@ -389,7 +421,7 @@ class TestHistogramAggregation:
         for seed in range(100):
             cfg = apply_overrides(base, [f"sim.seed={seed}"])
             _, engine, _ = sim._build_experiment([cfg])
-            if (sim._run_trials(engine, seed, 2, 1)[0] == 1).sum() < 2:
+            if (trial_counts(engine, seed, 2)[0] == 1).sum() < 2:
                 break
         (r,) = self._check([cfg], 2)
         assert all(math.isnan(x) for x in (*astuple(r.empirical_mu1), *astuple(r.empirical_kappa1)))
@@ -410,6 +442,23 @@ class TestRunExperiment:
         csv1 = simresult_csv(run_experiment([cfg], workers=1)[0])
         csv4 = simresult_csv(run_experiment([cfg], workers=4)[0])
         assert csv1 == csv4
+
+    def test_memory_does_not_grow_with_trials(self):
+        # a run keeps its count histograms, not a row per trial: 1000 blocks
+        # of the README run peak within 0.5 MB of 2 blocks (about 2 MB more
+        # when every trial's counts were kept)
+        cfg = default_config()
+        block = sim._build_experiment([cfg])[1].block
+        run_experiment([cfg], trials=2 * block, workers=1)  # first-call allocations
+        peaks = []
+        for blocks in (2, 1000):
+            tracemalloc.start()
+            try:
+                run_experiment([cfg], trials=blocks * block, workers=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.5e6, peaks
 
     def test_repeat_runs_identical(self):
         cfg = apply_overrides(default_config(), ["sim.trials=80", "model.population=80"])
@@ -488,18 +537,20 @@ class TestNormalityProbe:
             normality_probe(cfg, trials=40)
 
     def test_reads_the_trials_simulate_runs(self, monkeypatch):
-        # the probe's state-1 sums are the W = 1 report sums of the run's trials
+        # each state's sample holds the report sums of the run's trials in
+        # that state, normalized, in ascending order
         cfg = apply_overrides(default_config(), ["model.population=80", "sim.workers=2"])
         _, engine, _ = sim._build_experiment([cfg])
-        w, counts = sim._run_trials(engine, cfg.sim.seed, 300, 1)
+        w, counts = trial_counts(engine, cfg.sim.seed, 300)
         samples = []
         ks = sim._ks_statistic
         monkeypatch.setattr(sim, "_ks_statistic", lambda x: samples.append(x) or ks(x))
         report = normality_probe(cfg, trials=300)
         assert report.trials_per_state == {0: int((w == 0).sum()), 1: int((w == 1).sum())}
         scale = math.sqrt(80 * report.kappa_used)
-        assert np.rint(samples[1] * scale + report.mu_used * 80).tolist() == (
-            counts[0, 0, w == 1].tolist())
+        for state, mean in ((0, (1.0 - report.mu_used) * 80), (1, report.mu_used * 80)):
+            assert np.rint(samples[state] * scale + mean).tolist() == (
+                sorted(counts[0, 0, w == state].tolist()))
 
     def test_each_state_needs_ten_trials(self):
         cfg = apply_overrides(default_config(), ["model.population=60"])
