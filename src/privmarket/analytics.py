@@ -9,9 +9,9 @@ degree's band, `ReportLaw.side_table` is the law of a user's group-signal
 sum's side of the band given her degree and her friends' signals, and
 `ReportLaw.cut_table` splits each of those laws by what she reports, so
 that the Monte Carlo engine draws a user's whole move (report and band
-side) from one uniform.  `ReportLaw.terms` tabulates the per-degree
-conditional report probabilities that everything else is assembled from
-(`DegreeTerms`); they are sums over the same band.
+side) from one uniform, on a 2**-31 grid.  `ReportLaw.terms` tabulates
+the per-degree conditional report probabilities that everything else is
+assembled from (`DegreeTerms`); they are sums over the same band.
 
 There is one variance coefficient, kappa1, the report sum's variance over
 n, with two sources of pair counts and one pair function per pair type
@@ -78,6 +78,7 @@ __all__ = [
     "std_normal_cdf",
     "beta_from_moments",
     "expected_total_payment",
+    "check_payments_finite",
     "bhattacharyya",
     "predict",
     "payment_bound",
@@ -294,7 +295,11 @@ class ReportLaw:
         g(epsilon); outside it she reports the group majority at no cost.
         The cut is at_most - (at_most - below) * Pr(randomized report = 1 | s),
         clipped to [below, at_most] so that rounding never lets two cells
-        overlap.
+        overlap.  The engine plays the interval on the 2**-31 grid: u is
+        m * 2**-31 for a uniform 31-bit integer m, and each cell end p is
+        rounded to round(p * 2**31) (`model.fixed_point`), which keeps the
+        cells ordered, 0 and 1 exact, and every other end within 2**-32.
+        This table stays in floats, as the closed forms read it.
         """
         lo, hi = below[:, None], at_most[:, None]
         return np.clip(hi - (hi - lo) * self._coin, lo, hi)
@@ -472,16 +477,31 @@ class Prediction:
         return self.total_payment / self.n
 
 
+def check_payments_finite(scale: float, **payments: float) -> None:
+    """Raise AnalyticsError, naming the stage and the scale key, if a payment is not finite."""
+    bad = ", ".join(f"{name} = {value:g}" for name, value in payments.items()
+                    if not math.isfinite(value))
+    if bad:
+        raise AnalyticsError(
+            f"payment design: {bad} at mechanism.payment_scale = {scale:g}; designed payments "
+            "must be finite numbers"
+        )
+
+
 def predict(params: ModelParams, n: int, mu1: float, kappa1: float, scale: float = 1.0) -> Prediction:
-    """Z, Z0, Z1 from beta (beta0 = beta1 under equal priors) times `scale`, and the payout."""
+    """Z, Z0, Z1 from beta (beta0 = beta1 under equal priors) times `scale`, and the payout.
+
+    A payment that overflows raises AnalyticsError (`check_payments_finite`).
+    """
     beta = beta_from_moments(n, mu1, kappa1)
     z = design_Z(params.epsilon, params.theta0, params.cost)
     z0, z1 = design_Z0_Z1(z, beta, beta, params.prior_w1)
     z, z0, z1 = z * scale, z0 * scale, z1 * scale
+    total = expected_total_payment(z0, beta, mu1, n)
+    check_payments_finite(scale, Z=z, Z0=z0, Z1=z1, expected_total_payment=total)
     return Prediction(
         n=n, mu1=mu1, kappa1=kappa1, beta=beta, z=z, z0=z0, z1=z1,
-        total_payment=expected_total_payment(z0, beta, mu1, n),
-        bhattacharyya=bhattacharyya(n, mu1, kappa1),
+        total_payment=total, bhattacharyya=bhattacharyya(n, mu1, kappa1),
     )
 
 

@@ -142,6 +142,7 @@ def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
         # No closed form for the majority accuracy under unequal priors:
         # emit only the quantities that remain defined.
         z = design_Z(params.epsilon, params.theta0, params.cost) * cfg.mechanism.payment_scale
+        an.check_payments_finite(cfg.mechanism.payment_scale, Z=z)
         pairs = [
             ("Z", z),
             ("note", "unequal priors: beta, moments and payment omitted (no closed form)"),

@@ -15,6 +15,7 @@ import numpy as np
 from .graph import (DegreeDistribution, Graph, generate_configuration_model, generate_erdos_renyi,
                     ingest_edge_list, read_source)
 from .model import (
+    EPSILON_MAX,
     TAG_GRAPH,
     CostFunction,
     ModelParams,
@@ -189,6 +190,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"sim.workers must be >= 1, got {cfg.sim.workers}")
     if cfg.sim.profile not in ("mv", "nd"):
         raise ConfigError(f"sim.profile must be mv or nd, got {cfg.sim.profile!r}")
+    if not 0.0 <= cfg.model.epsilon <= EPSILON_MAX:
+        raise ConfigError(f"model.epsilon must lie in [0, {EPSILON_MAX:g}], the range on which the "
+                          f"closed forms stay finite; got {cfg.model.epsilon:g}")
     if not cfg.mechanism.payment_scale > 0.0:
         raise ConfigError(f"mechanism.payment_scale must be > 0, got {cfg.mechanism.payment_scale:g}")
     if not 0.0 < cfg.analytics.p_e < 1.0:

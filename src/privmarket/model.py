@@ -7,7 +7,9 @@ is either an immutable parameter object or a pure sampling function driven
 by an explicitly passed `numpy.random.Generator`.  The group signals are
 not sampled edge by edge: a user acts on hers only through their sum's side
 of her band, which the Monte Carlo engine draws from its exact law
-(`analytics.ReportLaw.side_table`) with the same uniform as her report.
+(`analytics.ReportLaw.side_table`) together with her report, as one move:
+the low 31 bits of the same raw 64-bit word whose high bits give her
+private signal (`sample_signals_and_moves`).
 
 Randomness contract: streams are derived from a master seed plus a purpose
 tag and index via `substream`, so that any piece of the simulation can be
@@ -24,6 +26,7 @@ import numpy as np
 __all__ = [
     "CostFunction",
     "ModelParams",
+    "EPSILON_MAX",
     "ParameterError",
     "CostFunctionError",
     "theta1",
@@ -33,7 +36,9 @@ __all__ = [
     "audit_cost_function",
     "substream",
     "sample_world",
-    "sample_private_signals",
+    "sample_signals_and_moves",
+    "fixed_point",
+    "FIXED_ONE",
 ]
 
 
@@ -149,6 +154,14 @@ def theta1(theta0: float, alpha: float) -> float:
     return theta0 * (1.0 - alpha) + (1.0 - theta0) * alpha
 
 
+# The largest privacy level epsilon accepted.  The closed forms square e^epsilon
+# (`mechanism.design_Z`, `strategy.equal_priors_tau` and the band edges), and
+# e^(2 * 300) is about 3.8e260, which leaves a factor of about 1e48 below the
+# largest float for the cost terms they multiply it by; e^epsilon alone
+# overflows from epsilon 709.8, and its square from 354.9.
+EPSILON_MAX = 300.0
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """All market constants.
@@ -157,7 +170,7 @@ class ModelParams:
     theta0:     private-signal quality, in (0.5, 1)
     alpha:      group-signal crossover probability, in [0, 0.5)
     cost:       privacy cost function g
-    epsilon:    randomized-response privacy level at a group-signal tie, >= 0
+    epsilon:    randomized-response privacy level at a group-signal tie, in [0, EPSILON_MAX]
     population: number of users N >= 2
     """
 
@@ -172,8 +185,8 @@ class ModelParams:
         if not 0.0 < self.prior_w1 < 1.0:
             raise ParameterError(f"prior_w1 must lie in (0, 1), got {self.prior_w1}")
         theta1(self.theta0, self.alpha)  # validates theta0 and alpha ranges
-        if self.epsilon < 0.0:
-            raise ParameterError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0.0 <= self.epsilon <= EPSILON_MAX:
+            raise ParameterError(f"epsilon must lie in [0, {EPSILON_MAX:g}], got {self.epsilon}")
         if self.population < 2:
             raise ParameterError(f"population must be >= 2, got {self.population}")
 
@@ -186,6 +199,12 @@ class ModelParams:
         return self.prior_w1 == 0.5
 
 
+# The engine's probabilities are fixed-point: p is held as the integer
+# round(p * 2**31), and a user-trial's move is a uniform 31-bit integer.
+_MOVE_BITS = 31
+FIXED_ONE = 1 << _MOVE_BITS
+
+
 def sample_world(rng: np.random.Generator, params: ModelParams, size: int | None = None):
     """Draw W: 1 with probability prior_w1; an int, or an int array of `size` draws."""
     if size is None:
@@ -193,12 +212,33 @@ def sample_world(rng: np.random.Generator, params: ModelParams, size: int | None
     return (rng.random(size) < params.prior_w1).astype(np.int64)
 
 
-def sample_private_signals(rng: np.random.Generator, w, params: ModelParams) -> np.ndarray:
-    """Draw N private signals per world bit, each equal to it with probability theta0.
+def fixed_point(p) -> np.ndarray:
+    """round(p * 2**31) as uint32: probabilities in [0, 1] on the engine's 2**-31 grid.
 
-    `w` is a bit or an array of bits, one per trial; the result has shape
-    `w.shape + (N,)`.
+    Rounding is monotone, so ordered tables stay ordered; 0 and 1 stay
+    exact (0 and 2**31); any other p moves by at most 2**-32.
+    """
+    scaled = np.rint(np.asarray(p, dtype=float) * FIXED_ONE)
+    return np.clip(scaled, 0, FIXED_ONE).astype(np.uint32)
+
+
+def sample_signals_and_moves(rng: np.random.Generator, w, params: ModelParams):
+    """(signals, moves): one raw 64-bit word per user and world bit.
+
+    `w` is a bit or an array of bits, one per trial; both results have
+    shape `w.shape + (N,)`.  A user's signal equals the world bit when the
+    word's high 31 bits fall below `fixed_point(theta0)`, so with
+    probability theta0 to within 2**-32.  Her move is the word's low 31
+    bits as uint32, uniform on 0 .. 2**31 - 1: the engine plays it against
+    `fixed_point` tables (`sim._Point.play`).  Both halves are cut by
+    integer arithmetic, not by a byte view, so they do not depend on byte
+    order.
     """
     w = np.asarray(w, dtype=np.int8)[..., None]
-    match = rng.random(w.shape[:-1] + (params.population,)) < params.theta0
-    return (match ^ (w == 0)).view(np.int8)
+    words = rng.bit_generator.random_raw(w.shape[:-1] + (params.population,))
+    # high 31 bits below T  <=>  word <= T * 2**33 - 1, which fits in 64 bits as T <= 2**31
+    match = words <= np.uint64((int(fixed_point(params.theta0)) << (64 - _MOVE_BITS)) - 1)
+    np.logical_xor(match, w == 0, out=match)
+    moves = words.astype(np.uint32)  # the low 32 bits
+    moves &= np.uint32(FIXED_ONE - 1)
+    return match.view(np.int8), moves

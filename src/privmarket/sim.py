@@ -1,19 +1,24 @@
 """Monte Carlo engine.
 
-A trial draws the world state and the private signals on a fixed graph
-with the model's samplers, counts each user's friends holding signal 1,
-and draws each user's whole move from one uniform: the law of her
-group-signal sum's side of her band given her degree and that count
+A trial draws the world state on a fixed graph with the model's sampler,
+then one raw 64-bit word per user (`model.sample_signals_and_moves`):
+its high 31 bits give her private signal and its low 31 bits her move, a
+uniform integer below 2**31.  It counts each user's friends holding
+signal 1, and plays her whole move: the law of her group-signal sum's
+side of her band given her degree and that count
 (`ReportLaw.side_table`; the per-edge flips never enter a report
 otherwise), split by what the profile's `ReportLaw` has her report there
 (randomize inside her band, report the group majority outside it;
 `ReportLaw.cut_table`), takes four cells of her unit interval, so one
 threshold table indexed by (degree, friends' ones, own signal) gives her
-report and whether she pays for being in her band.  Every user is paid
-through the peer mechanism, and the collector's MAP rule, the majority
-under equal priors, runs on the report sum.  The closed forms read the
-same law, so simulation and analytics describe one profile.  Trials run
-in blocks whose size depends only on the graph; block b owns the stream
+report and whether she pays for being in her band.  The tables hold
+those cells' ends on the move's 2**-31 grid (`model.fixed_point`), as
+uint32s: each cell's law is exact to 2**-32, and probabilities 0 and 1,
+so an empty band, stay exact.  Every user is paid through the peer
+mechanism, and the collector's MAP rule, the majority under equal
+priors, runs on the report sum.  The closed forms read the same law, so
+simulation and analytics describe one profile.  Trials run in blocks
+whose size depends only on the graph; block b owns the stream
 (master seed, trial tag, b), so results are byte-identical across runs
 and across worker counts.  A block's friends' counts are taken at once:
 its trials are packed as lanes of 64-bit words (bytes while the largest
@@ -22,13 +27,13 @@ gathered for all users are summed into one prefix sum, which each user
 differences across her run of friends; no count can exceed the largest
 degree, so no lane overflows and the differences are exact.
 
-The draw (world bits, signals, friends' counts, table keys and uniforms)
+The draw (world bits, signals, friends' counts, table keys and moves)
 reads only the graph, the seed and the model's population, prior and
 theta0, so laws that differ only in epsilon, alpha or profile share it:
 every run, sweep and normality probe reaches trials through one path,
 `_run_trials`, which draws each block once and plays every grid point's
-tables on it, at three table lookups and three comparisons per
-user-trial and law; the table keys are C-ordered `np.intp`, the index
+tables on it, at three 4-byte table lookups and three integer comparisons
+per user-trial and law; the table keys are C-ordered `np.intp`, the index
 array numpy's gather reads fastest.  A sweep plays each run of
 consecutive grid points that share a graph section (any epsilon or alpha
 sweep) on one graph and one draw per block; an avg_degree point builds
@@ -60,7 +65,8 @@ from .analytics import Prediction, ReportLaw, graph_report_moments
 from .graph import Graph
 from .mechanism import MechanismConfig
 from .model import (
-    TAG_TRIAL, ModelParams, ParameterError, sample_private_signals, sample_world, substream,
+    TAG_TRIAL, ModelParams, ParameterError, fixed_point, sample_signals_and_moves, sample_world,
+    substream,
 )
 
 __all__ = [
@@ -99,15 +105,16 @@ def map_estimate(sum_reports, n: int) -> np.ndarray:
 # Trials per block: as many as keep block x (n + 2m) user and directed-edge
 # cells within _BLOCK_CELLS, from 1 to _MAX_BLOCK.  A block's fixed cost (its
 # stream and a few dozen array calls) is shared by its trials.  The cells do
-# not cost alike.  Per trial the shared draw holds about 25 bytes a user (two
-# uniforms, her signal and her 8-byte table key), a directed edge one count
-# lane of a gathered word and its share of the word's prefix sum (a byte
-# while the largest degree is below 256); each law on the draw then adds, one
-# law at a time, about 27 bytes a user (three table lookups, report and band
-# flags).  A run keeps 3·(n + 1) integers per law, whatever its number of
-# blocks.  2**18 cells is the measured knee of both benchmark graphs: from
-# 2**18 to 2**20 neither the 250-node README graph nor a 3700-node
-# collaboration graph runs more trials per second beyond run-to-run spread.
+# not cost alike.  Per trial the shared draw holds about 22 bytes a user (her
+# 8-byte raw word while it is split, 4 for her move, her signal and her
+# 8-byte table key), a directed edge one count lane of a gathered word and its
+# share of the word's prefix sum (a byte while the largest degree is below
+# 256); each law on the draw then adds, one law at a time, about 15 bytes a
+# user (three 4-byte table lookups, report and band flags).  A run keeps
+# 3·(n + 1) integers per law, whatever its number of blocks.  2**18 cells is
+# the measured knee of both benchmark graphs: from 2**18 to 2**20 neither the
+# 250-node README graph nor a 3700-node collaboration graph runs more trials
+# per second beyond run-to-run spread.
 # Both constants key the random stream, so changing them changes every
 # simulated result; the number of laws on a draw does not enter the block size.
 _BLOCK_CELLS = 2**18
@@ -129,22 +136,27 @@ class _Point:
         self.law = law
         self.mech = mech
         self.n = n
-        self._below, self._at_most = np.repeat(below, 2), np.repeat(at_most, 2)
-        self._cut = law.cut_table(below, at_most).ravel()
+        # one rounding for every table, so below <= cut <= at_most still holds
+        self._below = fixed_point(np.repeat(below, 2))
+        self._at_most = fixed_point(np.repeat(at_most, 2))
+        self._cut = fixed_point(law.cut_table(below, at_most).ravel())
 
-    def play(self, key: np.ndarray, u: np.ndarray):
-        """(reports, in band) of the users drawn with table keys `key` and uniforms `u`.
+    def play(self, key: np.ndarray, move: np.ndarray):
+        """(reports, in band) of the users drawn with table keys `key` and moves `move`.
 
         A user's received bits enter her report only through the side of
         her band their sum falls on, and that side's law given her degree
         and her friends' signals (`side_table`), split by what she then
         reports (`cut_table`), takes four cells of her unit interval.  So
-        one uniform per user draws her report and whether she sits in her
-        band, instead of one flip per directed edge and a coin.  A law costs
-        three table lookups and three comparisons per user-trial.
+        one move per user, a uniform 31-bit integer, draws her report and
+        whether she sits in her band, instead of one flip per directed edge
+        and a coin.  The tables hold the cells' ends as `fixed_point`
+        uint32s, so each cell's law is exact to 2**-32, and a cell of
+        width 0 (an empty band) stays empty.  A law costs three 4-byte
+        table lookups and three comparisons per user-trial.
         """
-        reports = u >= self._cut.take(key)
-        in_band = (u >= self._below.take(key)) & (u < self._at_most.take(key))
+        reports = move >= self._cut.take(key)
+        in_band = (move >= self._below.take(key)) & (move < self._at_most.take(key))
         return reports, in_band
 
     def report_stats(self, w, k1):
@@ -175,7 +187,7 @@ class _Engine:
     Block b holds trials b*block .. b*block + block - 1, drawn as
     (block x n) arrays from the stream (master seed, trial tag, b).  The
     draw (world bits, private signals, friends' counts, table keys and one
-    uniform per user) reads only the graph and `_DRAW_FIELDS`, so it is
+    move per user) reads only the graph and `_DRAW_FIELDS`, so it is
     made once per block and every law in `points` is played on it.  The
     block size depends only on the graph, and every block draws all its
     rows, so a trial's outcome depends neither on the number of trials, nor
@@ -209,6 +221,7 @@ class _Engine:
             self.points.append(_Point(law, mech, graph.n, below, at_most))
         self._row = (2 * offset[graph.degrees]).astype(np.intp)
         self._lane = np.min_scalar_type(graph.max_degree())  # holds any user's count
+        self._total = np.min_scalar_type(graph.n)  # holds any trial's count of users
         cells = graph.n + 2 * graph.num_edges
         self.block = min(max(_BLOCK_CELLS // cells, 1), _MAX_BLOCK)
 
@@ -240,21 +253,23 @@ class _Engine:
         return counts.view(self._lane)[:, :rows].T.astype(np.intp, order="C")
 
     def draw(self, rng: np.random.Generator, rows: int):
-        """(w, key, u) of `rows` trials: shapes (rows,), (rows, n), (rows, n).
+        """(w, key, move) of `rows` trials: shapes (rows,), (rows, n), (rows, n).
 
         Each user's table key is 2 * (offset[d] + a) + s for her degree d,
-        friends' ones a and own signal s; u is her one uniform.  The keys
-        are a C-ordered `np.intp` array: numpy's take copies any other index
-        array to a temporary intp one, whose fresh pages can cost several
-        times the gather on a block of tens of thousands of keys.
+        friends' ones a and own signal s; her signal and her uint32 move
+        come from one raw 64-bit word (`model.sample_signals_and_moves`).
+        The keys are a C-ordered `np.intp` array: numpy's take copies any
+        other index array to a temporary intp one, whose fresh pages can
+        cost several times the gather on a block of tens of thousands of
+        keys.
         """
         w = sample_world(rng, self.params, rows)
-        s = sample_private_signals(rng, w, self.params)
+        s, move = sample_signals_and_moves(rng, w, self.params)
         key = self.friends_ones(s)
         key *= 2
         key += s
         key += self._row
-        return w, key, rng.random(key.shape)
+        return w, key, move
 
     def tally(self, master_seed: int, trials: int, blocks) -> np.ndarray:
         """(points, 3, n + 1) int64 histograms of the trials below `trials` in `blocks`.
@@ -267,15 +282,16 @@ class _Engine:
         n = self.graph.n
         hist = np.zeros((len(self.points), 3, n + 1), dtype=np.int64)
         for b in blocks:
-            w, key, u = self.draw(substream(master_seed, TAG_TRIAL, b), self.block)
+            w, key, move = self.draw(substream(master_seed, TAG_TRIAL, b), self.block)
             rows = min(self.block, trials - b * self.block)
-            w, key, u = w[:rows], key[:rows], u[:rows]
+            w, key, move = w[:rows], key[:rows], move[:rows]
             for point, h in zip(self.points, hist):
-                reports, in_band = point.play(key, u)
-                by_w = np.bincount(w * (n + 1) + reports.sum(axis=1), minlength=2 * (n + 1))
+                reports, in_band = point.play(key, move)
+                k1 = reports.sum(axis=1, dtype=self._total)  # narrow sums add faster
+                by_w = np.bincount(w * (n + 1) + k1, minlength=2 * (n + 1))
                 h[:2] += by_w.reshape(2, n + 1)
-                h[2] += np.bincount(in_band.sum(axis=1), minlength=n + 1)
-            del w, key, u, reports, in_band  # freed before the next block is drawn
+                h[2] += np.bincount(in_band.sum(axis=1, dtype=self._total), minlength=n + 1)
+            del w, key, move, reports, in_band  # freed before the next block is drawn
         return hist
 
 
@@ -468,12 +484,19 @@ class NormalityReport:
     passed: bool | None  # None when the asymptotic claim is not made
 
 
-def _ks_statistic(sample: np.ndarray) -> float:
-    """One-sample Kolmogorov-Smirnov distance of `sample` from the standard normal."""
-    cdf = np.array([analytics.std_normal_cdf(x) for x in np.sort(sample).tolist()])
-    n = len(cdf)
-    i = np.arange(1.0, n + 1.0)
-    return float(max((i / n - cdf).max(), (cdf - (i - 1.0) / n).max()))
+def _ks_statistic(values: np.ndarray, counts: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance from the standard normal of counts[i] copies of values[i].
+
+    `values` must be ascending.  The empirical CDF steps only at values
+    drawn, so the distance is read at each one's first and last copy, with
+    one CDF call per value drawn instead of one per copy.
+    """
+    drawn = counts > 0
+    values, counts = values[drawn], counts[drawn]
+    cdf = np.array([analytics.std_normal_cdf(x) for x in values.tolist()])
+    n = int(counts.sum())
+    last = np.cumsum(counts)  # rank of each value's last copy
+    return float(max((last / n - cdf).max(), (cdf - (last - counts) / n).max()))
 
 
 _KS_THRESHOLD = 0.05
@@ -503,8 +526,7 @@ def normality_probe(config, trials: int) -> NormalityReport:
         if np.count_nonzero(by_w[state]) == 1:
             raise ZeroVarianceError("report sum is constant; degenerate strategy profile")
         mean = mu * graph.n if state == 1 else (1.0 - mu) * graph.n
-        # each report sum repeated once per trial that drew it: the sorted per-trial sample
-        ks[state] = _ks_statistic(np.repeat((k - mean) / scale, by_w[state]))
+        ks[state] = _ks_statistic((k - mean) / scale, by_w[state])
     asymptotic = graph.n >= _ASYMPTOTIC_MIN_N
     passed = (max(ks.values()) < _KS_THRESHOLD) if asymptotic else None
     return NormalityReport(

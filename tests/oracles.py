@@ -20,11 +20,11 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import integrate
 
-from privmarket.analytics import ReportLaw, ReportMoments, band_bounds
+from privmarket.analytics import ReportLaw, ReportMoments, band_bounds, std_normal_cdf
 from privmarket.graph import DegreeDistribution, Graph
 from privmarket.mechanism import MechanismConfig
 from privmarket.model import (
-    TAG_TRIAL, ModelParams, ParameterError, sample_private_signals, sample_world, substream,
+    TAG_TRIAL, ModelParams, ParameterError, sample_signals_and_moves, sample_world, substream,
 )
 from privmarket.sim import Estimate, SimResult, map_estimate
 from privmarket.strategy import DegreeStrategy
@@ -527,7 +527,7 @@ def trial_stats_loop(engine, point, master_seed: int, index: int, moments) -> tu
     graph, law, params = engine.graph, point.law, engine.params
     rng = substream(master_seed, TAG_TRIAL, index)
     w = sample_world(rng, params)
-    s = sample_private_signals(rng, w, params)
+    s, _ = sample_signals_and_moves(rng, w, params)
     bits = sample_group_signals(rng, graph, s, params.alpha)
     f = np.bincount(receivers(graph), weights=bits, minlength=graph.n)
     p1, in_band = play_side(law, band_side(f, *band_bounds(graph.degrees, law.tau)), s)
@@ -539,30 +539,51 @@ def trial_stats_user_loop(engine, point, master_seed: int, index: int, moments) 
     """One trial of an `_Engine` point's experiment in the engine's own stream, user by user.
 
     Trial `index` owns the stream (master seed, trial tag, index) and draws
-    one world bit, n signals and one uniform u per user, as a one-row block
-    does.  A user's side law comes from `side_probs_comb` at her degree and
-    her count of friends with signal 1, found by a loop over her
-    neighbours: she sits in her band when Pr(f < lo) <= u < Pr(f <= hi),
-    and reports 1 when u lies in the top `randomized_one` share of the
-    band or above it.
+    one world bit, then one raw 64-bit word per user, as a one-row block
+    does.  A user's signal is the world bit when the word's high 31 bits
+    fall below round(theta0 * 2**31), and its flip otherwise; her move m is
+    the word's low 31 bits.  Her side law comes from `side_probs_comb` at
+    her degree and her count of friends with signal 1, found by a loop
+    over her neighbours, and each of its cell ends p is rounded to the
+    integer round(p * 2**31): she sits in her band when
+    Pr(f < lo) <= m < Pr(f <= hi) on that grid, and reports 1 when m lies
+    in the top `randomized_one` share of the band or above it.
     """
     graph, law, params = engine.graph, point.law, engine.params
     n = graph.n
+    one = 2**31
+
+    def grid(p: float) -> int:
+        return min(max(round(p * one), 0), one)
+
     rng = substream(master_seed, TAG_TRIAL, index)
     w = sample_world(rng, params)
-    s = sample_private_signals(rng, w, params)
-    u = rng.random(n)
+    words = [int(rng.bit_generator.random_raw()) for _ in range(n)]
+    s = [int((word >> 33) < grid(params.theta0)) ^ (w == 0) for word in words]
     reports = np.empty(n, dtype=np.int64)
     in_band = np.empty(n, dtype=bool)
     for i in range(n):
+        m = words[i] & (one - 1)
         d = int(graph.degrees[i])
-        a = sum(int(s[j]) for j in graph.neighbors(i))
+        a = sum(s[j] for j in graph.neighbors(i))
         lo, hi = (int(b) for b in band_bounds(d, law.tau))
         below, at_most = side_probs_comb(d, a, lo, hi, params.alpha)
         cut = at_most - (at_most - below) * float(randomized_one(law.epsilon, s[i]))
-        reports[i] = u[i] >= min(max(cut, below), at_most)
-        in_band[i] = below <= u[i] < at_most
+        reports[i] = m >= grid(min(max(cut, below), at_most))
+        in_band[i] = grid(below) <= m < grid(at_most)
     return _score(engine, point, w, reports, in_band, moments)
+
+
+def ks_statistic_per_trial(sample: np.ndarray) -> float:
+    """One-sample Kolmogorov-Smirnov distance of `sample` from the standard normal.
+
+    One CDF call per sample point, in sorted order: the per-trial form that
+    `sim._ks_statistic` reads from a histogram.
+    """
+    cdf = np.array([std_normal_cdf(x) for x in np.sort(sample).tolist()])
+    n = len(cdf)
+    i = np.arange(1.0, n + 1.0)
+    return float(max((i / n - cdf).max(), (cdf - (i - 1.0) / n).max()))
 
 
 def _score(engine, point, w: int, reports: np.ndarray, in_band: np.ndarray, moments) -> tuple:
@@ -598,10 +619,10 @@ def trial_counts(engine, master_seed: int, trials: int):
     """
     ws, counts = [], []
     for b in range(-(-trials // engine.block)):
-        w, key, u = engine.draw(substream(master_seed, TAG_TRIAL, b), engine.block)
+        w, key, move = engine.draw(substream(master_seed, TAG_TRIAL, b), engine.block)
         ws.append(w)
         counts.append([[reports.sum(axis=1), in_band.sum(axis=1)]
-                       for reports, in_band in (point.play(key, u) for point in engine.points)])
+                       for reports, in_band in (point.play(key, move) for point in engine.points)])
     return np.concatenate(ws)[:trials], np.concatenate(counts, axis=2)[..., :trials]
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,7 @@ from privmarket.config import (
     serialize_config,
 )
 from privmarket.graph import ingest_edge_list
+from privmarket.model import EPSILON_MAX
 
 from datasets import (
     GNUTELLA_EDGES,
@@ -494,6 +497,59 @@ class TestLoadTimeChecks:
                                       "model.population = 20\n")
         assert analytic_distribution(parse_config(cfg)).mass.tolist() == [0.0, 1.0]
         assert main(["analytics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def _numbers(path: Path) -> list[float]:
+    """Every numeric field of a key = value, TSV or CSV output file."""
+    fields = re.split(r"[\s,=]+", path.read_text())
+    numbers = []
+    for field in fields:
+        try:
+            numbers.append(float(field))
+        except ValueError:
+            pass
+    return numbers
+
+
+class TestOverflowRefusals:
+    """Values at which a closed form or a designed payment overflows are refused, naming the key."""
+
+    @pytest.mark.parametrize("command", ["analytics", "strategy", "simulate"])
+    @pytest.mark.parametrize("extra", [
+        "model.epsilon = 800\n", f"model.epsilon = {EPSILON_MAX * (1 + 1e-12)!r}\n",
+        "model.epsilon = nan\n", "sweep.axis = epsilon\nsweep.values = 0.1,800\n",
+    ], ids=["800", "just-past-bound", "nan", "sweep-point"])
+    def test_epsilon_past_the_bound_is_a_config_error(self, tmp_path, capsys, command, extra):
+        cfg = _write_config(tmp_path, extra)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "model.epsilon must lie in [0, 300]" in err
+
+    @pytest.mark.parametrize("extra", [
+        "", "model.cost = linear-capped\n", "sim.profile = nd\n",
+        "graph.kind = config-model\ngraph.poisson_mean = 3\n",
+    ], ids=["quadratic", "linear-capped", "nd", "config-model"])
+    def test_largest_accepted_epsilon_runs_to_finite_outputs(self, tmp_path, extra):
+        cfg = _write_config(tmp_path, f"model.epsilon = {EPSILON_MAX!r}\n" + extra)
+        for command, name in (("analytics", "analytics.txt"), ("strategy", "strategy.tsv"),
+                              ("simulate", "results.csv")):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out), "--trials", "2"]) == 0
+            numbers = _numbers(out / name)
+            assert numbers and all(math.isfinite(x) for x in numbers), (command, name)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("simulate", ""), ("analytics", ""),
+        ("analytics", "model.prior_w1 = 0.7\nmodel.epsilon = 1\n"),  # prints Z alone
+    ], ids=["simulate", "analytics", "analytics-unequal-priors"])
+    def test_non_finite_designed_payment_is_refused(self, tmp_path, capsys, command, extra):
+        cfg = _write_config(tmp_path, "mechanism.payment_scale = 1e308\n" + extra)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--trials", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: payment design: ") and "= inf" in err
+        assert "mechanism.payment_scale = 1e+308" in err and "Traceback" not in err
+        assert not any(out.iterdir())
 
 
 class TestPathOrText:

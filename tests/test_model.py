@@ -8,12 +8,15 @@ from scipy.stats import chi2_contingency
 
 from privmarket.graph import Graph
 from privmarket.model import (
+    FIXED_ONE,
     CostFunctionError,
+    EPSILON_MAX,
     ParameterError,
     audit_cost_function,
+    fixed_point,
     linear_capped_cost,
     quadratic_cost,
-    sample_private_signals,
+    sample_signals_and_moves,
     sample_world,
     substream,
     table_cost,
@@ -57,10 +60,13 @@ class TestParams:
             dict(prior_w1=0.0),
             dict(prior_w1=1.0),
             dict(epsilon=-0.1),
+            dict(epsilon=EPSILON_MAX + 1e-9),
+            dict(epsilon=float("nan")),
             dict(population=1),
         ):
             with pytest.raises(ParameterError):
                 make_params(**bad)
+        assert make_params(epsilon=EPSILON_MAX).epsilon == EPSILON_MAX
 
     def test_theta1_in_range(self):
         p = make_params(theta0=0.9, alpha=0.3)
@@ -138,21 +144,21 @@ class TestSampling:
     def test_private_signal_quality(self):
         params = make_params(population=100_000)
         rng = substream(7, 1, 0)
-        s = sample_private_signals(rng, 1, params)
+        s = sample_signals_and_moves(rng, 1, params)[0]
         se = math.sqrt(0.7 * 0.3 / params.population)
         assert abs(s.mean() - 0.7) < 3 * se
 
     def test_private_signal_noiseless_limit(self):
         params = make_params(theta0=1.0 - 1e-12, population=1000)
         rng = substream(7, 1, 1)
-        assert np.all(sample_private_signals(rng, 1, params) == 1)
-        assert np.all(sample_private_signals(rng, 0, params) == 0)
+        assert np.all(sample_signals_and_moves(rng, 1, params)[0] == 1)
+        assert np.all(sample_signals_and_moves(rng, 0, params)[0] == 0)
 
     def test_private_signals_conditionally_independent(self):
         params = make_params(population=2)
         rng = substream(7, 1, 2)
         draws = 40_000
-        pairs = np.array([sample_private_signals(rng, 1, params) for _ in range(draws)])
+        pairs = np.array([sample_signals_and_moves(rng, 1, params)[0] for _ in range(draws)])
         corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(draws)
 
@@ -197,7 +203,7 @@ class TestSampling:
 
         def realize(rng):
             w = sample_world(rng, params)
-            s = sample_private_signals(rng, w, params)
+            s = sample_signals_and_moves(rng, w, params)[0]
             return w, s, sample_group_signals(rng, graph, s, params.alpha)
 
         (wa, sa, ca), (wb, sb, cb) = realize(substream(99, 5, 3)), realize(substream(99, 5, 3))
@@ -211,7 +217,7 @@ class TestSampling:
         params = make_params(theta0=1.0 - 1e-12, alpha=0.0, population=4)
         w = np.array([1, 0, 0, 1])
         rng = substream(7, 2, 3)
-        s = sample_private_signals(rng, w, params)
+        s = sample_signals_and_moves(rng, w, params)[0]
         assert np.array_equal(s, np.repeat(w[:, None], 4, axis=1))
         bits = sample_group_signals(rng, graph, s, alpha=0.0)
         assert np.array_equal(bits, s[:, graph.directed_send])
@@ -225,13 +231,56 @@ class TestSampling:
         w = sample_world(a, params)
         (w_row,) = sample_world(b, params, 1)
         assert w == w_row
-        s = sample_private_signals(a, w, params)
-        s_rows = sample_private_signals(b, [w_row], params)
+        s, moves = sample_signals_and_moves(a, w, params)
+        s_rows, move_rows = sample_signals_and_moves(b, [w_row], params)
         assert np.array_equal(s_rows, s[None])
+        assert np.array_equal(move_rows, moves[None])
         bits = sample_group_signals(a, graph, s, params.alpha)
         assert np.array_equal(sample_group_signals(b, graph, s_rows, params.alpha), bits[None])
+
+    @pytest.mark.parametrize("theta0", [0.7, 0.55, 1.0 - 1e-12])
+    def test_signal_and_move_split_one_raw_word(self, theta0):
+        # the high 31 bits against round(theta0 * 2**31) give the signal,
+        # the low 31 bits the move; Python integers have no byte order
+        params = make_params(theta0=theta0, population=300)
+        w = np.array([1, 0, 1])
+        s, moves = sample_signals_and_moves(substream(99, 5, 5), w, params)
+        rng = substream(99, 5, 5)
+        words = [[int(rng.bit_generator.random_raw()) for _ in range(300)] for _ in w]
+        threshold = round(theta0 * 2**31)
+        assert s.dtype == np.int8 and moves.dtype == np.uint32
+        assert s.tolist() == [[int((x >> 33) < threshold) ^ int(wb == 0) for x in row]
+                              for wb, row in zip(w, words)]
+        assert moves.tolist() == [[x & (2**31 - 1) for x in row] for row in words]
+
+    def test_moves_are_uniform_below_two_to_the_31(self):
+        params = make_params(population=100_000)
+        _, moves = sample_signals_and_moves(substream(7, 1, 3), 1, params)
+        assert int(moves.max()) < FIXED_ONE
+        u = moves / FIXED_ONE
+        assert abs(u.mean() - 0.5) < 3 * math.sqrt(1.0 / 12.0 / len(u))
+        # the top bit of the move is a fair coin, independent of the signal bits
+        assert abs((moves >> 30).mean() - 0.5) < 3 * math.sqrt(0.25 / len(u))
 
     def test_streams_differ_by_index(self):
         a = substream(99, 5, 0).random(8)
         b = substream(99, 5, 1).random(8)
         assert not np.allclose(a, b)
+
+
+class TestFixedPoint:
+    def test_exact_at_zero_and_one(self):
+        got = fixed_point([0.0, 1.0])
+        assert got.dtype == np.uint32
+        assert got.tolist() == [0, FIXED_ONE]
+
+    def test_monotone_and_within_half_a_step(self):
+        p = np.sort(np.concatenate([
+            np.random.default_rng(3).random(10_000), [0.5, 2.0**-32, 2.0**-31, 1.0 - 2.0**-33],
+        ]))
+        got = fixed_point(p)
+        assert np.all(np.diff(got.astype(np.int64)) >= 0)
+        assert np.abs(got / FIXED_ONE - p).max() <= 2.0**-32
+
+    def test_keeps_shape(self):
+        assert fixed_point(np.zeros((3, 2))).shape == (3, 2)

@@ -29,9 +29,9 @@ from privmarket.strategy import build_mv_strategy
 from conftest import make_params
 from datasets import write_grqc_like
 from oracles import (
-    count_histograms, friends_ones_bincount, majority_excluding, map_estimate_scalar,
-    mirrored_moments, peer_payment, point_stats, sim_result_from_rows, trial_counts,
-    trial_stats_loop, trial_stats_user_loop,
+    count_histograms, friends_ones_bincount, ks_statistic_per_trial, majority_excluding,
+    map_estimate_scalar, mirrored_moments, peer_payment, point_stats, sim_result_from_rows,
+    trial_counts, trial_stats_loop, trial_stats_user_loop,
 )
 from test_acceptance import PARAM_GRID
 
@@ -97,8 +97,8 @@ def _simple_mech():
 def _one_trial(graph, law, params, rng):
     """(w, reports, in band) of one trial: a one-row block played under `law`."""
     engine = sim._Engine(graph, [law], [_simple_mech()], params)
-    (w,), key, u = engine.draw(rng, 1)
-    (reports,), (in_band,) = engine.points[0].play(key, u)
+    (w,), key, move = engine.draw(rng, 1)
+    (reports,), (in_band,) = engine.points[0].play(key, move)
     return int(w), reports, in_band
 
 
@@ -131,8 +131,8 @@ class TestRunTrial:
         params = make_params(population=6)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         engine = sim._Engine(graph, [mv_report_law(params)], [_simple_mech()], params)
-        w, key, u = engine.draw(substream(3, 5, 10), 10)
-        reports, _ = engine.points[0].play(key, u)
+        w, key, move = engine.draw(substream(3, 5, 10), 10)
+        reports, _ = engine.points[0].play(key, move)
         _, paid, _ = engine.points[0].report_stats(w, reports.sum(axis=1))
         assert np.all(paid >= 0.0)
 
@@ -179,8 +179,8 @@ class TestBlockEngine:
         (point,) = engine.points
         moments = mirrored_moments(*graph_report_moments(engine.graph, point.law))
         for k in range(10):
-            w, key, u = engine.draw(substream(8, 5, k), 1)
-            reports, in_band = point.play(key, u)
+            w, key, move = engine.draw(substream(8, 5, k), 1)
+            reports, in_band = point.play(key, move)
             k1, band = reports.sum(axis=1), in_band.sum(axis=1)
             (correct,), (paid,), _ = point.report_stats(w, k1)
             loop = trial_stats_user_loop(engine, point, 8, k, moments)
@@ -193,8 +193,8 @@ class TestBlockEngine:
         engine = _er_engine(n, avg_degree)
         assert engine.block > 1
         (point,) = engine.points
-        w, key, u = engine.draw(substream(21, 5, 0), engine.block)
-        reports, in_band = point.play(key, u)
+        w, key, move = engine.draw(substream(21, 5, 0), engine.block)
+        reports, in_band = point.play(key, move)
         k1, band = reports.sum(axis=1), in_band.sum(axis=1)
         # a block's tally is the histogram of these counts
         np.testing.assert_array_equal(
@@ -334,19 +334,68 @@ class TestEngineSetup:
         # copies an index array that is not C-ordered intp to a temporary
         # one, whose fresh pages cost several times the gather at that size
         _, engine, _ = sim._build_experiment([default_config()])
-        _, key, u = engine.draw(substream(1, 5, 0), engine.block)
+        _, key, move = engine.draw(substream(1, 5, 0), engine.block)
         assert key.size > 50_000
         assert key.dtype == np.intp and key.flags.c_contiguous
-        assert u.flags.c_contiguous
+        assert move.dtype == np.uint32 and move.flags.c_contiguous
         for index in (engine.graph.directed_send, engine.graph.recv_starts):
             assert index.dtype == np.intp
 
     def test_edgeless_graph_plays_the_coin(self):
         # every degree-0 user sits in her band (f = 0 = d/2) and randomizes
         engine = _engine(Graph(5, []))
-        w, key, u = engine.draw(substream(1, 5, 0), 4)
-        _, in_band = engine.points[0].play(key, u)
+        w, key, move = engine.draw(substream(1, 5, 0), 4)
+        _, in_band = engine.points[0].play(key, move)
         assert in_band.all()
+
+
+class TestFixedPointTables:
+    """`_Point` plays every law on uint32 tables round(p * 2**31)."""
+
+    @staticmethod
+    def _float_tables(engine, point):
+        _, below, at_most = point.law.side_table(engine.graph.degrees)
+        cut = point.law.cut_table(below, at_most).ravel()
+        return np.repeat(below, 2), cut, np.repeat(at_most, 2)
+
+    @pytest.mark.parametrize("graph", ["readme", "hub"])
+    def test_tables_are_ordered_exact_at_the_ends_and_near_the_floats(self, tmp_path, graph):
+        if graph == "readme":
+            cfg = default_config()
+        else:
+            cfg = TestHistogramAggregation._hub_config(tmp_path)
+        configs = [override_axis(cfg, "alpha", a) for a in (0.1, 0.25, 0.4)]
+        configs += [apply_overrides(c, ["sim.profile=nd"]) for c in configs]
+        _, engine, _ = sim._build_experiment(configs)
+        for point in engine.points:
+            fixed = (point._below, point._cut, point._at_most)
+            floats = self._float_tables(engine, point)
+            below, cut, at_most = fixed
+            assert np.all(below <= cut) and np.all(cut <= at_most)
+            for table, p in zip(fixed, floats):
+                assert table.dtype == np.uint32 and np.all(table <= 2**31)
+                # 0 and 1 stay exact; a p within 2**-32 of them may round onto them
+                assert np.all(table[p == 0.0] == 0) and np.all(table[p == 1.0] == 2**31)
+                assert np.abs(table / 2**31 - p).max() <= 2.0**-32
+            empty = floats[0] == floats[2]  # a band of width 0 stays empty on the grid
+            np.testing.assert_array_equal(below[empty], at_most[empty])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nd_law_never_puts_an_empty_band_cell_in_band(self, workers):
+        # a 3-regular graph: every degree is odd, so the nd law (tau = 0) has
+        # no tie and every cell's band is empty (below == at_most)
+        n = 100
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        graph = Graph(n, ring + [(i, i + n // 2) for i in range(n // 2)])
+        params = make_params(population=n)
+        engine = sim._Engine(graph, [nd_report_law(params)], [_simple_mech()], params)
+        (point,) = engine.points
+        assert np.array_equal(point._below, point._at_most)
+        trials = 3 * engine.block
+        hist = sim._run_trials(engine, 5, trials, workers)
+        assert hist[0, 2, 0] == trials  # no trial has a user in her band
+        _, key, move = engine.draw(substream(5, 5, 0), engine.block)
+        assert not point.play(key, move)[1].any()
 
 
 class TestConditionalIndependence:
@@ -356,8 +405,8 @@ class TestConditionalIndependence:
         blocks = -(-4000 // engine.block)
         x0, x5 = [], []
         for b in range(blocks):
-            w, key, u = engine.draw(substream(17, 5, b), engine.block)
-            reports, _ = engine.points[0].play(key, u)
+            w, key, move = engine.draw(substream(17, 5, b), engine.block)
+            reports, _ = engine.points[0].play(key, move)
             x0.append(reports[w == 1, 0])
             x5.append(reports[w == 1, 5])
         x0, x5 = np.concatenate(x0), np.concatenate(x5)
@@ -544,7 +593,8 @@ class TestNormalityProbe:
         w, counts = trial_counts(engine, cfg.sim.seed, 300)
         samples = []
         ks = sim._ks_statistic
-        monkeypatch.setattr(sim, "_ks_statistic", lambda x: samples.append(x) or ks(x))
+        monkeypatch.setattr(sim, "_ks_statistic", lambda x, c: samples.append(np.repeat(x, c))
+                            or ks(x, c))
         report = normality_probe(cfg, trials=300)
         assert report.trials_per_state == {0: int((w == 0).sum()), 1: int((w == 1).sum())}
         scale = math.sqrt(80 * report.kappa_used)
@@ -567,7 +617,25 @@ class TestKsStatistic:
         x = np.random.default_rng(n).normal(0.1, 1.2, size=n)
         if tied:
             x = np.round(x, 1)
-        assert abs(sim._ks_statistic(x) - kstest(x, "norm").statistic) <= 1e-12
+        values, counts = np.unique(x, return_counts=True)
+        # empty bins, as a histogram of report sums has, change nothing
+        mid = len(values) // 2
+        values = np.insert(values, [0, mid, len(values)], [-9.0, values[mid], 9.0])
+        counts = np.insert(counts, [0, mid, len(counts)], 0)
+        referee = ks_statistic_per_trial(x)
+        assert abs(referee - kstest(x, "norm").statistic) <= 1e-12
+        assert sim._ks_statistic(values, counts) == referee
+
+    @pytest.mark.parametrize("population", [250, 600], ids=["readme", "n600"])
+    def test_probe_equals_the_per_trial_referee(self, monkeypatch, population):
+        cfg = apply_overrides(default_config(), [f"model.population={population}"])
+        ks = sim._ks_statistic
+        samples = []
+        monkeypatch.setattr(sim, "_ks_statistic", lambda x, c: samples.append(np.repeat(x, c))
+                            or ks(x, c))
+        report = normality_probe(cfg, trials=2000)
+        assert [report.ks_statistic[state] for state in (0, 1)] == [
+            ks_statistic_per_trial(sample) for sample in samples]
 
 
 class TestSweep:
