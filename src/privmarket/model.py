@@ -222,23 +222,26 @@ def fixed_point(p) -> np.ndarray:
     return np.clip(scaled, 0, FIXED_ONE).astype(np.uint32)
 
 
-def sample_signals_and_moves(rng: np.random.Generator, w, params: ModelParams):
-    """(signals, moves): one raw 64-bit word per user and world bit.
+def sample_signals_and_moves(rng: np.random.Generator, w, params: ModelParams, out):
+    """(signals, moves) written into `out`: one raw 64-bit word per user and world bit.
 
-    `w` is a bit or an array of bits, one per trial; both results have
-    shape `w.shape + (N,)`.  A user's signal equals the world bit when the
-    word's high 31 bits fall below `fixed_point(theta0)`, so with
-    probability theta0 to within 2**-32.  Her move is the word's low 31
-    bits as uint32, uniform on 0 .. 2**31 - 1: the engine plays it against
-    `fixed_point` tables (`sim._Point.play`).  Both halves are cut by
-    integer arithmetic, not by a byte view, so they do not depend on byte
-    order.
+    `w` is a bit or an array of bits, one per trial; `out` is the caller's
+    (signals, moves) pair of int8 and uint32 arrays of shape
+    `w.shape + (N,)`, filled and returned.  A user's signal equals the
+    world bit when the word's high 31 bits fall below
+    `fixed_point(theta0)`, so with probability theta0 to within 2**-32.
+    Her move is the word's low 31 bits, uniform on 0 .. 2**31 - 1: the
+    engine plays it against `fixed_point` tables (`sim._Point.play`).
+    Both halves are cut by integer arithmetic, not by a byte view, so they
+    do not depend on byte order.
     """
-    w = np.asarray(w, dtype=np.int8)[..., None]
-    words = rng.bit_generator.random_raw(w.shape[:-1] + (params.population,))
+    signals, moves = out
+    words = rng.bit_generator.random_raw(moves.shape)
+    match = signals.view(np.bool_)
     # high 31 bits below T  <=>  word <= T * 2**33 - 1, which fits in 64 bits as T <= 2**31
-    match = words <= np.uint64((int(fixed_point(params.theta0)) << (64 - _MOVE_BITS)) - 1)
-    np.logical_xor(match, w == 0, out=match)
-    moves = words.astype(np.uint32)  # the low 32 bits
+    np.less_equal(words, np.uint64((int(fixed_point(params.theta0)) << (64 - _MOVE_BITS)) - 1),
+                  out=match)
+    np.logical_xor(match, np.asarray(w)[..., None] == 0, out=match)
+    np.copyto(moves, words, casting="unsafe")  # the low 32 bits
     moves &= np.uint32(FIXED_ONE - 1)
-    return match.view(np.int8), moves
+    return signals, moves

@@ -45,7 +45,9 @@ integers per law: the 1-report counts by world bit and the in-band
 counts.  Each statistic is evaluated once per possible count, and its
 mean and variance are exactly-rounded count-weighted sums
 (`analytics.weighted_fsum`), equal to `math.fsum` over one value per
-trial.  Nothing is stored per trial.
+trial.  Nothing is stored per trial, and a block allocates no (block x n)
+array but its raw words: a tally draws and plays every block in one
+workspace (`_Engine.workspace`).
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ import json
 import math
 import multiprocessing
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -105,16 +108,16 @@ def map_estimate(sum_reports, n: int) -> np.ndarray:
 # Trials per block: as many as keep block x (n + 2m) user and directed-edge
 # cells within _BLOCK_CELLS, from 1 to _MAX_BLOCK.  A block's fixed cost (its
 # stream and a few dozen array calls) is shared by its trials.  The cells do
-# not cost alike.  Per trial the shared draw holds about 22 bytes a user (her
-# 8-byte raw word while it is split, 4 for her move, her signal and her
-# 8-byte table key), a directed edge one count lane of a gathered word and its
-# share of the word's prefix sum (a byte while the largest degree is below
-# 256); each law on the draw then adds, one law at a time, about 15 bytes a
-# user (three 4-byte table lookups, report and band flags).  A run keeps
-# 3·(n + 1) integers per law, whatever its number of blocks.  2**18 cells is
-# the measured knee of both benchmark graphs: from 2**18 to 2**20 neither the
-# 250-node README graph nor a 3700-node collaboration graph runs more trials
-# per second beyond run-to-run spread.
+# not cost alike.  Per trial the block's workspace holds about 20 bytes a
+# user, whatever the number of laws on the draw: her signal, 4-byte move and
+# 8-byte table key, the 4-byte lookup that every table lookup of every law
+# writes, and her report, in-band and not-above flags; her fresh 8-byte raw
+# word adds 8 while it is split.  A directed edge holds one count lane of a
+# gathered word and a user three (a byte while the largest degree is below
+# 256).  A run keeps 3·(n + 1) integers per law, whatever its number of
+# blocks.  2**18 cells is the measured knee of both benchmark graphs: from
+# 2**18 to 2**20 neither the 250-node README graph nor a 3700-node
+# collaboration graph runs more trials per second beyond run-to-run spread.
 # Both constants key the random stream, so changing them changes every
 # simulated result; the number of laws on a draw does not enter the block size.
 _BLOCK_CELLS = 2**18
@@ -141,7 +144,7 @@ class _Point:
         self._at_most = fixed_point(np.repeat(at_most, 2))
         self._cut = fixed_point(law.cut_table(below, at_most).ravel())
 
-    def play(self, key: np.ndarray, move: np.ndarray):
+    def play(self, key: np.ndarray, move: np.ndarray, work: SimpleNamespace):
         """(reports, in band) of the users drawn with table keys `key` and moves `move`.
 
         A user's received bits enter her report only through the side of
@@ -153,10 +156,16 @@ class _Point:
         and a coin.  The tables hold the cells' ends as `fixed_point`
         uint32s, so each cell's law is exact to 2**-32, and a cell of
         width 0 (an empty band) stays empty.  A law costs three 4-byte
-        table lookups and three comparisons per user-trial.
+        table lookups and three comparisons per user-trial, written into
+        the first len(key) rows of `work` (`_Engine.workspace`); the lookups
+        clip, as a take in numpy's default mode copies its `out=` first.
         """
-        reports = move >= self._cut.take(key)
-        in_band = (move >= self._below.take(key)) & (move < self._at_most.take(key))
+        lookup, reports, in_band, not_above = (
+            a[:len(key)] for a in (work.lookup, work.reports, work.in_band, work.not_above))
+        np.greater_equal(move, self._cut.take(key, out=lookup, mode="clip"), out=reports)
+        np.greater_equal(move, self._below.take(key, out=lookup, mode="clip"), out=in_band)
+        np.less(move, self._at_most.take(key, out=lookup, mode="clip"), out=not_above)
+        in_band &= not_above
         return reports, in_band
 
     def report_stats(self, w, k1):
@@ -225,7 +234,27 @@ class _Engine:
         cells = graph.n + 2 * graph.num_edges
         self.block = min(max(_BLOCK_CELLS // cells, 1), _MAX_BLOCK)
 
-    def friends_ones(self, s: np.ndarray) -> np.ndarray:
+    def workspace(self, rows: int) -> SimpleNamespace:
+        """The arrays `draw`, `friends_ones` and `_Point.play` write a block of `rows` trials into.
+
+        `tally` allocates one and draws every block in it, so a block
+        allocates only its raw words (`random_raw` takes no `out=`) and
+        arrays of one value per trial.  The prefix sum's leading row and
+        the lanes past `rows` are never written: they stay 0.
+        """
+        n, words = self.graph.n, -(-rows * self._lane.itemsize // 8)
+        shape = (rows, n)
+        return SimpleNamespace(
+            signal=np.empty(shape, np.int8), move=np.empty(shape, np.uint32),
+            key=np.empty(shape, np.intp), lookup=np.empty(shape, np.uint32),
+            reports=np.empty(shape, bool), in_band=np.empty(shape, bool),
+            not_above=np.empty(shape, bool), count=np.empty(rows, self._total),
+            lanes=np.zeros((n, words * 8 // self._lane.itemsize), self._lane),
+            sums=np.zeros((len(self.graph.directed_send) + 1, words), np.uint64),
+            ends=np.empty((n + 1, words), np.uint64), counts=np.empty((n, words), np.uint64),
+        )
+
+    def friends_ones(self, s: np.ndarray, work: SimpleNamespace) -> np.ndarray:
         """Per user, how many of her friends hold private signal 1: (rows, n) in, intp out.
 
         The rows are packed as lanes of the smallest unsigned type that holds
@@ -236,36 +265,33 @@ class _Engine:
         (`recv_starts`).  The prefix sum carries across lanes and wraps,
         but its differences are exact modulo 2**64, and a user's true word
         sum is below 2**64 with no carry between lanes, because no lane's
-        count exceeds her degree.  The counts come out C-ordered in
-        `np.intp`, as `draw` turns them into table keys in place.
+        count exceeds her degree.  Every step writes into `work`, a
+        workspace of `len(s)` rows; the counts come out as its C-ordered
+        `np.intp` keys, which `draw` turns into table keys in place.
         """
-        rows, n = s.shape
-        per_word = 8 // self._lane.itemsize
-        lanes = np.zeros((n, -(-rows // per_word) * per_word), dtype=self._lane)
-        lanes[:, :rows] = s.T
-        words = lanes.view(np.uint64)
-        send = self.graph.directed_send
-        sums = np.empty((len(send) + 1, words.shape[1]), dtype=np.uint64)
-        sums[0] = 0
-        np.take(words, send, axis=0, out=sums[1:])
+        work.lanes[:, :len(s)] = s.T
+        sums = work.sums
+        np.take(work.lanes.view(np.uint64), self.graph.directed_send, axis=0, out=sums[1:],
+                mode="clip")
         np.cumsum(sums, axis=0, out=sums)
-        counts = np.diff(sums[self.graph.recv_starts], axis=0)
-        return counts.view(self._lane)[:, :rows].T.astype(np.intp, order="C")
+        ends = np.take(sums, self.graph.recv_starts, axis=0, out=work.ends, mode="clip")
+        counts = np.subtract(ends[1:], ends[:-1], out=work.counts)
+        np.copyto(work.key, counts.view(self._lane)[:, :len(s)].T)
+        return work.key
 
-    def draw(self, rng: np.random.Generator, rows: int):
-        """(w, key, move) of `rows` trials: shapes (rows,), (rows, n), (rows, n).
+    def draw(self, rng: np.random.Generator, work: SimpleNamespace):
+        """(w, key, move) of one trial per row of `work`: shapes (rows,), (rows, n), (rows, n).
 
         Each user's table key is 2 * (offset[d] + a) + s for her degree d,
         friends' ones a and own signal s; her signal and her uint32 move
         come from one raw 64-bit word (`model.sample_signals_and_moves`).
-        The keys are a C-ordered `np.intp` array: numpy's take copies any
-        other index array to a temporary intp one, whose fresh pages can
-        cost several times the gather on a block of tens of thousands of
-        keys.
+        The keys and moves are `work`'s arrays (`workspace`), and the keys
+        are C-ordered `np.intp`: numpy's take copies any other index array
+        to a temporary intp one.
         """
-        w = sample_world(rng, self.params, rows)
-        s, move = sample_signals_and_moves(rng, w, self.params)
-        key = self.friends_ones(s)
+        w = sample_world(rng, self.params, len(work.key))
+        s, move = sample_signals_and_moves(rng, w, self.params, (work.signal, work.move))
+        key = self.friends_ones(s, work)
         key *= 2
         key += s
         key += self._row
@@ -277,21 +303,22 @@ class _Engine:
         hist[i, w, k] counts the trials with world bit w and k 1-reports
         under law i, hist[i, 2, k] those with k users in their band.  Block
         b is drawn in full from the stream (master seed, trial tag, b), so
-        no draw depends on `trials`; only the trials below it are played.
+        no draw depends on `trials`; only the trials below it are played,
+        on the leading rows of the one workspace every block is drawn in.
         """
         n = self.graph.n
         hist = np.zeros((len(self.points), 3, n + 1), dtype=np.int64)
+        work = self.workspace(self.block)
         for b in blocks:
-            w, key, move = self.draw(substream(master_seed, TAG_TRIAL, b), self.block)
+            w, key, move = self.draw(substream(master_seed, TAG_TRIAL, b), work)
             rows = min(self.block, trials - b * self.block)
-            w, key, move = w[:rows], key[:rows], move[:rows]
+            w, key, move, count = w[:rows], key[:rows], move[:rows], work.count[:rows]
             for point, h in zip(self.points, hist):
-                reports, in_band = point.play(key, move)
-                k1 = reports.sum(axis=1, dtype=self._total)  # narrow sums add faster
-                by_w = np.bincount(w * (n + 1) + k1, minlength=2 * (n + 1))
-                h[:2] += by_w.reshape(2, n + 1)
-                h[2] += np.bincount(in_band.sum(axis=1, dtype=self._total), minlength=n + 1)
-            del w, key, move, reports, in_band  # freed before the next block is drawn
+                reports, in_band = point.play(key, move, work)
+                k1 = reports.sum(axis=1, dtype=self._total, out=count)  # narrow sums add faster
+                h[:2] += np.bincount(w * (n + 1) + k1, minlength=2 * (n + 1)).reshape(2, n + 1)
+                h[2] += np.bincount(in_band.sum(axis=1, dtype=self._total, out=count),
+                                    minlength=n + 1)
         return hist
 
 
@@ -334,20 +361,27 @@ def _pool_task(blocks):
     return engine.tally(master_seed, trials, blocks)
 
 
-def _mean_var(values: np.ndarray, counts: np.ndarray) -> tuple[float, float]:
-    """Mean and unbiased variance of counts[i] copies of values[i], at least two in all.
+def _mean_var(values: np.ndarray, counts: np.ndarray) -> tuple[float, float, int]:
+    """(mean, v, e): mean and unbiased variance v * 4**e of counts[i] copies of values[i].
 
-    Both are exactly-rounded sums (`analytics.weighted_fsum`), equal to
+    At least two copies in all.  The deviations are scaled by 2**-e, which
+    brings the largest below 1, before they are squared, so payments near
+    the float range do not overflow; a power of two scales exactly, so
+    v * 4**e is the unscaled variance bit for bit wherever both squares
+    stay in the normal float range.
+    Both sums are exactly rounded (`analytics.weighted_fsum`), equal to
     `math.fsum` over the expanded list.
     """
     n = int(counts.sum())
     mean = analytics.weighted_fsum(values, counts) / n
-    return mean, analytics.weighted_fsum(np.square(values - mean), counts) / (n - 1)
+    deviations = values - mean
+    e = int(np.frexp(np.abs(deviations).max())[1])
+    return mean, analytics.weighted_fsum(np.square(np.ldexp(deviations, -e)), counts) / (n - 1), e
 
 
 def _mean_se(values: np.ndarray, counts: np.ndarray) -> Estimate:
-    mean, var = _mean_var(values, counts)
-    return Estimate(mean, math.sqrt(var / int(counts.sum())))
+    mean, var, e = _mean_var(values, counts)
+    return Estimate(mean, math.ldexp(math.sqrt(var / int(counts.sum())), e))
 
 
 def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) -> np.ndarray:
@@ -421,7 +455,8 @@ def _sim_result(config, axis_value: float, point: _Point, hist: np.ndarray,
     trials_w1 = int(sums_w1.sum())
     if trials_w1 >= 2:
         mu1_est = _mean_se(k / n, sums_w1)
-        var_sum = _mean_var(k, sums_w1)[1]
+        _, var, e = _mean_var(k, sums_w1)
+        var_sum = math.ldexp(var, 2 * e)
         kappa1_est = Estimate(var_sum / n, var_sum / n * math.sqrt(2.0 / (trials_w1 - 1)))
     else:
         mu1_est = Estimate(float("nan"), float("nan"))

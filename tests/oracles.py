@@ -424,6 +424,13 @@ def receivers(graph) -> np.ndarray:
     return np.repeat(np.arange(graph.n), graph.degrees)
 
 
+def signals_and_moves(rng: np.random.Generator, w, params: ModelParams):
+    """`model.sample_signals_and_moves` into fresh arrays of shape w.shape + (N,)."""
+    shape = np.shape(w) + (params.population,)
+    return sample_signals_and_moves(rng, w, params, (np.empty(shape, np.int8),
+                                                     np.empty(shape, np.uint32)))
+
+
 def sample_group_signals(rng: np.random.Generator, graph, s: np.ndarray, alpha: float) -> np.ndarray:
     """One group-signal bit per directed edge, aligned with `graph.directed_send`.
 
@@ -527,7 +534,7 @@ def trial_stats_loop(engine, point, master_seed: int, index: int, moments) -> tu
     graph, law, params = engine.graph, point.law, engine.params
     rng = substream(master_seed, TAG_TRIAL, index)
     w = sample_world(rng, params)
-    s, _ = sample_signals_and_moves(rng, w, params)
+    s, _ = signals_and_moves(rng, w, params)
     bits = sample_group_signals(rng, graph, s, params.alpha)
     f = np.bincount(receivers(graph), weights=bits, minlength=graph.n)
     p1, in_band = play_side(law, band_side(f, *band_bounds(graph.degrees, law.tau)), s)
@@ -613,16 +620,18 @@ def trial_counts(engine, master_seed: int, trials: int):
     """(w, counts) of trials 0..trials-1: (trials,) world bits and (points, 2, trials).
 
     counts[i] holds each trial's 1-report count and in-band count under
-    the engine's law i.  Every block is drawn in full with `engine.draw`
-    from the stream (master seed, trial tag, b) and played with each
-    point's `play`, and the rows past `trials` are cut off the end.
+    the engine's law i.  Every block is drawn in full with `engine.draw`,
+    in a workspace of its own, from the stream (master seed, trial tag, b)
+    and played with each point's `play`, and the rows past `trials` are
+    cut off the end.
     """
     ws, counts = [], []
     for b in range(-(-trials // engine.block)):
-        w, key, move = engine.draw(substream(master_seed, TAG_TRIAL, b), engine.block)
+        work = engine.workspace(engine.block)
+        w, key, move = engine.draw(substream(master_seed, TAG_TRIAL, b), work)
         ws.append(w)
-        counts.append([[reports.sum(axis=1), in_band.sum(axis=1)]
-                       for reports, in_band in (point.play(key, move) for point in engine.points)])
+        counts.append([[reports.sum(axis=1), in_band.sum(axis=1)] for reports, in_band
+                       in (point.play(key, move, work) for point in engine.points)])
     return np.concatenate(ws)[:trials], np.concatenate(counts, axis=2)[..., :trials]
 
 

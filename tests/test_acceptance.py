@@ -253,8 +253,9 @@ def test_criterion_9_baseline_regime():
     p = make_params(population=graph.n)
     law = nd_report_law(p)
     engine = _Engine(graph, [law], [MechanismConfig(z0=1.0, z1=1.0)], p)
-    _, key, move = engine.draw(substream(1, 5, 0), engine.block)
-    _, in_band = engine.points[0].play(key, move)
+    work = engine.workspace(engine.block)
+    _, key, move = engine.draw(substream(1, 5, 0), work)
+    _, in_band = engine.points[0].play(key, move, work)
     all_zero = bool(np.all(in_band * law.band_cost == 0.0))
     _report(
         9,

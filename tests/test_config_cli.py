@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -550,6 +551,23 @@ class TestOverflowRefusals:
         assert err.startswith("error: payment design: ") and "= inf" in err
         assert "mechanism.payment_scale = 1e+308" in err and "Traceback" not in err
         assert not any(out.iterdir())
+
+    def test_payments_near_the_float_range_run_to_finite_cells(self, tmp_path):
+        # payments near 1e200 are designed finite, but their squared
+        # deviations from the mean are not: the se scales them first
+        cells = {}
+        for scale in ("1", "1e200"):
+            cfg = _write_config(tmp_path, f"mechanism.payment_scale = {scale}\n")
+            out = tmp_path / scale
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                             "--trials", "400"]) == 0
+            header, row = (out / "results.csv").read_text().splitlines()
+            cells[scale] = dict(zip(header.split(","), map(float, row.split(","))))
+            assert all(math.isfinite(x) for x in cells[scale].values()), cells[scale]
+        assert cells["1e200"]["payment_ci"] == pytest.approx(
+            1e200 * cells["1"]["payment_ci"], rel=1e-12)
 
 
 class TestPathOrText:

@@ -24,7 +24,7 @@ from privmarket.model import (
 )
 
 from conftest import make_params
-from oracles import sample_group_signals
+from oracles import sample_group_signals, signals_and_moves
 
 
 class TestTheta1:
@@ -144,21 +144,21 @@ class TestSampling:
     def test_private_signal_quality(self):
         params = make_params(population=100_000)
         rng = substream(7, 1, 0)
-        s = sample_signals_and_moves(rng, 1, params)[0]
+        s = signals_and_moves(rng, 1, params)[0]
         se = math.sqrt(0.7 * 0.3 / params.population)
         assert abs(s.mean() - 0.7) < 3 * se
 
     def test_private_signal_noiseless_limit(self):
         params = make_params(theta0=1.0 - 1e-12, population=1000)
         rng = substream(7, 1, 1)
-        assert np.all(sample_signals_and_moves(rng, 1, params)[0] == 1)
-        assert np.all(sample_signals_and_moves(rng, 0, params)[0] == 0)
+        assert np.all(signals_and_moves(rng, 1, params)[0] == 1)
+        assert np.all(signals_and_moves(rng, 0, params)[0] == 0)
 
     def test_private_signals_conditionally_independent(self):
         params = make_params(population=2)
         rng = substream(7, 1, 2)
         draws = 40_000
-        pairs = np.array([sample_signals_and_moves(rng, 1, params)[0] for _ in range(draws)])
+        pairs = np.array([signals_and_moves(rng, 1, params)[0] for _ in range(draws)])
         corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(draws)
 
@@ -203,7 +203,7 @@ class TestSampling:
 
         def realize(rng):
             w = sample_world(rng, params)
-            s = sample_signals_and_moves(rng, w, params)[0]
+            s = signals_and_moves(rng, w, params)[0]
             return w, s, sample_group_signals(rng, graph, s, params.alpha)
 
         (wa, sa, ca), (wb, sb, cb) = realize(substream(99, 5, 3)), realize(substream(99, 5, 3))
@@ -217,7 +217,7 @@ class TestSampling:
         params = make_params(theta0=1.0 - 1e-12, alpha=0.0, population=4)
         w = np.array([1, 0, 0, 1])
         rng = substream(7, 2, 3)
-        s = sample_signals_and_moves(rng, w, params)[0]
+        s = signals_and_moves(rng, w, params)[0]
         assert np.array_equal(s, np.repeat(w[:, None], 4, axis=1))
         bits = sample_group_signals(rng, graph, s, alpha=0.0)
         assert np.array_equal(bits, s[:, graph.directed_send])
@@ -231,8 +231,8 @@ class TestSampling:
         w = sample_world(a, params)
         (w_row,) = sample_world(b, params, 1)
         assert w == w_row
-        s, moves = sample_signals_and_moves(a, w, params)
-        s_rows, move_rows = sample_signals_and_moves(b, [w_row], params)
+        s, moves = signals_and_moves(a, w, params)
+        s_rows, move_rows = signals_and_moves(b, [w_row], params)
         assert np.array_equal(s_rows, s[None])
         assert np.array_equal(move_rows, moves[None])
         bits = sample_group_signals(a, graph, s, params.alpha)
@@ -244,7 +244,10 @@ class TestSampling:
         # the low 31 bits the move; Python integers have no byte order
         params = make_params(theta0=theta0, population=300)
         w = np.array([1, 0, 1])
-        s, moves = sample_signals_and_moves(substream(99, 5, 5), w, params)
+        # the caller's buffers are filled whole, whatever they held
+        out = (np.full((3, 300), 7, np.int8), np.full((3, 300), 2**32 - 1, np.uint32))
+        s, moves = sample_signals_and_moves(substream(99, 5, 5), w, params, out)
+        assert s is out[0] and moves is out[1]
         rng = substream(99, 5, 5)
         words = [[int(rng.bit_generator.random_raw()) for _ in range(300)] for _ in w]
         threshold = round(theta0 * 2**31)
@@ -255,7 +258,7 @@ class TestSampling:
 
     def test_moves_are_uniform_below_two_to_the_31(self):
         params = make_params(population=100_000)
-        _, moves = sample_signals_and_moves(substream(7, 1, 3), 1, params)
+        _, moves = signals_and_moves(substream(7, 1, 3), 1, params)
         assert int(moves.max()) < FIXED_ONE
         u = moves / FIXED_ONE
         assert abs(u.mean() - 0.5) < 3 * math.sqrt(1.0 / 12.0 / len(u))

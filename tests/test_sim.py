@@ -97,8 +97,9 @@ def _simple_mech():
 def _one_trial(graph, law, params, rng):
     """(w, reports, in band) of one trial: a one-row block played under `law`."""
     engine = sim._Engine(graph, [law], [_simple_mech()], params)
-    (w,), key, move = engine.draw(rng, 1)
-    (reports,), (in_band,) = engine.points[0].play(key, move)
+    work = engine.workspace(1)
+    (w,), key, move = engine.draw(rng, work)
+    (reports,), (in_band,) = engine.points[0].play(key, move, work)
     return int(w), reports, in_band
 
 
@@ -131,8 +132,9 @@ class TestRunTrial:
         params = make_params(population=6)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         engine = sim._Engine(graph, [mv_report_law(params)], [_simple_mech()], params)
-        w, key, move = engine.draw(substream(3, 5, 10), 10)
-        reports, _ = engine.points[0].play(key, move)
+        work = engine.workspace(10)
+        w, key, move = engine.draw(substream(3, 5, 10), work)
+        reports, _ = engine.points[0].play(key, move, work)
         _, paid, _ = engine.points[0].report_stats(w, reports.sum(axis=1))
         assert np.all(paid >= 0.0)
 
@@ -178,9 +180,10 @@ class TestBlockEngine:
         engine = _er_engine(40, 3.0)
         (point,) = engine.points
         moments = mirrored_moments(*graph_report_moments(engine.graph, point.law))
+        work = engine.workspace(1)
         for k in range(10):
-            w, key, move = engine.draw(substream(8, 5, k), 1)
-            reports, in_band = point.play(key, move)
+            w, key, move = engine.draw(substream(8, 5, k), work)
+            reports, in_band = point.play(key, move, work)
             k1, band = reports.sum(axis=1), in_band.sum(axis=1)
             (correct,), (paid,), _ = point.report_stats(w, k1)
             loop = trial_stats_user_loop(engine, point, 8, k, moments)
@@ -193,8 +196,9 @@ class TestBlockEngine:
         engine = _er_engine(n, avg_degree)
         assert engine.block > 1
         (point,) = engine.points
-        w, key, move = engine.draw(substream(21, 5, 0), engine.block)
-        reports, in_band = point.play(key, move)
+        work = engine.workspace(engine.block)
+        w, key, move = engine.draw(substream(21, 5, 0), work)
+        reports, in_band = point.play(key, move, work)
         k1, band = reports.sum(axis=1), in_band.sum(axis=1)
         # a block's tally is the histogram of these counts
         np.testing.assert_array_equal(
@@ -221,6 +225,33 @@ class TestBlockEngine:
             assert hist.shape == (1, 3, 101) and hist.dtype == np.int64
             np.testing.assert_array_equal(
                 hist, count_histograms(w[:trials], counts[..., :trials], 100))
+
+    @pytest.mark.parametrize("graph, lane", [("readme", np.uint8), ("hub", np.uint16)])
+    def test_partial_block_after_a_full_one_tallies_no_stale_row(self, tmp_path, graph, lane):
+        # the last block is played on the leading rows of the workspace that
+        # the full block before it filled; the referee draws each block anew
+        if graph == "readme":
+            cfg = default_config()
+        else:
+            cfg = TestHistogramAggregation._hub_config(tmp_path)
+        _, engine, _ = sim._build_experiment([cfg, apply_overrides(cfg, ["sim.profile=nd"])])
+        assert engine._lane == lane
+        trials = engine.block + 7
+        w, counts = trial_counts(engine, cfg.sim.seed, trials)
+        np.testing.assert_array_equal(sim._run_trials(engine, cfg.sim.seed, trials, 1),
+                                      count_histograms(w, counts, engine.graph.n))
+
+    def test_consecutive_tallies_on_one_engine_equal_fresh_engines(self):
+        # a pool worker tallies its tasks one after another on one engine; the
+        # first task here ends on a partial block, the second plays full ones
+        cfg = default_config()
+        _, engine, _ = sim._build_experiment([cfg])
+        trials = 3 * engine.block + 5
+        tasks = [range(2, 4), range(0, 2)]
+        got = [engine.tally(9, trials, blocks) for blocks in tasks]
+        fresh = [sim._build_experiment([cfg])[1].tally(9, trials, blocks) for blocks in tasks]
+        np.testing.assert_array_equal(got, fresh)
+        assert got[0][0, 2].sum() == engine.block + 5 and got[1][0, 2].sum() == 2 * engine.block
 
     @pytest.mark.parametrize("n, degree", [(7, 2), (250, 4), (2000, 4), (9000, 6), (40000, 6)])
     def test_block_stays_within_cell_budget(self, n, degree):
@@ -293,7 +324,7 @@ class TestEngineSetup:
         engine = _engine(Graph(n, edges))
         s = (np.random.default_rng(4).random((3, n)) < 0.8).astype(np.int8)
         s[0, 1:201] = 1
-        ones = engine.friends_ones(s)
+        ones = engine.friends_ones(s, engine.workspace(3))
         assert ones.shape == (3, n) and ones.dtype == np.intp and ones.flags.c_contiguous
         for row in range(3):
             for i in range(n):
@@ -323,18 +354,20 @@ class TestEngineSetup:
         alternating = np.zeros((rows, n), dtype=np.int8)
         alternating[::2] = 1
         random = (np.random.default_rng(rows).random((rows, n)) < 0.5).astype(np.int8)
+        work = engine.workspace(rows)
         for s in (alternating, random):
-            ones = engine.friends_ones(s)
+            ones = engine.friends_ones(s, work)
             assert ones.shape == (rows, n) and ones.dtype == np.intp and ones.flags.c_contiguous
             np.testing.assert_array_equal(ones, friends_ones_bincount(graph, s))
-        assert engine.friends_ones(alternating)[:, 0].tolist() == [hub, 0] * (rows // 2) + [hub]
+        ones = engine.friends_ones(alternating, work)
+        assert ones[:, 0].tolist() == [hub, 0] * (rows // 2) + [hub]
 
     def test_draw_keys_take_the_fast_gather(self):
         # the README graph's block holds more than 50k keys; numpy's take
         # copies an index array that is not C-ordered intp to a temporary
         # one, whose fresh pages cost several times the gather at that size
         _, engine, _ = sim._build_experiment([default_config()])
-        _, key, move = engine.draw(substream(1, 5, 0), engine.block)
+        _, key, move = engine.draw(substream(1, 5, 0), engine.workspace(engine.block))
         assert key.size > 50_000
         assert key.dtype == np.intp and key.flags.c_contiguous
         assert move.dtype == np.uint32 and move.flags.c_contiguous
@@ -344,8 +377,9 @@ class TestEngineSetup:
     def test_edgeless_graph_plays_the_coin(self):
         # every degree-0 user sits in her band (f = 0 = d/2) and randomizes
         engine = _engine(Graph(5, []))
-        w, key, move = engine.draw(substream(1, 5, 0), 4)
-        _, in_band = engine.points[0].play(key, move)
+        work = engine.workspace(4)
+        w, key, move = engine.draw(substream(1, 5, 0), work)
+        _, in_band = engine.points[0].play(key, move, work)
         assert in_band.all()
 
 
@@ -394,8 +428,9 @@ class TestFixedPointTables:
         trials = 3 * engine.block
         hist = sim._run_trials(engine, 5, trials, workers)
         assert hist[0, 2, 0] == trials  # no trial has a user in her band
-        _, key, move = engine.draw(substream(5, 5, 0), engine.block)
-        assert not point.play(key, move)[1].any()
+        work = engine.workspace(engine.block)
+        _, key, move = engine.draw(substream(5, 5, 0), work)
+        assert not point.play(key, move, work)[1].any()
 
 
 class TestConditionalIndependence:
@@ -404,9 +439,10 @@ class TestConditionalIndependence:
         engine = _engine(Graph(6, [(i, i + 1) for i in range(5)]))
         blocks = -(-4000 // engine.block)
         x0, x5 = [], []
+        work = engine.workspace(engine.block)
         for b in range(blocks):
-            w, key, move = engine.draw(substream(17, 5, b), engine.block)
-            reports, _ = engine.points[0].play(key, move)
+            w, key, move = engine.draw(substream(17, 5, b), work)
+            reports, _ = engine.points[0].play(key, move, work)
             x0.append(reports[w == 1, 0])
             x5.append(reports[w == 1, 5])
         x0, x5 = np.concatenate(x0), np.concatenate(x5)
