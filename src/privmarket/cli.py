@@ -17,8 +17,8 @@ from pathlib import Path
 from . import analytics as an
 from . import sim as simmod
 from .config import (
-    CONFIG_MODEL,
     EDGE_LIST,
+    ER,
     ConfigError,
     RunConfig,
     analytic_distribution,
@@ -88,12 +88,9 @@ class _AtomicOutputs:
 def _strategy_d_max(cfg: RunConfig) -> int:
     if cfg.graph.d_max >= 0:
         return cfg.graph.d_max
-    if cfg.graph.kind == CONFIG_MODEL:
-        return analytic_distribution(cfg).d_max
-    if cfg.graph.kind == EDGE_LIST:
-        graph, _ = build_graph(cfg)
-        return graph.max_degree()
-    return 20  # er default export range
+    if cfg.graph.kind == ER:
+        return 20  # er default export range
+    return analytic_distribution(cfg).d_max  # an edge list's law is its realized degrees
 
 
 def cmd_strategy(cfg: RunConfig, out: _AtomicOutputs) -> None:
@@ -104,8 +101,9 @@ def cmd_strategy(cfg: RunConfig, out: _AtomicOutputs) -> None:
     log.info("strategy table for degrees 0..%d -> %s", d_max, path)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _key_values(pairs) -> str:
+    """`key = value` lines, floats at 17 significant digits as in every CSV cell."""
+    return "".join(f"{k} = {simmod._fmt(v) if isinstance(v, float) else v}\n" for k, v in pairs)
 
 
 def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
@@ -147,30 +145,24 @@ def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
             ("Z", z),
             ("note", "unequal priors: beta, moments and payment omitted (no closed form)"),
         ]
-    rendered = "\n".join(
-        f"{k} = {_fmt(v) if isinstance(v, float) else v}" for k, v in pairs
-    )
-    path = out.write("analytics.txt", rendered + "\n")
+    path = out.write("analytics.txt", _key_values(pairs))
     log.info("analytic report -> %s", path)
 
 
 def cmd_simulate(cfg: RunConfig, out: _AtomicOutputs) -> None:
-    trials, workers = cfg.sim.trials, cfg.sim.workers
-    if cfg.sweep.axis:
+    """One CSV row per grid point: an unswept run is a one-point grid at its avg_degree."""
+    trials, workers, axis = cfg.sim.trials, cfg.sim.workers, cfg.sweep.axis
+    if axis:
         values = sweep_values(cfg)
-        results = simmod.sweep(cfg, cfg.sweep.axis, values, trials=trials, workers=workers)
-        csv_text = simmod.sweep_csv(results)
-        extra = {"sweep_axis": cfg.sweep.axis, "sweep_values": values}
-        first = results[0]
+        results = simmod.sweep(cfg, axis, values, trials=trials, workers=workers)
     else:
-        (first,) = simmod.run_experiment([cfg], trials=trials, workers=workers,
-                                         axis_values=[cfg.graph.avg_degree])
-        csv_text = simmod.simresult_csv(first)
-        extra = {"nodes": first.nodes}
+        results = simmod.run_experiment([cfg], trials=trials, workers=workers,
+                                        axis_values=[cfg.graph.avg_degree])
+    first = results[0]
+    extra = {"sweep_axis": axis, "sweep_values": values} if axis else {"nodes": first.nodes}
     if cfg.graph.kind == EDGE_LIST:
-        extra["nodes"] = first.nodes
-        extra["edges"] = first.edges
-    out.write("results.csv", csv_text)
+        extra.update(nodes=first.nodes, edges=first.edges)
+    out.write("results.csv", simmod.sweep_csv(results))
     out.write("manifest.json", simmod.run_manifest(cfg, trials, workers, extra=extra))
     log.info("simulation outputs -> %s", out.dir)
 
@@ -180,20 +172,16 @@ def cmd_ingest_check(cfg: RunConfig, out: _AtomicOutputs) -> None:
         raise ConfigError("ingest-check needs graph.kind = edge-list")
     result = ingest_edge_list(cfg.graph.path)
     report = check_sparsity(result.graph)
-    lines = [
-        f"nodes = {result.graph.n}",
-        f"edges = {result.graph.num_edges}",
-        f"self_loops_dropped = {result.self_loops_dropped}",
-        f"duplicates_dropped = {result.duplicates_dropped}",
-        f"lines_read = {result.lines_read}",
-        f"d_max = {report.d_max}",
-        f"n_quarter_root = {_fmt(report.n_quarter_root)}",
-        f"ratio = {_fmt(report.ratio)}",
-        f"moment_2_5 = {_fmt(report.moment_2_5)}",
-        f"flagged = {'true' if report.flagged else 'false'}",
-    ]
-    path = out.write("ingest.txt", "\n".join(lines) + "\n")
-    print("\n".join(lines))
+    text = _key_values([
+        ("nodes", result.graph.n), ("edges", result.graph.num_edges),
+        ("self_loops_dropped", result.self_loops_dropped),
+        ("duplicates_dropped", result.duplicates_dropped), ("lines_read", result.lines_read),
+        ("d_max", report.d_max), ("n_quarter_root", report.n_quarter_root),
+        ("ratio", report.ratio), ("moment_2_5", report.moment_2_5),
+        ("flagged", "true" if report.flagged else "false"),
+    ])
+    path = out.write("ingest.txt", text)
+    print(text, end="")
     log.info("ingest report -> %s", path)
 
 

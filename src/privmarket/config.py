@@ -7,6 +7,7 @@ parse -> serialize -> parse is the identity on configs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -193,8 +194,9 @@ def validate_config(cfg: RunConfig) -> None:
     if not 0.0 <= cfg.model.epsilon <= EPSILON_MAX:
         raise ConfigError(f"model.epsilon must lie in [0, {EPSILON_MAX:g}], the range on which the "
                           f"closed forms stay finite; got {cfg.model.epsilon:g}")
-    if not cfg.mechanism.payment_scale > 0.0:
-        raise ConfigError(f"mechanism.payment_scale must be > 0, got {cfg.mechanism.payment_scale:g}")
+    if not 0.0 < cfg.mechanism.payment_scale < math.inf:
+        raise ConfigError(f"mechanism.payment_scale must be > 0 and finite, got "
+                          f"{cfg.mechanism.payment_scale:g}")
     if not 0.0 < cfg.analytics.p_e < 1.0:
         raise ConfigError(f"analytics.p_e must lie in (0, 1), got {cfg.analytics.p_e:g}")
     if cfg.sweep.axis and cfg.sweep.axis not in SWEEP_AXES:
@@ -340,10 +342,14 @@ def _pmf_distribution(cfg: GraphSection, population: int) -> DegreeDistribution:
         mass = np.zeros(top + 1)
         mass[list(carried)] = list(carried.values())
         return DegreeDistribution(mass)
-    if cfg.poisson_mean > 0:
-        d_max = cfg.d_max if cfg.d_max >= 0 else min(max(20, int(cfg.poisson_mean * 4)), population - 1)
-        return DegreeDistribution.poisson_truncated(cfg.poisson_mean, d_max)
-    raise ConfigError("config-model graphs need graph.pmf or graph.poisson_mean")
+    if cfg.poisson_mean == 0.0:
+        raise ConfigError("config-model graphs need graph.pmf or graph.poisson_mean")
+    if not 0.0 < cfg.poisson_mean < math.inf:
+        raise ConfigError(f"graph.poisson_mean must be > 0 and finite, got {cfg.poisson_mean:g}")
+    d_max = cfg.d_max
+    if d_max < 0:  # a mean of population or more stops at population - 1 either way
+        d_max = min(max(20, int(4 * min(cfg.poisson_mean, population))), population - 1)
+    return DegreeDistribution.poisson_truncated(cfg.poisson_mean, d_max)
 
 
 def analytic_distribution(cfg: RunConfig) -> DegreeDistribution:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
-from typing import IO, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,16 +159,10 @@ class Graph:
             and bool(np.all(self._edges == other._edges))
         )
 
-    def write_edge_list(self, sink: IO[str]) -> None:
-        """Emit in the ingestible text format: '# ...' comments then 'u v' lines."""
-        sink.write(f"# Nodes: {self.n} Edges: {self.num_edges}\n")
-        for u, v in self._edges:
-            sink.write(f"{u} {v}\n")
-
     def to_edge_list_text(self) -> str:
-        buf = io.StringIO()
-        self.write_edge_list(buf)
-        return buf.getvalue()
+        """The ingestible text format: a '# ...' comment, then one 'u v' line per edge."""
+        return f"# Nodes: {self.n} Edges: {self.num_edges}\n" + "".join(
+            f"{u} {v}\n" for u, v in self._edges)
 
 
 class DegreePairs(NamedTuple):
@@ -295,9 +289,10 @@ class DegreeDistribution:
         return cls(np.bincount(graph.degrees) / graph.n)
 
 
-def generate_configuration_model(
-    rng: np.random.Generator, dist: DegreeDistribution, n: int, max_attempts: int = 1000
-) -> Graph:
+_MAX_PAIRINGS = 1000  # stub pairings tried before PairingError
+
+
+def generate_configuration_model(rng: np.random.Generator, dist: DegreeDistribution, n: int) -> Graph:
     """Configuration-model draw with i.i.d. degrees from `dist`.
 
     Stubs are paired uniformly at random; a pairing containing a self-loop
@@ -318,7 +313,7 @@ def generate_configuration_model(
         raise PairingError("drawn degree exceeds n - 1; no simple graph exists")
 
     stubs = np.repeat(np.arange(n), degrees)
-    for attempt in range(max_attempts):
+    for _ in range(_MAX_PAIRINGS):
         perm = rng.permutation(len(stubs))
         a = stubs[perm[0::2]]
         b = stubs[perm[1::2]]
@@ -329,7 +324,7 @@ def generate_configuration_model(
             continue
         return Graph(n, np.column_stack([lo, hi]))
     raise PairingError(
-        f"stub pairing failed {max_attempts} times for degree sum {int(degrees.sum())}"
+        f"stub pairing failed {_MAX_PAIRINGS} times for degree sum {int(degrees.sum())}"
     )
 
 

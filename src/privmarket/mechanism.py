@@ -49,7 +49,8 @@ def design_Z(epsilon: float, theta0: float, cost: CostFunction) -> float:
     gp = cost.derivative(epsilon)
     if gp <= 0.0:
         raise MechanismError(
-            f"g'({epsilon}) = {gp}: zero marginal cost gives a degenerate zero payment"
+            f"payment design: model.cost has marginal cost g' = {gp:g} at model.epsilon = "
+            f"{epsilon:g}; a zero marginal cost gives a degenerate zero payment"
         )
     ee = math.exp(epsilon)
     return gp * (ee + 1.0) ** 2 / (2.0 * ee * (2.0 * theta0 - 1.0))

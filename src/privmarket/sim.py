@@ -616,7 +616,7 @@ def _result_row(r: SimResult) -> str:
 
 
 def simresult_csv(result: SimResult) -> str:
-    return CSV_HEADER + "\n" + _result_row(result) + "\n"
+    return sweep_csv([result])
 
 
 def sweep_csv(results: Sequence[SimResult]) -> str:

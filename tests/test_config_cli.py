@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import privmarket
 from privmarket.analytics import mv_report_law
@@ -83,6 +88,13 @@ class TestConfig:
         assert main(["analytics", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         wide = parse_config(_write_config(tmp_path, law + "model.population = 250\n"))
         assert analytic_distribution(wide).d_max == 60
+        for mean in ("4.6e307", "1e308"):  # 4 * mean overflows from 4.5e307
+            cfg = _write_config(tmp_path, "graph.kind = config-model\nmodel.population = 20\n"
+                                          f"graph.poisson_mean = {mean}\n")
+            assert analytic_distribution(parse_config(cfg)).d_max == 19
+            out = tmp_path / mean
+            assert main(["analytics", "--config", str(cfg), "--out", str(out)]) == 0
+            assert all(math.isfinite(x) for x in _numbers(out / "analytics.txt"))
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# comment\n\nmodel.theta0 = 0.8\n")
@@ -176,6 +188,16 @@ class TestCli:
         rows = (out / "strategy.tsv").read_text().strip().split("\n")[1:]
         assert len(rows) == 2  # one cell, two signal rows
         assert all(r.split("\t")[6] == "sr" for r in rows)
+
+    def test_edge_list_strategy_spans_the_largest_degree(self, tmp_path):
+        # an edge list's law is its realized degrees: the export stops at its hub
+        edges = tmp_path / "star.txt"
+        edges.write_text("".join(f"0 {v}\n" for v in range(1, 6)) + "1 2\n")
+        cfg = _write_config(tmp_path, f"graph.kind = edge-list\ngraph.path = {edges}\n")
+        out = tmp_path / "out"
+        assert main(["strategy", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "strategy.tsv").read_text().splitlines()[1:]
+        assert max(int(row.split("\t")[0]) for row in rows) == 5
 
     def test_analytics_emits_all_fields(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -477,9 +499,18 @@ class TestLoadTimeChecks:
         ("analytics", "model.cost = table:0:0,1:nan\n", "cost table entries must be finite"),
         ("analytics", "model.cost = table:0:0,1:1,1:2\n", "cost table repeats zeta = 1"),
         ("analytics", "model.cost = table:0:0,inf:1\n", "cost table entries must be finite"),
+        ("analytics", "graph.kind = config-model\ngraph.poisson_mean = inf\n",
+         "graph.poisson_mean must be > 0 and finite, got inf"),
+        ("simulate", "graph.kind = config-model\ngraph.poisson_mean = nan\n",
+         "graph.poisson_mean must be > 0 and finite, got nan"),
+        ("analytics", "graph.kind = config-model\ngraph.poisson_mean = -inf\n",
+         "graph.poisson_mean must be > 0 and finite, got -inf"),
+        ("simulate", "mechanism.payment_scale = inf\n",
+         "mechanism.payment_scale must be > 0 and finite, got inf"),
     ], ids=["payment-scale", "p_e", "pmf-entry", "pmf-mass", "pmf-degree", "pmf-repeated",
             "pmf-nan", "pmf-huge-degree", "poisson-d_max", "empty-sweep", "negative-seed", "d_max",
-            "cost-nan", "cost-repeated-zeta", "cost-inf-zeta"])
+            "cost-nan", "cost-repeated-zeta", "cost-inf-zeta", "poisson-inf", "poisson-nan",
+            "poisson-minus-inf", "payment-scale-inf"])
     def test_rejected_at_load(self, tmp_path, monkeypatch, capsys, command, extra, message):
         from privmarket import sim
 
@@ -552,6 +583,22 @@ class TestOverflowRefusals:
         assert "mechanism.payment_scale = 1e+308" in err and "Traceback" not in err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["analytics", "simulate"])
+    @pytest.mark.parametrize("extra, epsilon", [
+        ("model.epsilon = 0\n", "0"), ("model.cost = table:0:0,1:0,2:1\n", "0.1"),
+    ], ids=["quadratic-at-0", "flat-table"])
+    def test_zero_marginal_cost_is_refused_naming_its_keys(self, tmp_path, capsys, command, extra,
+                                                           epsilon):
+        cfg = _write_config(tmp_path, extra)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--trials", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: payment design: ") and "Traceback" not in err
+        assert "model.cost" in err and f"model.epsilon = {epsilon};" in err
+        assert not any(out.iterdir())
+        # the export designs no payment: at epsilon 0 a tie is a fair coin
+        assert main(["strategy", "--config", str(cfg), "--out", str(out)]) == 0
+
     def test_payments_near_the_float_range_run_to_finite_cells(self, tmp_path):
         # payments near 1e200 are designed finite, but their squared
         # deviations from the mean are not: the se scales them first
@@ -568,6 +615,61 @@ class TestOverflowRefusals:
             assert all(math.isfinite(x) for x in cells[scale].values()), cells[scale]
         assert cells["1e200"]["payment_ci"] == pytest.approx(
             1e200 * cells["1"]["payment_ci"], rel=1e-12)
+
+
+# One key of a 60-user README run per example: values in range, at its ends and
+# just outside them, then the values every numeric key is probed with.
+_PROBED = {
+    "model.prior_w1": ["0.5", "0.7", "0.9999999999", "1"],
+    "model.theta0": ["0.7", "0.5", "0.5000000001", "0.9999999999", "1"],
+    "model.alpha": ["0.25", "0.4999999999", "0.5"],
+    "model.epsilon": ["1", "300", "300.0000001", "5e-324"],
+    "model.cost": ["linear-capped", "table:0:0,1:1,2:3", "table:0:0,1:0,2:1", "table:0:1,1:2",
+                   "cubic"],
+    "model.population": ["2", "5", "61", "1.5"],
+    "graph.avg_degree": ["59", "59.000001", "0.5"],
+    "graph.poisson_mean": ["3", "59", "60", "4.6e307", "1e308"],  # on a config-model graph
+    "mechanism.payment_scale": ["1e200", "1e308", "5e-324"],
+    "analytics.p_e": ["0.5", "0.9999999999", "1"],
+    "sim.trials": ["2", "1"],
+}
+_EVERY_KEY = ["0", "-1", "inf", "-inf", "nan", "1e300", "1e-300", "-1e300"]
+_PROBES = st.sampled_from(sorted(_PROBED)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(_PROBED[key] + _EVERY_KEY)))
+
+
+class TestRightOrRefuse:
+    """Every command prints only finite numbers, or refuses with its exit code's message."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(probe=_PROBES)
+    # values that once gave a traceback, passed load, named no stage, or wrote inf
+    @example(probe=("graph.poisson_mean", "inf"))
+    @example(probe=("mechanism.payment_scale", "inf"))
+    @example(probe=("model.epsilon", "0"))
+    @example(probe=("model.cost", "table:0:0,1:0,2:1"))
+    @example(probe=("mechanism.payment_scale", "1e308"))
+    @example(probe=("model.epsilon", "800"))
+    def test_one_key_changed(self, probe):
+        key, value = probe
+        text = README_CONFIG.replace("model.population = 250", "model.population = 60")
+        if key == "graph.poisson_mean":
+            text += "graph.kind = config-model\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "probe.cfg"
+            cfg.write_text(text + f"{key} = {value}\n", encoding="utf-8")
+            for command, name in (("analytics", "analytics.txt"), ("simulate", "results.csv")):
+                out, err = Path(tmp) / command, io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([command, "--config", str(cfg), "--out", str(out), "--trials", "2"])
+                err = err.getvalue()
+                assert "Traceback" not in err, (command, err)
+                if code == 0:
+                    numbers = _numbers(out / name)
+                    assert numbers and all(math.isfinite(x) for x in numbers), (command, numbers)
+                else:
+                    assert (code, err.split(":")[0]) in ((1, "error"), (2, "config error")), \
+                        (command, code, err)
 
 
 class TestPathOrText:
@@ -609,6 +711,7 @@ class TestRealWorldLayouts:
         out = tmp_path / "out"
         assert main(["ingest-check", "--config", str(cfg), "--out", str(out)]) == 0
         text = (out / "ingest.txt").read_text()
+        assert capsys.readouterr().out == text
         assert "nodes = 5242" in text
         assert "edges = 14496" in text
         assert "ratio = " in text
