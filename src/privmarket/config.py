@@ -13,12 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import (DegreeDistribution, Graph, generate_configuration_model, generate_erdos_renyi,
-                    ingest_edge_list, read_source)
+from .graph import (DegreeDistribution, Graph, PairingError, generate_configuration_model,
+                    generate_erdos_renyi, ingest_edge_list, read_source)
 from .model import (
     EPSILON_MAX,
     TAG_GRAPH,
     CostFunction,
+    CostFunctionError,
     ModelParams,
     audit_cost_function,
     linear_capped_cost,
@@ -208,7 +209,8 @@ def validate_config(cfg: RunConfig) -> None:
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
-        raise ConfigError(f"model: {exc}") from exc
+        key = "model.cost" if isinstance(exc, CostFunctionError) else "model"
+        raise ConfigError(f"{key}: {exc}") from exc
     if cfg.graph.kind == ER and not 0.0 <= cfg.graph.avg_degree <= cfg.model.population - 1:
         raise ConfigError(f"graph.avg_degree must lie in [0, population - 1], got {cfg.graph.avg_degree:g}")
     if cfg.graph.kind == CONFIG_MODEL:
@@ -376,4 +378,10 @@ def build_graph(cfg: RunConfig) -> tuple[Graph, DegreeDistribution]:
         graph = generate_erdos_renyi(rng, cfg.model.population, cfg.graph.avg_degree)
         return graph, analytic_distribution(cfg)
     dist = analytic_distribution(cfg)
-    return generate_configuration_model(rng, dist, cfg.model.population), dist
+    try:
+        return generate_configuration_model(rng, dist, cfg.model.population), dist
+    except PairingError as exc:
+        law = (f"graph.pmf = {cfg.graph.pmf}" if cfg.graph.pmf
+               else f"graph.poisson_mean = {cfg.graph.poisson_mean:g}")
+        raise PairingError(f"graph build: {exc} ({law}, model.population = "
+                           f"{cfg.model.population})") from exc

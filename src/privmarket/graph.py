@@ -239,7 +239,7 @@ class DegreeDistribution:
         if np.any(mass < 0):
             raise ValueError("mass values must be nonnegative")
         if not abs(mass.sum() - 1.0) <= 1e-12:  # a NaN mass fails here too
-            raise ValueError(f"mass sums to {mass.sum()!r}, not 1")
+            raise ValueError(f"mass sums to {float(mass.sum())!r}, not 1")
         self.mass = mass
 
     @property

@@ -134,7 +134,7 @@ def audit_cost_function(cost: CostFunction) -> None:
     if not (np.isfinite(vals).all() and np.isfinite(ders).all()):
         raise CostFunctionError("cost or its derivative is not finite on the audit grid [0, 10]")
     if abs(vals[0]) > 1e-12:
-        raise CostFunctionError(f"g(0) = {vals[0]!r}, expected 0")
+        raise CostFunctionError(f"g(0) = {vals[0]:g}, expected 0")
     if np.any(vals < -1e-12):
         raise CostFunctionError("cost takes negative values")
     if np.any(np.diff(vals) < -1e-12):

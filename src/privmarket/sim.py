@@ -40,14 +40,13 @@ sweep) on one graph and one draw per block; an avg_degree point builds
 its own graph.  A trial's statistics (correct estimate, payment, majority
 match, report sum, privacy cost) depend only on its world bit and
 1-report count, or on its in-band count, so each block is tallied where
-it is drawn into histograms of those counts, and a run keeps 3·(n + 1)
-integers per law: the 1-report counts by world bit and the in-band
-counts.  Each statistic is evaluated once per possible count, and its
-mean and variance are exactly-rounded count-weighted sums
-(`analytics.weighted_fsum`), equal to `math.fsum` over one value per
-trial.  Nothing is stored per trial, and a block allocates no (block x n)
-array but its raw words: a tally draws and plays every block in one
-workspace (`_Engine.workspace`).
+it is drawn into one record of int64 counts per law (`_Engine.record`):
+`reports[w, k]` trials with world bit w and k 1-reports, `band[k]` with k
+users in their band.  Each statistic is evaluated once per count, and its
+mean and variance are count-weighted sums equal to `math.fsum` over one
+value per trial (`analytics.weighted_fsum`).  Nothing is stored per
+trial, and a block allocates no (block x n) array but its raw words: a
+tally draws and plays every block in one workspace (`_Engine.workspace`).
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ def map_estimate(sum_reports, n: int) -> np.ndarray:
 # writes, and her report, in-band and not-above flags; her fresh 8-byte raw
 # word adds 8 while it is split.  A directed edge holds one count lane of a
 # gathered word and a user three (a byte while the largest degree is below
-# 256).  A run keeps 3·(n + 1) integers per law, whatever its number of
+# 256).  A run keeps one `_Engine.record` per law, whatever its number of
 # blocks.  2**18 cells is the measured knee of both benchmark graphs: from
 # 2**18 to 2**20 neither the 250-node README graph nor a 3700-node
 # collaboration graph runs more trials per second beyond run-to-run spread.
@@ -231,6 +230,9 @@ class _Engine:
         self._row = (2 * offset[graph.degrees]).astype(np.intp)
         self._lane = np.min_scalar_type(graph.max_degree())  # holds any user's count
         self._total = np.min_scalar_type(graph.n)  # holds any trial's count of users
+        # a run's counts per law, all int64: `_run_trials` adds records as int64 arrays
+        self.record = np.dtype([("reports", np.int64, (2, graph.n + 1)),
+                                ("band", np.int64, (graph.n + 1,))])
         cells = graph.n + 2 * graph.num_edges
         self.block = min(max(_BLOCK_CELLS // cells, 1), _MAX_BLOCK)
 
@@ -298,28 +300,27 @@ class _Engine:
         return w, key, move
 
     def tally(self, master_seed: int, trials: int, blocks) -> np.ndarray:
-        """(points, 3, n + 1) int64 histograms of the trials below `trials` in `blocks`.
+        """One `record` per law of the trials below `trials` in `blocks`, filled by name.
 
-        hist[i, w, k] counts the trials with world bit w and k 1-reports
-        under law i, hist[i, 2, k] those with k users in their band.  Block
-        b is drawn in full from the stream (master seed, trial tag, b), so
-        no draw depends on `trials`; only the trials below it are played,
+        Block b is drawn in full from the stream (master seed, trial tag, b),
+        so no draw depends on `trials`; only the trials below it are played,
         on the leading rows of the one workspace every block is drawn in.
         """
         n = self.graph.n
-        hist = np.zeros((len(self.points), 3, n + 1), dtype=np.int64)
+        record = np.zeros(len(self.points), self.record)
+        fields = list(zip(self.points, record["reports"].reshape(len(record), -1), record["band"]))
         work = self.workspace(self.block)
         for b in blocks:
             w, key, move = self.draw(substream(master_seed, TAG_TRIAL, b), work)
             rows = min(self.block, trials - b * self.block)
             w, key, move, count = w[:rows], key[:rows], move[:rows], work.count[:rows]
-            for point, h in zip(self.points, hist):
+            for point, reports_by_w, band in fields:  # reports flat: w * (n + 1) + k
                 reports, in_band = point.play(key, move, work)
                 k1 = reports.sum(axis=1, dtype=self._total, out=count)  # narrow sums add faster
-                h[:2] += np.bincount(w * (n + 1) + k1, minlength=2 * (n + 1)).reshape(2, n + 1)
-                h[2] += np.bincount(in_band.sum(axis=1, dtype=self._total, out=count),
+                reports_by_w += np.bincount(w * (n + 1) + k1, minlength=2 * (n + 1))
+                band += np.bincount(in_band.sum(axis=1, dtype=self._total, out=count),
                                     minlength=n + 1)
-        return hist
+        return record
 
 
 @dataclass(frozen=True)
@@ -385,12 +386,12 @@ def _mean_se(values: np.ndarray, counts: np.ndarray) -> Estimate:
 
 
 def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) -> np.ndarray:
-    """The `_Engine.tally` of trials 0..trials-1: (points, 3, n + 1) int64 histograms.
+    """The `_Engine.tally` of trials 0..trials-1: one `_Engine.record` per law.
 
     Blocks are the unit of work; at most one process per block is started.
     Each pool task tallies one run of consecutive blocks, and the run's
-    histograms are the sum of its tasks', which no order of completion
-    changes.
+    records are the sum of its tasks', taken over their int64 views, which
+    no order of completion changes.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -402,7 +403,8 @@ def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) ->
     tasks = [range(blocks)[start:start + chunk] for start in range(0, blocks, chunk)]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes, initializer=_pool_init, initargs=(engine, master_seed, trials)) as pool:
-        return sum(pool.imap_unordered(_pool_task, tasks))
+        records = pool.imap_unordered(_pool_task, tasks)
+        return sum(r.view(np.int64) for r in records).view(engine.record)
 
 
 def _build_experiment(configs):
@@ -413,18 +415,17 @@ def _build_experiment(configs):
     graph section, `sim.seed` and the draw's model parameters.
     """
     first = configs[0]
-    for config in configs[1:]:
+    for config in configs:
         if config.graph != first.graph or config.sim.seed != first.sim.seed:
             raise ValueError("experiments on one draw need one graph section and one sim.seed")
+        if not configmod.model_params(config).equal_priors:  # refused before the graph build
+            raise NotImplementedError(
+                f"simulate: model.prior_w1 = {config.model.prior_w1!r}, but experiments need equal "
+                "priors (0.5), which the majority-accuracy closed form behind the payments assumes")
     graph, _ = configmod.build_graph(first)
     laws, mechs, predictions = [], [], []
     for config in configs:
         params = configmod.params_for_graph(config, graph)
-        if not params.equal_priors:
-            raise NotImplementedError(
-                "experiments need equal priors: the majority-accuracy closed form "
-                "(and hence the payment constants) has no general-priors form"
-            )
         if config.sim.profile == ND_PROFILE:
             law = analytics.nd_report_law(params)
         else:
@@ -439,23 +440,22 @@ def _build_experiment(configs):
     return graph, engine, predictions
 
 
-def _sim_result(config, axis_value: float, point: _Point, hist: np.ndarray,
+def _sim_result(config, axis_value: float, point: _Point, record,
                 analytic: Prediction, graph: Graph) -> SimResult:
-    """A SimResult from one law's `_Engine.tally` histograms over a whole run.
+    """A SimResult from one law's `_Engine.record` over a whole run.
 
     A trial's statistics depend only on its world bit and 1-report count,
     or on its in-band count, so they are evaluated once per possible value
-    and weighted by the run's histogram of those counts.
+    and weighted by the record's `reports` or `band` counts.
     """
     n = graph.n
     k = np.arange(n + 1)  # every possible 1-report or in-band count
-    by_w, band = hist[:2], hist[2]
+    reports, band = record["reports"], record["band"]
     correct, paid, matched = point.report_stats(np.array([[0], [1]]), k)  # paid reads k alone
-    sums_w1 = by_w[1]  # how many W = 1 trials have each report sum
-    trials_w1 = int(sums_w1.sum())
+    trials_w1 = int(reports[1].sum())
     if trials_w1 >= 2:
-        mu1_est = _mean_se(k / n, sums_w1)
-        _, var, e = _mean_var(k, sums_w1)
+        mu1_est = _mean_se(k / n, reports[1])
+        _, var, e = _mean_var(k, reports[1])
         var_sum = math.ldexp(var, 2 * e)
         kappa1_est = Estimate(var_sum / n, var_sum / n * math.sqrt(2.0 / (trials_w1 - 1)))
     else:
@@ -465,12 +465,12 @@ def _sim_result(config, axis_value: float, point: _Point, hist: np.ndarray,
         trials=int(band.sum()),
         profile=config.sim.profile,
         axis_value=axis_value,
-        accuracy=_mean_se(correct, by_w),
-        avg_payment_per_user=_mean_se(paid, by_w.sum(axis=0)),
+        accuracy=_mean_se(correct, reports),
+        avg_payment_per_user=_mean_se(paid, reports.sum(axis=0)),
         avg_privacy_cost=_mean_se(point.privacy_cost(k), band),
         empirical_mu1=mu1_est,
         empirical_kappa1=kappa1_est,
-        empirical_majority_match=_mean_se(matched, by_w),
+        empirical_majority_match=_mean_se(matched, reports),
         analytic=analytic,
         nodes=graph.n,
         edges=graph.num_edges,
@@ -499,11 +499,11 @@ def run_experiment(
     if axis_values is None:
         axis_values = [float("nan")] * len(configs)
     graph, engine, predictions = _build_experiment(configs)
-    hists = _run_trials(engine, first.sim.seed, trials, workers)
+    records = _run_trials(engine, first.sim.seed, trials, workers)
     return [
-        _sim_result(config, value, point, hist, analytic, graph)
-        for config, value, point, hist, analytic
-        in zip(configs, axis_values, engine.points, hists, predictions, strict=True)
+        _sim_result(config, value, point, record, analytic, graph)
+        for config, value, point, record, analytic
+        in zip(configs, axis_values, engine.points, records, predictions, strict=True)
     ]
 
 
@@ -542,15 +542,15 @@ def normality_probe(config, trials: int) -> NormalityReport:
     """Kolmogorov-Smirnov distance of the normalized report sum per world state.
 
     The probe reads the trials `simulate` runs on the same config (the
-    first `trials` of them, at `sim.workers`) as their histogram of report
-    sums by the drawn world bit; a state drawn fewer than 10 times raises
+    first `trials` of them, at `sim.workers`) as their record's report sums
+    by drawn world bit (`reports`); a state drawn fewer than 10 times raises
     ValueError.  Each state's sums are normalized by the realized-graph
     mean and exact-pair variance coefficient.  A degenerate profile, whose
     report sum never varies, raises ZeroVarianceError.
     """
     graph, engine, (analytic,) = _build_experiment([config])
-    by_w = _run_trials(engine, config.sim.seed, trials, config.sim.workers)[0, :2]
-    per_state = {state: int(by_w[state].sum()) for state in (0, 1)}
+    (reports,) = _run_trials(engine, config.sim.seed, trials, config.sim.workers)["reports"]
+    per_state = {state: int(reports[state].sum()) for state in (0, 1)}
     if min(per_state.values()) < 10:
         raise ValueError(f"need at least 10 trials in each world state, got {per_state}")
     mu, kappa = analytic.mu1, analytic.kappa1
@@ -558,10 +558,10 @@ def normality_probe(config, trials: int) -> NormalityReport:
     k = np.arange(graph.n + 1)
     ks: dict[int, float] = {}
     for state in (0, 1):
-        if np.count_nonzero(by_w[state]) == 1:
+        if np.count_nonzero(reports[state]) == 1:
             raise ZeroVarianceError("report sum is constant; degenerate strategy profile")
         mean = mu * graph.n if state == 1 else (1.0 - mu) * graph.n
-        ks[state] = _ks_statistic((k - mean) / scale, by_w[state])
+        ks[state] = _ks_statistic((k - mean) / scale, reports[state])
     asymptotic = graph.n >= _ASYMPTOTIC_MIN_N
     passed = (max(ks.values()) < _KS_THRESHOLD) if asymptotic else None
     return NormalityReport(

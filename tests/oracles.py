@@ -636,12 +636,19 @@ def trial_counts(engine, master_seed: int, trials: int):
 
 
 def count_histograms(w, counts, n: int) -> np.ndarray:
-    """(points, 3, n + 1) bincounts of `trial_counts` rows: k1 where w = 0, k1 where w = 1, band."""
-    return np.array([
-        [np.bincount(k1[w == 0], minlength=n + 1), np.bincount(k1[w == 1], minlength=n + 1),
-         np.bincount(band, minlength=n + 1)]
-        for k1, band in counts
-    ])
+    """One record per point of `trial_counts` rows, by per-trial bincounts.
+
+    Its fields are those of `sim._Engine.record`: `reports[w, k]` counts
+    the trials with world bit w and k 1-reports, `band[k]` those with k
+    users in their band.
+    """
+    record = np.zeros(len(counts), [("reports", np.int64, (2, n + 1)),
+                                    ("band", np.int64, (n + 1,))])
+    for i, (k1, band) in enumerate(counts):
+        for bit in (0, 1):
+            record["reports"][i, bit] = np.bincount(k1[w == bit], minlength=n + 1)
+        record["band"][i] = np.bincount(band, minlength=n + 1)
+    return record
 
 
 def point_stats(point, w, k1, band) -> np.ndarray:

@@ -507,10 +507,13 @@ class TestLoadTimeChecks:
          "graph.poisson_mean must be > 0 and finite, got -inf"),
         ("simulate", "mechanism.payment_scale = inf\n",
          "mechanism.payment_scale must be > 0 and finite, got inf"),
+        ("analytics", "model.cost = table:0:1,1:2\n", r"^model.cost: g\(0\) = 1, expected 0$"),
+        ("simulate", "model.cost = table:0:0,1:2,2:3\n",
+         r"^model.cost: cost derivative is not nondecreasing"),
     ], ids=["payment-scale", "p_e", "pmf-entry", "pmf-mass", "pmf-degree", "pmf-repeated",
             "pmf-nan", "pmf-huge-degree", "poisson-d_max", "empty-sweep", "negative-seed", "d_max",
             "cost-nan", "cost-repeated-zeta", "cost-inf-zeta", "poisson-inf", "poisson-nan",
-            "poisson-minus-inf", "payment-scale-inf"])
+            "poisson-minus-inf", "payment-scale-inf", "cost-g0", "cost-concave"])
     def test_rejected_at_load(self, tmp_path, monkeypatch, capsys, command, extra, message):
         from privmarket import sim
 
@@ -520,7 +523,8 @@ class TestLoadTimeChecks:
         with pytest.raises(ConfigError, match=message):
             parse_config(cfg)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "np.float64" not in err
         assert calls == []
 
     def test_zero_mass_degree_above_population_accepted(self, tmp_path):
@@ -650,18 +654,20 @@ class TestRightOrRefuse:
     @example(probe=("model.cost", "table:0:0,1:0,2:1"))
     @example(probe=("mechanism.payment_scale", "1e308"))
     @example(probe=("model.epsilon", "800"))
+    @example(probe=("model.prior_w1", "0.7"))
+    @example(probe=("model.cost", "table:0:1,1:2"))
+    @example(probe=("graph.poisson_mean", "59"))
     def test_one_key_changed(self, probe):
         key, value = probe
-        text = README_CONFIG.replace("model.population = 250", "model.population = 60")
-        if key == "graph.poisson_mean":
-            text += "graph.kind = config-model\n"
+        # every probed sim.trials value is at most 2 or refused at load
+        trials = [] if key == "sim.trials" else ["--trials", "2"]
         with tempfile.TemporaryDirectory() as tmp:
-            cfg = Path(tmp) / "probe.cfg"
-            cfg.write_text(text + f"{key} = {value}\n", encoding="utf-8")
-            for command, name in (("analytics", "analytics.txt"), ("simulate", "results.csv")):
+            cfg = _probe_config(Path(tmp), key, value)
+            for command, name in (("analytics", "analytics.txt"), ("strategy", "strategy.tsv"),
+                                  ("simulate", "results.csv")):
                 out, err = Path(tmp) / command, io.StringIO()
                 with contextlib.redirect_stderr(err):
-                    code = main([command, "--config", str(cfg), "--out", str(out), "--trials", "2"])
+                    code = main([command, "--config", str(cfg), "--out", str(out), *trials])
                 err = err.getvalue()
                 assert "Traceback" not in err, (command, err)
                 if code == 0:
@@ -670,6 +676,41 @@ class TestRightOrRefuse:
                 else:
                     assert (code, err.split(":")[0]) in ((1, "error"), (2, "config error")), \
                         (command, code, err)
+
+    @pytest.mark.parametrize("key, value, command, start, named", [
+        ("model.prior_w1", "0.7", "simulate", "error: simulate: ", ["model.prior_w1 = 0.7"]),
+        ("model.cost", "table:0:1,1:2", "analytics", "config error: model.cost: ",
+         ["g(0) = 1, expected 0"]),
+        ("graph.poisson_mean", "59", "simulate", "error: graph build: ",
+         ["graph.poisson_mean = 59", "model.population = 60"]),
+    ], ids=["unequal-priors", "cost-g0", "config-model-draw"])
+    def test_refusal_names_its_stage_and_key(self, tmp_path, monkeypatch, capsys, key, value,
+                                             command, start, named):
+        from privmarket import config
+
+        builds = []
+        build_graph = config.build_graph
+        monkeypatch.setattr(config, "build_graph", lambda cfg: builds.append(cfg) or build_graph(cfg))
+        cfg = _probe_config(tmp_path, key, value)
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg), "--out", str(out), "--trials", "2"])
+        err = capsys.readouterr().err
+        assert code == (2 if start.startswith("config error") else 1)
+        assert err.startswith(start) and "Traceback" not in err and "np.float64" not in err, err
+        assert all(text in err for text in named), err
+        assert not out.exists() or not any(out.iterdir())
+        # only the config-model draw gets as far as the graph build
+        assert len(builds) == (key == "graph.poisson_mean")
+
+
+def _probe_config(directory: Path, key: str, value: str) -> Path:
+    """The 60-user README config with `key = value`; a config-model graph for graph.poisson_mean."""
+    text = README_CONFIG.replace("model.population = 250", "model.population = 60")
+    if key == "graph.poisson_mean":
+        text += "graph.kind = config-model\n"
+    path = directory / "probe.cfg"
+    path.write_text(text + f"{key} = {value}\n", encoding="utf-8")
+    return path
 
 
 class TestPathOrText:

@@ -221,10 +221,12 @@ class TestBlockEngine:
         b = engine.block
         w, counts = trial_counts(engine, 3, 3 * b + 2)
         for trials in (2, b - 1, b, b + 1, 3 * b + 2):
-            hist = sim._run_trials(engine, 3, trials, 1)
-            assert hist.shape == (1, 3, 101) and hist.dtype == np.int64
+            record = sim._run_trials(engine, 3, trials, 1)
+            assert record.shape == (1,) and record.dtype == engine.record
+            assert record["reports"].shape == (1, 2, 101) and record["band"].shape == (1, 101)
+            assert {record.dtype[name].base for name in record.dtype.names} == {np.dtype(np.int64)}
             np.testing.assert_array_equal(
-                hist, count_histograms(w[:trials], counts[..., :trials], 100))
+                record, count_histograms(w[:trials], counts[..., :trials], 100))
 
     @pytest.mark.parametrize("graph, lane", [("readme", np.uint8), ("hub", np.uint16)])
     def test_partial_block_after_a_full_one_tallies_no_stale_row(self, tmp_path, graph, lane):
@@ -251,7 +253,7 @@ class TestBlockEngine:
         got = [engine.tally(9, trials, blocks) for blocks in tasks]
         fresh = [sim._build_experiment([cfg])[1].tally(9, trials, blocks) for blocks in tasks]
         np.testing.assert_array_equal(got, fresh)
-        assert got[0][0, 2].sum() == engine.block + 5 and got[1][0, 2].sum() == 2 * engine.block
+        assert got[0]["band"].sum() == engine.block + 5 and got[1]["band"].sum() == 2 * engine.block
 
     @pytest.mark.parametrize("n, degree", [(7, 2), (250, 4), (2000, 4), (9000, 6), (40000, 6)])
     def test_block_stays_within_cell_budget(self, n, degree):
@@ -280,7 +282,7 @@ class TestBlockEngine:
         engine = _er_engine(100, 4.0)
         trials = 52 * engine.block + 7
         one = sim._run_trials(engine, 9, trials, 1)
-        assert one[0, :2].sum() == one[0, 2].sum() == trials
+        assert one["reports"].sum() == one["band"].sum() == trials
         for workers in (2, 3):
             np.testing.assert_array_equal(sim._run_trials(engine, 9, trials, workers), one)
         if record:
@@ -426,8 +428,8 @@ class TestFixedPointTables:
         (point,) = engine.points
         assert np.array_equal(point._below, point._at_most)
         trials = 3 * engine.block
-        hist = sim._run_trials(engine, 5, trials, workers)
-        assert hist[0, 2, 0] == trials  # no trial has a user in her band
+        (record,) = sim._run_trials(engine, 5, trials, workers)
+        assert record["band"][0] == trials  # no trial has a user in her band
         work = engine.workspace(engine.block)
         _, key, move = engine.draw(substream(5, 5, 0), work)
         assert not point.play(key, move, work)[1].any()
@@ -579,7 +581,7 @@ class TestRunExperiment:
 
     def test_unequal_priors_rejected(self):
         cfg = apply_overrides(default_config(), ["model.prior_w1=0.6", "sim.trials=10"])
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(NotImplementedError, match=r"^simulate: model.prior_w1 = 0.6, "):
             run_experiment([cfg])
 
     @pytest.mark.parametrize("run, points", [
