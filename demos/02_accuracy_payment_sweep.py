@@ -10,8 +10,9 @@ accuracy while driving the users' privacy costs down.
 from privmarket.config import apply_overrides, default_config
 from privmarket.sim import sweep, sweep_csv
 
-cfg = apply_overrides(default_config(), ["sim.trials=1500", "sim.workers=2"])
-results = sweep(cfg, "avg_degree", [1, 2, 4, 8, 16], trials=1500)
+cfg = apply_overrides(default_config(), [
+    "sim.trials=1500", "sim.workers=2", "sweep.axis=avg_degree", "sweep.values=1,2,4,8,16"])
+results = sweep(cfg)
 
 print(f"{'E[D]':>5} {'accuracy':>9} {'payment/user':>13} {'privacy cost':>13}"
       f" {'mu1 (mc)':>9} {'mu1 (cf)':>9} {'beta':>8}")

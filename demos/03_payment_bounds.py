@@ -19,7 +19,7 @@ params = ModelParams(prior_w1=0.5, theta0=0.7, alpha=0.25, epsilon=0.1, populati
 dist = DegreeDistribution.binomial(249, 4.0 / 249.0)
 
 nd, mv = nd_moments(params, dist), mv_moments_equal_priors(params, dist)
-design = predict(params, 250, mv.mu1, mv.kappa1)  # Z0, Z1 and the payout at the equilibrium
+design = predict(params, mv.mu1, mv.kappa1)  # Z0, Z1 and the payout at the equilibrium
 b_nd = bhattacharyya(250, *nd)
 print(f"B(baseline) = {b_nd:.3f}  -> free-collection threshold e^-B = {math.exp(-b_nd):.4f}")
 print(f"B(equilibrium) = {design.bhattacharyya:.3f} (>= baseline)\n")
@@ -32,9 +32,7 @@ for p_e in (0.5, math.exp(-b_nd), math.exp(-b_nd) / 10.0, 1e-4):
         print(f"target P_e = {p_e:9.2e}: tight -- per-user bound {rep.bound_per_user:.4f}")
 
 print("\nsimulated baseline run (all users non-disclosive, payments scaled for delta = 1e-6):")
-(ref,) = run_experiment(
-    [apply_overrides(default_config(), ["sim.profile=nd", "sim.trials=300"])], trials=300
-)
+(ref,) = run_experiment([apply_overrides(default_config(), ["sim.profile=nd", "sim.trials=300"])])
 scale = 1e-6 / ref.analytic.payment_per_user
 cfg = apply_overrides(
     default_config(),

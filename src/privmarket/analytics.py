@@ -31,8 +31,8 @@ two agree exactly.  All three return `ReportMoments(mu1, kappa1)`.
 read the realized graph's.
 
 `predict` is the one place that designs the payment constants: from a
-profile's (n, mu1, kappa1) it gives beta, Z, Z0, Z1, the expected payout
-and the Bhattacharyya distance.
+profile's (mu1, kappa1) at its parameters' population n it gives beta,
+Z, Z0, Z1, the expected payout and the Bhattacharyya distance.
 
 A degree law is one per-degree mass vector (`graph.DegreeDistribution`),
 and its expectations are finite sums over the degrees it gives mass;
@@ -488,11 +488,12 @@ def check_payments_finite(scale: float, **payments: float) -> None:
         )
 
 
-def predict(params: ModelParams, n: int, mu1: float, kappa1: float, scale: float = 1.0) -> Prediction:
+def predict(params: ModelParams, mu1: float, kappa1: float, scale: float = 1.0) -> Prediction:
     """Z, Z0, Z1 from beta (beta0 = beta1 under equal priors) times `scale`, and the payout.
 
     A payment that overflows raises AnalyticsError (`check_payments_finite`).
     """
+    n = params.population
     beta = beta_from_moments(n, mu1, kappa1)
     z = design_Z(params.epsilon, params.theta0, params.cost)
     z0, z1 = design_Z0_Z1(z, beta, beta, params.prior_w1)

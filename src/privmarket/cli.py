@@ -27,7 +27,6 @@ from .config import (
     model_params,
     params_for_graph,
     parse_config,
-    sweep_values,
 )
 from .graph import check_sparsity, ingest_edge_list
 from .mechanism import design_Z
@@ -117,7 +116,7 @@ def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
         law = an.mv_report_law(params)
         mv = an.mv_moments_equal_priors(params, dist)
         nd = an.nd_moments(params, dist)
-        pred = an.predict(params, n, mv.mu1, mv.kappa1, cfg.mechanism.payment_scale)
+        pred = an.predict(params, mv.mu1, mv.kappa1, cfg.mechanism.payment_scale)
         b_nd = an.bhattacharyya(n, nd.mu1, nd.kappa1)
         bound = an.payment_bound(cfg.analytics.p_e, pred, b_nd)
         pairs = [
@@ -150,20 +149,10 @@ def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out: _AtomicOutputs) -> None:
-    """One CSV row per grid point: an unswept run is a one-point grid at its avg_degree."""
-    trials, workers, axis = cfg.sim.trials, cfg.sim.workers, cfg.sweep.axis
-    if axis:
-        values = sweep_values(cfg)
-        results = simmod.sweep(cfg, axis, values, trials=trials, workers=workers)
-    else:
-        results = simmod.run_experiment([cfg], trials=trials, workers=workers,
-                                        axis_values=[cfg.graph.avg_degree])
-    first = results[0]
-    extra = {"sweep_axis": axis, "sweep_values": values} if axis else {"nodes": first.nodes}
-    if cfg.graph.kind == EDGE_LIST:
-        extra.update(nodes=first.nodes, edges=first.edges)
+    """The run `sim.sweep(cfg)` makes, as one CSV row per grid point and its manifest."""
+    results = simmod.sweep(cfg)
     out.write("results.csv", simmod.sweep_csv(results))
-    out.write("manifest.json", simmod.run_manifest(cfg, trials, workers, extra=extra))
+    out.write("manifest.json", simmod.run_manifest(cfg, results))
     log.info("simulation outputs -> %s", out.dir)
 
 

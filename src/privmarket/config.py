@@ -41,6 +41,7 @@ __all__ = [
     "serialize_config",
     "apply_overrides",
     "override_axis",
+    "axis_value",
     "sweep_values",
     "model_params",
     "params_for_graph",
@@ -209,8 +210,9 @@ def validate_config(cfg: RunConfig) -> None:
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
-        key = "model.cost" if isinstance(exc, CostFunctionError) else "model"
-        raise ConfigError(f"{key}: {exc}") from exc
+        # a ParameterError's message starts with the field it refuses
+        name = "cost" if isinstance(exc, CostFunctionError) else str(exc).split()[0]
+        raise ConfigError(f"model.{name}: {exc}") from exc
     if cfg.graph.kind == ER and not 0.0 <= cfg.graph.avg_degree <= cfg.model.population - 1:
         raise ConfigError(f"graph.avg_degree must lie in [0, population - 1], got {cfg.graph.avg_degree:g}")
     if cfg.graph.kind == CONFIG_MODEL:
@@ -220,7 +222,8 @@ def validate_config(cfg: RunConfig) -> None:
         except ValueError as exc:
             if isinstance(exc, ConfigError):
                 raise
-            raise ConfigError(f"config-model degree law: {exc}") from exc
+            key = "graph.pmf" if cfg.graph.pmf else "graph.poisson_mean"
+            raise ConfigError(f"{key}: config-model degree law: {exc}") from exc
         if not cfg.graph.pmf and cfg.graph.d_max >= population:
             raise ConfigError(f"graph.d_max = {cfg.graph.d_max} truncates the Poisson law above degree "
                               f"{population - 1}, the most friends a user of "
@@ -268,6 +271,12 @@ def override_axis(cfg: RunConfig, axis: str, value: float) -> RunConfig:
         raise ConfigError(f"unknown axis {axis!r}")
     section = "graph" if axis == "avg_degree" else "model"
     return replace(cfg, **{section: replace(getattr(cfg, section), **{axis: float(value)})})
+
+
+def axis_value(cfg: RunConfig) -> float:
+    """The config's value on its sweep axis: `graph.avg_degree` when unswept."""
+    axis = cfg.sweep.axis or "avg_degree"
+    return float(getattr(cfg.graph if axis == "avg_degree" else cfg.model, axis))
 
 
 def cost_from_spec(spec: str) -> CostFunction:

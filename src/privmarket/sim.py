@@ -34,10 +34,12 @@ every run, sweep and normality probe reaches trials through one path,
 `_run_trials`, which draws each block once and plays every grid point's
 tables on it, at three 4-byte table lookups and three integer comparisons
 per user-trial and law; the table keys are C-ordered `np.intp`, the index
-array numpy's gather reads fastest.  A sweep plays each run of
-consecutive grid points that share a graph section (any epsilon or alpha
-sweep) on one graph and one draw per block; an avg_degree point builds
-its own graph.  A trial's statistics (correct estimate, payment, majority
+array numpy's gather reads fastest.  A run is its config:
+`sweep(config)`, every `simulate` run, reads its grid from the sweep
+section (one point at `graph.avg_degree` when unswept) and its trials,
+workers and seed from `sim`, and plays each run of consecutive grid
+points that share a graph section (any epsilon or alpha sweep) on one
+graph and one draw per block; an avg_degree point builds its own graph.  A trial's statistics (correct estimate, payment, majority
 match, report sum, privacy cost) depend only on its world bit and
 1-report count, or on its in-band count, so each block is tallied where
 it is drawn into one record of int64 counts per law (`_Engine.record`):
@@ -55,7 +57,7 @@ import itertools
 import json
 import math
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -67,8 +69,7 @@ from .analytics import Prediction, ReportLaw, graph_report_moments
 from .graph import Graph
 from .mechanism import MechanismConfig
 from .model import (
-    TAG_TRIAL, ModelParams, ParameterError, fixed_point, sample_signals_and_moves, sample_world,
-    substream,
+    TAG_TRIAL, ParameterError, fixed_point, sample_signals_and_moves, sample_world, substream,
 )
 
 __all__ = [
@@ -134,10 +135,10 @@ class _Point:
     `ReportLaw.side_table`).
     """
 
-    def __init__(self, law: ReportLaw, mech: MechanismConfig, n: int, below, at_most):
+    def __init__(self, law: ReportLaw, mech: MechanismConfig, below, at_most):
         self.law = law
         self.mech = mech
-        self.n = n
+        self.n = law.params.population
         # one rounding for every table, so below <= cut <= at_most still holds
         self._below = fixed_point(np.repeat(below, 2))
         self._at_most = fixed_point(np.repeat(at_most, 2))
@@ -202,13 +203,8 @@ class _Engine:
     on the number of workers, nor on which other laws share its draw.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        laws: Sequence[ReportLaw],
-        mechs: Sequence[MechanismConfig],
-        params: ModelParams,
-    ):
+    def __init__(self, graph: Graph, laws: Sequence[ReportLaw], mechs: Sequence[MechanismConfig]):
+        params = laws[0].params
         if graph.n != params.population:
             raise ParameterError(
                 f"graph has {graph.n} nodes but params.population is {params.population}"
@@ -226,7 +222,7 @@ class _Engine:
         for law, mech in zip(laws, mechs, strict=True):
             # the offsets depend on the degrees alone, so every law keys alike
             offset, below, at_most = law.side_table(graph.degrees)
-            self.points.append(_Point(law, mech, graph.n, below, at_most))
+            self.points.append(_Point(law, mech, below, at_most))
         self._row = (2 * offset[graph.degrees]).astype(np.intp)
         self._lane = np.min_scalar_type(graph.max_degree())  # holds any user's count
         self._total = np.min_scalar_type(graph.n)  # holds any trial's count of users
@@ -412,12 +408,14 @@ def _build_experiment(configs):
 
     The graph is built once, from the first config.  Each config adds its
     report law and payment constants to the engine; they must agree on the
-    graph section, `sim.seed` and the draw's model parameters.
+    graph section, the sim section but `sim.profile` and the draw's model
+    parameters.
     """
     first = configs[0]
     for config in configs:
-        if config.graph != first.graph or config.sim.seed != first.sim.seed:
-            raise ValueError("experiments on one draw need one graph section and one sim.seed")
+        if (config.graph, replace(config.sim, profile=first.sim.profile)) != (first.graph, first.sim):
+            raise ValueError("experiments on one draw need one graph section and sim sections "
+                             "that differ only in sim.profile")
         if not configmod.model_params(config).equal_priors:  # refused before the graph build
             raise NotImplementedError(
                 f"simulate: model.prior_w1 = {config.model.prior_w1!r}, but experiments need equal "
@@ -431,17 +429,15 @@ def _build_experiment(configs):
         else:
             law = analytics.mv_report_law(params)
         analytic = analytics.predict(
-            params, graph.n, *graph_report_moments(graph, law), config.mechanism.payment_scale
-        )
+            params, *graph_report_moments(graph, law), config.mechanism.payment_scale)
         laws.append(law)
         mechs.append(MechanismConfig(z0=analytic.z0, z1=analytic.z1))
         predictions.append(analytic)
-    engine = _Engine(graph, laws, mechs, laws[0].params)
+    engine = _Engine(graph, laws, mechs)
     return graph, engine, predictions
 
 
-def _sim_result(config, axis_value: float, point: _Point, record,
-                analytic: Prediction, graph: Graph) -> SimResult:
+def _sim_result(config, point: _Point, record, analytic: Prediction, graph: Graph) -> SimResult:
     """A SimResult from one law's `_Engine.record` over a whole run.
 
     A trial's statistics depend only on its world bit and 1-report count,
@@ -464,7 +460,7 @@ def _sim_result(config, axis_value: float, point: _Point, record,
     return SimResult(
         trials=int(band.sum()),
         profile=config.sim.profile,
-        axis_value=axis_value,
+        axis_value=configmod.axis_value(config),
         accuracy=_mean_se(correct, reports),
         avg_payment_per_user=_mean_se(paid, reports.sum(axis=0)),
         avg_privacy_cost=_mean_se(point.privacy_cost(k), band),
@@ -477,33 +473,27 @@ def _sim_result(config, axis_value: float, point: _Point, record,
     )
 
 
-def run_experiment(
-    configs, trials: int | None = None, workers: int | None = None,
-    axis_values: Sequence[float] | None = None,
-) -> list[SimResult]:
+def run_experiment(configs) -> list[SimResult]:
     """Run configured experiments that share one draw; one SimResult each, with predictions.
 
     The configs differ only in what a law reads (`model.epsilon`,
     `model.alpha`, `sim.profile`, the payment scale): the graph is built
     once, and each block of trials is drawn once and played under every
-    config's law.  A config's result is byte-identical
-    to the one it gets on its own.  Trials and workers default to the first
-    config's; trials are parallelizable and order-independent, and one pool
-    serves every config.
+    config's law.  A config's result is byte-identical to the one it gets
+    on its own, and its `axis_value` is the config's value on its sweep
+    axis (`config.axis_value`).  Trials, workers and seed are the configs'
+    common `sim` section; trials are parallelizable and order-independent,
+    and one pool serves every config.
     """
-    first = configs[0]
-    trials = first.sim.trials if trials is None else int(trials)
-    workers = first.sim.workers if workers is None else int(workers)
-    if trials < 2:
+    settings = configs[0].sim
+    if settings.trials < 2:
         raise ValueError("need at least 2 trials")
-    if axis_values is None:
-        axis_values = [float("nan")] * len(configs)
     graph, engine, predictions = _build_experiment(configs)
-    records = _run_trials(engine, first.sim.seed, trials, workers)
+    records = _run_trials(engine, settings.seed, settings.trials, settings.workers)
     return [
-        _sim_result(config, value, point, record, analytic, graph)
-        for config, value, point, record, analytic
-        in zip(configs, axis_values, engine.points, records, predictions, strict=True)
+        _sim_result(config, point, record, analytic, graph)
+        for config, point, record, analytic
+        in zip(configs, engine.points, records, predictions, strict=True)
     ]
 
 
@@ -538,18 +528,19 @@ _KS_THRESHOLD = 0.05
 _ASYMPTOTIC_MIN_N = 500  # populations from which the normality claim is made
 
 
-def normality_probe(config, trials: int) -> NormalityReport:
+def normality_probe(config) -> NormalityReport:
     """Kolmogorov-Smirnov distance of the normalized report sum per world state.
 
-    The probe reads the trials `simulate` runs on the same config (the
-    first `trials` of them, at `sim.workers`) as their record's report sums
+    The probe reads the trials `simulate` runs on the same config (its
+    `sim.trials`, at `sim.workers`) as their record's report sums
     by drawn world bit (`reports`); a state drawn fewer than 10 times raises
     ValueError.  Each state's sums are normalized by the realized-graph
     mean and exact-pair variance coefficient.  A degenerate profile, whose
     report sum never varies, raises ZeroVarianceError.
     """
     graph, engine, (analytic,) = _build_experiment([config])
-    (reports,) = _run_trials(engine, config.sim.seed, trials, config.sim.workers)["reports"]
+    settings = config.sim
+    (reports,) = _run_trials(engine, settings.seed, settings.trials, settings.workers)["reports"]
     per_state = {state: int(reports[state].sum()) for state in (0, 1)}
     if min(per_state.values()) < 10:
         raise ValueError(f"need at least 10 trials in each world state, got {per_state}")
@@ -571,25 +562,25 @@ def normality_probe(config, trials: int) -> NormalityReport:
     )
 
 
-def sweep(config, axis: str, values: Sequence[float], trials: int | None = None,
-          workers: int | None = None) -> list[SimResult]:
-    """One SimResult per grid value, its `axis_value` the value; deterministic given the seed.
+def sweep(config) -> list[SimResult]:
+    """The run `simulate` makes: one SimResult per grid point, deterministic given the seed.
 
-    Consecutive grid points with one graph section are one
-    `run_experiment` group: the graph is built (or the edge list ingested)
-    once and every point is played on one shared draw per block.  So an
-    epsilon or alpha sweep on any graph kind plays one graph and one draw,
-    and each avg_degree point builds its own graph.  Every graph comes
-    from the same stream, so each row is the one its point gets from
-    `run_experiment` on its own.  An axis outside `config.SWEEP_AXES`
-    raises ConfigError before any trial.
+    The grid is `sweep.values` along `sweep.axis`, or the one point at
+    `graph.avg_degree` when unswept.  Consecutive grid points with one
+    graph section are one `run_experiment` group: the graph is built (or
+    the edge list ingested) once and every point is played on one shared
+    draw per block.  So an epsilon or alpha sweep on any graph kind plays
+    one graph and one draw, and each avg_degree point builds its own
+    graph.  Every graph comes from the same stream, so each row is the one
+    its point gets from `run_experiment` on its own.  An axis outside
+    `config.SWEEP_AXES` raises ConfigError before any trial.
     """
-    points = [(configmod.override_axis(config, axis, value), float(value)) for value in values]
+    axis = config.sweep.axis
+    points = ([configmod.override_axis(config, axis, v) for v in configmod.sweep_values(config)]
+              if axis else [config])
     results = []
-    for _, group in itertools.groupby(points, key=lambda point: point[0].graph):
-        subs, group_values = zip(*group)
-        results += run_experiment(subs, trials=trials, workers=workers,
-                                  axis_values=group_values)
+    for _, group in itertools.groupby(points, key=lambda point: point.graph):
+        results += run_experiment(list(group))
     return results
 
 
@@ -623,17 +614,24 @@ def sweep_csv(results: Sequence[SimResult]) -> str:
     return CSV_HEADER + "\n" + "\n".join(_result_row(r) for r in results) + "\n"
 
 
-def run_manifest(config, trials: int, workers: int, extra: dict | None = None) -> str:
-    """JSON record of the run: full config text, seed and code version."""
+def run_manifest(config, results: Sequence[SimResult]) -> str:
+    """JSON record of the run `sweep(config)` made: config text, seed, trials, workers, version.
+
+    A sweep adds its grid and an unswept run its `nodes`; an edge list adds `nodes` and `edges`.
+    """
     from . import __version__
 
     payload = {
         "config": configmod.serialize_config(config),
         "seed": config.sim.seed,
-        "trials": trials,
-        "workers": workers,
+        "trials": config.sim.trials,
+        "workers": config.sim.workers,
         "version": __version__,
     }
-    if extra:
-        payload.update(extra)
+    if config.sweep.axis:
+        payload.update(sweep_axis=config.sweep.axis, sweep_values=configmod.sweep_values(config))
+    else:
+        payload.update(nodes=results[0].nodes)
+    if config.graph.kind == configmod.EDGE_LIST:
+        payload.update(nodes=results[0].nodes, edges=results[0].edges)
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -159,7 +159,7 @@ def test_criterion_5_clt_normality():
     # 10 000 draws per state: at 1000 the 0.05 threshold sits near the
     # 98.5th percentile of the KS statistic's sampling noise alone
     cfg = apply_overrides(default_config(), ["model.population=2000", "sim.trials=20000"])
-    report = normality_probe(cfg, trials=20000)
+    report = normality_probe(cfg)
     elapsed = time.monotonic() - start
     ks0, ks1 = report.ks_statistic[0], report.ks_statistic[1]
     _report(
@@ -185,8 +185,8 @@ def test_criterion_6_beta_limit():
 
 @pytest.fixture(scope="module")
 def degree_sweep():
-    cfg = apply_overrides(default_config(), ["sim.trials=1500", "sim.workers=2"])
-    return sweep(cfg, "avg_degree", [1, 2, 4, 8, 16], trials=1500)
+    return sweep(apply_overrides(default_config(), [
+        "sim.trials=1500", "sim.workers=2", "sweep.axis=avg_degree", "sweep.values=1,2,4,8,16"]))
 
 
 def test_criterion_7_error_bound(degree_sweep):
@@ -221,7 +221,7 @@ def test_criterion_9_baseline_regime():
     b_nd = bhattacharyya(250, *nd)
     from privmarket.analytics import payment_bound, predict
 
-    pred = predict(params, 250, mv.mu1, mv.kappa1)
+    pred = predict(params, mv.mu1, mv.kappa1)
     slack_ok = all(
         payment_bound(p_e, pred, b_nd).regime == "slack"
         for p_e in (0.5, math.exp(-b_nd), min(0.9, 2 * math.exp(-b_nd)))
@@ -232,7 +232,7 @@ def test_criterion_9_baseline_regime():
     probe_cfg = apply_overrides(
         default_config(), ["sim.profile=nd", "sim.trials=200", "model.population=250"]
     )
-    (ref,) = run_experiment([probe_cfg], trials=200)
+    (ref,) = run_experiment([probe_cfg])
     scale = delta / ref.analytic.payment_per_user
     cfg = apply_overrides(
         default_config(),
@@ -252,7 +252,7 @@ def test_criterion_9_baseline_regime():
     graph, _ = build_graph(cfg)
     p = make_params(population=graph.n)
     law = nd_report_law(p)
-    engine = _Engine(graph, [law], [MechanismConfig(z0=1.0, z1=1.0)], p)
+    engine = _Engine(graph, [law], [MechanismConfig(z0=1.0, z1=1.0)])
     work = engine.workspace(engine.block)
     _, key, move = engine.draw(substream(1, 5, 0), work)
     _, in_band = engine.points[0].play(key, move, work)
@@ -286,10 +286,11 @@ def test_criterion_11_determinism():
     cfg = apply_overrides(
         default_config(), ["sim.trials=150", "model.population=120", "sim.seed=777"]
     )
-    outputs = {w: simresult_csv(run_experiment([cfg], workers=w)[0]) for w in (1, 4, 16)}
-    rerun = simresult_csv(run_experiment([cfg], workers=4)[0])
-    sweep_a = sweep_csv(sweep(cfg, "epsilon", [0.1, 0.3], trials=60, workers=1))
-    sweep_b = sweep_csv(sweep(cfg, "epsilon", [0.1, 0.3], trials=60, workers=4))
+    at = {w: apply_overrides(cfg, [f"sim.workers={w}"]) for w in (1, 4, 16)}
+    outputs = {w: simresult_csv(run_experiment([c])[0]) for w, c in at.items()}
+    rerun = simresult_csv(run_experiment([at[4]])[0])
+    sweep_a, sweep_b = (sweep_csv(sweep(apply_overrides(at[w], [
+        "sim.trials=60", "sweep.axis=epsilon", "sweep.values=0.1,0.3"]))) for w in (1, 4))
     ok = (
         outputs[1] == outputs[4] == outputs[16]
         and rerun == outputs[4]

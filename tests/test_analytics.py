@@ -335,7 +335,7 @@ class TestPrediction:
         from privmarket.mechanism import design_Z, design_Z0_Z1
 
         mv = mv_moments_equal_priors(default_params, self.DIST)
-        pred = predict(default_params, 250, mv.mu1, mv.kappa1)
+        pred = predict(default_params, mv.mu1, mv.kappa1)
         beta = beta_from_moments(250, mv.mu1, mv.kappa1)
         z = design_Z(0.1, 0.7, default_params.cost)
         z0, z1 = design_Z0_Z1(z, beta, beta, 0.5)
@@ -345,8 +345,8 @@ class TestPrediction:
         assert pred.bhattacharyya == bhattacharyya(250, mv.mu1, mv.kappa1)
 
     def test_scale_multiplies_constants_and_payout(self, default_params):
-        base = predict(default_params, 250, 0.6, 0.3)
-        scaled = predict(default_params, 250, 0.6, 0.3, scale=0.37)
+        base = predict(default_params, 0.6, 0.3)
+        scaled = predict(default_params, 0.6, 0.3, scale=0.37)
         assert scaled.beta == base.beta and scaled.bhattacharyya == base.bhattacharyya
         for key in ("z", "z0", "z1", "total_payment", "payment_per_user"):
             assert getattr(scaled, key) == pytest.approx(0.37 * getattr(base, key), rel=1e-15)
@@ -354,7 +354,7 @@ class TestPrediction:
     def test_uninformative_profile_rejected(self, default_params):
         # beta = 1/2 leaves Z0 and Z1 undefined
         with pytest.raises(MechanismError):
-            predict(default_params, 250, 0.5, 0.25)
+            predict(default_params, 0.5, 0.25)
 
 
 class TestPaymentBound:
@@ -362,7 +362,7 @@ class TestPaymentBound:
 
     def _bound(self, p_e, params):
         mv, nd = mv_moments_equal_priors(params, self.DIST), nd_moments(params, self.DIST)
-        return payment_bound(p_e, predict(params, 250, mv.mu1, mv.kappa1), bhattacharyya(250, *nd))
+        return payment_bound(p_e, predict(params, mv.mu1, mv.kappa1), bhattacharyya(250, *nd))
 
     def test_loose_target_is_slack(self, default_params):
         rep = self._bound(0.5, default_params)
@@ -460,10 +460,10 @@ class TestDegreeLawMatchesSimulation:
         # the simulated report sum.  12 000 trials, about 1.5 s.
         cfg = apply_overrides(default_config(), [
             "graph.kind=config-model", "graph.poisson_mean=3", "model.population=4000",
-            "model.epsilon=0.5", "sim.seed=20240101",
+            "model.epsilon=0.5", "sim.seed=20240101", "sim.trials=12000", "sim.workers=1",
         ])
         s = mv_moments_equal_priors(model_params(cfg), analytic_distribution(cfg))
-        (result,) = run_experiment([cfg], trials=12_000, workers=1)
+        (result,) = run_experiment([cfg])
         got = result.empirical_kappa1
         assert abs(s.kappa1 - got.value) < 3.0 * got.se, (s.kappa1, got)
 
@@ -732,6 +732,7 @@ class TestGraphMomentsByDegreePairs:
         moments_fn = sim.graph_report_moments
         monkeypatch.setattr(sim, "graph_report_moments",
                             lambda graph, law: moments.append(law) or moments_fn(graph, law))
-        cfg = apply_overrides(default_config(), ["model.population=120"])
-        sim.sweep(cfg, "epsilon", [0.1, 0.3, 0.5], trials=4)
+        cfg = apply_overrides(default_config(), ["model.population=120", "sim.trials=4",
+                                                 "sweep.axis=epsilon", "sweep.values=0.1,0.3,0.5"])
+        sim.sweep(cfg)
         assert len(moments) == 3 and len(calls) == 1

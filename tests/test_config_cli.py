@@ -311,13 +311,14 @@ class TestCli:
             "import sys\n"
             "sys.modules['scipy'] = None\n"
             "from privmarket.cli import main\n"
-            "from privmarket.config import parse_config\n"
+            "from privmarket.config import apply_overrides, parse_config\n"
             "from privmarket.sim import normality_probe\n"
             "cfg, out = sys.argv[1:]\n"
             "for command in (['strategy'], ['analytics'], ['simulate', '--trials', '2']):\n"
             "    if main([*command, '--config', cfg, '--out', out]) != 0:\n"
             "        sys.exit(f'{command} failed')\n"
-            "print(sorted(normality_probe(parse_config(cfg), trials=60).ks_statistic))\n"
+            "probe = normality_probe(apply_overrides(parse_config(cfg), ['sim.trials=60']))\n"
+            "print(sorted(probe.ks_statistic))\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
@@ -328,15 +329,18 @@ class TestCli:
 
     def test_layer_tracer_finds_its_spans(self, tmp_path):
         # perfbench/trace_cli.py wraps functions by module attribute; a
-        # rename of one of them must fail here, not first in the benchmark.
-        # simulate reads only the realized graph; analytics reads the degree law.
+        # rename of one of them, or a call path that goes round it, must
+        # fail here, not first in the benchmark.  simulate, swept or not,
+        # reads only the realized graph; analytics reads the degree law.
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(README_CONFIG, encoding="utf-8")
+        cfg.write_text(README_CONFIG + "model.population = 60\n", encoding="utf-8")
         spans_path = tmp_path / "spans.json"
         tracer = Path(__file__).parents[1] / "perfbench" / "trace_cli.py"
+        simulate = ("graph.build", "analytics.graph_moments", "sim.trial_phase", "sim.output")
         for command, spans in (
-            (["simulate", "--trials", "2", "--workers", "1"],
-             ("graph.build", "analytics.graph_moments", "sim.trial_phase")),
+            (["simulate", "--trials", "2", "--workers", "1"], simulate),
+            (["simulate", "--trials", "2", "--workers", "1", "--set", "sweep.axis=epsilon",
+              "--set", "sweep.values=0.1,0.5"], simulate),
             (["analytics"], ("analytics.degree_law",)),
         ):
             done = subprocess.run(
@@ -347,9 +351,11 @@ class TestCli:
             assert done.returncode == 0, done.stderr
             payload = json.loads(spans_path.read_text())
             assert payload["exit_code"] == 0
-            names = {span[0] for span in payload["spans"]}
+            spent = {}
+            for name, start, end, _ in payload["spans"]:
+                spent[name] = spent.get(name, 0.0) + end - start
             for name in spans:
-                assert name in names, (command[0], name)
+                assert spent.get(name, 0.0) > 0.0, (command, name)
 
     def test_analytics_on_edge_list_uses_its_node_count(self, tmp_path):
         path = write_grqc_like(tmp_path / "grqc.txt")
@@ -406,6 +412,30 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["trials"] == 10
         assert manifest["seed"] == 123
+
+    @pytest.mark.parametrize("kind", ["er", "edge-list"])
+    @pytest.mark.parametrize("swept", [False, True], ids=["unswept", "swept"])
+    def test_simulate_manifest_keys(self, tmp_path, kind, swept):
+        # a sweep records its grid, an unswept run its node count, and an
+        # edge list the ingested graph's nodes and edges
+        extra = "model.population = 60\n"
+        if kind == "edge-list":
+            path = tmp_path / "ring.txt"
+            path.write_text("".join(f"{i} {(i + 1) % 60}\n" for i in range(60)))
+            extra += f"graph.kind = edge-list\ngraph.path = {path}\n"
+        if swept:
+            extra += "sweep.axis = epsilon\nsweep.values = 0.1,0.5\n"
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(_write_config(tmp_path, extra)),
+                     "--out", str(out), "--trials", "2"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        grid = {"sweep_axis", "sweep_values"} if swept else set()
+        graph = {"nodes", "edges"} if kind == "edge-list" else set() if swept else {"nodes"}
+        assert set(manifest) == {"config", "seed", "trials", "workers", "version"} | grid | graph
+        assert (manifest["trials"], manifest.get("nodes", 60), manifest.get("edges", 60)) == (
+            2, 60, 60)
+        if swept:
+            assert (manifest["sweep_axis"], manifest["sweep_values"]) == ("epsilon", [0.1, 0.5])
 
     def test_failure_leaves_no_partial_outputs(self, tmp_path):
         cfg = _write_config(tmp_path, "model.prior_w1 = 0.6\n")  # unsupported in sim
@@ -510,10 +540,24 @@ class TestLoadTimeChecks:
         ("analytics", "model.cost = table:0:1,1:2\n", r"^model.cost: g\(0\) = 1, expected 0$"),
         ("simulate", "model.cost = table:0:0,1:2,2:3\n",
          r"^model.cost: cost derivative is not nondecreasing"),
+        ("analytics", "graph.kind = config-model\ngraph.pmf = 2:0.5;3:0.4\n",
+         r"^graph\.pmf: config-model degree law: mass sums to 0\.9, not 1$"),
+        ("analytics", "graph.kind = config-model\ngraph.pmf = -1:0.5;2:0.5\n",
+         r"^graph\.pmf: config-model degree law: degrees must be nonnegative$"),
+        ("analytics", "graph.kind = config-model\ngraph.pmf = 2:0.5;2:0.5\n",
+         r"^graph\.pmf: config-model degree law: duplicate degrees in support$"),
+        ("analytics", "graph.kind = config-model\ngraph.pmf = 2:-0.5;3:1.5\n",
+         r"^graph\.pmf: config-model degree law: mass values must be nonnegative$"),
+        ("analytics", "model.theta0 = 0.4\n",
+         r"^model\.theta0: theta0 must lie in \(0\.5, 1\), got 0\.4$"),
+        ("analytics", "model.population = 1\n",
+         r"^model\.population: population must be >= 2, got 1$"),
     ], ids=["payment-scale", "p_e", "pmf-entry", "pmf-mass", "pmf-degree", "pmf-repeated",
             "pmf-nan", "pmf-huge-degree", "poisson-d_max", "empty-sweep", "negative-seed", "d_max",
             "cost-nan", "cost-repeated-zeta", "cost-inf-zeta", "poisson-inf", "poisson-nan",
-            "poisson-minus-inf", "payment-scale-inf", "cost-g0", "cost-concave"])
+            "poisson-minus-inf", "payment-scale-inf", "cost-g0", "cost-concave",
+            "pmf-mass-key", "pmf-negative-degree", "pmf-repeated-key", "pmf-negative-mass",
+            "theta0-key", "population-key"])
     def test_rejected_at_load(self, tmp_path, monkeypatch, capsys, command, extra, message):
         from privmarket import sim
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,9 +94,9 @@ def _simple_mech():
     return MechanismConfig(z0=1.0, z1=1.0)
 
 
-def _one_trial(graph, law, params, rng):
+def _one_trial(graph, law, rng):
     """(w, reports, in band) of one trial: a one-row block played under `law`."""
-    engine = sim._Engine(graph, [law], [_simple_mech()], params)
+    engine = sim._Engine(graph, [law], [_simple_mech()])
     work = engine.workspace(1)
     (w,), key, move = engine.draw(rng, work)
     (reports,), (in_band,) = engine.points[0].play(key, move, work)
@@ -109,29 +109,29 @@ class TestRunTrial:
         # all signals equal w, so f = 2 for everyone: report w w.p. 1
         params = make_params(alpha=0.0, theta0=1.0 - 1e-12, population=4)
         graph = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        w, reports, _ = _one_trial(graph, mv_report_law(params), params, substream(3, 5, 0))
+        w, reports, _ = _one_trial(graph, mv_report_law(params), substream(3, 5, 0))
         assert np.all(reports == w)
 
     def test_nd_baseline_has_zero_privacy_costs(self):
         params = make_params(population=6)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         law = nd_report_law(params)
-        _, _, in_band = _one_trial(graph, law, params, substream(3, 5, 1))
+        _, _, in_band = _one_trial(graph, law, substream(3, 5, 1))
         assert np.all(in_band * law.band_cost == 0.0)
 
     def test_fixed_seed_reproduces_bytes(self):
         params = make_params(population=6)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         law = mv_report_law(params)
-        a = _one_trial(graph, law, params, substream(3, 5, 2))
-        b = _one_trial(graph, law, params, substream(3, 5, 2))
+        a = _one_trial(graph, law, substream(3, 5, 2))
+        b = _one_trial(graph, law, substream(3, 5, 2))
         assert a[0] == b[0]
         assert a[1].tobytes() == b[1].tobytes() and a[2].tobytes() == b[2].tobytes()
 
     def test_payments_nonnegative(self):
         params = make_params(population=6)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
-        engine = sim._Engine(graph, [mv_report_law(params)], [_simple_mech()], params)
+        engine = sim._Engine(graph, [mv_report_law(params)], [_simple_mech()])
         work = engine.workspace(10)
         w, key, move = engine.draw(substream(3, 5, 10), work)
         reports, _ = engine.points[0].play(key, move, work)
@@ -142,7 +142,7 @@ class TestRunTrial:
 def _engine(graph):
     params = make_params(population=graph.n)
     mech = MechanismConfig(z0=1.7, z1=2.1)
-    return sim._Engine(graph, [mv_report_law(params)], [mech], params)
+    return sim._Engine(graph, [mv_report_law(params)], [mech])
 
 
 def _er_engine(n, avg_degree):
@@ -270,9 +270,11 @@ class TestBlockEngine:
     def test_never_more_processes_than_blocks(self, in_process_pool):
         cfg = apply_overrides(default_config(), ["model.population=100"])
         trials = 2 * sim._build_experiment([cfg])[1].block
-        wide = simresult_csv(run_experiment([cfg], trials=trials, workers=64)[0])
+        wide, one = (apply_overrides(cfg, [f"sim.trials={trials}", f"sim.workers={w}"])
+                     for w in (64, 1))
+        csv = simresult_csv(run_experiment([wide])[0])
         assert in_process_pool.requested == [2]
-        assert wide == simresult_csv(run_experiment([cfg], trials=trials, workers=1)[0])
+        assert csv == simresult_csv(run_experiment([one])[0])
 
     @pytest.mark.parametrize("in_process", [False, True], ids=["fork", "in_process"])
     def test_histograms_do_not_depend_on_workers(self, request, in_process):
@@ -293,8 +295,8 @@ class TestBlockEngine:
         with pytest.raises(ConfigError, match="sim.workers"):
             apply_overrides(default_config(), ["sim.workers=0"])
         cfg = apply_overrides(default_config(), ["model.population=60"])
-        with pytest.raises(ValueError, match="workers"):
-            run_experiment([cfg], trials=10, workers=0)
+        with pytest.raises(ValueError, match="workers"):  # a RunConfig built unvalidated
+            run_experiment([replace(cfg, sim=replace(cfg.sim, trials=10, workers=0))])
 
 
 class TestEngineSetup:
@@ -302,7 +304,7 @@ class TestEngineSetup:
         params = make_params(population=7)
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         with pytest.raises(ParameterError, match="6 nodes but params.population is 7"):
-            sim._Engine(graph, [mv_report_law(params)], [_simple_mech()], params)
+            sim._Engine(graph, [mv_report_law(params)], [_simple_mech()])
 
     @pytest.mark.parametrize("field, value", [
         ("population", 7), ("prior_w1", 0.6), ("theta0", 0.8),
@@ -314,9 +316,9 @@ class TestEngineSetup:
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         other = nd_report_law(make_params(**{"population": 6, field: value}))
         with pytest.raises(ParameterError, match=f"law 1 has {field} = {value} "):
-            sim._Engine(graph, [mv_report_law(params), other], [_simple_mech()] * 2, params)
+            sim._Engine(graph, [mv_report_law(params), other], [_simple_mech()] * 2)
         alpha_eps = mv_report_law(make_params(population=6, alpha=0.1, epsilon=1.0))
-        engine = sim._Engine(graph, [mv_report_law(params), alpha_eps], [_simple_mech()] * 2, params)
+        engine = sim._Engine(graph, [mv_report_law(params), alpha_eps], [_simple_mech()] * 2)
         assert engine.points[1].law is alpha_eps
 
     def test_friends_ones_counts_each_neighbour(self):
@@ -351,7 +353,7 @@ class TestEngineSetup:
             side_table=lambda degrees: (np.zeros(hub + 1, dtype=np.int64), np.zeros(1), np.ones(1)),
             cut_table=lambda below, at_most: np.ones((1, 2)),
         )
-        engine = sim._Engine(graph, [law], [_simple_mech()], params)
+        engine = sim._Engine(graph, [law], [_simple_mech()])
         assert engine._lane == lane
         alternating = np.zeros((rows, n), dtype=np.int8)
         alternating[::2] = 1
@@ -424,7 +426,7 @@ class TestFixedPointTables:
         ring = [(i, (i + 1) % n) for i in range(n)]
         graph = Graph(n, ring + [(i, i + n // 2) for i in range(n // 2)])
         params = make_params(population=n)
-        engine = sim._Engine(graph, [nd_report_law(params)], [_simple_mech()], params)
+        engine = sim._Engine(graph, [nd_report_law(params)], [_simple_mech()])
         (point,) = engine.points
         assert np.array_equal(point._below, point._at_most)
         trials = 3 * engine.block
@@ -459,12 +461,15 @@ class TestHistogramAggregation:
 
     @staticmethod
     def _check(configs, trials, workers=1):
-        got = run_experiment(configs, trials=trials, workers=workers)
+        configs = [apply_overrides(c, [f"sim.trials={trials}", f"sim.workers={workers}"])
+                   for c in configs]
+        got = run_experiment(configs)
         graph, engine, predictions = sim._build_experiment(configs)
         w, counts = trial_counts(engine, configs[0].sim.seed, trials)
         want = [
-            sim_result_from_rows(config, math.nan, point_stats(point, w, k1, band), analytic, graph)
-            for config, point, (k1, band), analytic
+            sim_result_from_rows(cfg, config.axis_value(cfg), point_stats(point, w, k1, band),
+                                 analytic, graph)
+            for cfg, point, (k1, band), analytic
             in zip(configs, engine.points, counts, predictions, strict=True)
         ]
         assert repr(got) == repr(want)
@@ -526,8 +531,9 @@ class TestRunExperiment:
 
     def test_workers_do_not_change_results(self):
         cfg = apply_overrides(default_config(), ["sim.trials=120", "model.population=100"])
-        csv1 = simresult_csv(run_experiment([cfg], workers=1)[0])
-        csv4 = simresult_csv(run_experiment([cfg], workers=4)[0])
+        csv1, csv4 = (
+            simresult_csv(run_experiment([apply_overrides(cfg, [f"sim.workers={w}"])])[0])
+            for w in (1, 4))
         assert csv1 == csv4
 
     def test_memory_does_not_grow_with_trials(self):
@@ -536,12 +542,14 @@ class TestRunExperiment:
         # when every trial's counts were kept)
         cfg = default_config()
         block = sim._build_experiment([cfg])[1].block
-        run_experiment([cfg], trials=2 * block, workers=1)  # first-call allocations
+        runs = {blocks: apply_overrides(cfg, [f"sim.trials={blocks * block}", "sim.workers=1"])
+                for blocks in (2, 1000)}
+        run_experiment([runs[2]])  # first-call allocations
         peaks = []
         for blocks in (2, 1000):
             tracemalloc.start()
             try:
-                run_experiment([cfg], trials=blocks * block, workers=1)
+                run_experiment([runs[blocks]])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -585,9 +593,10 @@ class TestRunExperiment:
             run_experiment([cfg])
 
     @pytest.mark.parametrize("run, points", [
-        (lambda cfg: run_experiment([cfg], trials=4), 1),
-        (lambda cfg: sweep(cfg, "epsilon", [0.1, 0.5], trials=4), 2),
-        (lambda cfg: normality_probe(cfg, trials=60), 1),
+        (lambda cfg: run_experiment([apply_overrides(cfg, ["sim.trials=4"])]), 1),
+        (lambda cfg: sweep(apply_overrides(
+            cfg, ["sim.trials=4", "sweep.axis=epsilon", "sweep.values=0.1,0.5"])), 2),
+        (lambda cfg: normality_probe(apply_overrides(cfg, ["sim.trials=60"])), 1),
     ], ids=["single", "sweep", "normality_probe"])
     def test_reads_only_realized_graph_moments(self, monkeypatch, run, points):
         # one realized-graph moment pair per grid point, no degree-law summary
@@ -607,7 +616,7 @@ class TestNormalityProbe:
         cfg = apply_overrides(
             default_config(), ["model.population=50", "sim.trials=60", "graph.avg_degree=3"]
         )
-        rep = normality_probe(cfg, trials=60)
+        rep = normality_probe(cfg)
         assert not rep.asymptotic
         assert rep.passed is None
         assert set(rep.ks_statistic) == {0, 1}
@@ -621,7 +630,7 @@ class TestNormalityProbe:
              "graph.pmf=2:1", "model.population=60", "sim.trials=40"],
         )
         with pytest.raises(ZeroVarianceError):
-            normality_probe(cfg, trials=40)
+            normality_probe(cfg)
 
     def test_reads_the_trials_simulate_runs(self, monkeypatch):
         # each state's sample holds the report sums of the run's trials in
@@ -633,7 +642,7 @@ class TestNormalityProbe:
         ks = sim._ks_statistic
         monkeypatch.setattr(sim, "_ks_statistic", lambda x, c: samples.append(np.repeat(x, c))
                             or ks(x, c))
-        report = normality_probe(cfg, trials=300)
+        report = normality_probe(apply_overrides(cfg, ["sim.trials=300"]))
         assert report.trials_per_state == {0: int((w == 0).sum()), 1: int((w == 1).sum())}
         scale = math.sqrt(80 * report.kappa_used)
         for state, mean in ((0, (1.0 - report.mu_used) * 80), (1, report.mu_used * 80)):
@@ -643,7 +652,7 @@ class TestNormalityProbe:
     def test_each_state_needs_ten_trials(self):
         cfg = apply_overrides(default_config(), ["model.population=60"])
         with pytest.raises(ValueError, match="at least 10 trials in each world state"):
-            normality_probe(cfg, trials=18)
+            normality_probe(apply_overrides(cfg, ["sim.trials=18"]))
 
 
 class TestKsStatistic:
@@ -671,23 +680,29 @@ class TestKsStatistic:
         samples = []
         monkeypatch.setattr(sim, "_ks_statistic", lambda x, c: samples.append(np.repeat(x, c))
                             or ks(x, c))
-        report = normality_probe(cfg, trials=2000)
+        report = normality_probe(apply_overrides(cfg, ["sim.trials=2000"]))
         assert [report.ks_statistic[state] for state in (0, 1)] == [
             ks_statistic_per_trial(sample) for sample in samples]
+
+
+def _swept(cfg, axis, values):
+    """`cfg` swept along `axis` over `values`."""
+    grid = ",".join(map(str, values))
+    return apply_overrides(cfg, [f"sweep.axis={axis}", f"sweep.values={grid}"])
 
 
 class TestSweep:
     def test_grid_structure_and_determinism(self):
         cfg = apply_overrides(default_config(), ["sim.trials=60", "model.population=80"])
-        rows = sweep(cfg, "avg_degree", [1, 2, 4], trials=60)
+        rows = sweep(_swept(cfg, "avg_degree", [1, 2, 4]))
         assert [r.axis_value for r in rows] == [1.0, 2.0, 4.0]
         text = sweep_csv(rows)
-        assert text == sweep_csv(sweep(cfg, "avg_degree", [1, 2, 4], trials=60))
+        assert text == sweep_csv(sweep(_swept(cfg, "avg_degree", [1, 2, 4])))
         assert text.count("\n") == 4  # header + 3 rows
 
     def test_epsilon_axis_changes_accuracy_inputs(self):
         cfg = apply_overrides(default_config(), ["sim.trials=400", "model.population=100"])
-        rows = sweep(cfg, "epsilon", [0.1, 0.5], trials=400)
+        rows = sweep(_swept(cfg, "epsilon", [0.1, 0.5]))
         mus = [r.analytic.mu1 for r in rows]
         assert mus[1] > mus[0]
         # paying for more revealing reports cannot hurt the estimator
@@ -695,18 +710,19 @@ class TestSweep:
         assert hi.value >= lo.value - (lo.ci_half + hi.ci_half)
 
     @staticmethod
-    def _standalone_csv(cfg, axis, values):
-        """The sweep's CSV from one run per grid point, each building its own graph."""
+    def _standalone_csv(cfg):
+        """The CSV of a swept config from one run per grid point, each building its own graph."""
         return sweep_csv([
-            run_experiment([override_axis(cfg, axis, v)], axis_values=[v])[0] for v in values
+            run_experiment([override_axis(cfg, cfg.sweep.axis, v)])[0]
+            for v in config.sweep_values(cfg)
         ])
 
     def test_generated_graph_drawn_per_grid_point(self):
         # a repeated degree builds the same graph again, so its rows agree
         cfg = apply_overrides(default_config(), ["sim.trials=60", "model.population=80"])
-        values = [2.0, 4.0, 2.0]
-        text = sweep_csv(sweep(cfg, "avg_degree", values))
-        assert text == self._standalone_csv(cfg, "avg_degree", values)
+        cfg = _swept(cfg, "avg_degree", [2.0, 4.0, 2.0])
+        text = sweep_csv(sweep(cfg))
+        assert text == self._standalone_csv(cfg)
         rows = text.splitlines()
         assert rows[1] == rows[3] != rows[2]
 
@@ -716,8 +732,8 @@ class TestSweep:
     ], ids=["epsilon", "alpha"])
     def test_generated_graph_sweep_matches_standalone_runs(self, tmp_path, kind, axis, values):
         # an epsilon or alpha sweep plays one generated graph and one draw
-        cfg = self._graph_config(tmp_path, kind, "sim.workers=2")
-        assert sweep_csv(sweep(cfg, axis, values)) == self._standalone_csv(cfg, axis, values)
+        cfg = _swept(self._graph_config(tmp_path, kind, "sim.workers=2"), axis, values)
+        assert sweep_csv(sweep(cfg)) == self._standalone_csv(cfg)
 
     @staticmethod
     def _edge_list_config(tmp_path, *overrides, hub=False):
@@ -743,15 +759,14 @@ class TestSweep:
             default_config(), [*graph, "model.population=80", "sim.trials=60", *overrides])
 
     def test_edge_list_ingested_once(self, tmp_path, monkeypatch):
-        cfg = self._edge_list_config(tmp_path)
-        values = [0.1, 0.5, 1.0]
-        alone = self._standalone_csv(cfg, "epsilon", values)
+        cfg = _swept(self._edge_list_config(tmp_path), "epsilon", [0.1, 0.5, 1.0])
+        alone = self._standalone_csv(cfg)
         calls = []
         ingest = config.ingest_edge_list
         monkeypatch.setattr(
             config, "ingest_edge_list", lambda source: calls.append(source) or ingest(source)
         )
-        rows = sweep(cfg, "epsilon", values)
+        rows = sweep(cfg)
         assert len(calls) == 1
         assert sweep_csv(rows) == alone
 
@@ -769,7 +784,8 @@ class TestSweep:
         cfg = self._edge_list_config(
             tmp_path, f"sim.profile={profile}", f"sim.workers={workers}", hub=hub)
         assert sim._build_experiment([cfg])[1]._lane == (np.uint16 if hub else np.uint8)
-        assert sweep_csv(sweep(cfg, axis, values)) == self._standalone_csv(cfg, axis, values)
+        cfg = _swept(cfg, axis, values)
+        assert sweep_csv(sweep(cfg)) == self._standalone_csv(cfg)
 
     @pytest.mark.parametrize("kind", ["er", "config-model", "edge-list"])
     def test_one_draw_serves_every_grid_point(self, tmp_path, monkeypatch, kind):
@@ -779,16 +795,24 @@ class TestSweep:
             draws.append(len(self.points)) or _draw(self, *a, **k)))
         run = sim.run_experiment
         monkeypatch.setattr(sim, "run_experiment",
-                            lambda configs, **k: groups.append(len(configs)) or run(configs, **k))
-        sweep(cfg, "alpha", [0.1, 0.25, 0.4])
+                            lambda configs: groups.append(len(configs)) or run(configs))
+        sweep(_swept(cfg, "alpha", [0.1, 0.25, 0.4]))
         assert groups == [3]
         assert draws == [3] * -(-60 // sim._build_experiment([cfg])[1].block)
 
     def test_configs_on_one_draw_share_graph_and_seed(self):
-        cfg = apply_overrides(default_config(), ["model.population=60"])
-        for other in (["graph.avg_degree=3"], ["sim.seed=5"]):
-            with pytest.raises(ValueError, match="one graph section and one sim.seed"):
-                run_experiment([cfg, apply_overrides(cfg, other)], trials=4)
+        cfg = apply_overrides(default_config(), ["model.population=60", "sim.trials=4"])
+        for other in (["graph.avg_degree=3"], ["sim.seed=5"], ["sim.trials=5"], ["sim.workers=2"]):
+            with pytest.raises(ValueError, match="one graph section and sim sections that differ "
+                                                 "only in sim.profile"):
+                run_experiment([cfg, apply_overrides(cfg, other)])
+        # the profile is a law's, not the draw's: mv and nd share one draw
+        configs = [cfg, apply_overrides(cfg, ["sim.profile=nd"])]
+        assert len(sim._build_experiment(configs)[1].points) == 2
+        both = run_experiment(configs)
+        assert [r.profile for r in both] == ["mv", "nd"]
+        assert [simresult_csv(r) for r in both] == [
+            simresult_csv(run_experiment([c])[0]) for c in configs]
 
 
 class TestLawMatchesStrategyTables:
