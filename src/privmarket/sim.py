@@ -20,21 +20,25 @@ priors, runs on the report sum.  The closed forms read the same law, so
 simulation and analytics describe one profile.  Trials run in blocks
 whose size depends only on the graph; block b owns the stream
 (master seed, trial tag, b), so results are byte-identical across runs
-and across worker counts.  A block's friends' counts are taken at once:
-its trials are packed as lanes of 64-bit words (bytes while the largest
-degree fits in one), one row of words per user, and the friends' rows
-gathered for all users are summed into one prefix sum, which each user
-differences across her run of friends; no count can exceed the largest
-degree, so no lane overflows and the differences are exact.
+and across worker counts.  The block is the unit of randomness and the
+pass the unit of execution: a pass plays a few consecutive blocks at
+once in one workspace, each block drawn from its own stream into its own
+rows, so the block keys the stream and the pass does not.  A pass's
+friends' counts are taken at once: its trials are packed as lanes of
+64-bit words (bytes while the largest degree fits in one), one row of
+words per user, and the friends' rows gathered for all users are summed
+into one prefix sum, which each user differences across her run of
+friends; no count can exceed the largest degree, so no lane overflows
+and the differences are exact.
 
 The draw (world bits, signals, friends' counts, table keys and moves)
 reads only the graph, the seed and the model's population, prior and
 theta0, so laws that differ only in epsilon, alpha or profile share it:
 every run, sweep and normality probe reaches trials through one path,
 `_run_trials`, which draws each block once and plays every grid point's
-tables on it, at three 4-byte table lookups and three integer comparisons
-per user-trial and law; the table keys are C-ordered `np.intp`, the index
-array numpy's gather reads fastest.  A run is its config:
+tables on its pass, at three 4-byte table lookups and three integer
+comparisons per user-trial and law; the table keys are C-ordered
+`np.intp`, the index array numpy's gather reads fastest.  A run is its config:
 `sweep(config)`, every `simulate` run, reads its grid from the sweep
 section (one point at `graph.avg_degree` when unswept) and its trials,
 workers and seed from `sim`, and plays each run of consecutive grid
@@ -48,7 +52,8 @@ users in their band.  Each statistic is evaluated once per count, and its
 mean and variance are count-weighted sums equal to `math.fsum` over one
 value per trial (`analytics.weighted_fsum`).  Nothing is stored per
 trial, and a block allocates no (block x n) array but its raw words: a
-tally draws and plays every block in one workspace (`_Engine.workspace`).
+tally draws and plays every pass in one workspace (`_Engine.workspace`),
+and each worker process tallies one contiguous run of whole passes.
 """
 
 from __future__ import annotations
@@ -122,6 +127,19 @@ def map_estimate(sum_reports, n: int) -> np.ndarray:
 # simulated result; the number of laws on a draw does not enter the block size.
 _BLOCK_CELLS = 2**18
 _MAX_BLOCK = 256
+# Blocks per pass: a pass draws consecutive blocks into one workspace, each
+# from its own stream into its own rows, then counts friends, keys, plays
+# and tallies all its rows at once.  Gathering a directed edge's row of
+# count lanes costs about the same whether the row holds one 64-bit word or
+# two, and a row of many words slows the prefix sum, so a pass holds the
+# fewest whole blocks whose lanes fill _PASS_WORDS words of a row: two
+# blocks of 8 byte lanes on the collaboration graph, one block on the
+# README graph, whose block already fills 26 words.  It holds no more than
+# _PASS_CELLS cells, which bounds the workspace of a graph whose block is
+# one trial.  The pass size keys nothing: a block draws the same bits in
+# any pass, so changing these constants moves only speed and memory.
+_PASS_WORDS = 2
+_PASS_CELLS = 2**22
 
 # Model parameters a draw reads: laws that share a draw must agree on them.
 _DRAW_FIELDS = ("population", "prior_w1", "theta0")
@@ -201,6 +219,8 @@ class _Engine:
     block size depends only on the graph, and every block draws all its
     rows, so a trial's outcome depends neither on the number of trials, nor
     on the number of workers, nor on which other laws share its draw.
+    Blocks are drawn and played `pass_blocks` at a time (a pass, sized by
+    `_PASS_WORDS` and `_PASS_CELLS`), which changes no trial's bits.
     """
 
     def __init__(self, graph: Graph, laws: Sequence[ReportLaw], mechs: Sequence[MechanismConfig]):
@@ -231,19 +251,24 @@ class _Engine:
                                 ("band", np.int64, (graph.n + 1,))])
         cells = graph.n + 2 * graph.num_edges
         self.block = min(max(_BLOCK_CELLS // cells, 1), _MAX_BLOCK)
+        self.pass_blocks = max(1, min(-(-_PASS_WORDS * 8 // (self.block * self._lane.itemsize)),
+                                      _PASS_CELLS // (self.block * cells)))
 
-    def workspace(self, rows: int) -> SimpleNamespace:
-        """The arrays `draw`, `friends_ones` and `_Point.play` write a block of `rows` trials into.
+    def workspace(self, block: int, blocks: int = 1) -> SimpleNamespace:
+        """The arrays `draw`, `friends_ones` and `_Point.play` write `blocks` blocks of `block` trials into.
 
-        `tally` allocates one and draws every block in it, so a block
-        allocates only its raw words (`random_raw` takes no `out=`) and
-        arrays of one value per trial.  The prefix sum's leading row and
-        the lanes past `rows` are never written: they stay 0.
+        `tally` allocates one pass's workspace and draws every pass in it,
+        so a block allocates only its raw words (`random_raw` takes no
+        `out=`) and arrays of one value per trial.  The prefix sum's leading
+        row is never written: it stays 0.  A pass of fewer blocks uses the
+        leading rows; the lanes past them keep an earlier pass's signals,
+        whose counts are gathered with the rest but never read.
         """
+        rows = block * blocks
         n, words = self.graph.n, -(-rows * self._lane.itemsize // 8)
         shape = (rows, n)
         return SimpleNamespace(
-            signal=np.empty(shape, np.int8), move=np.empty(shape, np.uint32),
+            block=block, signal=np.empty(shape, np.int8), move=np.empty(shape, np.uint32),
             key=np.empty(shape, np.intp), lookup=np.empty(shape, np.uint32),
             reports=np.empty(shape, bool), in_band=np.empty(shape, bool),
             not_above=np.empty(shape, bool), count=np.empty(rows, self._total),
@@ -264,9 +289,11 @@ class _Engine:
         but its differences are exact modulo 2**64, and a user's true word
         sum is below 2**64 with no carry between lanes, because no lane's
         count exceeds her degree.  Every step writes into `work`, a
-        workspace of `len(s)` rows; the counts come out as its C-ordered
+        workspace of at least `len(s)` rows, whose lanes past them are
+        gathered but not read; the counts come out as its leading C-ordered
         `np.intp` keys, which `draw` turns into table keys in place.
         """
+        key = work.key[:len(s)]
         work.lanes[:, :len(s)] = s.T
         sums = work.sums
         np.take(work.lanes.view(np.uint64), self.graph.directed_send, axis=0, out=sums[1:],
@@ -274,41 +301,52 @@ class _Engine:
         np.cumsum(sums, axis=0, out=sums)
         ends = np.take(sums, self.graph.recv_starts, axis=0, out=work.ends, mode="clip")
         counts = np.subtract(ends[1:], ends[:-1], out=work.counts)
-        np.copyto(work.key, counts.view(self._lane)[:, :len(s)].T)
-        return work.key
+        np.copyto(key, counts.view(self._lane)[:, :len(s)].T)
+        return key
 
-    def draw(self, rng: np.random.Generator, work: SimpleNamespace):
-        """(w, key, move) of one trial per row of `work`: shapes (rows,), (rows, n), (rows, n).
+    def draw(self, rngs: Sequence[np.random.Generator], work: SimpleNamespace):
+        """(w, key, move) of one block of `work.block` trials per generator, in `work`'s leading rows.
 
-        Each user's table key is 2 * (offset[d] + a) + s for her degree d,
-        friends' ones a and own signal s; her signal and her uint32 move
-        come from one raw 64-bit word (`model.sample_signals_and_moves`).
-        The keys and moves are `work`'s arrays (`workspace`), and the keys
-        are C-ordered `np.intp`: numpy's take copies any other index array
-        to a temporary intp one.
+        Block i of the pass fills rows i*block .. (i+1)*block - 1: its world
+        bits, then its users' raw 64-bit words (`model.sample_signals_and_moves`),
+        both from `rngs[i]` alone, so a block draws the same bits whichever
+        pass it is in.  Friends' counts and table keys are then taken at
+        once over all the pass's rows.  Each user's table key is
+        2 * (offset[d] + a) + s for her degree d, friends' ones a and own
+        signal s.  The keys and moves are views of `work`'s arrays
+        (`workspace`), and the keys are C-ordered `np.intp`: numpy's take
+        copies any other index array to a temporary intp one.
         """
-        w = sample_world(rng, self.params, len(work.key))
-        s, move = sample_signals_and_moves(rng, w, self.params, (work.signal, work.move))
+        block, rows = work.block, len(rngs) * work.block
+        s, move = work.signal[:rows], work.move[:rows]
+        w = np.empty(rows, np.int64)
+        for i, rng in enumerate(rngs):
+            mine = slice(i * block, (i + 1) * block)
+            w[mine] = sample_world(rng, self.params, block)
+            sample_signals_and_moves(rng, w[mine], self.params, (s[mine], move[mine]))
         key = self.friends_ones(s, work)
         key *= 2
         key += s
         key += self._row
         return w, key, move
 
-    def tally(self, master_seed: int, trials: int, blocks) -> np.ndarray:
-        """One `record` per law of the trials below `trials` in `blocks`, filled by name.
+    def tally(self, master_seed: int, trials: int, blocks: range) -> np.ndarray:
+        """One `record` per law of the trials below `trials` in the consecutive `blocks`, filled by name.
 
         Block b is drawn in full from the stream (master seed, trial tag, b),
-        so no draw depends on `trials`; only the trials below it are played,
-        on the leading rows of the one workspace every block is drawn in.
+        so no draw depends on `trials`.  The blocks are drawn `pass_blocks`
+        at a time into the one workspace of the tally, and each pass's
+        trials below `trials` are played and counted at once, on its
+        leading rows.  Where the passes start does not change a bit.
         """
         n = self.graph.n
         record = np.zeros(len(self.points), self.record)
         fields = list(zip(self.points, record["reports"].reshape(len(record), -1), record["band"]))
-        work = self.workspace(self.block)
-        for b in blocks:
-            w, key, move = self.draw(substream(master_seed, TAG_TRIAL, b), work)
-            rows = min(self.block, trials - b * self.block)
+        work = self.workspace(self.block, min(self.pass_blocks, len(blocks)))
+        for start in range(0, len(blocks), self.pass_blocks):
+            group = blocks[start:start + self.pass_blocks]
+            w, key, move = self.draw([substream(master_seed, TAG_TRIAL, b) for b in group], work)
+            rows = min(len(w), trials - group[0] * self.block)
             w, key, move, count = w[:rows], key[:rows], move[:rows], work.count[:rows]
             for point, reports_by_w, band in fields:  # reports flat: w * (n + 1) + k
                 reports, in_band = point.play(key, move, work)
@@ -384,19 +422,22 @@ def _mean_se(values: np.ndarray, counts: np.ndarray) -> Estimate:
 def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) -> np.ndarray:
     """The `_Engine.tally` of trials 0..trials-1: one `_Engine.record` per law.
 
-    Blocks are the unit of work; at most one process per block is started.
-    Each pool task tallies one run of consecutive blocks, and the run's
-    records are the sum of its tasks', taken over their int64 views, which
-    no order of completion changes.
+    Passes are the unit of work; at most one process per pass is started.
+    Each process gets one task, a contiguous run of whole passes (the last
+    one may be short and end on a partial block), tallied in one workspace
+    and returned as one record per law, so a process pays the allocation
+    and the pickling once.  The run's records are the sum of its tasks',
+    taken over their int64 views, which no order of completion changes.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     blocks = -(-trials // engine.block)
-    processes = min(workers, blocks)
+    passes = -(-blocks // engine.pass_blocks)
+    processes = min(workers, passes)
     if processes <= 1:
         return engine.tally(master_seed, trials, range(blocks))
-    chunk = max(1, blocks // (8 * processes))
-    tasks = [range(blocks)[start:start + chunk] for start in range(0, blocks, chunk)]
+    ends = [engine.pass_blocks * -(-passes * i // processes) for i in range(processes + 1)]
+    tasks = [range(blocks)[start:end] for start, end in itertools.pairwise(ends)]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes, initializer=_pool_init, initargs=(engine, master_seed, trials)) as pool:
         records = pool.imap_unordered(_pool_task, tasks)
@@ -536,8 +577,14 @@ def normality_probe(config) -> NormalityReport:
     by drawn world bit (`reports`); a state drawn fewer than 10 times raises
     ValueError.  Each state's sums are normalized by the realized-graph
     mean and exact-pair variance coefficient.  A degenerate profile, whose
-    report sum never varies, raises ZeroVarianceError.
+    report sum never varies, raises ZeroVarianceError.  The probe reads one
+    point: a swept config raises ConfigError naming `sweep.axis` (probe each
+    grid point's `config.override_axis` instead).
     """
+    if config.sweep.axis:
+        raise configmod.ConfigError(
+            f"sweep.axis = {config.sweep.axis!r}: normality_probe reads one point, not a grid; "
+            "probe each point's config (config.override_axis) instead")
     graph, engine, (analytic,) = _build_experiment([config])
     settings = config.sim
     (reports,) = _run_trials(engine, settings.seed, settings.trials, settings.workers)["reports"]

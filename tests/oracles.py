@@ -628,7 +628,7 @@ def trial_counts(engine, master_seed: int, trials: int):
     ws, counts = [], []
     for b in range(-(-trials // engine.block)):
         work = engine.workspace(engine.block)
-        w, key, move = engine.draw(substream(master_seed, TAG_TRIAL, b), work)
+        w, key, move = engine.draw([substream(master_seed, TAG_TRIAL, b)], work)
         ws.append(w)
         counts.append([[reports.sum(axis=1), in_band.sum(axis=1)] for reports, in_band
                        in (point.play(key, move, work) for point in engine.points)])

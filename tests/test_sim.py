@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import tracemalloc
@@ -98,7 +99,7 @@ def _one_trial(graph, law, rng):
     """(w, reports, in band) of one trial: a one-row block played under `law`."""
     engine = sim._Engine(graph, [law], [_simple_mech()])
     work = engine.workspace(1)
-    (w,), key, move = engine.draw(rng, work)
+    (w,), key, move = engine.draw([rng], work)
     (reports,), (in_band,) = engine.points[0].play(key, move, work)
     return int(w), reports, in_band
 
@@ -133,7 +134,7 @@ class TestRunTrial:
         graph = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
         engine = sim._Engine(graph, [mv_report_law(params)], [_simple_mech()])
         work = engine.workspace(10)
-        w, key, move = engine.draw(substream(3, 5, 10), work)
+        w, key, move = engine.draw([substream(3, 5, 10)], work)
         reports, _ = engine.points[0].play(key, move, work)
         _, paid, _ = engine.points[0].report_stats(w, reports.sum(axis=1))
         assert np.all(paid >= 0.0)
@@ -147,6 +148,13 @@ def _engine(graph):
 
 def _er_engine(n, avg_degree):
     return _engine(generate_erdos_renyi(substream(5, 4, 0), n, avg_degree))
+
+
+def _ring(n, degree, hub=0):
+    """Users joined to their `degree` nearest neighbours on a ring, and user 0 to users 1..hub."""
+    edges = {(i, (i + k) % n) for i in range(n) for k in range(1, degree // 2 + 1)}
+    edges |= {(0, j) for j in range(degree // 2 + 1, hub + 1)}
+    return Graph(n, sorted(edges))
 
 
 class TestBlockEngine:
@@ -182,7 +190,7 @@ class TestBlockEngine:
         moments = mirrored_moments(*graph_report_moments(engine.graph, point.law))
         work = engine.workspace(1)
         for k in range(10):
-            w, key, move = engine.draw(substream(8, 5, k), work)
+            w, key, move = engine.draw([substream(8, 5, k)], work)
             reports, in_band = point.play(key, move, work)
             k1, band = reports.sum(axis=1), in_band.sum(axis=1)
             (correct,), (paid,), _ = point.report_stats(w, k1)
@@ -197,7 +205,7 @@ class TestBlockEngine:
         assert engine.block > 1
         (point,) = engine.points
         work = engine.workspace(engine.block)
-        w, key, move = engine.draw(substream(21, 5, 0), work)
+        w, key, move = engine.draw([substream(21, 5, 0)], work)
         reports, in_band = point.play(key, move, work)
         k1, band = reports.sum(axis=1), in_band.sum(axis=1)
         # a block's tally is the histogram of these counts
@@ -257,15 +265,19 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("n, degree", [(7, 2), (250, 4), (2000, 4), (9000, 6), (40000, 6)])
     def test_block_stays_within_cell_budget(self, n, degree):
-        # ring lattices: every node joined to its `degree` nearest neighbours
-        edges = [(i, (i + k) % n) for i in range(n) for k in range(1, degree // 2 + 1)]
-        engine = _engine(Graph(n, edges))
+        engine = _engine(_ring(n, degree))
         cells = n + 2 * engine.graph.num_edges
         assert 1 <= engine.block <= sim._MAX_BLOCK
         if engine.block > 1:
             assert engine.block * cells <= sim._BLOCK_CELLS
         else:
             assert 2 * cells > sim._BLOCK_CELLS
+        # a pass: the fewest blocks whose lanes fill _PASS_WORDS words of a
+        # gathered row, within _PASS_CELLS cells
+        passes, lanes, fill = engine.pass_blocks, engine.block * engine._lane.itemsize, 8 * sim._PASS_WORDS
+        assert passes == 1 or (passes - 1) * lanes < fill
+        assert passes == 1 or passes * engine.block * cells <= sim._PASS_CELLS
+        assert passes * lanes >= fill or (passes + 1) * engine.block * cells > sim._PASS_CELLS
 
     def test_never_more_processes_than_blocks(self, in_process_pool):
         cfg = apply_overrides(default_config(), ["model.population=100"])
@@ -278,10 +290,13 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("in_process", [False, True], ids=["fork", "in_process"])
     def test_histograms_do_not_depend_on_workers(self, request, in_process):
-        # 53 blocks, the last one partial: 2 workers take tasks of 3 blocks
-        # and 3 workers tasks of 2, so the last task is partial too
+        # 53 blocks of one pass each, the last one partial: each process
+        # tallies one contiguous run of passes, 2 workers runs of 27 and 26
+        # blocks and 3 workers runs of 18, 18 and 17, so the last task is
+        # partial too
         record = request.getfixturevalue("in_process_pool") if in_process else None
         engine = _er_engine(100, 4.0)
+        assert engine.pass_blocks == 1
         trials = 52 * engine.block + 7
         one = sim._run_trials(engine, 9, trials, 1)
         assert one["reports"].sum() == one["band"].sum() == trials
@@ -289,7 +304,7 @@ class TestBlockEngine:
             np.testing.assert_array_equal(sim._run_trials(engine, 9, trials, workers), one)
         if record:
             assert record.requested == [2, 3]
-            assert [[len(tasks[0]), len(tasks[-1])] for tasks in record.tasks] == [[3, 2], [2, 1]]
+            assert [[len(task) for task in tasks] for tasks in record.tasks] == [[27, 26], [18, 18, 17]]
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ConfigError, match="sim.workers"):
@@ -297,6 +312,50 @@ class TestBlockEngine:
         cfg = apply_overrides(default_config(), ["model.population=60"])
         with pytest.raises(ValueError, match="workers"):  # a RunConfig built unvalidated
             run_experiment([replace(cfg, sim=replace(cfg.sim, trials=10, workers=0))])
+
+
+class TestPasses:
+    """A pass draws several blocks into one workspace; it must not change a bit."""
+
+    @staticmethod
+    @functools.cache
+    def _engine(lane):
+        # 12 trials of byte lanes, or 7 of 16-bit lanes (a hub of 300
+        # friends): either way two blocks a pass
+        graph = _ring(3000, 6) if lane == np.uint8 else _ring(5000, 6, hub=300)
+        params = make_params(population=graph.n)
+        mech = MechanismConfig(z0=1.7, z1=2.1)
+        engine = sim._Engine(graph, [mv_report_law(params), nd_report_law(params)], [mech] * 2)
+        assert engine._lane == lane and engine.pass_blocks == 2
+        return engine
+
+    @pytest.mark.parametrize("in_process", [False, True], ids=["fork", "in_process"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("lane", [np.uint8, np.uint16], ids=["uint8", "uint16"])
+    def test_passes_equal_the_one_block_referee(self, request, lane, workers, in_process):
+        # 6 full passes, then a short pass of one partial block; at every
+        # worker count the last task plays that short pass on the rows the
+        # full pass before it filled, whose lanes past it hold stale signals
+        pool = request.getfixturevalue("in_process_pool") if in_process else None
+        engine = self._engine(lane)
+        step = engine.pass_blocks
+        trials = (6 * step + 1) * engine.block - 3
+        w, counts = trial_counts(engine, 9, trials)  # each block drawn alone, in a fresh workspace
+        np.testing.assert_array_equal(sim._run_trials(engine, 9, trials, workers),
+                                      count_histograms(w, counts, engine.graph.n))
+        if pool and workers > 1:
+            (tasks,) = pool.tasks
+            assert len(tasks) == workers and [len(t) % step for t in tasks] == [0] * (workers - 1) + [1]
+            assert len(tasks[-1]) > step
+
+    def test_records_do_not_depend_on_the_pass_size(self, monkeypatch):
+        engine = self._engine(np.uint8)
+        trials = 10 * engine.block + 5  # 11 blocks: no pass size divides them
+        want = sim._run_trials(engine, 4, trials, 1)
+        for step in (1, 2, 3):
+            monkeypatch.setattr(engine, "pass_blocks", step)
+            for workers in (1, 2):
+                np.testing.assert_array_equal(sim._run_trials(engine, 4, trials, workers), want)
 
 
 class TestEngineSetup:
@@ -371,7 +430,7 @@ class TestEngineSetup:
         # copies an index array that is not C-ordered intp to a temporary
         # one, whose fresh pages cost several times the gather at that size
         _, engine, _ = sim._build_experiment([default_config()])
-        _, key, move = engine.draw(substream(1, 5, 0), engine.workspace(engine.block))
+        _, key, move = engine.draw([substream(1, 5, 0)], engine.workspace(engine.block))
         assert key.size > 50_000
         assert key.dtype == np.intp and key.flags.c_contiguous
         assert move.dtype == np.uint32 and move.flags.c_contiguous
@@ -382,7 +441,7 @@ class TestEngineSetup:
         # every degree-0 user sits in her band (f = 0 = d/2) and randomizes
         engine = _engine(Graph(5, []))
         work = engine.workspace(4)
-        w, key, move = engine.draw(substream(1, 5, 0), work)
+        w, key, move = engine.draw([substream(1, 5, 0)], work)
         _, in_band = engine.points[0].play(key, move, work)
         assert in_band.all()
 
@@ -433,8 +492,32 @@ class TestFixedPointTables:
         (record,) = sim._run_trials(engine, 5, trials, workers)
         assert record["band"][0] == trials  # no trial has a user in her band
         work = engine.workspace(engine.block)
-        _, key, move = engine.draw(substream(5, 5, 0), work)
+        _, key, move = engine.draw([substream(5, 5, 0)], work)
         assert not point.play(key, move, work)[1].any()
+
+    def test_moves_at_every_table_end(self):
+        # each key's cells, played with moves at each end and one below it:
+        # [0, below) reports 0 out of band, [below, cut) 0 in band,
+        # [cut, at_most) 1 in band, [at_most, 2**31) 1 out of band; a band
+        # of width 0 (below == at_most, on both laws here) holds no one
+        graph = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (5, 6)])  # degrees 1, 2 and 3
+        params = make_params(population=7)
+        engine = sim._Engine(graph, [mv_report_law(params), nd_report_law(params)], [_simple_mech()] * 2)
+        for point in engine.points:
+            below, cut, at_most = (t.astype(np.int64) for t in (point._below, point._cut, point._at_most))
+            assert (below == at_most).any() and (below < cut).any() and (cut < at_most).any()
+            ends = np.stack([below - 1, below, cut - 1, cut, at_most - 1, at_most])
+            key = np.broadcast_to(np.arange(len(cut)), ends.shape)
+            valid = (0 <= ends) & (ends < 2**31)  # moves are 31-bit
+            key, move = key[valid][None], ends[valid].astype(np.uint32)[None]
+            work = SimpleNamespace(lookup=np.empty(key.shape, np.uint32), **{
+                name: np.empty(key.shape, bool) for name in ("reports", "in_band", "not_above")})
+            reports, in_band = point.play(key, move, work)
+            m, k = move.astype(np.int64), key
+            np.testing.assert_array_equal(reports, m >= cut[k])
+            np.testing.assert_array_equal(in_band, (below[k] <= m) & (m < at_most[k]))
+            assert not in_band[m == at_most[k]].any()
+            assert not in_band[below[k] == at_most[k]].any()
 
 
 class TestConditionalIndependence:
@@ -445,7 +528,7 @@ class TestConditionalIndependence:
         x0, x5 = [], []
         work = engine.workspace(engine.block)
         for b in range(blocks):
-            w, key, move = engine.draw(substream(17, 5, b), work)
+            w, key, move = engine.draw([substream(17, 5, b)], work)
             reports, _ = engine.points[0].play(key, move, work)
             x0.append(reports[w == 1, 0])
             x5.append(reports[w == 1, 5])
@@ -648,6 +731,12 @@ class TestNormalityProbe:
         for state, mean in ((0, (1.0 - report.mu_used) * 80), (1, report.mu_used * 80)):
             assert np.rint(samples[state] * scale + mean).tolist() == (
                 sorted(counts[0, 0, w == state].tolist()))
+
+    def test_swept_config_refused(self):
+        # the probe reads one point: a grid is refused before any trial, by key
+        cfg = _swept(apply_overrides(default_config(), ["model.population=60"]), "epsilon", [0.1, 0.5])
+        with pytest.raises(ConfigError, match=r"^sweep.axis = 'epsilon': normality_probe reads one "):
+            normality_probe(cfg)
 
     def test_each_state_needs_ten_trials(self):
         cfg = apply_overrides(default_config(), ["model.population=60"])
