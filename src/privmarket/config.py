@@ -293,7 +293,7 @@ def cost_from_spec(spec: str) -> CostFunction:
             try:
                 pairs.append((float(z), float(v)))
             except ValueError as exc:
-                raise ConfigError(f"bad cost table entry {chunk!r}") from exc
+                raise ConfigError(f"model.cost: bad cost table entry {chunk!r}") from exc
         cost = table_cost([p[0] for p in pairs], [p[1] for p in pairs])
         return cost
     raise ConfigError(f"model.cost must be quadratic, linear-capped or table:..., got {spec!r}")

@@ -4,7 +4,8 @@ The two reference collaboration/file-sharing networks are not bundled, so
 tests synthesize stand-ins with the same published counts: 5242 nodes with
 14496 undirected edges (listed in both directions, as the collaboration
 file does) and 6301 nodes with 20777 directed edges including reciprocal
-pairs.  A ring backbone guarantees every node appears.
+pairs.  A ring backbone guarantees every node appears.  A third file puts
+a hub of 400 friends among random pairs, so its counts need 16-bit lanes.
 """
 
 from __future__ import annotations
@@ -65,4 +66,12 @@ def write_gnutella_like(path: Path, seed: int = 20020804) -> Path:
     lines = ["# Synthetic peer-to-peer network", "# FromNodeId\tToNodeId"]
     lines.extend(f"{u} {v}" for u, v in directed_list)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def write_hub(path: Path) -> Path:
+    """A hub of 400 friends plus 1200 random pairs among them: 401 users."""
+    rng = np.random.default_rng(11)
+    edges = [(0, v) for v in range(1, 401)] + rng.integers(1, 401, size=(1200, 2)).tolist()
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges if u != v))
     return path

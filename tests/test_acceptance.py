@@ -289,11 +289,13 @@ def test_criterion_11_determinism():
     at = {w: apply_overrides(cfg, [f"sim.workers={w}"]) for w in (1, 4, 16)}
     outputs = {w: simresult_csv(run_experiment([c])[0]) for w, c in at.items()}
     rerun = simresult_csv(run_experiment([at[4]])[0])
-    sweep_a, sweep_b = (sweep_csv(sweep(apply_overrides(at[w], [
-        "sim.trials=60", "sweep.axis=epsilon", "sweep.values=0.1,0.3"]))) for w in (1, 4))
+    # 600 trials are three blocks, which 4 workers split between processes
+    sweeps = {(axis, w): sweep_csv(sweep(apply_overrides(at[w], [
+        "sim.trials=600", f"sweep.axis={axis}", f"sweep.values={values}"])))
+        for axis, values in (("epsilon", "0.1,0.3"), ("avg_degree", "1,4,16")) for w in (1, 4)}
     ok = (
         outputs[1] == outputs[4] == outputs[16]
         and rerun == outputs[4]
-        and sweep_a == sweep_b
+        and all(sweeps[axis, 1] == sweeps[axis, 4] for axis in ("epsilon", "avg_degree"))
     )
     _report(11, ok, "byte-identical CSV across reruns and worker counts {1, 4, 16}")

@@ -38,6 +38,7 @@ from datasets import (
     GRQC_NODES,
     write_gnutella_like,
     write_grqc_like,
+    write_hub,
 )
 
 
@@ -327,6 +328,54 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip().splitlines()[-1] == "[0, 1]"
 
+    def test_peak_rss_does_not_grow_with_trials(self, tmp_path):
+        # a run keeps count histograms, not a row per trial: the README run's
+        # peak RSS at 400 000 trials stays within 2 MB of 4 000.  Each run is
+        # measured from a fresh launcher, because wait4's ru_maxrss keeps the
+        # high-water mark a child had before exec: a child forked from
+        # pytest would report pytest's.
+        launcher = (
+            "import os, sys\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])\n"
+            "_, status, usage = os.wait4(pid, 0)\n"
+            "if os.waitstatus_to_exitcode(status) != 0:\n"
+            "    sys.exit(f'{sys.argv[1:]} failed')\n"
+            "print(usage.ru_maxrss / 1024)\n"
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(README_CONFIG, encoding="utf-8")
+        peaks = []
+        for trials in (4000, 400_000):
+            done = subprocess.run(
+                [sys.executable, "-c", launcher, "-m", "privmarket.cli", "simulate",
+                 "--config", str(cfg), "--out", str(tmp_path / str(trials)),
+                 "--trials", str(trials), "--workers", "1"],
+                env=_src_env(), capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            peaks.append(float(done.stdout))  # MB: Linux counts ru_maxrss in KiB
+        assert peaks[1] - peaks[0] < 2.0, peaks
+
+    @pytest.mark.parametrize("graph", ["gapped-pmf", "hub"])
+    def test_commands_run_on_a_gapped_law_and_a_hub(self, tmp_path, graph):
+        # a degree law with no mass on degree 3, and an edge list with a hub
+        # of 400 friends: the closed forms print every line, and simulate runs
+        extra = {
+            "gapped-pmf": "graph.kind = config-model\ngraph.pmf = 1:0.3;2:0.4;4:0.3\n",
+            "hub": f"graph.kind = edge-list\ngraph.path = {write_hub(tmp_path / 'hub.txt')}\n",
+        }[graph]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(README_CONFIG + extra, encoding="utf-8")
+        for command, name in (("analytics", "analytics.txt"), ("simulate", "results.csv")):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out), "--trials", "2"]) == 0
+            numbers = _numbers(out / name)
+            assert numbers and all(math.isfinite(x) for x in numbers), (command, numbers)
+        text = (tmp_path / "analytics" / "analytics.txt").read_text()
+        assert "\nkappa1 = " in text and "\npayment_bound_regime = " in text
+
     def test_layer_tracer_finds_its_spans(self, tmp_path):
         # perfbench/trace_cli.py wraps functions by module attribute; a
         # rename of one of them, or a call path that goes round it, must
@@ -529,6 +578,7 @@ class TestLoadTimeChecks:
         ("analytics", "model.cost = table:0:0,1:nan\n", "cost table entries must be finite"),
         ("analytics", "model.cost = table:0:0,1:1,1:2\n", "cost table repeats zeta = 1"),
         ("analytics", "model.cost = table:0:0,inf:1\n", "cost table entries must be finite"),
+        ("simulate", "model.cost = table:0:0,1:x\n", r"^model\.cost: bad cost table entry '1:x'$"),
         ("analytics", "graph.kind = config-model\ngraph.poisson_mean = inf\n",
          "graph.poisson_mean must be > 0 and finite, got inf"),
         ("simulate", "graph.kind = config-model\ngraph.poisson_mean = nan\n",
@@ -554,8 +604,8 @@ class TestLoadTimeChecks:
          r"^model\.population: population must be >= 2, got 1$"),
     ], ids=["payment-scale", "p_e", "pmf-entry", "pmf-mass", "pmf-degree", "pmf-repeated",
             "pmf-nan", "pmf-huge-degree", "poisson-d_max", "empty-sweep", "negative-seed", "d_max",
-            "cost-nan", "cost-repeated-zeta", "cost-inf-zeta", "poisson-inf", "poisson-nan",
-            "poisson-minus-inf", "payment-scale-inf", "cost-g0", "cost-concave",
+            "cost-nan", "cost-repeated-zeta", "cost-inf-zeta", "cost-entry-key", "poisson-inf",
+            "poisson-nan", "poisson-minus-inf", "payment-scale-inf", "cost-g0", "cost-concave",
             "pmf-mass-key", "pmf-negative-degree", "pmf-repeated-key", "pmf-negative-mass",
             "theta0-key", "population-key"])
     def test_rejected_at_load(self, tmp_path, monkeypatch, capsys, command, extra, message):
@@ -673,7 +723,7 @@ _PROBED = {
     "model.alpha": ["0.25", "0.4999999999", "0.5"],
     "model.epsilon": ["1", "300", "300.0000001", "5e-324"],
     "model.cost": ["linear-capped", "table:0:0,1:1,2:3", "table:0:0,1:0,2:1", "table:0:1,1:2",
-                   "cubic"],
+                   "cubic", "table:0:0,1:x", "table:0:0,1"],
     "model.population": ["2", "5", "61", "1.5"],
     "graph.avg_degree": ["59", "59.000001", "0.5"],
     "graph.poisson_mean": ["3", "59", "60", "4.6e307", "1e308"],  # on a config-model graph
@@ -684,10 +734,15 @@ _PROBED = {
 _EVERY_KEY = ["0", "-1", "inf", "-inf", "nan", "1e300", "1e-300", "-1e300"]
 _PROBES = st.sampled_from(sorted(_PROBED)).flatmap(
     lambda key: st.tuples(st.just(key), st.sampled_from(_PROBED[key] + _EVERY_KEY)))
+# every `section.key` a config holds: a refusal names one of them
+_DOTTED_KEYS = [line.split(" = ")[0] for line in serialize_config(default_config()).splitlines()]
 
 
 class TestRightOrRefuse:
-    """Every command prints only finite numbers, or refuses with its exit code's message."""
+    """Every command prints only finite numbers, or refuses with its exit code's message.
+
+    A refusal's message names a dotted key.
+    """
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(probe=_PROBES)
@@ -701,6 +756,8 @@ class TestRightOrRefuse:
     @example(probe=("model.prior_w1", "0.7"))
     @example(probe=("model.cost", "table:0:1,1:2"))
     @example(probe=("graph.poisson_mean", "59"))
+    @example(probe=("model.cost", "table:0:0,1:x"))
+    @example(probe=("model.cost", "table:0:0,1"))
     def test_one_key_changed(self, probe):
         key, value = probe
         # every probed sim.trials value is at most 2 or refused at load
@@ -720,6 +777,7 @@ class TestRightOrRefuse:
                 else:
                     assert (code, err.split(":")[0]) in ((1, "error"), (2, "config error")), \
                         (command, code, err)
+                    assert any(dotted in err for dotted in _DOTTED_KEYS), (command, err)
 
     @pytest.mark.parametrize("key, value, command, start, named", [
         ("model.prior_w1", "0.7", "simulate", "error: simulate: ", ["model.prior_w1 = 0.7"]),
@@ -800,6 +858,28 @@ class TestRealWorldLayouts:
         assert "nodes = 5242" in text
         assert "edges = 14496" in text
         assert "ratio = " in text
+
+    def test_ingest_check_counts_and_refuses_a_malformed_line(self, tmp_path, capsys):
+        # comments, tabs and runs of spaces, a self-loop, a duplicate and a
+        # reversed edge are counted; an inline comment is an error naming its line
+        edges = tmp_path / "edges.txt"
+        edges.write_text("# FromNodeId\tToNodeId\n10\t20\n20  30\n30 10\n5 5\n"
+                         "10\t20\n20 10\n40   50\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"graph.kind = edge-list\ngraph.path = {edges}\n")
+        out = tmp_path / "out"
+        assert main(["ingest-check", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "ingest.txt").read_text().splitlines()[:5] == [
+            "nodes = 6", "edges = 4", "self_loops_dropped = 1", "duplicates_dropped = 2",
+            "lines_read = 7"]
+        capsys.readouterr()
+        edges.write_text("# header\n10 20\n20 30 # inline\n")
+        out = tmp_path / "inline"
+        assert main(["ingest-check", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "line 3: expected two node ids, got '20 30 # inline'" in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_edge_list_simulation_manifest_counts(self, tmp_path):
         path = write_grqc_like(tmp_path / "grqc.txt")

@@ -28,7 +28,7 @@ from privmarket.sim import (
 from privmarket.strategy import build_mv_strategy
 
 from conftest import make_params
-from datasets import write_grqc_like
+from datasets import write_grqc_like, write_hub
 from oracles import (
     count_histograms, friends_ones_bincount, ks_statistic_per_trial, majority_excluding,
     map_estimate_scalar, mirrored_moments, peer_payment, point_stats, sim_result_from_rows,
@@ -560,13 +560,9 @@ class TestHistogramAggregation:
 
     @staticmethod
     def _hub_config(tmp_path):
-        """A hub of 400 friends plus 1200 random pairs among them: 401 users."""
-        rng = np.random.default_rng(11)
-        edges = [(0, v) for v in range(1, 401)] + rng.integers(1, 401, size=(1200, 2)).tolist()
-        path = tmp_path / "hub.txt"
-        path.write_text("".join(f"{u} {v}\n" for u, v in edges if u != v))
+        """The edge list of `write_hub`: a hub of 400 friends among 401 users."""
         return apply_overrides(default_config(), [
-            "graph.kind=edge-list", f"graph.path={path}", "sim.seed=11"])
+            "graph.kind=edge-list", f"graph.path={write_hub(tmp_path / 'hub.txt')}", "sim.seed=11"])
 
     @pytest.mark.parametrize("overrides", [
         [],
@@ -643,11 +639,18 @@ class TestRunExperiment:
         assert simresult_csv(run_experiment([cfg])[0]) == simresult_csv(run_experiment([cfg])[0])
 
     def test_nd_profile_zero_privacy_cost(self):
-        cfg = apply_overrides(
-            default_config(), ["sim.trials=60", "model.population=80", "sim.profile=nd"]
-        )
-        (r,) = run_experiment([cfg])
-        assert r.avg_privacy_cost.value == 0.0
+        # the CSV's cost and its CI are exactly 0, at 1 worker and at 2
+        # (1000 README trials are five blocks)
+        cfg = apply_overrides(default_config(), ["sim.trials=1000", "sim.profile=nd"])
+        csvs = []
+        for workers in (1, 2):
+            (r,) = run_experiment([apply_overrides(cfg, [f"sim.workers={workers}"])])
+            assert r.avg_privacy_cost.value == 0.0
+            csvs.append(simresult_csv(r))
+            header, row = csvs[-1].splitlines()
+            cells = dict(zip(header.split(","), row.split(",")))
+            assert (cells["avg_privacy_cost"], cells["cost_ci"]) == ("0", "0")
+        assert csvs[0] == csvs[1]
 
     def test_config_model_graph_end_to_end(self):
         cfg = apply_overrides(

@@ -72,6 +72,14 @@ class TestBandEnds:
             assert (f < lo) == (f < cut_low - CUT_TOL), (f, lo)
             assert (f > hi) == (f > cut_high + CUT_TOL), (f, hi)
 
+    @pytest.mark.parametrize("offset, ends", [(5e-10, (3, 5)), (1e-7, (4, 4))])
+    def test_tolerance_is_below_a_ten_millionth(self, offset, ends):
+        # literal offsets, not multiples of CUT_TOL, so that a wider
+        # tolerance fails here: a sum 5e-10 inside a cut lies on it, one
+        # 1e-7 inside does not
+        lo, hi = band_ends(3.0 + offset, 5.0 - offset)
+        assert (int(lo), int(hi)) == ends
+
     def test_arrays_give_int64_ends(self):
         lo, hi = band_ends(np.array([0.5, 1.0]), np.array([0.5, 3.0]))
         assert lo.dtype == hi.dtype == np.int64
