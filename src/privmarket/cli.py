@@ -24,11 +24,12 @@ from .config import (
     analytic_distribution,
     apply_overrides,
     build_graph,
+    ingest_graph,
     model_params,
     params_for_graph,
     parse_config,
 )
-from .graph import check_sparsity, ingest_edge_list
+from .graph import check_sparsity
 from .mechanism import design_Z
 from .strategy import build_mv_strategy, table_to_text
 
@@ -159,7 +160,7 @@ def cmd_simulate(cfg: RunConfig, out: _AtomicOutputs) -> None:
 def cmd_ingest_check(cfg: RunConfig, out: _AtomicOutputs) -> None:
     if cfg.graph.kind != EDGE_LIST:
         raise ConfigError("ingest-check needs graph.kind = edge-list")
-    result = ingest_edge_list(cfg.graph.path)
+    result = ingest_graph(cfg)
     report = check_sparsity(result.graph)
     text = _key_values([
         ("nodes", result.graph.n), ("edges", result.graph.num_edges),

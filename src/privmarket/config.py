@@ -7,14 +7,16 @@ parse -> serialize -> parse is the identity on configs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .graph import (DegreeDistribution, Graph, PairingError, generate_configuration_model,
-                    generate_erdos_renyi, ingest_edge_list, read_source)
+from .graph import (DegreeDistribution, Graph, GraphFormatError, IngestResult, PairingError,
+                    generate_configuration_model, generate_erdos_renyi, ingest_edge_list,
+                    read_source)
 from .model import (
     EPSILON_MAX,
     TAG_GRAPH,
@@ -47,6 +49,7 @@ __all__ = [
     "params_for_graph",
     "cost_from_spec",
     "build_graph",
+    "ingest_graph",
     "analytic_distribution",
 ]
 
@@ -279,14 +282,20 @@ def axis_value(cfg: RunConfig) -> float:
     return float(getattr(cfg.graph if axis == "avg_degree" else cfg.model, axis))
 
 
+@functools.lru_cache(maxsize=16)
 def cost_from_spec(spec: str) -> CostFunction:
-    """Materialize a cost function from its config string."""
+    """Materialize a cost function from its config string, audited (`audit_cost_function`).
+
+    Cached by spec: a command derives several configs and parameter sets
+    from one `model.cost`, and the audit makes 2000 Python calls, so each
+    distinct spec is audited once.  A refused spec is not cached.
+    """
     spec = spec.strip()
     if spec == "quadratic":
-        return quadratic_cost()
-    if spec == "linear-capped":
-        return linear_capped_cost()
-    if spec.startswith("table:"):
+        cost = quadratic_cost()
+    elif spec == "linear-capped":
+        cost = linear_capped_cost()
+    elif spec.startswith("table:"):
         pairs = []
         for chunk in spec[len("table:"):].split(","):
             z, _, v = chunk.partition(":")
@@ -294,19 +303,19 @@ def cost_from_spec(spec: str) -> CostFunction:
                 pairs.append((float(z), float(v)))
             except ValueError as exc:
                 raise ConfigError(f"model.cost: bad cost table entry {chunk!r}") from exc
-        cost = table_cost([p[0] for p in pairs], [p[1] for p in pairs])
-        return cost
-    raise ConfigError(f"model.cost must be quadratic, linear-capped or table:..., got {spec!r}")
+        return table_cost([p[0] for p in pairs], [p[1] for p in pairs])  # audits its own table
+    else:
+        raise ConfigError(f"model.cost must be quadratic, linear-capped or table:..., got {spec!r}")
+    audit_cost_function(cost)
+    return cost
 
 
 def model_params(cfg: RunConfig) -> ModelParams:
-    cost = cost_from_spec(cfg.model.cost)
-    audit_cost_function(cost)
     return ModelParams(
         prior_w1=cfg.model.prior_w1,
         theta0=cfg.model.theta0,
         alpha=cfg.model.alpha,
-        cost=cost,
+        cost=cost_from_spec(cfg.model.cost),
         epsilon=cfg.model.epsilon,
         population=cfg.model.population,
     )
@@ -380,7 +389,7 @@ def build_graph(cfg: RunConfig) -> tuple[Graph, DegreeDistribution]:
     one config always builds one graph.
     """
     if cfg.graph.kind == EDGE_LIST:
-        graph = ingest_edge_list(cfg.graph.path).graph
+        graph = ingest_graph(cfg).graph
         return graph, DegreeDistribution.from_graph(graph)
     rng = substream(cfg.sim.seed, TAG_GRAPH, 0)
     if cfg.graph.kind == ER:
@@ -394,3 +403,11 @@ def build_graph(cfg: RunConfig) -> tuple[Graph, DegreeDistribution]:
                else f"graph.poisson_mean = {cfg.graph.poisson_mean:g}")
         raise PairingError(f"graph build: {exc} ({law}, model.population = "
                            f"{cfg.model.population})") from exc
+
+
+def ingest_graph(cfg: RunConfig) -> IngestResult:
+    """The edge list at `graph.path`, ingested; a malformed file is refused naming the key and the file."""
+    try:
+        return ingest_edge_list(cfg.graph.path)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"edge-list ingest: graph.path = {cfg.graph.path}: {exc}") from exc

@@ -25,11 +25,13 @@ pass the unit of execution: a pass plays a few consecutive blocks at
 once in one workspace, each block drawn from its own stream into its own
 rows, so the block keys the stream and the pass does not.  A pass's
 friends' counts are taken at once: its trials are packed as lanes of
-64-bit words (bytes while the largest degree fits in one), one row of
-words per user, and the friends' rows gathered for all users are summed
-into one prefix sum, which each user differences across her run of
-friends; no count can exceed the largest degree, so no lane overflows
-and the differences are exact.
+64-bit words (bytes while twice the largest degree plus one fits in
+one), one row of words per user, and the friends' rows gathered for all
+users are summed into one prefix sum, which each user differences across
+her run of friends; no count can exceed the largest degree, so no lane
+overflows and the differences are exact.  The same words then become
+table keys: shifted by one bit and or-ed with her own signals, each lane
+holds 2 * friends' ones + own signal, still without a carry.
 
 The draw (world bits, signals, friends' counts, table keys and moves)
 reads only the graph, the seed and the model's population, prior and
@@ -38,14 +40,16 @@ every run, sweep and normality probe reaches trials through one path,
 `_run_trials`, which draws each block once and plays every grid point's
 tables on its pass, at three 4-byte table lookups and three integer
 comparisons per user-trial and law; the table keys are C-ordered
-`np.intp`, the index array numpy's gather reads fastest.  A run is its config:
-`sweep(config)`, every `simulate` run, reads its grid from the sweep
-section (one point at `graph.avg_degree` when unswept) and its trials,
-workers and seed from `sim`, and plays each run of consecutive grid
-points that share a graph section (any epsilon or alpha sweep) on one
-graph and one draw per block; an avg_degree point builds its own graph.  A trial's statistics (correct estimate, payment, majority
-match, report sum, privacy cost) depend only on its world bit and
-1-report count, or on its in-band count, so each block is tallied where
+`np.intp`, the index array numpy's gather reads fastest, and every key
+is in range by construction, so the gathers wrap instead of clamping.
+A run is its config: `sweep(config)`, every `simulate` run, reads its
+grid from the sweep section (one point at `graph.avg_degree` when
+unswept) and its trials, workers and seed from `sim`, and plays each run
+of consecutive grid points that share a graph section (any epsilon or
+alpha sweep) on one graph and one draw per block; an avg_degree point
+builds its own graph.  A trial's statistics (correct estimate, payment,
+majority match, report sum, privacy cost) depend only on its world bit
+and 1-report count, or on its in-band count, so each block is tallied where
 it is drawn into one record of int64 counts per law (`_Engine.record`):
 `reports[w, k]` trials with world bit w and k 1-reports, `band[k]` with k
 users in their band.  Each statistic is evaluated once per count, and its
@@ -53,7 +57,8 @@ mean and variance are count-weighted sums equal to `math.fsum` over one
 value per trial (`analytics.weighted_fsum`).  Nothing is stored per
 trial, and a block allocates no (block x n) array but its raw words: a
 tally draws and plays every pass in one workspace (`_Engine.workspace`),
-and each worker process tallies one contiguous run of whole passes.
+and each of a run's `sim.workers` processes tallies one contiguous run of
+whole passes: the parent plays the first and a forked child each other.
 """
 
 from __future__ import annotations
@@ -119,7 +124,7 @@ def map_estimate(sum_reports, n: int) -> np.ndarray:
 # writes, and her report, in-band and not-above flags; her fresh 8-byte raw
 # word adds 8 while it is split.  A directed edge holds one count lane of a
 # gathered word and a user three (a byte while the largest degree is below
-# 256).  A run keeps one `_Engine.record` per law, whatever its number of
+# 128).  A run keeps one `_Engine.record` per law, whatever its number of
 # blocks.  2**18 cells is the measured knee of both benchmark graphs: from
 # 2**18 to 2**20 neither the 250-node README graph nor a 3700-node
 # collaboration graph runs more trials per second beyond run-to-run spread.
@@ -175,14 +180,16 @@ class _Point:
         uint32s, so each cell's law is exact to 2**-32, and a cell of
         width 0 (an empty band) stays empty.  A law costs three 4-byte
         table lookups and three comparisons per user-trial, written into
-        the first len(key) rows of `work` (`_Engine.workspace`); the lookups
-        clip, as a take in numpy's default mode copies its `out=` first.
+        the first len(key) rows of `work` (`_Engine.workspace`).  The lookups
+        wrap: a take in numpy's default mode copies its `out=` first, and
+        one that clips clamps every index, while every key `table_keys`
+        makes is already in range.
         """
         lookup, reports, in_band, not_above = (
             a[:len(key)] for a in (work.lookup, work.reports, work.in_band, work.not_above))
-        np.greater_equal(move, self._cut.take(key, out=lookup, mode="clip"), out=reports)
-        np.greater_equal(move, self._below.take(key, out=lookup, mode="clip"), out=in_band)
-        np.less(move, self._at_most.take(key, out=lookup, mode="clip"), out=not_above)
+        np.greater_equal(move, self._cut.take(key, out=lookup, mode="wrap"), out=reports)
+        np.greater_equal(move, self._below.take(key, out=lookup, mode="wrap"), out=in_band)
+        np.less(move, self._at_most.take(key, out=lookup, mode="wrap"), out=not_above)
         in_band &= not_above
         return reports, in_band
 
@@ -244,7 +251,7 @@ class _Engine:
             offset, below, at_most = law.side_table(graph.degrees)
             self.points.append(_Point(law, mech, below, at_most))
         self._row = (2 * offset[graph.degrees]).astype(np.intp)
-        self._lane = np.min_scalar_type(graph.max_degree())  # holds any user's count
+        self._lane = np.min_scalar_type(2 * graph.max_degree() + 1)  # holds any user's 2a + s
         self._total = np.min_scalar_type(graph.n)  # holds any trial's count of users
         # a run's counts per law, all int64: `_run_trials` adds records as int64 arrays
         self.record = np.dtype([("reports", np.int64, (2, graph.n + 1)),
@@ -255,7 +262,7 @@ class _Engine:
                                       _PASS_CELLS // (self.block * cells)))
 
     def workspace(self, block: int, blocks: int = 1) -> SimpleNamespace:
-        """The arrays `draw`, `friends_ones` and `_Point.play` write `blocks` blocks of `block` trials into.
+        """The arrays `draw`, `table_keys` and `_Point.play` write `blocks` blocks of `block` trials into.
 
         `tally` allocates one pass's workspace and draws every pass in it,
         so a block allocates only its raw words (`random_raw` takes no
@@ -277,32 +284,38 @@ class _Engine:
             ends=np.empty((n + 1, words), np.uint64), counts=np.empty((n, words), np.uint64),
         )
 
-    def friends_ones(self, s: np.ndarray, work: SimpleNamespace) -> np.ndarray:
-        """Per user, how many of her friends hold private signal 1: (rows, n) in, intp out.
+    def table_keys(self, s: np.ndarray, work: SimpleNamespace) -> np.ndarray:
+        """Per user, her table key 2 * (offset[d] + a) + s: (rows, n) signals in, intp keys out.
 
-        The rows are packed as lanes of the smallest unsigned type that holds
-        the largest degree, a user's lanes padded to whole 64-bit words, so
-        one gathered row of words per directed edge counts all rows at once.
-        The gathered rows are summed in place into a prefix sum, and a
-        user's counts are its difference across her run of received edges
-        (`recv_starts`).  The prefix sum carries across lanes and wraps,
-        but its differences are exact modulo 2**64, and a user's true word
-        sum is below 2**64 with no carry between lanes, because no lane's
-        count exceeds her degree.  Every step writes into `work`, a
-        workspace of at least `len(s)` rows, whose lanes past them are
-        gathered but not read; the counts come out as its leading C-ordered
-        `np.intp` keys, which `draw` turns into table keys in place.
+        d is her degree, a how many of her friends hold signal 1 and s her
+        own signal.  The rows are packed as lanes of the smallest unsigned
+        type that holds 2 * d_max + 1 for the largest degree d_max, a
+        user's lanes padded to whole 64-bit words, so one gathered row of
+        words per directed edge counts all rows at once.  The gathered rows
+        are summed in place into a prefix sum, and a user's counts are its
+        difference across her run of received edges (`recv_starts`).  The
+        prefix sum carries across lanes and wraps, but its differences are
+        exact modulo 2**64, and a user's true word sum is below 2**64 with
+        no carry between lanes, because no lane's count exceeds her degree.
+        That count is at most d_max, so each lane's top bit is clear: one
+        shift of the words and an or with her signal lanes make each lane
+        2a + s without a carry, and one widening add of 2 * offset[d]
+        turns the lanes into keys.  Both gathers wrap, which never copies `out=` and
+        skips the clamp; every index is in range by construction.  Every
+        step writes into `work`, a workspace of at least `len(s)` rows,
+        whose lanes past them are gathered but not read; the keys come out
+        as its leading C-ordered `np.intp` rows.
         """
-        key = work.key[:len(s)]
         work.lanes[:, :len(s)] = s.T
         sums = work.sums
         np.take(work.lanes.view(np.uint64), self.graph.directed_send, axis=0, out=sums[1:],
-                mode="clip")
+                mode="wrap")
         np.cumsum(sums, axis=0, out=sums)
-        ends = np.take(sums, self.graph.recv_starts, axis=0, out=work.ends, mode="clip")
+        ends = np.take(sums, self.graph.recv_starts, axis=0, out=work.ends, mode="wrap")
         counts = np.subtract(ends[1:], ends[:-1], out=work.counts)
-        np.copyto(key, counts.view(self._lane)[:, :len(s)].T)
-        return key
+        counts <<= 1
+        counts |= work.lanes.view(np.uint64)
+        return np.add(counts.view(self._lane)[:, :len(s)].T, self._row, out=work.key[:len(s)])
 
     def draw(self, rngs: Sequence[np.random.Generator], work: SimpleNamespace):
         """(w, key, move) of one block of `work.block` trials per generator, in `work`'s leading rows.
@@ -311,11 +324,10 @@ class _Engine:
         bits, then its users' raw 64-bit words (`model.sample_signals_and_moves`),
         both from `rngs[i]` alone, so a block draws the same bits whichever
         pass it is in.  Friends' counts and table keys are then taken at
-        once over all the pass's rows.  Each user's table key is
-        2 * (offset[d] + a) + s for her degree d, friends' ones a and own
-        signal s.  The keys and moves are views of `work`'s arrays
-        (`workspace`), and the keys are C-ordered `np.intp`: numpy's take
-        copies any other index array to a temporary intp one.
+        once over all the pass's rows (`table_keys`).  The keys and moves
+        are views of `work`'s arrays (`workspace`), and the keys are
+        C-ordered `np.intp`: numpy's take copies any other index array to a
+        temporary intp one.
         """
         block, rows = work.block, len(rngs) * work.block
         s, move = work.signal[:rows], work.move[:rows]
@@ -324,11 +336,7 @@ class _Engine:
             mine = slice(i * block, (i + 1) * block)
             w[mine] = sample_world(rng, self.params, block)
             sample_signals_and_moves(rng, w[mine], self.params, (s[mine], move[mine]))
-        key = self.friends_ones(s, work)
-        key *= 2
-        key += s
-        key += self._row
-        return w, key, move
+        return w, self.table_keys(s, work), move
 
     def tally(self, master_seed: int, trials: int, blocks: range) -> np.ndarray:
         """One `record` per law of the trials below `trials` in the consecutive `blocks`, filled by name.
@@ -383,17 +391,18 @@ class SimResult:
     edges: int
 
 
-_POOL_ENGINE = None
+def _child_tally(send, engine: _Engine, master_seed: int, trials: int, blocks: range) -> None:
+    """A forked child of `_run_trials`: send its task's record, or the exception its tally raised.
 
-
-def _pool_init(engine, master_seed, trials):
-    global _POOL_ENGINE
-    _POOL_ENGINE = (engine, master_seed, trials)
-
-
-def _pool_task(blocks):
-    engine, master_seed, trials = _POOL_ENGINE
-    return engine.tally(master_seed, trials, blocks)
+    The exception goes back as text, so the parent names it and the child
+    prints no traceback of its own.
+    """
+    try:
+        reply = engine.tally(master_seed, trials, blocks)
+    except BaseException as exc:  # every failure is the parent's to report
+        reply = f"{type(exc).__name__}: {exc}"
+    send.send(reply)
+    send.close()
 
 
 def _mean_var(values: np.ndarray, counts: np.ndarray) -> tuple[float, float, int]:
@@ -422,12 +431,17 @@ def _mean_se(values: np.ndarray, counts: np.ndarray) -> Estimate:
 def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) -> np.ndarray:
     """The `_Engine.tally` of trials 0..trials-1: one `_Engine.record` per law.
 
-    Passes are the unit of work; at most one process per pass is started.
-    Each process gets one task, a contiguous run of whole passes (the last
-    one may be short and end on a partial block), tallied in one workspace
-    and returned as one record per law, so a process pays the allocation
-    and the pickling once.  The run's records are the sum of its tasks',
-    taken over their int64 views, which no order of completion changes.
+    Passes are the unit of work; at most one process per pass works.  Each
+    process gets one task, a contiguous run of whole passes (the last one
+    may be short and end on a partial block), tallied in one workspace and
+    returned as one record per law, so a process pays the allocation and
+    the transfer once.  The parent forks a child for each task but the
+    first, before it allocates its own workspace, tallies the first task
+    itself, then reads each child's record from its pipe.  A child whose
+    tally raised, that exits non-zero or that sends nothing fails the run
+    with RuntimeError naming it: a run never returns partial records.  The
+    run's records are the sum of its tasks', taken over their int64 views,
+    which no order of completion changes.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -439,9 +453,36 @@ def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) ->
     ends = [engine.pass_blocks * -(-passes * i // processes) for i in range(processes + 1)]
     tasks = [range(blocks)[start:end] for start, end in itertools.pairwise(ends)]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes, initializer=_pool_init, initargs=(engine, master_seed, trials)) as pool:
-        records = pool.imap_unordered(_pool_task, tasks)
-        return sum(r.view(np.int64) for r in records).view(engine.record)
+    children = []
+    try:
+        for task in tasks[1:]:
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child_tally, args=(send, engine, master_seed, trials, task))
+            child.start()
+            send.close()
+            children.append((child, receive))
+        total = engine.tally(master_seed, trials, tasks[0]).view(np.int64)
+        for i, (child, receive) in enumerate(children, start=1):
+            try:
+                reply = receive.recv()
+            except EOFError:
+                reply = None
+            child.join()
+            name = f"trial process {i} of {processes} (blocks {tasks[i].start}..{tasks[i].stop - 1})"
+            if isinstance(reply, str):
+                raise RuntimeError(f"{name} failed: {reply}")
+            if reply is None:
+                raise RuntimeError(f"{name} exited with code {child.exitcode} and sent no record")
+            if child.exitcode != 0:
+                raise RuntimeError(f"{name} exited with code {child.exitcode}")
+            total += reply.view(np.int64)
+        return total.view(engine.record)
+    finally:
+        for child, receive in children:
+            receive.close()
+            if child.exitcode is None:
+                child.terminate()
+                child.join()
 
 
 def _build_experiment(configs):
@@ -524,7 +565,7 @@ def run_experiment(configs) -> list[SimResult]:
     on its own, and its `axis_value` is the config's value on its sweep
     axis (`config.axis_value`).  Trials, workers and seed are the configs'
     common `sim` section; trials are parallelizable and order-independent,
-    and one pool serves every config.
+    and one set of trial processes serves every config.
     """
     settings = configs[0].sim
     if settings.trials < 2:

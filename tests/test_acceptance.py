@@ -282,19 +282,22 @@ def test_criterion_10_ingestion_counts(tmp_path):
     )
 
 
-def test_criterion_11_determinism():
+def test_criterion_11_determinism(trial_forks):
+    # 600 trials are three blocks of one pass each, which 4 and 16 workers
+    # split between three processes: the parent and two forked children
     cfg = apply_overrides(
-        default_config(), ["sim.trials=150", "model.population=120", "sim.seed=777"]
+        default_config(), ["sim.trials=600", "model.population=120", "sim.seed=777"]
     )
     at = {w: apply_overrides(cfg, [f"sim.workers={w}"]) for w in (1, 4, 16)}
     outputs = {w: simresult_csv(run_experiment([c])[0]) for w, c in at.items()}
     rerun = simresult_csv(run_experiment([at[4]])[0])
-    # 600 trials are three blocks, which 4 workers split between processes
+    unswept_forks = len(trial_forks)
     sweeps = {(axis, w): sweep_csv(sweep(apply_overrides(at[w], [
-        "sim.trials=600", f"sweep.axis={axis}", f"sweep.values={values}"])))
+        f"sweep.axis={axis}", f"sweep.values={values}"])))
         for axis, values in (("epsilon", "0.1,0.3"), ("avg_degree", "1,4,16")) for w in (1, 4)}
     ok = (
-        outputs[1] == outputs[4] == outputs[16]
+        unswept_forks == 3 * 2  # at 4 and 16 workers, and the rerun at 4
+        and outputs[1] == outputs[4] == outputs[16]
         and rerun == outputs[4]
         and all(sweeps[axis, 1] == sweeps[axis, 4] for axis in ("epsilon", "avg_degree"))
     )

@@ -432,12 +432,60 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
-    def test_simulate_worker_count_invariant(self, tmp_path):
-        cfg = _write_config(tmp_path)
+    def test_simulate_worker_count_invariant(self, tmp_path, trial_forks):
+        # 600 trials are three blocks of 256, one pass each: 4 workers run
+        # them as three processes, the parent and two forked children
+        cfg = _write_config(tmp_path, "sim.trials = 600\n")
         out1, out4 = tmp_path / "w1", tmp_path / "w4"
         assert main(["simulate", "--config", str(cfg), "--out", str(out1), "--workers", "1"]) == 0
+        assert not trial_forks
         assert main(["simulate", "--config", str(cfg), "--out", str(out4), "--workers", "4"]) == 0
+        assert len(trial_forks) == 2
         assert (out1 / "results.csv").read_bytes() == (out4 / "results.csv").read_bytes()
+
+    def test_a_failing_trial_process_exits_one_without_a_traceback(self, tmp_path, monkeypatch,
+                                                                   capfd):
+        # the forked child's tally raises; its stderr is the test's fd 2,
+        # so a traceback it printed would show here
+        from privmarket import sim
+
+        tally = sim._Engine.tally
+
+        def failing(engine, master_seed, trials, blocks):
+            if blocks.start > 0:
+                raise ValueError("no table for this block")
+            return tally(engine, master_seed, trials, blocks)
+
+        monkeypatch.setattr(sim._Engine, "tally", failing)
+        cfg = _write_config(tmp_path, "sim.trials = 600\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 1
+        captured = capfd.readouterr()
+        assert captured.err.startswith("error: trial process 1 of 2 "), captured.err
+        assert "ValueError: no table for this block" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("cost", ["quadratic", "table:0:0,1:1,2:4"])
+    def test_simulate_audits_its_cost_once(self, tmp_path, monkeypatch, cost):
+        # validation, each grid point and the engine build all read one
+        # model.cost; its audit (2000 Python calls) runs once
+        from privmarket import config, model
+
+        audits = []
+        audit = model.audit_cost_function
+
+        def counted(fn):
+            audits.append(fn)
+            audit(fn)
+
+        monkeypatch.setattr(model, "audit_cost_function", counted)
+        monkeypatch.setattr(config, "audit_cost_function", counted)
+        config.cost_from_spec.cache_clear()
+        cfg = _write_config(
+            tmp_path, f"model.cost = {cost}\nsweep.axis = epsilon\nsweep.values = 0.1,1\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(audits) == 1
 
     def test_simulate_sweep_rows(self, tmp_path):
         cfg = _write_config(
@@ -785,7 +833,11 @@ class TestRightOrRefuse:
          ["g(0) = 1, expected 0"]),
         ("graph.poisson_mean", "59", "simulate", "error: graph build: ",
          ["graph.poisson_mean = 59", "model.population = 60"]),
-    ], ids=["unequal-priors", "cost-g0", "config-model-draw"])
+        *(("graph.path", "edges.txt", command, "error: edge-list ingest: ",
+           ["graph.path = {tmp}/edges.txt: line 3: expected two node ids, got '20 30 # inline'"])
+          for command in ("ingest-check", "analytics", "strategy", "simulate")),
+    ], ids=["unequal-priors", "cost-g0", "config-model-draw", "edge-list-ingest-check",
+            "edge-list-analytics", "edge-list-strategy", "edge-list-simulate"])
     def test_refusal_names_its_stage_and_key(self, tmp_path, monkeypatch, capsys, key, value,
                                              command, start, named):
         from privmarket import config
@@ -799,17 +851,27 @@ class TestRightOrRefuse:
         err = capsys.readouterr().err
         assert code == (2 if start.startswith("config error") else 1)
         assert err.startswith(start) and "Traceback" not in err and "np.float64" not in err, err
-        assert all(text in err for text in named), err
+        assert all(text.format(tmp=tmp_path) in err for text in named), err
         assert not out.exists() or not any(out.iterdir())
-        # only the config-model draw gets as far as the graph build
-        assert len(builds) == (key == "graph.poisson_mean")
+        # of the generated graphs, only the config-model draw gets as far as
+        # the graph build
+        if key != "graph.path":
+            assert len(builds) == (key == "graph.poisson_mean")
 
 
 def _probe_config(directory: Path, key: str, value: str) -> Path:
-    """The 60-user README config with `key = value`; a config-model graph for graph.poisson_mean."""
+    """The 60-user README config with `key = value`; a config-model graph for graph.poisson_mean.
+
+    For graph.path, `value` names an edge list written in `directory` whose
+    line 3 holds an inline comment.
+    """
     text = README_CONFIG.replace("model.population = 250", "model.population = 60")
     if key == "graph.poisson_mean":
         text += "graph.kind = config-model\n"
+    if key == "graph.path":
+        (directory / value).write_text("# header\n10 20\n20 30 # inline\n")
+        text += "graph.kind = edge-list\n"
+        value = str(directory / value)
     path = directory / "probe.cfg"
     path.write_text(text + f"{key} = {value}\n", encoding="utf-8")
     return path

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
+import os
 import tracemalloc
 from dataclasses import astuple, replace
 from types import SimpleNamespace
@@ -64,30 +65,68 @@ class TestMapEstimate:
 
 
 @pytest.fixture
-def in_process_pool(monkeypatch):
-    """Replace the fork pool by one that runs its tasks in this process, last task first.
+def in_process_children(monkeypatch):
+    """Stand in for the children `_run_trials` forks: each tallies in this process.
 
-    Returns the record of each pool's requested size and task list.
+    The children run when the parent first reads a pipe, after its own
+    task, last child first.  Returns the record of each multi-process run
+    (`runs`): the blocks the parent tallied (`parent`) and each child's
+    (`children`).
     """
-    record = SimpleNamespace(requested=[], tasks=[])
+    record = SimpleNamespace(runs=[])
+    pending = []
 
-    class InProcessPool:
-        def __init__(self, processes, initializer, initargs):
-            record.requested.append(processes)
-            initializer(*initargs)
+    class Channel:
+        def __init__(self):
+            self.sent = []
 
-        def __enter__(self):
-            return self
+        def send(self, reply):
+            self.sent.append(reply)
 
-        def __exit__(self, *exc):
-            return False
+        def recv(self):
+            while pending:
+                child = pending.pop()
+                child.target(*child.args)
+                child.exitcode = 0
+            if not self.sent:
+                raise EOFError
+            return self.sent.pop(0)
 
-        def imap_unordered(self, func, iterable, chunksize=1):
-            record.tasks.append(list(iterable))
-            return map(func, reversed(record.tasks[-1]))
+        def close(self):
+            pass
 
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool)
-    monkeypatch.setattr(sim, "_POOL_ENGINE", None)
+    class Child:
+        def __init__(self, target, args):
+            self.target, self.args, self.exitcode = target, args, None
+
+        def start(self):
+            if not pending:
+                record.runs.append(SimpleNamespace(parent=None, children=[]))
+            pending.append(self)
+            record.runs[-1].children.append(self.args[-1])
+
+        def join(self):
+            pass
+
+        def terminate(self):
+            pending.remove(self)
+            self.exitcode = -15
+
+    def pipe(duplex):
+        channel = Channel()
+        return channel, channel
+
+    tally = sim._Engine.tally
+
+    def recorded(engine, master_seed, trials, blocks):
+        if pending and record.runs[-1].parent is None:  # the parent tallies before any child
+            record.runs[-1].parent = blocks
+        return tally(engine, master_seed, trials, blocks)
+
+    ctx = multiprocessing.get_context("fork")
+    monkeypatch.setattr(ctx, "Process", Child)
+    monkeypatch.setattr(ctx, "Pipe", pipe)
+    monkeypatch.setattr(sim._Engine, "tally", recorded)
     return record
 
 
@@ -252,8 +291,8 @@ class TestBlockEngine:
                                       count_histograms(w, counts, engine.graph.n))
 
     def test_consecutive_tallies_on_one_engine_equal_fresh_engines(self):
-        # a pool worker tallies its tasks one after another on one engine; the
-        # first task here ends on a partial block, the second plays full ones
+        # an engine keeps no state from one tally to the next; the first
+        # task here ends on a partial block, the second plays full ones
         cfg = default_config()
         _, engine, _ = sim._build_experiment([cfg])
         trials = 3 * engine.block + 5
@@ -279,13 +318,14 @@ class TestBlockEngine:
         assert passes == 1 or passes * engine.block * cells <= sim._PASS_CELLS
         assert passes * lanes >= fill or (passes + 1) * engine.block * cells > sim._PASS_CELLS
 
-    def test_never_more_processes_than_blocks(self, in_process_pool):
+    def test_never_more_processes_than_blocks(self, in_process_children):
         cfg = apply_overrides(default_config(), ["model.population=100"])
         trials = 2 * sim._build_experiment([cfg])[1].block
         wide, one = (apply_overrides(cfg, [f"sim.trials={trials}", f"sim.workers={w}"])
                      for w in (64, 1))
         csv = simresult_csv(run_experiment([wide])[0])
-        assert in_process_pool.requested == [2]
+        (run,) = in_process_children.runs
+        assert run.parent == range(0, 1) and run.children == [range(1, 2)]
         assert csv == simresult_csv(run_experiment([one])[0])
 
     @pytest.mark.parametrize("in_process", [False, True], ids=["fork", "in_process"])
@@ -293,8 +333,8 @@ class TestBlockEngine:
         # 53 blocks of one pass each, the last one partial: each process
         # tallies one contiguous run of passes, 2 workers runs of 27 and 26
         # blocks and 3 workers runs of 18, 18 and 17, so the last task is
-        # partial too
-        record = request.getfixturevalue("in_process_pool") if in_process else None
+        # partial too; the parent tallies the first run, a child each other
+        record = request.getfixturevalue("in_process_children") if in_process else None
         engine = _er_engine(100, 4.0)
         assert engine.pass_blocks == 1
         trials = 52 * engine.block + 7
@@ -303,8 +343,40 @@ class TestBlockEngine:
         for workers in (2, 3):
             np.testing.assert_array_equal(sim._run_trials(engine, 9, trials, workers), one)
         if record:
-            assert record.requested == [2, 3]
-            assert [[len(task) for task in tasks] for tasks in record.tasks] == [[27, 26], [18, 18, 17]]
+            assert [(len(run.parent), [len(task) for task in run.children]) for run in record.runs] \
+                == [(27, [26]), (18, [18, 17])]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("fault", ["raises", "exits", "exits-after-sending"])
+    def test_a_failing_child_fails_the_run(self, monkeypatch, workers, fault):
+        # the child of the last task fails, patched before the fork: its
+        # tally raises, or it exits with code 3 and sends nothing, or it
+        # sends its record and then exits with code 3.  The parent names
+        # that child and returns no record, and no child is left running
+        engine = _er_engine(100, 4.0)
+        trials = 52 * engine.block + 7
+        tally, child_tally = sim._Engine.tally, sim._child_tally
+
+        def failing_tally(self, master_seed, trials, blocks):
+            if blocks.stop == 53:
+                if fault == "exits":
+                    os._exit(3)
+                raise ValueError("no table for this block")
+            return tally(self, master_seed, trials, blocks)
+
+        def failing_exit(send, engine, master_seed, trials, blocks):
+            child_tally(send, engine, master_seed, trials, blocks)
+            if blocks.stop == 53:
+                os._exit(3)
+
+        if fault == "exits-after-sending":
+            monkeypatch.setattr(sim, "_child_tally", failing_exit)
+        else:
+            monkeypatch.setattr(sim._Engine, "tally", failing_tally)
+        why = "failed: ValueError: no table for this block" if fault == "raises" else "exited with code 3"
+        with pytest.raises(RuntimeError, match=f"^trial process {workers - 1} of {workers} .*{why}"):
+            sim._run_trials(engine, 9, trials, workers)
+        assert not multiprocessing.active_children()
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ConfigError, match="sim.workers"):
@@ -336,15 +408,16 @@ class TestPasses:
         # 6 full passes, then a short pass of one partial block; at every
         # worker count the last task plays that short pass on the rows the
         # full pass before it filled, whose lanes past it hold stale signals
-        pool = request.getfixturevalue("in_process_pool") if in_process else None
+        children = request.getfixturevalue("in_process_children") if in_process else None
         engine = self._engine(lane)
         step = engine.pass_blocks
         trials = (6 * step + 1) * engine.block - 3
         w, counts = trial_counts(engine, 9, trials)  # each block drawn alone, in a fresh workspace
         np.testing.assert_array_equal(sim._run_trials(engine, 9, trials, workers),
                                       count_histograms(w, counts, engine.graph.n))
-        if pool and workers > 1:
-            (tasks,) = pool.tasks
+        if children and workers > 1:
+            (run,) = children.runs
+            tasks = [run.parent, *run.children]
             assert len(tasks) == workers and [len(t) % step for t in tasks] == [0] * (workers - 1) + [1]
             assert len(tasks[-1]) > step
 
@@ -381,23 +454,33 @@ class TestEngineSetup:
         assert engine.points[1].law is alpha_eps
 
     def test_friends_ones_counts_each_neighbour(self):
-        # a hub of degree 200 (counts past int8), isolated nodes, a path
+        # a hub of degree 200 (keys past a byte lane), isolated nodes, a
+        # path: each key is 2 * (offset[d] + a) + s for a user of degree d,
+        # a of whose friends hold signal 1, with own signal s
         n = 210
         edges = [(0, j) for j in range(1, 201)] + [(201, 202), (202, 203)]
         engine = _engine(Graph(n, edges))
+        offset = engine.points[0].law.side_table(engine.graph.degrees)[0]
         s = (np.random.default_rng(4).random((3, n)) < 0.8).astype(np.int8)
         s[0, 1:201] = 1
-        ones = engine.friends_ones(s, engine.workspace(3))
-        assert ones.shape == (3, n) and ones.dtype == np.intp and ones.flags.c_contiguous
+        key = engine.table_keys(s, engine.workspace(3))
+        assert key.shape == (3, n) and key.dtype == np.intp and key.flags.c_contiguous
         for row in range(3):
             for i in range(n):
-                assert ones[row, i] == sum(int(s[row, j]) for j in engine.graph.neighbors(i))
-        assert ones[0, 0] == 200
+                friends = engine.graph.neighbors(i)
+                ones = sum(int(s[row, j]) for j in friends)
+                assert key[row, i] == 2 * (offset[len(friends)] + ones) + s[row, i]
+        assert key[0, 0] == 2 * (offset[200] + 200) + s[0, 0]
 
-    @pytest.mark.parametrize("hub, lane", [(255, np.uint8), (256, np.uint16), (65536, np.uint32)])
+    @pytest.mark.parametrize("hub, lane", [
+        (127, np.uint8), (128, np.uint16), (256, np.uint16), (32767, np.uint16),
+        (32768, np.uint32), (65536, np.uint32),
+    ])
     @pytest.mark.parametrize("rows", [1, 3, 9, 17])
     def test_friends_ones_lanes_stay_exact(self, hub, lane, rows):
-        # a star whose hub count fills its lane, a path and an isolated
+        # a lane holds 2a + s, so it is the smallest type that holds
+        # 2 * d_max + 1: a hub of 127 or 32 767 friends fills its lane, one
+        # more friend needs the next type.  A star, a path and an isolated
         # user; rows of all ones beside rows of all zeros put a full lane
         # next to an empty one, where a carry across lanes would show, and
         # these row counts leave the last word part empty
@@ -405,11 +488,12 @@ class TestEngineSetup:
         edges = [(0, j) for j in range(1, hub + 1)] + [(hub + 1, hub + 2), (hub + 2, hub + 3)]
         graph = Graph(n, edges)
         params = make_params(population=n)
-        # the count never reads the law; a real side table of a 65 536-friend
-        # hub would hold two 65 537^2 float tables
+        # the keys read the side table's offsets alone; a real side table of
+        # a 65 536-friend hub would hold two 65 537^2 float tables
+        offset = 3 * np.arange(hub + 1, dtype=np.int64)
         law = SimpleNamespace(
             params=params,
-            side_table=lambda degrees: (np.zeros(hub + 1, dtype=np.int64), np.zeros(1), np.ones(1)),
+            side_table=lambda degrees: (offset, np.zeros(1), np.ones(1)),
             cut_table=lambda below, at_most: np.ones((1, 2)),
         )
         engine = sim._Engine(graph, [law], [_simple_mech()])
@@ -419,11 +503,39 @@ class TestEngineSetup:
         random = (np.random.default_rng(rows).random((rows, n)) < 0.5).astype(np.int8)
         work = engine.workspace(rows)
         for s in (alternating, random):
-            ones = engine.friends_ones(s, work)
-            assert ones.shape == (rows, n) and ones.dtype == np.intp and ones.flags.c_contiguous
-            np.testing.assert_array_equal(ones, friends_ones_bincount(graph, s))
-        ones = engine.friends_ones(alternating, work)
-        assert ones[:, 0].tolist() == [hub, 0] * (rows // 2) + [hub]
+            key = engine.table_keys(s, work)
+            assert key.shape == (rows, n) and key.dtype == np.intp and key.flags.c_contiguous
+            np.testing.assert_array_equal(
+                key, 2 * (offset[graph.degrees] + friends_ones_bincount(graph, s)) + s)
+        key = engine.table_keys(alternating, work)
+        full = 2 * (offset[hub] + hub) + 1
+        assert key[:, 0].tolist() == [full, 2 * offset[hub]] * (rows // 2) + [full]
+
+    @pytest.mark.parametrize("graph", ["readme", "hub", "clustered"])
+    def test_every_key_lies_in_the_tables(self, tmp_path, graph):
+        # the lookups wrap instead of clamping, which is exact only if no
+        # key leaves the tables: the largest key a user can get,
+        # 2 * (offset[d] + d) + 1, is the last entry, and every drawn key
+        # lies below it
+        if graph == "readme":
+            cfg = default_config()
+        elif graph == "hub":
+            cfg = TestHistogramAggregation._hub_config(tmp_path)
+        else:  # a ring lattice: each user's nearest friends are each other's friends
+            path = tmp_path / "clustered.txt"
+            path.write_text(_ring(2000, 6, hub=60).to_edge_list_text())
+            cfg = apply_overrides(default_config(), ["graph.kind=edge-list", f"graph.path={path}"])
+        _, engine, _ = sim._build_experiment([cfg, apply_overrides(cfg, ["sim.profile=nd"])])
+        assert engine._lane == (np.uint16 if graph == "hub" else np.uint8)
+        sizes = {len(table) for point in engine.points
+                 for table in (point._below, point._cut, point._at_most)}
+        assert sizes == {int((engine._row + 2 * engine.graph.degrees + 1).max()) + 1}
+        (size,) = sizes
+        work = engine.workspace(engine.block, engine.pass_blocks)
+        for start in range(0, 4 * engine.pass_blocks, engine.pass_blocks):
+            blocks = range(start, start + engine.pass_blocks)
+            _, key, _ = engine.draw([substream(cfg.sim.seed, 5, b) for b in blocks], work)
+            assert 0 <= key.min() and key.max() < size
 
     def test_draw_keys_take_the_fast_gather(self):
         # the README graph's block holds more than 50k keys; numpy's take
@@ -608,12 +720,14 @@ class TestRunExperiment:
             3 * r.empirical_majority_match.se, 5e-4
         )
 
-    def test_workers_do_not_change_results(self):
-        cfg = apply_overrides(default_config(), ["sim.trials=120", "model.population=100"])
+    def test_workers_do_not_change_results(self, trial_forks):
+        # three blocks of 256 trials, one pass each: 4 workers fork two children
+        cfg = apply_overrides(default_config(), ["sim.trials=600", "model.population=100"])
         csv1, csv4 = (
             simresult_csv(run_experiment([apply_overrides(cfg, [f"sim.workers={w}"])])[0])
             for w in (1, 4))
         assert csv1 == csv4
+        assert len(trial_forks) == 2
 
     def test_memory_does_not_grow_with_trials(self):
         # a run keeps its count histograms, not a row per trial: 1000 blocks
