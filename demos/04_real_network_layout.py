@@ -39,7 +39,7 @@ with tempfile.TemporaryDirectory(prefix="privmarket_demo_") as workdir:
 
     rep = check_sparsity(result.graph)
     print(f"sparsity: D_max = {rep.d_max}, N^(1/4) = {rep.n_quarter_root:.2f}, "
-          f"ratio = {rep.ratio:.2f}, flagged = {rep.flagged}")
+          f"ratio = {rep.ratio:.2f}")
 
     cfg = apply_overrides(
         default_config(),

@@ -19,7 +19,6 @@ from .strategy import (  # noqa: F401
     bar_A,
     build_mv_strategy,
     equal_priors_tau,
-    privacy_level,
     solve_xi,
     upsilon,
 )

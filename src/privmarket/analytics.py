@@ -299,7 +299,8 @@ class ReportLaw:
         m * 2**-31 for a uniform 31-bit integer m, and each cell end p is
         rounded to round(p * 2**31) (`model.fixed_point`), which keeps the
         cells ordered, 0 and 1 exact, and every other end within 2**-32.
-        This table stays in floats, as the closed forms read it.
+        The table is in floats; its one reader, `sim._Point`, rounds it
+        with `below` and `at_most`.
         """
         lo, hi = below[:, None], at_most[:, None]
         return np.clip(hi - (hi - lo) * self._coin, lo, hi)

@@ -57,24 +57,37 @@ def _load_config(args) -> RunConfig:
 
 
 class _AtomicOutputs:
-    """Write files to temp names, publish on success, clean up on failure."""
+    """Write files to temp names, publish on success, clean up on failure.
+
+    A directory that cannot be made or written is refused naming
+    `output.directory`.
+    """
 
     def __init__(self, directory: str):
         self.dir = Path(directory)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self._pending: list[tuple[Path, Path]] = []
+
+    def _io(self, call, *args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except OSError as exc:
+            raise OSError(f"output: output.directory = {self.dir}: {exc}") from exc
+
+    def make(self) -> None:
+        """Create the directory, before the command runs."""
+        self._io(self.dir.mkdir, parents=True, exist_ok=True)
 
     def write(self, name: str, content: str) -> Path:
         final = self.dir / name
         tmp = self.dir / (name + ".tmp")
-        tmp.write_text(content, encoding="utf-8")
+        self._io(tmp.write_text, content, encoding="utf-8")
         self._pending.append((tmp, final))
         return final
 
     def publish(self) -> list[Path]:
         done = []
         for tmp, final in self._pending:
-            os.replace(tmp, final)
+            self._io(os.replace, tmp, final)
             done.append(final)
         self._pending.clear()
         return done
@@ -168,7 +181,6 @@ def cmd_ingest_check(cfg: RunConfig, out: _AtomicOutputs) -> None:
         ("duplicates_dropped", result.duplicates_dropped), ("lines_read", result.lines_read),
         ("d_max", report.d_max), ("n_quarter_root", report.n_quarter_root),
         ("ratio", report.ratio), ("moment_2_5", report.moment_2_5),
-        ("flagged", "true" if report.flagged else "false"),
     ])
     path = out.write("ingest.txt", text)
     print(text, end="")
@@ -211,6 +223,7 @@ def main(argv=None) -> int:
         return 2
     out = _AtomicOutputs(cfg.output.directory)
     try:
+        out.make()
         _COMMANDS[args.command](cfg, out)
         out.publish()
     except Exception as exc:  # publish nothing on failure

@@ -156,7 +156,7 @@ def _set_key(cfg: RunConfig, dotted: str, raw: str) -> RunConfig:
 
 
 def parse_config(source, validate: bool = True) -> RunConfig:
-    """Parse text, a path, or an open file into a validated RunConfig.
+    """Parse text or a path into a validated RunConfig.
 
     `source` follows `graph.read_source`: a `str` holding a newline is the
     config text, any other `str` or a `Path` names a file.  With
@@ -406,8 +406,8 @@ def build_graph(cfg: RunConfig) -> tuple[Graph, DegreeDistribution]:
 
 
 def ingest_graph(cfg: RunConfig) -> IngestResult:
-    """The edge list at `graph.path`, ingested; a malformed file is refused naming the key and the file."""
+    """The edge list at `graph.path`, ingested; an unreadable or malformed file is refused naming the key."""
     try:
         return ingest_edge_list(cfg.graph.path)
-    except GraphFormatError as exc:
+    except (GraphFormatError, OSError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"edge-list ingest: graph.path = {cfg.graph.path}: {exc}") from exc

@@ -125,11 +125,6 @@ class Graph:
         """Sorted neighbors of i (a read-only-by-convention view)."""
         return self.directed_send[self.recv_starts[i]:self.recv_starts[i + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        a = self.neighbors(u)
-        pos = int(np.searchsorted(a, v))
-        return pos < len(a) and a[pos] == v
-
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.n else 0
 
@@ -158,11 +153,6 @@ class Graph:
             and self._edges.shape == other._edges.shape
             and bool(np.all(self._edges == other._edges))
         )
-
-    def to_edge_list_text(self) -> str:
-        """The ingestible text format: a '# ...' comment, then one 'u v' line per edge."""
-        return f"# Nodes: {self.n} Edges: {self.num_edges}\n" + "".join(
-            f"{u} {v}\n" for u, v in self._edges)
 
 
 class DegreePairs(NamedTuple):
@@ -264,10 +254,6 @@ class DegreeDistribution:
         return float(sum(self.mass[carried] * values[carried]))
 
     @classmethod
-    def point_mass(cls, d: int) -> "DegreeDistribution":
-        return cls(_point_mass(d + 1, d))
-
-    @classmethod
     def poisson_truncated(cls, mean: float, d_max: int) -> "DegreeDistribution":
         """Poisson(mean) on 0..d_max, renormalized."""
         if d_max < 0:
@@ -363,11 +349,9 @@ _DIGITS_AS_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
 def read_source(source) -> str:
     """The text behind a path or text argument.
 
-    A file object is read; a `str` holding a newline is the text itself;
-    any other `str`, or a path, names a file that must exist.
+    A `str` holding a newline is the text itself; any other `str`, or a
+    path, names a file that must exist.
     """
-    if hasattr(source, "read"):
-        return source.read()
     if isinstance(source, str) and "\n" in source:
         return source
     with open(source, "r", encoding="utf-8") as fh:
@@ -435,8 +419,8 @@ def ingest_edge_list(source) -> IngestResult:
     the line reader either way.  Edges are undirected: a line and its
     reverse are one edge.  External node ids are remapped to dense 0..n-1
     in ascending order; the map is retained in the result.  Self-loops are
-    dropped and counted, and duplicate edges collapse.  `source` follows
-    `read_source`.
+    dropped and counted, and duplicate edges collapse.  `source` is the
+    text or a path to it, as `read_source` tells them apart.
     """
     text = read_source(source)
     pairs = _parse_plain_pairs(text)
@@ -467,11 +451,6 @@ class SparsityReport:
     n_quarter_root: float
     ratio: float
     moment_2_5: float  # empirical E[D^2.5]
-    threshold: float
-    flagged: bool
-
-
-_SPARSITY_THRESHOLD = 1.0  # D_max / N^(1/4) above this is flagged
 
 
 def check_sparsity(graph: Graph) -> SparsityReport:
@@ -485,6 +464,4 @@ def check_sparsity(graph: Graph) -> SparsityReport:
         n_quarter_root=root,
         ratio=ratio,
         moment_2_5=moment,
-        threshold=_SPARSITY_THRESHOLD,
-        flagged=ratio > _SPARSITY_THRESHOLD,
     )

@@ -75,9 +75,6 @@ class CostFunction:
     derivative: Callable[[float], float]
     name: str = "custom"
 
-    def __call__(self, zeta: float) -> float:
-        return self.value(zeta)
-
 
 def quadratic_cost() -> CostFunction:
     """Default cost g(zeta) = zeta^2."""
@@ -205,10 +202,8 @@ _MOVE_BITS = 31
 FIXED_ONE = 1 << _MOVE_BITS
 
 
-def sample_world(rng: np.random.Generator, params: ModelParams, size: int | None = None):
-    """Draw W: 1 with probability prior_w1; an int, or an int array of `size` draws."""
-    if size is None:
-        return int(rng.random() < params.prior_w1)
+def sample_world(rng: np.random.Generator, params: ModelParams, size: int) -> np.ndarray:
+    """`size` draws of W, each 1 with probability prior_w1, as an int64 array."""
     return (rng.random(size) < params.prior_w1).astype(np.int64)
 
 

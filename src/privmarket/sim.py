@@ -1,64 +1,17 @@
-"""Monte Carlo engine.
+"""Monte Carlo engine: `sweep(config)`, the run every `simulate` makes, and the normality probe.
 
-A trial draws the world state on a fixed graph with the model's sampler,
-then one raw 64-bit word per user (`model.sample_signals_and_moves`):
-its high 31 bits give her private signal and its low 31 bits her move, a
-uniform integer below 2**31.  It counts each user's friends holding
-signal 1, and plays her whole move: the law of her group-signal sum's
-side of her band given her degree and that count
-(`ReportLaw.side_table`; the per-edge flips never enter a report
-otherwise), split by what the profile's `ReportLaw` has her report there
-(randomize inside her band, report the group majority outside it;
-`ReportLaw.cut_table`), takes four cells of her unit interval, so one
-threshold table indexed by (degree, friends' ones, own signal) gives her
-report and whether she pays for being in her band.  The tables hold
-those cells' ends on the move's 2**-31 grid (`model.fixed_point`), as
-uint32s: each cell's law is exact to 2**-32, and probabilities 0 and 1,
-so an empty band, stay exact.  Every user is paid through the peer
-mechanism, and the collector's MAP rule, the majority under equal
-priors, runs on the report sum.  The closed forms read the same law, so
-simulation and analytics describe one profile.  Trials run in blocks
-whose size depends only on the graph; block b owns the stream
-(master seed, trial tag, b), so results are byte-identical across runs
-and across worker counts.  The block is the unit of randomness and the
-pass the unit of execution: a pass plays a few consecutive blocks at
-once in one workspace, each block drawn from its own stream into its own
-rows, so the block keys the stream and the pass does not.  A pass's
-friends' counts are taken at once: its trials are packed as lanes of
-64-bit words (bytes while twice the largest degree plus one fits in
-one), one row of words per user, and the friends' rows gathered for all
-users are summed into one prefix sum, which each user differences across
-her run of friends; no count can exceed the largest degree, so no lane
-overflows and the differences are exact.  The same words then become
-table keys: shifted by one bit and or-ed with her own signals, each lane
-holds 2 * friends' ones + own signal, still without a carry.
-
-The draw (world bits, signals, friends' counts, table keys and moves)
-reads only the graph, the seed and the model's population, prior and
-theta0, so laws that differ only in epsilon, alpha or profile share it:
-every run, sweep and normality probe reaches trials through one path,
-`_run_trials`, which draws each block once and plays every grid point's
-tables on its pass, at three 4-byte table lookups and three integer
-comparisons per user-trial and law; the table keys are C-ordered
-`np.intp`, the index array numpy's gather reads fastest, and every key
-is in range by construction, so the gathers wrap instead of clamping.
-A run is its config: `sweep(config)`, every `simulate` run, reads its
-grid from the sweep section (one point at `graph.avg_degree` when
-unswept) and its trials, workers and seed from `sim`, and plays each run
-of consecutive grid points that share a graph section (any epsilon or
-alpha sweep) on one graph and one draw per block; an avg_degree point
-builds its own graph.  A trial's statistics (correct estimate, payment,
-majority match, report sum, privacy cost) depend only on its world bit
-and 1-report count, or on its in-band count, so each block is tallied where
-it is drawn into one record of int64 counts per law (`_Engine.record`):
-`reports[w, k]` trials with world bit w and k 1-reports, `band[k]` with k
-users in their band.  Each statistic is evaluated once per count, and its
-mean and variance are count-weighted sums equal to `math.fsum` over one
-value per trial (`analytics.weighted_fsum`).  Nothing is stored per
-trial, and a block allocates no (block x n) array but its raw words: a
-tally draws and plays every pass in one workspace (`_Engine.workspace`),
-and each of a run's `sim.workers` processes tallies one contiguous run of
-whole passes: the parent plays the first and a forked child each other.
+A trial draws a world bit, then one raw 64-bit word per user, which gives
+her private signal and her move (`model.sample_signals_and_moves`).  Her
+report, and whether she sits in her band, are read from threshold tables
+of her grid point's `ReportLaw` (`_Point.play`), keyed by her degree, her
+friends' count of signal 1 and her own signal (`_Engine.table_keys`).  The
+closed forms read the same law, so simulation and analytics describe one
+profile.  Every run reaches its trials through `_run_trials`: blocks of
+trials, each drawn from its own stream, are played in passes by
+`_Engine.tally` in one or more processes and tallied into one int64 count
+record per law, from which each statistic is evaluated once per count
+(`_sim_result`).  So results are byte-identical across runs and worker
+counts, and nothing is stored per trial.
 """
 
 from __future__ import annotations
@@ -448,8 +401,6 @@ def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) ->
     blocks = -(-trials // engine.block)
     passes = -(-blocks // engine.pass_blocks)
     processes = min(workers, passes)
-    if processes <= 1:
-        return engine.tally(master_seed, trials, range(blocks))
     ends = [engine.pass_blocks * -(-passes * i // processes) for i in range(processes + 1)]
     tasks = [range(blocks)[start:end] for start, end in itertools.pairwise(ends)]
     ctx = multiprocessing.get_context("fork")

@@ -44,7 +44,6 @@ from .model import CostFunctionError, ModelParams
 __all__ = [
     "DegreeStrategy",
     "StrategyDomainError",
-    "privacy_level",
     "bar_A",
     "solve_xi",
     "upsilon",
@@ -76,23 +75,6 @@ def band_ends(cut_low, cut_high) -> tuple[np.ndarray, np.ndarray]:
 
 class StrategyDomainError(ValueError):
     """A strategy computation left its admissible domain (bad cost function)."""
-
-
-def privacy_level(p: float, q: float) -> float:
-    """Worst-case |log-likelihood ratio| of a one-bit report under s=1 vs s=0.
-
-    `p` and `q` are the report-1 probabilities given s = 1 and s = 0; the
-    level is the larger of the two events' ratios.  0/0 counts as ratio 1,
-    and a one-sided zero yields +inf.
-    """
-    worst = 0.0
-    for pa, pb in ((p, q), (1.0 - p, 1.0 - q)):
-        if pa <= 0.0 and pb <= 0.0:
-            continue
-        if pa <= 0.0 or pb <= 0.0:
-            return math.inf
-        worst = max(worst, abs(math.log(pa / pb)))
-    return worst
 
 
 def bar_A(theta0: float, theta1: float) -> float:
@@ -279,17 +261,14 @@ def build_mv_strategy(d: int, params: ModelParams) -> DegreeStrategy:
 
 
 def table_to_text(strategies: Sequence[DegreeStrategy]) -> str:
-    """Flat tab-separated export: degree, f, s, p1, p0, p_bot, regime, xi.
-
-    p_bot, the opt-out probability, is 0 in every row.
-    """
-    lines = ["degree\tf\ts\tp1\tp0\tp_bot\tregime\txi"]
+    """Flat tab-separated export: degree, f, s, p1, p0, regime, xi."""
+    lines = ["degree\tf\ts\tp1\tp0\tregime\txi"]
     for strat in strategies:
         for f in range(strat.d + 1):
             regime = "sr" if strat.sr[f] else "nd"
             for s in (0, 1):
                 lines.append(
-                    f"{strat.d}\t{f}\t{s}\t{strat.p1[f, s]:.17g}\t{strat.p0[f, s]:.17g}\t0"
+                    f"{strat.d}\t{f}\t{s}\t{strat.p1[f, s]:.17g}\t{strat.p0[f, s]:.17g}"
                     f"\t{regime}\t{strat.xi[f]:.17g}"
                 )
     return "\n".join(lines) + "\n"

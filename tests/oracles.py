@@ -24,10 +24,52 @@ from privmarket.analytics import ReportLaw, ReportMoments, band_bounds, std_norm
 from privmarket.graph import DegreeDistribution, Graph
 from privmarket.mechanism import MechanismConfig
 from privmarket.model import (
-    TAG_TRIAL, ModelParams, ParameterError, sample_signals_and_moves, sample_world, substream,
+    TAG_TRIAL, ModelParams, ParameterError, sample_signals_and_moves, substream,
 )
 from privmarket.sim import Estimate, SimResult, map_estimate
 from privmarket.strategy import DegreeStrategy
+
+
+def has_edge(graph: Graph, u: int, v: int) -> bool:
+    """Whether u and v are friends, by binary search of u's sorted neighbors."""
+    a = graph.neighbors(u)
+    pos = int(np.searchsorted(a, v))
+    return pos < len(a) and a[pos] == v
+
+
+def edge_list_text(graph: Graph) -> str:
+    """The ingestible text of `graph`: a '# ...' comment, then one 'u v' line per edge."""
+    return f"# Nodes: {graph.n} Edges: {graph.num_edges}\n" + "".join(
+        f"{u} {v}\n" for u, v in graph.edges())
+
+
+def point_mass(d: int) -> DegreeDistribution:
+    """The degree law of a d-regular graph."""
+    mass = np.zeros(d + 1)
+    mass[d] = 1.0
+    return DegreeDistribution(mass)
+
+
+def world_bit(rng: np.random.Generator, params: ModelParams) -> int:
+    """One draw of W from `rng`: the draw `model.sample_world` makes first."""
+    return int(rng.random() < params.prior_w1)
+
+
+def privacy_level(p: float, q: float) -> float:
+    """Worst-case |log-likelihood ratio| of a one-bit report under s=1 vs s=0.
+
+    `p` and `q` are the report-1 probabilities given s = 1 and s = 0; the
+    level is the larger of the two events' ratios.  0/0 counts as ratio 1,
+    and a one-sided zero yields +inf.
+    """
+    worst = 0.0
+    for pa, pb in ((p, q), (1.0 - p, 1.0 - q)):
+        if pa <= 0.0 and pb <= 0.0:
+            continue
+        if pa <= 0.0 or pb <= 0.0:
+            return math.inf
+        worst = max(worst, abs(math.log(pa / pb)))
+    return worst
 
 
 def _sig_prob(bit: int, p_one: float) -> float:
@@ -155,7 +197,7 @@ def graph_report_moments_loop(graph: Graph, law: ReportLaw) -> tuple[float, floa
         for x in range(len(nbrs)):
             for y in range(x + 1, len(nbrs)):
                 a, b = int(nbrs[x]), int(nbrs[y])
-                if graph.has_edge(a, b):
+                if has_edge(graph, a, b):
                     continue
                 cov = terms.pair_common_friend(int(deg[a]), int(deg[b])) - means[a] * means[b]
                 var_sum += 2.0 * cov
@@ -533,7 +575,7 @@ def trial_stats_loop(engine, point, master_seed: int, index: int, moments) -> tu
     """
     graph, law, params = engine.graph, point.law, engine.params
     rng = substream(master_seed, TAG_TRIAL, index)
-    w = sample_world(rng, params)
+    w = world_bit(rng, params)
     s, _ = signals_and_moves(rng, w, params)
     bits = sample_group_signals(rng, graph, s, params.alpha)
     f = np.bincount(receivers(graph), weights=bits, minlength=graph.n)
@@ -564,7 +606,7 @@ def trial_stats_user_loop(engine, point, master_seed: int, index: int, moments) 
         return min(max(round(p * one), 0), one)
 
     rng = substream(master_seed, TAG_TRIAL, index)
-    w = sample_world(rng, params)
+    w = world_bit(rng, params)
     words = [int(rng.bit_generator.random_raw()) for _ in range(n)]
     s = [int((word >> 33) < grid(params.theta0)) ^ (w == 0) for word in words]
     reports = np.empty(n, dtype=np.int64)

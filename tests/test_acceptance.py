@@ -34,7 +34,7 @@ from privmarket.strategy import build_mv_strategy
 
 from conftest import make_params
 from datasets import write_gnutella_like, write_grqc_like
-from oracles import enumerate_mu1
+from oracles import enumerate_mu1, point_mass
 
 PARAM_GRID = [
     make_params(theta0=theta0, alpha=alpha, epsilon=eps)
@@ -57,7 +57,7 @@ def test_criterion_1_enumeration_oracle_equivalence():
         dist_cache = {}
         for d in range(0, 7):
             summary = mv_moments_equal_priors(
-                params, dist_cache.setdefault(d, DegreeDistribution.point_mass(d))
+                params, dist_cache.setdefault(d, point_mass(d))
             )
             oracle = enumerate_mu1(build_mv_strategy(d, params), params)
             worst = max(worst, abs(summary.mu1 - oracle))

@@ -45,6 +45,7 @@ from oracles import (
     graph_report_moments_fsum,
     graph_report_moments_loop,
     normal_cdf_quadrature,
+    point_mass,
     side_probs_comb,
     side_probs_enumerated,
 )
@@ -170,7 +171,7 @@ class TestCutTable:
 class TestMvMoments:
     def test_no_learning_reduces_to_single_responder(self):
         params = make_params(epsilon=0.1)
-        dist = DegreeDistribution.point_mass(0)
+        dist = point_mass(0)
         s = mv_moments_equal_priors(params, dist)
         lam = lambda_sr(0.1, 0.7)
         assert s.mu1 == pytest.approx(lam, abs=1e-15)
@@ -178,7 +179,7 @@ class TestMvMoments:
 
     def test_point_mass_two_matches_enumeration(self):
         params = make_params(alpha=0.0, epsilon=0.1)
-        dist = DegreeDistribution.point_mass(2)
+        dist = point_mass(2)
         s = mv_moments_equal_priors(params, dist)
         oracle = enumerate_mu1(build_mv_strategy(2, params), params)
         assert s.mu1 == pytest.approx(oracle, abs=1e-12)
@@ -191,7 +192,7 @@ class TestMvMoments:
 
     def test_mu_matches_enumeration_all_degrees(self, default_params):
         for d in range(0, 7):
-            dist = DegreeDistribution.point_mass(d)
+            dist = point_mass(d)
             s = mv_moments_equal_priors(default_params, dist)
             oracle = enumerate_mu1(build_mv_strategy(d, default_params), default_params)
             assert abs(s.mu1 - oracle) < 1e-10, d
@@ -217,12 +218,12 @@ def _baseline_table(d: int):
 class TestNdMoments:
     def test_all_degree_two(self):
         params = make_params()  # theta1 = 0.6
-        s = nd_moments(params, DegreeDistribution.point_mass(2))
+        s = nd_moments(params, point_mass(2))
         assert s.mu1 == pytest.approx(0.36 + 0.5 * 0.48, abs=1e-12)
 
     def test_matches_enumeration(self, default_params):
         for d in range(0, 7):
-            s = nd_moments(default_params, DegreeDistribution.point_mass(d))
+            s = nd_moments(default_params, point_mass(d))
             oracle = enumerate_mu1(_baseline_table(d), default_params)
             assert abs(s.mu1 - oracle) < 1e-10, d
 

@@ -160,7 +160,7 @@ class TestCli:
         assert main(["strategy", "--config", str(cfg), "--out", str(out)]) == 0
         rows = (out / "strategy.tsv").read_text().strip().split("\n")[1:]
         for row in rows:
-            d, f, s, p1, p0, p_bot, regime, xi = row.split("\t")
+            d, f, s, p1, p0, regime, xi = row.split("\t")
             if regime == "sr":
                 assert int(d) % 2 == 0 and int(f) * 2 == int(d)
 
@@ -188,7 +188,7 @@ class TestCli:
         assert main(["strategy", "--config", str(cfg), "--out", str(out)]) == 0
         rows = (out / "strategy.tsv").read_text().strip().split("\n")[1:]
         assert len(rows) == 2  # one cell, two signal rows
-        assert all(r.split("\t")[6] == "sr" for r in rows)
+        assert all(r.split("\t")[5] == "sr" for r in rows)
 
     def test_edge_list_strategy_spans_the_largest_degree(self, tmp_path):
         # an edge list's law is its realized degrees: the export stops at its hub
@@ -784,6 +784,29 @@ _PROBES = st.sampled_from(sorted(_PROBED)).flatmap(
     lambda key: st.tuples(st.just(key), st.sampled_from(_PROBED[key] + _EVERY_KEY)))
 # every `section.key` a config holds: a refusal names one of them
 _DOTTED_KEYS = [line.split(" = ")[0] for line in serialize_config(default_config()).splitlines()]
+# Files `ingest-check`'s graph.path is pointed at: the base edge list, then
+# edge lists with no edge, a malformed line, non-ASCII text, 19-digit ids,
+# bytes that are not UTF-8 and a self-loop alone.
+_EDGE_LISTS = {
+    "edges.txt": b"# header\n10 20\n20\t30\n30 10\n10 10\n20 10\n",
+    "empty.txt": b"",
+    "comments.txt": b"# no edge\n\n",
+    "inline-comment.txt": b"10 20\n20 30 # inline\n",
+    "three-ids.txt": b"10 20 30\n",
+    "non-ascii-digits.txt": "10 20\n20 \uff13\uff10\n".encode(),  # fullwidth 30
+    "non-ascii-word.txt": "10 20\n20 drei\u00dfig\n".encode(),
+    "latin-1.txt": b"10 20\n20 3\xe9\n",
+    "ids-19-digits.txt": b"1000000000000000000 -1000000000000000000\n",
+    "id-past-64-bits.txt": b"9223372036854775808 2\n",
+    "self-loop.txt": b"5 5\n",
+}
+_INGEST_PROBED = {
+    **_PROBED,
+    "graph.path": [*_EDGE_LISTS, "a-directory", "missing.txt"],
+    "graph.kind": ["edge-list", "er", "config-model", "bogus"],
+}
+_INGEST_PROBES = st.sampled_from(sorted(_INGEST_PROBED)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(_INGEST_PROBED[key] + _EVERY_KEY)))
 
 
 class TestRightOrRefuse:
@@ -827,6 +850,45 @@ class TestRightOrRefuse:
                         (command, code, err)
                     assert any(dotted in err for dotted in _DOTTED_KEYS), (command, err)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(probe=_INGEST_PROBES)
+    # an empty file, a malformed line, non-ASCII text and 19-digit ids; a
+    # directory and a file that is not UTF-8 once named no key
+    @example(probe=("graph.path", "empty.txt"))
+    @example(probe=("graph.path", "inline-comment.txt"))
+    @example(probe=("graph.path", "non-ascii-digits.txt"))
+    @example(probe=("graph.path", "non-ascii-word.txt"))
+    @example(probe=("graph.path", "ids-19-digits.txt"))
+    @example(probe=("graph.path", "id-past-64-bits.txt"))
+    @example(probe=("graph.path", "a-directory"))
+    @example(probe=("graph.path", "latin-1.txt"))
+    @example(probe=("graph.kind", "er"))
+    def test_ingest_check_one_key_changed(self, probe):
+        key, value = probe
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            for name, content in _EDGE_LISTS.items():
+                (directory / name).write_bytes(content)
+            (directory / "a-directory").mkdir()
+            if key == "graph.path":
+                value = str(directory / value)
+            cfg = directory / "probe.cfg"
+            cfg.write_text(README_CONFIG.replace("model.population = 250", "model.population = 60")
+                           + f"graph.kind = edge-list\ngraph.path = {directory / 'edges.txt'}\n"
+                           + f"{key} = {value}\n", encoding="utf-8")
+            out, stdout, err = directory / "out", io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+                code = main(["ingest-check", "--config", str(cfg), "--out", str(out)])
+        err = err.getvalue()
+        assert "Traceback" not in err, err
+        if code == 0:
+            numbers = [float(line.split(" = ")[1]) for line in stdout.getvalue().splitlines()]
+            assert numbers and all(math.isfinite(x) for x in numbers), numbers
+        else:
+            assert (code, err.split(":")[0]) in ((1, "error"), (2, "config error")), (code, err)
+            assert any(dotted in err for dotted in _DOTTED_KEYS), err
+            assert not stdout.getvalue()
+
     @pytest.mark.parametrize("key, value, command, start, named", [
         ("model.prior_w1", "0.7", "simulate", "error: simulate: ", ["model.prior_w1 = 0.7"]),
         ("model.cost", "table:0:1,1:2", "analytics", "config error: model.cost: ",
@@ -836,8 +898,13 @@ class TestRightOrRefuse:
         *(("graph.path", "edges.txt", command, "error: edge-list ingest: ",
            ["graph.path = {tmp}/edges.txt: line 3: expected two node ids, got '20 30 # inline'"])
           for command in ("ingest-check", "analytics", "strategy", "simulate")),
+        *(("output.directory", layout, command, "error: output: ",
+           [f"output.directory = {{tmp}}/{layout}: "])
+          for layout in ("afile/sub", "taken") for command in ("analytics", "simulate")),
     ], ids=["unequal-priors", "cost-g0", "config-model-draw", "edge-list-ingest-check",
-            "edge-list-analytics", "edge-list-strategy", "edge-list-simulate"])
+            "edge-list-analytics", "edge-list-strategy", "edge-list-simulate",
+            "output-under-a-file-analytics", "output-under-a-file-simulate",
+            "output-unwritable-analytics", "output-unwritable-simulate"])
     def test_refusal_names_its_stage_and_key(self, tmp_path, monkeypatch, capsys, key, value,
                                              command, start, named):
         from privmarket import config
@@ -846,24 +913,33 @@ class TestRightOrRefuse:
         build_graph = config.build_graph
         monkeypatch.setattr(config, "build_graph", lambda cfg: builds.append(cfg) or build_graph(cfg))
         cfg = _probe_config(tmp_path, key, value)
-        out = tmp_path / "out"
+        out = tmp_path / (value if key == "output.directory" else "out")
         code = main([command, "--config", str(cfg), "--out", str(out), "--trials", "2"])
         err = capsys.readouterr().err
         assert code == (2 if start.startswith("config error") else 1)
         assert err.startswith(start) and "Traceback" not in err and "np.float64" not in err, err
         assert all(text.format(tmp=tmp_path) in err for text in named), err
-        assert not out.exists() or not any(out.iterdir())
+        # nothing published: the directory holds at most what blocked the writes
+        blockers = set(_UNWRITABLE) if key == "output.directory" else set()
+        assert not out.exists() or {p.name for p in out.iterdir()} <= blockers
         # of the generated graphs, only the config-model draw gets as far as
         # the graph build
-        if key != "graph.path":
+        if key not in ("graph.path", "output.directory"):
             assert len(builds) == (key == "graph.poisson_mean")
+
+
+# Output files whose temporary names are taken by directories in the
+# `taken` layout of `_probe_config`, so that writing them fails.
+_UNWRITABLE = ("analytics.txt.tmp", "manifest.json.tmp")
 
 
 def _probe_config(directory: Path, key: str, value: str) -> Path:
     """The 60-user README config with `key = value`; a config-model graph for graph.poisson_mean.
 
     For graph.path, `value` names an edge list written in `directory` whose
-    line 3 holds an inline comment.
+    line 3 holds an inline comment.  For output.directory, `value` names a
+    directory under `directory`: `afile/sub` lies under a regular file, and
+    `taken` holds a directory at each `_UNWRITABLE` name.
     """
     text = README_CONFIG.replace("model.population = 250", "model.population = 60")
     if key == "graph.poisson_mean":
@@ -871,6 +947,11 @@ def _probe_config(directory: Path, key: str, value: str) -> Path:
     if key == "graph.path":
         (directory / value).write_text("# header\n10 20\n20 30 # inline\n")
         text += "graph.kind = edge-list\n"
+        value = str(directory / value)
+    if key == "output.directory":
+        (directory / "afile").write_text("")
+        for name in _UNWRITABLE:
+            (directory / "taken" / name).mkdir(parents=True)
         value = str(directory / value)
     path = directory / "probe.cfg"
     path.write_text(text + f"{key} = {value}\n", encoding="utf-8")
@@ -884,14 +965,11 @@ class TestPathOrText:
                 with pytest.raises(FileNotFoundError, match="typo"):
                     read(name)
 
-    def test_text_file_and_file_object_agree(self, tmp_path):
-        import io
-
+    def test_text_and_file_agree(self, tmp_path):
         text = "model.theta0 = 0.8\n"
         path = tmp_path / "run.cfg"
         path.write_text(text)
         assert parse_config(text) == parse_config(path) == parse_config(str(path))
-        assert parse_config(io.StringIO(text)) == parse_config(text)
 
 
 class TestRealWorldLayouts:
@@ -919,7 +997,9 @@ class TestRealWorldLayouts:
         assert capsys.readouterr().out == text
         assert "nodes = 5242" in text
         assert "edges = 14496" in text
-        assert "ratio = " in text
+        assert [line.split(" = ")[0] for line in text.splitlines()] == [
+            "nodes", "edges", "self_loops_dropped", "duplicates_dropped", "lines_read", "d_max",
+            "n_quarter_root", "ratio", "moment_2_5"]
 
     def test_ingest_check_counts_and_refuses_a_malformed_line(self, tmp_path, capsys):
         # comments, tabs and runs of spaces, a self-loop, a duplicate and a

@@ -24,7 +24,7 @@ from privmarket.model import (
 )
 
 from conftest import make_params
-from oracles import sample_group_signals, signals_and_moves
+from oracles import sample_group_signals, signals_and_moves, world_bit
 
 
 class TestTheta1:
@@ -130,14 +130,14 @@ class TestSampling:
         rng = substream(7, 0, 0)
         hi = make_params(prior_w1=1.0 - 1e-15)
         lo = make_params(prior_w1=1e-15)
-        assert all(sample_world(rng, hi) == 1 for _ in range(50))
-        assert all(sample_world(rng, lo) == 0 for _ in range(50))
+        assert (sample_world(rng, hi, 50) == 1).all()
+        assert (sample_world(rng, lo, 50) == 0).all()
 
     def test_world_frequency(self):
         rng = substream(7, 0, 1)
         params = make_params()
         draws = 100_000
-        mean = np.mean([sample_world(rng, params) for _ in range(draws)])
+        mean = np.mean(sample_world(rng, params, draws))
         se = math.sqrt(0.25 / draws)
         assert abs(mean - 0.5) < 3 * se
 
@@ -202,7 +202,7 @@ class TestSampling:
         params = make_params(population=4)
 
         def realize(rng):
-            w = sample_world(rng, params)
+            w = world_bit(rng, params)
             s = signals_and_moves(rng, w, params)[0]
             return w, s, sample_group_signals(rng, graph, s, params.alpha)
 
@@ -228,7 +228,7 @@ class TestSampling:
         graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
         params = make_params(population=4)
         a, b = substream(99, 5, 4), substream(99, 5, 4)
-        w = sample_world(a, params)
+        w = world_bit(a, params)
         (w_row,) = sample_world(b, params, 1)
         assert w == w_row
         s, moves = signals_and_moves(a, w, params)

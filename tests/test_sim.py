@@ -31,7 +31,7 @@ from privmarket.strategy import build_mv_strategy
 from conftest import make_params
 from datasets import write_grqc_like, write_hub
 from oracles import (
-    count_histograms, friends_ones_bincount, ks_statistic_per_trial, majority_excluding,
+    count_histograms, edge_list_text, friends_ones_bincount, ks_statistic_per_trial, majority_excluding,
     map_estimate_scalar, mirrored_moments, peer_payment, point_stats, sim_result_from_rows,
     trial_counts, trial_stats_loop, trial_stats_user_loop,
 )
@@ -523,7 +523,7 @@ class TestEngineSetup:
             cfg = TestHistogramAggregation._hub_config(tmp_path)
         else:  # a ring lattice: each user's nearest friends are each other's friends
             path = tmp_path / "clustered.txt"
-            path.write_text(_ring(2000, 6, hub=60).to_edge_list_text())
+            path.write_text(edge_list_text(_ring(2000, 6, hub=60)))
             cfg = apply_overrides(default_config(), ["graph.kind=edge-list", f"graph.path={path}"])
         _, engine, _ = sim._build_experiment([cfg, apply_overrides(cfg, ["sim.profile=nd"])])
         assert engine._lane == (np.uint16 if graph == "hub" else np.uint8)
@@ -948,7 +948,7 @@ class TestSweep:
         if hub:
             graph = Graph(301, graph.edges().tolist() + [(0, j) for j in range(1, 301)])
         path = tmp_path / "edges.txt"
-        path.write_text(graph.to_edge_list_text())
+        path.write_text(edge_list_text(graph))
         return apply_overrides(
             default_config(),
             ["graph.kind=edge-list", f"graph.path={path}", "sim.trials=60", *overrides],

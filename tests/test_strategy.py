@@ -16,14 +16,13 @@ from privmarket.strategy import (
     band_ends,
     build_mv_strategy,
     equal_priors_tau,
-    privacy_level,
     solve_xi,
     table_to_text,
     upsilon,
 )
 
 from conftest import make_params
-from oracles import brute_force_best_response, grid_scan_xi
+from oracles import brute_force_best_response, grid_scan_xi, privacy_level
 from test_acceptance import PARAM_GRID
 
 
@@ -235,11 +234,10 @@ class TestBuildMvStrategy:
         for d in range(9):
             rows = [r.split("\t") for r in table_to_text([build_mv_strategy(d, params)]).splitlines()[1:]]
             assert len(rows) == 2 * (d + 1)
-            for degree, f, s, p1, p0, p_bot, regime, xi in rows:
+            for degree, f, s, p1, p0, regime, xi in rows:
                 f = int(f)
                 majority = 1.0 if 2 * f > d else 0.0 if 2 * f < d else 0.5
-                assert (int(degree), float(p1), float(p0), float(p_bot)) == (
-                    d, majority, 1.0 - majority, 0.0), (d, f, s)
+                assert (int(degree), float(p1), float(p0)) == (d, majority, 1.0 - majority), (d, f, s)
                 assert regime == ("sr" if 2 * f == d else "nd") and float(xi) == 0.0
 
     def test_default_case_band(self):
@@ -345,7 +343,7 @@ class TestExport:
         params = make_params(epsilon=0.5)
         text = table_to_text([build_mv_strategy(d, params) for d in range(3)])
         lines = text.strip().split("\n")
-        assert lines[0] == "degree\tf\ts\tp1\tp0\tp_bot\tregime\txi"
+        assert lines[0] == "degree\tf\ts\tp1\tp0\tregime\txi"
         assert len(lines) == 1 + 2 * (1 + 2 + 3)  # two rows per (d, f)
         first = lines[1].split("\t")
-        assert first[0] == "0" and first[5] == "0" and first[6] == "sr"
+        assert first[0] == "0" and first[5] == "sr"
