@@ -39,10 +39,3 @@ from .analytics import (  # noqa: F401
     predict,
     std_normal_cdf,
 )
-from .sim import (  # noqa: F401
-    SimResult,
-    map_estimate,
-    normality_probe,
-    run_experiment,
-    sweep,
-)

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from . import analytics as an
-from . import sim as simmod
 from .config import (
     EDGE_LIST,
     ER,
@@ -85,6 +84,14 @@ class _AtomicOutputs:
         return final
 
     def publish(self) -> list[Path]:
+        """Replace every target by its temp file; a target that is a directory refuses them all.
+
+        Every target is checked before the first replace, so a refused
+        publish leaves each existing output as it was.
+        """
+        for _, final in self._pending:
+            if final.is_dir():
+                raise OSError(f"output: output.directory = {self.dir}: {final} is a directory")
         done = []
         for tmp, final in self._pending:
             self._io(os.replace, tmp, final)
@@ -116,7 +123,7 @@ def cmd_strategy(cfg: RunConfig, out: _AtomicOutputs) -> None:
 
 def _key_values(pairs) -> str:
     """`key = value` lines, floats at 17 significant digits as in every CSV cell."""
-    return "".join(f"{k} = {simmod._fmt(v) if isinstance(v, float) else v}\n" for k, v in pairs)
+    return "".join(f"{k} = {format(v, '.17g') if isinstance(v, float) else v}\n" for k, v in pairs)
 
 
 def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
@@ -164,9 +171,11 @@ def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
 
 def cmd_simulate(cfg: RunConfig, out: _AtomicOutputs) -> None:
     """The run `sim.sweep(cfg)` makes, as one CSV row per grid point and its manifest."""
-    results = simmod.sweep(cfg)
-    out.write("results.csv", simmod.sweep_csv(results))
-    out.write("manifest.json", simmod.run_manifest(cfg, results))
+    from . import sim  # only simulate loads the Monte Carlo engine
+
+    results = sim.sweep(cfg)
+    out.write("results.csv", sim.sweep_csv(results))
+    out.write("manifest.json", sim.run_manifest(cfg, results))
     log.info("simulation outputs -> %s", out.dir)
 
 

@@ -344,6 +344,7 @@ _INT64 = np.iinfo(np.int64)
 _PLAIN_BYTES = b"\t\n" + bytes(range(0x20, 0x7F))
 _SKIPPED_LINE = re.compile(rb"^[ \t]*(?:#[^\n]*\n|\n)", re.MULTILINE)
 _DIGITS_AS_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
+_ID = re.compile(r"[+-]?[0-9]+")  # a node id: ASCII decimal digits after an optional sign
 
 
 def read_source(source) -> str:
@@ -387,7 +388,8 @@ def _read_pairs(text: str) -> np.ndarray:
 
     This reader defines the format: it takes any text, and raises
     GraphFormatError naming the first edge line that does not hold
-    exactly two 64-bit integer ids.
+    exactly two 64-bit integer ids (`_ID`, as the C parse reads them:
+    `int` alone would take underscores and other scripts' digits).
     """
     rows: list[tuple[int, int]] = []
     id_min, id_max = _INT64.min, _INT64.max
@@ -398,10 +400,9 @@ def _read_pairs(text: str) -> np.ndarray:
         parts = stripped.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected two node ids, got {line!r}")
-        try:
-            u_ext, v_ext = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: non-integer node id in {line!r}") from exc
+        if not (_ID.fullmatch(parts[0]) and _ID.fullmatch(parts[1])):
+            raise GraphFormatError(f"line {lineno}: non-integer node id in {line!r}")
+        u_ext, v_ext = int(parts[0]), int(parts[1])
         if not (id_min <= u_ext <= id_max and id_min <= v_ext <= id_max):
             raise GraphFormatError(f"line {lineno}: node id outside the 64-bit range in {line!r}")
         rows.append((u_ext, v_ext))

@@ -17,9 +17,9 @@ counts, and nothing is stored per trial.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import multiprocessing
+import os
+import signal
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Sequence
@@ -345,17 +345,56 @@ class SimResult:
 
 
 def _child_tally(send, engine: _Engine, master_seed: int, trials: int, blocks: range) -> None:
-    """A forked child of `_run_trials`: send its task's record, or the exception its tally raised.
+    """A forked child of `_run_trials`: write its task's reply to the binary file `send`, then close it.
 
-    The exception goes back as text, so the parent names it and the child
-    prints no traceback of its own.
+    The reply is a tag byte and its payload: b"r" and the task's record as
+    raw int64 bytes, or b"e" and the text of the exception its tally
+    raised, so the parent names it and the child prints no traceback of
+    its own.
     """
     try:
-        reply = engine.tally(master_seed, trials, blocks)
+        reply = b"r" + engine.tally(master_seed, trials, blocks).tobytes()
     except BaseException as exc:  # every failure is the parent's to report
-        reply = f"{type(exc).__name__}: {exc}"
-    send.send(reply)
+        reply = b"e" + f"{type(exc).__name__}: {exc}".encode(errors="replace")
+    send.write(reply)
     send.close()
+
+
+class _TrialChild:
+    """A child process, forked on creation, that tallies one task of `_run_trials` into a pipe.
+
+    The child writes its reply through `_child_tally` and leaves by
+    `os._exit`, so it runs none of the parent's exit handlers and flushes
+    none of its buffers: code 0 once the reply is written, 1 if that
+    raised.  The parent reads the reply to EOF and reaps the child
+    (`wait`), and `close` kills and reaps a child it never waited for.
+    """
+
+    def __init__(self, engine: _Engine, master_seed: int, trials: int, blocks: range):
+        read, write = os.pipe()
+        self.pipe, self.code = open(read, "rb"), None
+        with open(write, "wb") as send:
+            self.pid = os.fork()
+            if self.pid == 0:
+                code = 1
+                try:
+                    self.pipe.close()  # the parent's end: a write to a dead parent fails, not blocks
+                    _child_tally(send, engine, master_seed, trials, blocks)
+                    code = 0
+                finally:
+                    os._exit(code)
+
+    def wait(self) -> tuple[bytes, int]:
+        """The child's reply, read to EOF, and its exit code once it is reaped."""
+        reply = self.pipe.read()
+        self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return reply, self.code
+
+    def close(self) -> None:
+        self.pipe.close()
+        if self.code is None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
 
 
 def _mean_var(values: np.ndarray, counts: np.ndarray) -> tuple[float, float, int]:
@@ -389,12 +428,14 @@ def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) ->
     may be short and end on a partial block), tallied in one workspace and
     returned as one record per law, so a process pays the allocation and
     the transfer once.  The parent forks a child for each task but the
-    first, before it allocates its own workspace, tallies the first task
-    itself, then reads each child's record from its pipe.  A child whose
-    tally raised, that exits non-zero or that sends nothing fails the run
-    with RuntimeError naming it: a run never returns partial records.  The
-    run's records are the sum of its tasks', taken over their int64 views,
-    which no order of completion changes.
+    first (`_TrialChild`), before it allocates its own workspace, tallies
+    the first task itself, then reads each child's raw record bytes from
+    its pipe, whose size `engine.record` fixes, and reaps it.  A child
+    whose tally raised, that exits non-zero or that sends no whole record
+    fails the run with RuntimeError naming it: a run never returns partial
+    records, and no child outlives it.  The run's records are the sum of
+    its tasks', taken over their int64 views, which no order of completion
+    changes.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -403,37 +444,25 @@ def _run_trials(engine: _Engine, master_seed: int, trials: int, workers: int) ->
     processes = min(workers, passes)
     ends = [engine.pass_blocks * -(-passes * i // processes) for i in range(processes + 1)]
     tasks = [range(blocks)[start:end] for start, end in itertools.pairwise(ends)]
-    ctx = multiprocessing.get_context("fork")
     children = []
     try:
         for task in tasks[1:]:
-            receive, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child_tally, args=(send, engine, master_seed, trials, task))
-            child.start()
-            send.close()
-            children.append((child, receive))
+            children.append(_TrialChild(engine, master_seed, trials, task))
         total = engine.tally(master_seed, trials, tasks[0]).view(np.int64)
-        for i, (child, receive) in enumerate(children, start=1):
-            try:
-                reply = receive.recv()
-            except EOFError:
-                reply = None
-            child.join()
+        for i, child in enumerate(children, start=1):
+            reply, code = child.wait()
             name = f"trial process {i} of {processes} (blocks {tasks[i].start}..{tasks[i].stop - 1})"
-            if isinstance(reply, str):
-                raise RuntimeError(f"{name} failed: {reply}")
-            if reply is None:
-                raise RuntimeError(f"{name} exited with code {child.exitcode} and sent no record")
-            if child.exitcode != 0:
-                raise RuntimeError(f"{name} exited with code {child.exitcode}")
-            total += reply.view(np.int64)
+            if reply[:1] == b"e":
+                raise RuntimeError(f"{name} failed: {reply[1:].decode(errors='replace')}")
+            if reply[:1] != b"r" or len(reply) != 1 + total.nbytes:
+                raise RuntimeError(f"{name} exited with code {code} and sent no record")
+            if code != 0:
+                raise RuntimeError(f"{name} exited with code {code}")
+            total += np.frombuffer(reply, np.int64, offset=1)
         return total.view(engine.record)
     finally:
-        for child, receive in children:
-            receive.close()
-            if child.exitcode is None:
-                child.terminate()
-                child.join()
+        for child in children:
+            child.close()
 
 
 def _build_experiment(configs):
@@ -658,6 +687,8 @@ def run_manifest(config, results: Sequence[SimResult]) -> str:
 
     A sweep adds its grid and an unswept run its `nodes`; an edge list adds `nodes` and `edges`.
     """
+    import json  # only the manifest writes JSON
+
     from . import __version__
 
     payload = {

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import multiprocessing
 import sys
 from pathlib import Path
 
@@ -9,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from privmarket import sim
 from privmarket.model import ModelParams
 
 
@@ -21,15 +21,14 @@ def default_params() -> ModelParams:
 @pytest.fixture
 def trial_forks(monkeypatch):
     """The trial processes `sim._run_trials` forks, listed as they start; they still run for real."""
-    ctx = multiprocessing.get_context("fork")
     started = []
 
-    class Listed(ctx.Process):
-        def start(self):
+    class Listed(sim._TrialChild):
+        def __init__(self, *task):
+            super().__init__(*task)  # returns in the parent only
             started.append(self)
-            super().start()
 
-    monkeypatch.setattr(ctx, "Process", Listed)
+    monkeypatch.setattr(sim, "_TrialChild", Listed)
     return started
 
 

@@ -282,7 +282,8 @@ def ingest_counts_loop(text: str) -> dict:
     """Edge-list ingest with id, pair and seen sets: dense edges, id map, counters.
 
     Returns None when the text holds no edge line, and {"error": message}
-    for the first edge line that does not hold two 64-bit integers.
+    for the first edge line that does not hold two 64-bit integers, each
+    ASCII decimal digits after an optional sign.
     """
     ext_ids: set[int] = set()
     ext_pairs: list[tuple[int, int]] = []
@@ -296,10 +297,10 @@ def ingest_counts_loop(text: str) -> dict:
         parts = stripped.split()
         if len(parts) != 2:
             return {"error": f"line {lineno}: expected two node ids, got {line!r}"}
-        try:
-            u_ext, v_ext = int(parts[0]), int(parts[1])
-        except ValueError:
+        unsigned = [part[1:] if part[:1] in "+-" else part for part in parts]
+        if not all(digits.isascii() and digits.isdigit() for digits in unsigned):
             return {"error": f"line {lineno}: non-integer node id in {line!r}"}
+        u_ext, v_ext = int(parts[0]), int(parts[1])
         if not (-(2**63) <= min(u_ext, v_ext) and max(u_ext, v_ext) < 2**63):
             return {"error": f"line {lineno}: node id outside the 64-bit range in {line!r}"}
         ext_ids.update((u_ext, v_ext))

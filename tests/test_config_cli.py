@@ -303,6 +303,36 @@ class TestCli:
         # nor numpy.ma, which numpy's plain np.unique imports and no command needs
         assert done.stdout.strip().splitlines()[-2:] == ["[]", "False"]
 
+    @pytest.mark.parametrize("command", [["analytics"], ["strategy"], ["ingest-check"],
+                                         ["simulate", "--trials", "1000", "--workers", "2"]],
+                             ids=["analytics", "strategy", "ingest-check", "simulate-forked"])
+    def test_commands_load_only_what_they_run(self, tmp_path, command):
+        # only simulate loads the Monte Carlo engine, and no command loads
+        # multiprocessing, not even a simulate that forks its trial
+        # processes (README graph: blocks of 204 trials, one a pass)
+        edges = tmp_path / "edges.txt"
+        edges.write_text("10 20\n20 30\n30 10\n", encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(README_CONFIG + (f"graph.kind = edge-list\ngraph.path = {edges}\n"
+                                        if command == ["ingest-check"] else ""), encoding="utf-8")
+        script = (
+            "import os, sys\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "from privmarket.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(len(forks), 'multiprocessing' in sys.modules, 'privmarket.sim' in sys.modules)\n"
+            "sys.exit(code)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, *command, "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            env=_src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        simulate = command[0] == "simulate"
+        assert done.stdout.split("\n")[-2] == f"{int(simulate)} False {simulate}"
+
     def test_runs_with_scipy_blocked(self, tmp_path):
         # numpy is the only runtime dependency: with every scipy import
         # failing, the commands and the normality probe still run.
@@ -794,6 +824,7 @@ _EDGE_LISTS = {
     "inline-comment.txt": b"10 20\n20 30 # inline\n",
     "three-ids.txt": b"10 20 30\n",
     "non-ascii-digits.txt": "10 20\n20 \uff13\uff10\n".encode(),  # fullwidth 30
+    "underscore-id.txt": b"1_0 2\n2 3\n",
     "non-ascii-word.txt": "10 20\n20 drei\u00dfig\n".encode(),
     "latin-1.txt": b"10 20\n20 3\xe9\n",
     "ids-19-digits.txt": b"1000000000000000000 -1000000000000000000\n",
@@ -852,11 +883,13 @@ class TestRightOrRefuse:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(probe=_INGEST_PROBES)
-    # an empty file, a malformed line, non-ASCII text and 19-digit ids; a
-    # directory and a file that is not UTF-8 once named no key
+    # an empty file, a malformed line, non-ASCII text, ids that only `int`
+    # reads and 19-digit ids; a directory and a file that is not UTF-8
+    # once named no key
     @example(probe=("graph.path", "empty.txt"))
     @example(probe=("graph.path", "inline-comment.txt"))
     @example(probe=("graph.path", "non-ascii-digits.txt"))
+    @example(probe=("graph.path", "underscore-id.txt"))
     @example(probe=("graph.path", "non-ascii-word.txt"))
     @example(probe=("graph.path", "ids-19-digits.txt"))
     @example(probe=("graph.path", "id-past-64-bits.txt"))
@@ -926,6 +959,20 @@ class TestRightOrRefuse:
         # the graph build
         if key not in ("graph.path", "output.directory"):
             assert len(builds) == (key == "graph.poisson_mean")
+
+    def test_refused_publish_replaces_no_output(self, tmp_path, capsys):
+        # a target that is a directory refuses the run before any output
+        # is replaced, so the results.csv of an earlier run keeps its bytes
+        cfg = _probe_config(tmp_path, "sim.seed", "5")
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        earlier = b"axis_value,accuracy\n4,0.5\n"
+        (out / "results.csv").write_bytes(earlier)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--trials", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: output: output.directory = {out}: {out / 'manifest.json'} is a directory\n"
+        assert (out / "results.csv").read_bytes() == earlier
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "results.csv"]
 
 
 # Output files whose temporary names are taken by directories in the

@@ -40,20 +40,22 @@ def _assert_graph_matches(graph: Graph, ref: dict) -> None:
 # often, plus sparse and negative ids anywhere in the 64-bit range.
 _IDS = st.one_of(st.integers(-3, 12), st.integers(-(2**63), 2**63 - 1))
 _SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t "])
-# Lines that `int` and `str.splitlines`, `strip` and `split` read but a C
-# parse may not: signs, underscores, leading zeros past 18 digits,
-# non-ASCII digits and blanks, a comment in non-ASCII text, and comments
-# that a vertical tab or a carriage return breaks before an edge.
+# Lines that `str.splitlines`, `strip` and `split` read but a C parse may
+# not: signs, leading zeros past 18 digits, non-ASCII blanks, a comment in
+# non-ASCII text, and comments that a vertical tab or a carriage return
+# breaks before an edge.
 _ODD_EDGE_LINES = st.sampled_from([
-    "+5 -0", "1_000 7", "0000000000000000000003 4", f"{2**63 - 1} {-(2**63)}",
-    "\u0661 \u0662", "5\u3000 6", "8\xa09", "7\x1f8", "# na\u00efve", "  9 10  ",
+    "+5 -0", "0000000000000000000003 4", f"{2**63 - 1} {-(2**63)}",
+    "5\u3000 6", "8\xa09", "7\x1f8", "# na\u00efve", "  9 10  ",
     "# x\x0b11 12", "# y\r13 14",
 ])
 # Lines the format rejects, each naming its line: an inline comment, one or
-# three ids, non-integer ids, ids outside 64 bits, a form feed (which
+# three ids, non-integer ids (among them ids `int` takes: an underscore and
+# non-ASCII digits), ids outside 64 bits, a form feed (which
 # `str.splitlines` breaks at) and a stray carriage return.
 _BAD_LINES = st.sampled_from([
     "0 1 # x", "0 1 2", "7", "0 x", "1.0 2", "0x1 2", "1e3 2", "+-5 1", "5- 1",
+    "1_000 7", "\u0661 \u0662", "20 \uff13\uff10",
     f"{2**63} 0", f"0 {-(2**63) - 1}", "3\x0c4", "3\r4",
 ])
 
@@ -193,6 +195,11 @@ class TestIngest:
             ingest_edge_list("0 1\n0 x\n")
         with pytest.raises(GraphFormatError, match="line 1"):
             ingest_edge_list("0 1 2\n")
+        # ids Python's `int` reads as 10 and 30: only ASCII digits after a sign
+        with pytest.raises(GraphFormatError, match="^line 1: non-integer node id in '1_0 2'$"):
+            ingest_edge_list("1_0 2\n2 3\n")
+        with pytest.raises(GraphFormatError, match="^line 2: non-integer node id in '20 \uff13\uff10'$"):
+            ingest_edge_list("10 20\n20 \uff13\uff10\n")
 
     def test_empty_input_rejected(self):
         with pytest.raises(GraphFormatError):

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import os
 import tracemalloc
 from dataclasses import astuple, replace
@@ -68,53 +67,40 @@ class TestMapEstimate:
 def in_process_children(monkeypatch):
     """Stand in for the children `_run_trials` forks: each tallies in this process.
 
-    The children run when the parent first reads a pipe, after its own
-    task, last child first.  Returns the record of each multi-process run
+    The children run when the parent first waits for one, after its own
+    task, last child first, each writing its reply through
+    `sim._child_tally`.  Returns the record of each multi-process run
     (`runs`): the blocks the parent tallied (`parent`) and each child's
     (`children`).
     """
     record = SimpleNamespace(runs=[])
     pending = []
 
-    class Channel:
-        def __init__(self):
-            self.sent = []
+    class Pipe(bytearray):
+        """The write end of a child's pipe: keeps what the child writes."""
 
-        def send(self, reply):
-            self.sent.append(reply)
-
-        def recv(self):
-            while pending:
-                child = pending.pop()
-                child.target(*child.args)
-                child.exitcode = 0
-            if not self.sent:
-                raise EOFError
-            return self.sent.pop(0)
+        write = bytearray.extend
 
         def close(self):
             pass
 
     class Child:
-        def __init__(self, target, args):
-            self.target, self.args, self.exitcode = target, args, None
-
-        def start(self):
+        def __init__(self, engine, master_seed, trials, blocks):
             if not pending:
                 record.runs.append(SimpleNamespace(parent=None, children=[]))
             pending.append(self)
-            record.runs[-1].children.append(self.args[-1])
+            record.runs[-1].children.append(blocks)
+            self.task, self.sent = (engine, master_seed, trials, blocks), Pipe()
 
-        def join(self):
-            pass
+        def wait(self):
+            while pending:
+                child = pending.pop()
+                sim._child_tally(child.sent, *child.task)
+            return bytes(self.sent), 0
 
-        def terminate(self):
-            pending.remove(self)
-            self.exitcode = -15
-
-    def pipe(duplex):
-        channel = Channel()
-        return channel, channel
+        def close(self):
+            if self in pending:
+                pending.remove(self)
 
     tally = sim._Engine.tally
 
@@ -123,9 +109,7 @@ def in_process_children(monkeypatch):
             record.runs[-1].parent = blocks
         return tally(engine, master_seed, trials, blocks)
 
-    ctx = multiprocessing.get_context("fork")
-    monkeypatch.setattr(ctx, "Process", Child)
-    monkeypatch.setattr(ctx, "Pipe", pipe)
+    monkeypatch.setattr(sim, "_TrialChild", Child)
     monkeypatch.setattr(sim._Engine, "tally", recorded)
     return record
 
@@ -352,7 +336,7 @@ class TestBlockEngine:
         # the child of the last task fails, patched before the fork: its
         # tally raises, or it exits with code 3 and sends nothing, or it
         # sends its record and then exits with code 3.  The parent names
-        # that child and returns no record, and no child is left running
+        # that child and returns no record, and no child is left unreaped
         engine = _er_engine(100, 4.0)
         trials = 52 * engine.block + 7
         tally, child_tally = sim._Engine.tally, sim._child_tally
@@ -376,7 +360,26 @@ class TestBlockEngine:
         why = "failed: ValueError: no table for this block" if fault == "raises" else "exited with code 3"
         with pytest.raises(RuntimeError, match=f"^trial process {workers - 1} of {workers} .*{why}"):
             sim._run_trials(engine, 9, trials, workers)
-        assert not multiprocessing.active_children()
+        with pytest.raises(ChildProcessError):  # this process has no child, running or exited
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failing_parent_kills_and_reaps_its_children(self, monkeypatch):
+        # the parent's own task raises before it waits for any child: the
+        # run raises that error, and neither child is left running or unreaped
+        engine = _er_engine(100, 4.0)
+        trials = 52 * engine.block + 7
+        tally, parent = sim._Engine.tally, os.getpid()
+
+        def failing_tally(self, master_seed, trials, blocks):
+            if os.getpid() == parent:
+                raise ValueError("the parent's task failed")
+            return tally(self, master_seed, trials, blocks)
+
+        monkeypatch.setattr(sim._Engine, "tally", failing_tally)
+        with pytest.raises(ValueError, match="^the parent's task failed$"):
+            sim._run_trials(engine, 9, trials, 3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ConfigError, match="sim.workers"):
