@@ -2,14 +2,13 @@
 
 Subcommands: strategy, analytics, simulate, ingest-check.  Every command is
 pure with respect to (config, seed): outputs are written atomically and
-partial files are removed on failure.  Set PRIVMARKET_LOG to control
-verbosity.
+partial files are removed on failure.  Set PRIVMARKET_LOG (INFO, say) to
+log through `logging`, which is loaded only then.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from pathlib import Path
@@ -32,13 +31,20 @@ from .graph import check_sparsity
 from .mechanism import design_Z
 from .strategy import build_mv_strategy, table_to_text
 
-log = logging.getLogger("privmarket")
 
+def _log_info(message: str, *args) -> None:
+    """Log `message % args` at INFO as `privmarket`, if PRIVMARKET_LOG is set.
 
-def _setup_logging() -> None:
-    level = os.environ.get("PRIVMARKET_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    `logging` is loaded only then, and set up at that variable's level.
+    """
+    level = os.environ.get("PRIVMARKET_LOG")
+    if not level:
+        return
+    import logging
+
+    logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("privmarket").info(message, *args)
 
 
 def _load_config(args) -> RunConfig:
@@ -118,7 +124,7 @@ def cmd_strategy(cfg: RunConfig, out: _AtomicOutputs) -> None:
     d_max = _strategy_d_max(cfg)
     table = [build_mv_strategy(d, params) for d in range(d_max + 1)]
     path = out.write("strategy.tsv", table_to_text(table))
-    log.info("strategy table for degrees 0..%d -> %s", d_max, path)
+    _log_info("strategy table for degrees 0..%d -> %s", d_max, path)
 
 
 def _key_values(pairs) -> str:
@@ -166,7 +172,7 @@ def cmd_analytics(cfg: RunConfig, out: _AtomicOutputs) -> None:
             ("note", "unequal priors: beta, moments and payment omitted (no closed form)"),
         ]
     path = out.write("analytics.txt", _key_values(pairs))
-    log.info("analytic report -> %s", path)
+    _log_info("analytic report -> %s", path)
 
 
 def cmd_simulate(cfg: RunConfig, out: _AtomicOutputs) -> None:
@@ -176,7 +182,7 @@ def cmd_simulate(cfg: RunConfig, out: _AtomicOutputs) -> None:
     results = sim.sweep(cfg)
     out.write("results.csv", sim.sweep_csv(results))
     out.write("manifest.json", sim.run_manifest(cfg, results))
-    log.info("simulation outputs -> %s", out.dir)
+    _log_info("simulation outputs -> %s", out.dir)
 
 
 def cmd_ingest_check(cfg: RunConfig, out: _AtomicOutputs) -> None:
@@ -193,7 +199,7 @@ def cmd_ingest_check(cfg: RunConfig, out: _AtomicOutputs) -> None:
     ])
     path = out.write("ingest.txt", text)
     print(text, end="")
-    log.info("ingest report -> %s", path)
+    _log_info("ingest report -> %s", path)
 
 
 _COMMANDS = {
@@ -223,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)

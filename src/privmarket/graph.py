@@ -314,16 +314,31 @@ def generate_configuration_model(rng: np.random.Generator, dist: DegreeDistribut
     )
 
 
+_ER_CHUNK = 1 << 16  # node pairs drawn per step, or n if more
+
+
 def generate_erdos_renyi(rng: np.random.Generator, n: int, avg_degree: float) -> Graph:
-    """G(n, p) with p = avg_degree / (n - 1)."""
+    """G(n, p) with p = avg_degree / (n - 1), in O(n + edges + _ER_CHUNK) memory.
+
+    Each pair i < j is an edge when its uniform falls below p, one uniform
+    per pair in row order (0, 1), (0, 2), ..., (1, 2), ....  They are drawn
+    max(_ER_CHUNK, n) at a time, so at most n / 2 chunks' hits are held.
+    `Generator.random` takes one 64-bit word per double, so the edges do
+    not depend on the chunk size.  A hit's index in that order is mapped
+    back to (i, j) through the rows' start indices.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
     if not 0.0 <= avg_degree <= n - 1:
         raise ValueError(f"avg_degree must lie in [0, n-1], got {avg_degree}")
     p = avg_degree / (n - 1)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(len(iu)) < p
-    return Graph(n, np.column_stack([iu[mask], ju[mask]]))
+    pairs, step = n * (n - 1) // 2, max(_ER_CHUNK, n)
+    hits = np.concatenate([start + np.flatnonzero(rng.random(min(step, pairs - start)) < p)
+                           for start in range(0, pairs, step)])
+    rows = np.arange(n - 1)
+    row_starts = rows * (2 * n - rows - 1) // 2  # row i holds the n - 1 - i pairs (i, j > i)
+    i = np.searchsorted(row_starts, hits, side="right") - 1
+    return Graph(n, np.column_stack([i, hits - row_starts[i] + i + 1]))
 
 
 @dataclass(frozen=True)
@@ -338,24 +353,26 @@ class IngestResult:
 _INT64 = np.iinfo(np.int64)
 
 # Text the C parse takes: tabs, newlines and printable ASCII, with "\r\n"
-# read as a newline.  On it `str.splitlines`, `str.strip` and `str.split`
-# cut where numpy's reader cuts, and an id of at most 18 digits always fits
-# in 64 bits, so `int` and numpy read the same pairs.
+# read as a newline.  On it numpy's reader cuts lines and ids where
+# `_read_pairs` does, and an id of at most 18 digits always fits in 64
+# bits, so `int` and numpy read the same pairs.
 _PLAIN_BYTES = b"\t\n" + bytes(range(0x20, 0x7F))
 _SKIPPED_LINE = re.compile(rb"^[ \t]*(?:#[^\n]*\n|\n)", re.MULTILINE)
 _DIGITS_AS_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
 _ID = re.compile(r"[+-]?[0-9]+")  # a node id: ASCII decimal digits after an optional sign
+_BLANKS = re.compile(r"[ \t]+")  # what separates ids: spaces and tabs only
 
 
 def read_source(source) -> str:
     """The text behind a path or text argument.
 
     A `str` holding a newline is the text itself; any other `str`, or a
-    path, names a file that must exist.
+    path, names a file that must exist.  A file's line ends are kept as
+    written.
     """
     if isinstance(source, str) and "\n" in source:
         return source
-    with open(source, "r", encoding="utf-8") as fh:
+    with open(source, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
@@ -390,14 +407,17 @@ def _read_pairs(text: str) -> np.ndarray:
     GraphFormatError naming the first edge line that does not hold
     exactly two 64-bit integer ids (`_ID`, as the C parse reads them:
     `int` alone would take underscores and other scripts' digits).
+    Lines end only at "\n" ("\r\n" is read as "\n"), ids are separated
+    only by spaces and tabs (`_BLANKS`), and a comment runs to the end of
+    its line, so any other character on an edge line refuses that line.
     """
     rows: list[tuple[int, int]] = []
     id_min, id_max = _INT64.min, _INT64.max
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+        stripped = line.strip(" \t")
         if not stripped or stripped.startswith("#"):
             continue
-        parts = stripped.split()
+        parts = _BLANKS.split(stripped)
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected two node ids, got {line!r}")
         if not (_ID.fullmatch(parts[0]) and _ID.fullmatch(parts[1])):
@@ -413,8 +433,8 @@ def ingest_edge_list(source) -> IngestResult:
     """Parse '#'-commented 'u v' integer pairs into a simple graph.
 
     Blank lines and lines whose first non-blank character is '#' are
-    skipped; every other line holds exactly two whitespace-separated
-    64-bit integer ids, or GraphFormatError names it.  Plain text is
+    skipped; every other line holds exactly two 64-bit integer ids
+    separated by spaces or tabs, or GraphFormatError names it.  Plain text is
     parsed in C, and any other text, or text the C parse rejects, is read
     line by line (`_read_pairs`), so the result and the error are those of
     the line reader either way.  Edges are undirected: a line and its

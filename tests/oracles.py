@@ -43,6 +43,17 @@ def edge_list_text(graph: Graph) -> str:
         f"{u} {v}\n" for u, v in graph.edges())
 
 
+def erdos_renyi_triu(rng: np.random.Generator, n: int, avg_degree: float) -> Graph:
+    """G(n, p), p = avg_degree / (n - 1): one uniform per pair over all of `np.triu_indices`.
+
+    This is the O(n^2)-memory draw the chunked generator must reproduce
+    edge for edge from the same stream.
+    """
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(len(iu)) < avg_degree / (n - 1)
+    return Graph(n, np.column_stack([iu[mask], ju[mask]]))
+
+
 def point_mass(d: int) -> DegreeDistribution:
     """The degree law of a d-regular graph."""
     mass = np.zeros(d + 1)
@@ -281,20 +292,25 @@ def graph_arrays_loop(n: int, edges) -> dict:
 def ingest_counts_loop(text: str) -> dict:
     """Edge-list ingest with id, pair and seen sets: dense edges, id map, counters.
 
-    Returns None when the text holds no edge line, and {"error": message}
-    for the first edge line that does not hold two 64-bit integers, each
-    ASCII decimal digits after an optional sign.
+    Lines end only at "\n", a "\r" right before it dropped.  A line that
+    is empty, blanks (spaces and tabs) or a comment, its first other
+    character "#", holds no edge.  Returns None when the text holds no
+    edge line, and {"error": message} for the first edge line that does
+    not hold two 64-bit integers between blanks, each ASCII decimal digits
+    after an optional sign.
     """
     ext_ids: set[int] = set()
     ext_pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     self_loops = duplicates = lines_read = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    segments = text.split("\n")
+    for lineno, line in enumerate(segments, start=1):
+        if lineno < len(segments) and line.endswith("\r"):
+            line = line[:-1]
+        parts = [part for part in line.replace("\t", " ").split(" ") if part]
+        if not parts or parts[0].startswith("#"):
             continue
         lines_read += 1
-        parts = stripped.split()
         if len(parts) != 2:
             return {"error": f"line {lineno}: expected two node ids, got {line!r}"}
         unsigned = [part[1:] if part[:1] in "+-" else part for part in parts]

@@ -121,8 +121,9 @@ sim.seed = 20240101
 
 
 def _src_env() -> dict:
-    """The environment with this checkout's package first on PYTHONPATH."""
+    """The environment with this checkout's package first on PYTHONPATH, and PRIVMARKET_LOG unset."""
     env = dict(os.environ)
+    env.pop("PRIVMARKET_LOG", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(privmarket.__file__).parents[1]), env.get("PYTHONPATH")]))
     return env
@@ -309,7 +310,8 @@ class TestCli:
     def test_commands_load_only_what_they_run(self, tmp_path, command):
         # only simulate loads the Monte Carlo engine, and no command loads
         # multiprocessing, not even a simulate that forks its trial
-        # processes (README graph: blocks of 204 trials, one a pass)
+        # processes (README graph: blocks of 204 trials, one a pass), nor
+        # logging without PRIVMARKET_LOG
         edges = tmp_path / "edges.txt"
         edges.write_text("10 20\n20 30\n30 10\n", encoding="utf-8")
         cfg = tmp_path / "run.cfg"
@@ -321,7 +323,8 @@ class TestCli:
             "os.fork = lambda: forks.append(1) or fork()\n"
             "from privmarket.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print(len(forks), 'multiprocessing' in sys.modules, 'privmarket.sim' in sys.modules)\n"
+            "print(len(forks), 'multiprocessing' in sys.modules, 'privmarket.sim' in sys.modules,\n"
+            "      'logging' in sys.modules)\n"
             "sys.exit(code)\n"
         )
         done = subprocess.run(
@@ -331,7 +334,27 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         simulate = command[0] == "simulate"
-        assert done.stdout.split("\n")[-2] == f"{int(simulate)} False {simulate}"
+        assert done.stdout.split("\n")[-2] == f"{int(simulate)} False {simulate} False"
+
+    def test_log_variable_logs_the_outputs_and_changes_none(self, tmp_path):
+        # PRIVMARKET_LOG=INFO loads logging and logs where the outputs went
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(README_CONFIG, encoding="utf-8")
+        csvs = []
+        for log in (None, "INFO"):
+            out = tmp_path / f"out-{log}"
+            env = _src_env()
+            if log:
+                env["PRIVMARKET_LOG"] = log
+            done = subprocess.run(
+                [sys.executable, "-m", "privmarket.cli", "simulate", "--config", str(cfg),
+                 "--out", str(out), "--trials", "400"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert done.stderr == (f"INFO privmarket: simulation outputs -> {out}\n" if log else "")
+            csvs.append((out / "results.csv").read_bytes())
+        assert csvs[0] == csvs[1]
 
     def test_runs_with_scipy_blocked(self, tmp_path):
         # numpy is the only runtime dependency: with every scipy import
@@ -816,7 +839,8 @@ _PROBES = st.sampled_from(sorted(_PROBED)).flatmap(
 _DOTTED_KEYS = [line.split(" = ")[0] for line in serialize_config(default_config()).splitlines()]
 # Files `ingest-check`'s graph.path is pointed at: the base edge list, then
 # edge lists with no edge, a malformed line, non-ASCII text, 19-digit ids,
-# bytes that are not UTF-8 and a self-loop alone.
+# bytes that are not UTF-8, a self-loop alone and two edges on a line split
+# by an ASCII separator.
 _EDGE_LISTS = {
     "edges.txt": b"# header\n10 20\n20\t30\n30 10\n10 10\n20 10\n",
     "empty.txt": b"",
@@ -830,6 +854,7 @@ _EDGE_LISTS = {
     "ids-19-digits.txt": b"1000000000000000000 -1000000000000000000\n",
     "id-past-64-bits.txt": b"9223372036854775808 2\n",
     "self-loop.txt": b"5 5\n",
+    "separator-split.txt": b"1 2\x1c3 4\n",
 }
 _INGEST_PROBED = {
     **_PROBED,
@@ -884,8 +909,8 @@ class TestRightOrRefuse:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(probe=_INGEST_PROBES)
     # an empty file, a malformed line, non-ASCII text, ids that only `int`
-    # reads and 19-digit ids; a directory and a file that is not UTF-8
-    # once named no key
+    # reads, 19-digit ids and a line that `str.splitlines` splits in two; a
+    # directory and a file that is not UTF-8 once named no key
     @example(probe=("graph.path", "empty.txt"))
     @example(probe=("graph.path", "inline-comment.txt"))
     @example(probe=("graph.path", "non-ascii-digits.txt"))
@@ -893,6 +918,7 @@ class TestRightOrRefuse:
     @example(probe=("graph.path", "non-ascii-word.txt"))
     @example(probe=("graph.path", "ids-19-digits.txt"))
     @example(probe=("graph.path", "id-past-64-bits.txt"))
+    @example(probe=("graph.path", "separator-split.txt"))
     @example(probe=("graph.path", "a-directory"))
     @example(probe=("graph.path", "latin-1.txt"))
     @example(probe=("graph.kind", "er"))

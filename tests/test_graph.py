@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privmarket import graph as graph_module
 from privmarket.graph import (
     DegreeDistribution,
     Graph,
@@ -21,8 +23,8 @@ from privmarket.graph import (
 )
 from privmarket.model import substream
 
-from oracles import (edge_list_text, graph_arrays_loop, has_edge, ingest_counts_loop, point_mass,
-                     truncated_poisson_mean)
+from oracles import (edge_list_text, erdos_renyi_triu, graph_arrays_loop, has_edge,
+                     ingest_counts_loop, point_mass, truncated_poisson_mean)
 
 
 def _assert_graph_matches(graph: Graph, ref: dict) -> None:
@@ -40,23 +42,25 @@ def _assert_graph_matches(graph: Graph, ref: dict) -> None:
 # often, plus sparse and negative ids anywhere in the 64-bit range.
 _IDS = st.one_of(st.integers(-3, 12), st.integers(-(2**63), 2**63 - 1))
 _SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t "])
-# Lines that `str.splitlines`, `strip` and `split` read but a C parse may
-# not: signs, leading zeros past 18 digits, non-ASCII blanks, a comment in
-# non-ASCII text, and comments that a vertical tab or a carriage return
-# breaks before an edge.
+# Lines that the line reader takes but a C parse may not: signs, leading
+# zeros past 18 digits, a comment in non-ASCII text, and comments holding
+# characters (a vertical tab, a carriage return, an ASCII or a Unicode line
+# separator) that `str.splitlines` would break at before an edge.
 _ODD_EDGE_LINES = st.sampled_from([
     "+5 -0", "0000000000000000000003 4", f"{2**63 - 1} {-(2**63)}",
-    "5\u3000 6", "8\xa09", "7\x1f8", "# na\u00efve", "  9 10  ",
-    "# x\x0b11 12", "# y\r13 14",
+    "# na\u00efve", "  9 10  ", "\t9\t10\t",
+    "# x\x0b11 12", "# y\r13 14", "#\x1c15 16", "  # \u2028 17 18",
 ])
 # Lines the format rejects, each naming its line: an inline comment, one or
 # three ids, non-integer ids (among them ids `int` takes: an underscore and
-# non-ASCII digits), ids outside 64 bits, a form feed (which
-# `str.splitlines` breaks at) and a stray carriage return.
+# non-ASCII digits), ids outside 64 bits, and ids separated or split by a
+# character other than a space or a tab (a form feed, a stray carriage
+# return, non-ASCII blanks, ASCII and Unicode separators).
 _BAD_LINES = st.sampled_from([
     "0 1 # x", "0 1 2", "7", "0 x", "1.0 2", "0x1 2", "1e3 2", "+-5 1", "5- 1",
     "1_000 7", "\u0661 \u0662", "20 \uff13\uff10",
     f"{2**63} 0", f"0 {-(2**63) - 1}", "3\x0c4", "3\r4",
+    "5\u3000 6", "8\xa09", "7\x1f8", "1 2\x1c3 4", "1 2\u20283 4", "\x0b",
 ])
 
 
@@ -175,6 +179,42 @@ class TestErdosRenyi:
         with pytest.raises(ValueError):
             generate_erdos_renyi(substream(6, 4, 2), 10, 10.0)
 
+    @pytest.mark.parametrize("n, avg_degree", [(2, 1.0), (2, 0.0), (3, 0.0), (20, 19.0),
+                                               (250, 4.0), (1000, 10.0), (3001, 4.0)])
+    def test_same_edges_as_one_uniform_per_pair(self, n, avg_degree):
+        # the chunks draw the doubles the O(n^2) draw does, in its pair order
+        for seed in (1, 2):
+            assert generate_erdos_renyi(substream(seed, 4, 0), n, avg_degree) \
+                == erdos_renyi_triu(substream(seed, 4, 0), n, avg_degree)
+
+    def test_chunk_ends_on_and_inside_rows(self, monkeypatch):
+        # chunks of max(_ER_CHUNK, n) pairs, made small so that their ends
+        # fall both on row ends and inside rows
+        ends_on_a_row_end = set()
+        for chunk in (1, 7, 45):
+            monkeypatch.setattr(graph_module, "_ER_CHUNK", chunk)
+            for n in (2, 3, 6, 8, 30, 47):
+                row_ends = {i * (2 * n - i - 1) // 2 for i in range(1, n)}
+                step = max(chunk, n)
+                ends_on_a_row_end.update(end in row_ends
+                                         for end in range(step, n * (n - 1) // 2, step))
+                for avg_degree in (0.0, min(2.5, n - 1.0), n - 1.0):
+                    assert generate_erdos_renyi(substream(n, 4, 1), n, avg_degree) \
+                        == erdos_renyi_triu(substream(n, 4, 1), n, avg_degree), (chunk, n)
+        assert ends_on_a_row_end == {True, False}
+
+    def test_memory_does_not_grow_with_the_pairs(self):
+        # one uniform per pair at once traces about 200 MB at N = 4000
+        # (8 bytes of uniform and 16 of indices per pair)
+        tracemalloc.start()
+        try:
+            graph = generate_erdos_renyi(substream(7, 4, 0), 4000, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.num_edges > 7000
+        assert peak < 4e6, peak
+
 
 class TestIngest:
     def test_duplicate_collapse(self):
@@ -200,6 +240,27 @@ class TestIngest:
             ingest_edge_list("1_0 2\n2 3\n")
         with pytest.raises(GraphFormatError, match="^line 2: non-integer node id in '20 \uff13\uff10'$"):
             ingest_edge_list("10 20\n20 \uff13\uff10\n")
+        # lines end only at "\n" and ids are separated only by spaces and
+        # tabs, which `str.splitlines` and `str.split` do not keep to
+        for text, lineno, line, message in [
+            ("7\x1f8\n", 1, "7\x1f8", "expected two node ids, got"),
+            ("5\u3000 6\n", 1, "5\u3000 6", "non-integer node id in"),
+            ("0 1\n1 2\x1c3 4\n", 2, "1 2\x1c3 4", "expected two node ids, got"),
+            ("1 2\u20283 4\n", 1, "1 2\u20283 4", "expected two node ids, got"),
+        ]:
+            expected = f"line {lineno}: {message} {line!r}"
+            with pytest.raises(GraphFormatError, match=f"^{re.escape(expected)}$"):
+                ingest_edge_list(text)
+
+    def test_comment_runs_to_the_end_of_its_line(self, tmp_path):
+        # a vertical tab or a lone carriage return does not end a comment,
+        # in text or in a file; "\r\n" ends a line like "\n"
+        text = "# x\x0b11 12\r\n# y\r13 14\r\n1 2\r\n"
+        path = tmp_path / "edges.txt"
+        path.write_bytes(text.encode())
+        for source in (text, path):
+            res = ingest_edge_list(source)
+            assert res.id_map == {1: 0, 2: 1} and res.lines_read == 1
 
     def test_empty_input_rejected(self):
         with pytest.raises(GraphFormatError):
