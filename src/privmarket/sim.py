@@ -71,16 +71,17 @@ def map_estimate(sum_reports, n: int) -> np.ndarray:
 # Trials per block: as many as keep block x (n + 2m) user and directed-edge
 # cells within _BLOCK_CELLS, from 1 to _MAX_BLOCK.  A block's fixed cost (its
 # stream and a few dozen array calls) is shared by its trials.  The cells do
-# not cost alike.  Per trial the block's workspace holds about 20 bytes a
-# user, whatever the number of laws on the draw: her signal, 4-byte move and
-# 8-byte table key, the 4-byte lookup that every table lookup of every law
-# writes, and her report, in-band and not-above flags; her fresh 8-byte raw
-# word adds 8 while it is split.  A directed edge holds one count lane of a
-# gathered word and a user three (a byte while the largest degree is below
-# 128).  A run keeps one `_Engine.record` per law, whatever its number of
-# blocks.  2**18 cells is the measured knee of both benchmark graphs: from
-# 2**18 to 2**20 neither the 250-node README graph nor a 3700-node
-# collaboration graph runs more trials per second beyond run-to-run spread.
+# not cost alike.  Per trial a block holds about 20 bytes a user, whatever
+# the number of laws on the draw: in the workspace her signal, 4-byte move,
+# the 4-byte lookup that every table lookup of every law writes, and her
+# report, in-band and not-above flags; beside it one 8-byte word, her fresh
+# raw word while it is split, then her table key in its place.  A directed
+# edge holds one count lane of a gathered word and a user three (a byte
+# while the largest degree is below 128).  A run keeps one `_Engine.record`
+# per law, whatever its number of blocks.  2**18 cells is the measured knee
+# of both benchmark graphs: from 2**18 to 2**20 neither the 250-node README
+# graph nor a 3700-node collaboration graph runs more trials per second
+# beyond run-to-run spread.
 # Both constants key the random stream, so changing them changes every
 # simulated result; the number of laws on a draw does not enter the block size.
 _BLOCK_CELLS = 2**18
@@ -218,8 +219,9 @@ class _Engine:
         """The arrays `draw`, `table_keys` and `_Point.play` write `blocks` blocks of `block` trials into.
 
         `tally` allocates one pass's workspace and draws every pass in it,
-        so a block allocates only its raw words (`random_raw` takes no
-        `out=`) and arrays of one value per trial.  The prefix sum's leading
+        so a pass allocates only its raw words (`random_raw` takes no
+        `out=`), then its table keys in their place (`table_keys`), and
+        arrays of one value per trial.  The prefix sum's leading
         row is never written: it stays 0.  A pass of fewer blocks uses the
         leading rows; the lanes past them keep an earlier pass's signals,
         whose counts are gathered with the rest but never read.
@@ -229,7 +231,7 @@ class _Engine:
         shape = (rows, n)
         return SimpleNamespace(
             block=block, signal=np.empty(shape, np.int8), move=np.empty(shape, np.uint32),
-            key=np.empty(shape, np.intp), lookup=np.empty(shape, np.uint32),
+            lookup=np.empty(shape, np.uint32),
             reports=np.empty(shape, bool), in_band=np.empty(shape, bool),
             not_above=np.empty(shape, bool), count=np.empty(rows, self._total),
             lanes=np.zeros((n, words * 8 // self._lane.itemsize), self._lane),
@@ -255,9 +257,10 @@ class _Engine:
         2a + s without a carry, and one widening add of 2 * offset[d]
         turns the lanes into keys.  Both gathers wrap, which never copies `out=` and
         skips the clamp; every index is in range by construction.  Every
-        step writes into `work`, a workspace of at least `len(s)` rows,
-        whose lanes past them are gathered but not read; the keys come out
-        as its leading C-ordered `np.intp` rows.
+        step but the last writes into `work`, a workspace of at least
+        `len(s)` rows, whose lanes past them are gathered but not read.  The
+        keys come out as a new C-ordered `np.intp` array: `draw` calls this
+        once the pass's raw words are dropped, so the keys take their memory.
         """
         work.lanes[:, :len(s)] = s.T
         sums = work.sums
@@ -268,19 +271,20 @@ class _Engine:
         counts = np.subtract(ends[1:], ends[:-1], out=work.counts)
         counts <<= 1
         counts |= work.lanes.view(np.uint64)
-        return np.add(counts.view(self._lane)[:, :len(s)].T, self._row, out=work.key[:len(s)])
+        key = np.empty(s.shape, np.intp)
+        return np.add(counts.view(self._lane)[:, :len(s)].T, self._row, out=key)
 
     def draw(self, rngs: Sequence[np.random.Generator], work: SimpleNamespace):
-        """(w, key, move) of one block of `work.block` trials per generator, in `work`'s leading rows.
+        """(w, key, move) of one block of `work.block` trials per generator; moves in `work`'s rows.
 
         Block i of the pass fills rows i*block .. (i+1)*block - 1: its world
         bits, then its users' raw 64-bit words (`model.sample_signals_and_moves`),
         both from `rngs[i]` alone, so a block draws the same bits whichever
         pass it is in.  Friends' counts and table keys are then taken at
-        once over all the pass's rows (`table_keys`).  The keys and moves
-        are views of `work`'s arrays (`workspace`), and the keys are
-        C-ordered `np.intp`: numpy's take copies any other index array to a
-        temporary intp one.
+        once over all the pass's rows (`table_keys`).  The moves are a view
+        of `work`'s array (`workspace`), and the keys are a C-ordered
+        `np.intp` array of their own: numpy's take copies any other index
+        array to a temporary intp one.
         """
         block, rows = work.block, len(rngs) * work.block
         s, move = work.signal[:rows], work.move[:rows]
@@ -298,7 +302,11 @@ class _Engine:
         so no draw depends on `trials`.  The blocks are drawn `pass_blocks`
         at a time into the one workspace of the tally, and each pass's
         trials below `trials` are played and counted at once, on its
-        leading rows.  Where the passes start does not change a bit.
+        leading rows.  Where the passes start does not change a bit.  A pass
+        holds its raw words or its table keys, never both: the words are
+        dropped once split, before `table_keys` allocates the keys, and
+        each pass releases its keys and world bits before the next pass
+        draws, so one block-sized chunk of memory serves both in turn.
         """
         n = self.graph.n
         record = np.zeros(len(self.points), self.record)
@@ -315,6 +323,7 @@ class _Engine:
                 reports_by_w += np.bincount(w * (n + 1) + k1, minlength=2 * (n + 1))
                 band += np.bincount(in_band.sum(axis=1, dtype=self._total, out=count),
                                     minlength=n + 1)
+            del w, key  # the pass's own arrays: the next pass draws where they were
         return record
 
 

@@ -865,6 +865,38 @@ _INGEST_PROBES = st.sampled_from(sorted(_INGEST_PROBED)).flatmap(
     lambda key: st.tuples(st.just(key), st.sampled_from(_INGEST_PROBED[key] + _EVERY_KEY)))
 
 
+def _sweep(axis: str, values: str) -> tuple:
+    """The two keys that sweep `axis` over `values`."""
+    return ("sweep.axis", axis), ("sweep.values", values)
+
+
+# Two changes of the 60-user README run per example, each a key of _PAIRED
+# or a sweep, whose grid runs from a point in range to one in range, at its
+# end or past it; a graph.pmf law runs on a configuration-model graph.  The
+# values every key is probed with are left to the one-key probe, so that
+# more pairs pass load.
+_SWEEPS = {
+    "epsilon": ["0.1,1", "0.1,300", "0.1,300.0000001", "0.1,1e9", "0,0.1"],
+    "alpha": ["0.1,0.4", "0.1,0.4999999999", "0.1,0.5", "0.1,0.6"],
+    "avg_degree": ["2,4", "2,59", "2,59.000001", "2,300"],
+}
+_PAIRED = {
+    **_PROBED,
+    "model.alpha": [*_PROBED["model.alpha"], "0.7"],
+    "model.population": [*_PROBED["model.population"], "20", "250"],
+    "graph.pmf": ["1:0.4;2:0.4;3:0.2", "1:0.5;19:0.5", "1:0.5;30:0.5", "1:0.5;59:0.5", "1:x"],
+}
+_CHANGES = st.one_of(
+    st.sampled_from(sorted(_PAIRED)).flatmap(
+        lambda key: st.sampled_from(_PAIRED[key]).map(lambda value: ((key, value),))),
+    st.sampled_from(sorted(_SWEEPS)).flatmap(
+        lambda axis: st.sampled_from(_SWEEPS[axis]).map(lambda values: _sweep(axis, values))),
+)
+_TWO_CHANGES = st.tuples(_CHANGES, _CHANGES).filter(
+    lambda pair: not {key for key, _ in pair[0]} & {key for key, _ in pair[1]}).map(
+    lambda pair: pair[0] + pair[1])
+
+
 class TestRightOrRefuse:
     """Every command prints only finite numbers, or refuses with its exit code's message.
 
@@ -887,24 +919,41 @@ class TestRightOrRefuse:
     @example(probe=("model.cost", "table:0:0,1"))
     def test_one_key_changed(self, probe):
         key, value = probe
-        # every probed sim.trials value is at most 2 or refused at load
-        trials = [] if key == "sim.trials" else ["--trials", "2"]
         with tempfile.TemporaryDirectory() as tmp:
-            cfg = _probe_config(Path(tmp), key, value)
-            for command, name in (("analytics", "analytics.txt"), ("strategy", "strategy.tsv"),
-                                  ("simulate", "results.csv")):
-                out, err = Path(tmp) / command, io.StringIO()
-                with contextlib.redirect_stderr(err):
-                    code = main([command, "--config", str(cfg), "--out", str(out), *trials])
-                err = err.getvalue()
-                assert "Traceback" not in err, (command, err)
-                if code == 0:
-                    numbers = _numbers(out / name)
-                    assert numbers and all(math.isfinite(x) for x in numbers), (command, numbers)
-                else:
-                    assert (code, err.split(":")[0]) in ((1, "error"), (2, "config error")), \
-                        (command, code, err)
-                    assert any(dotted in err for dotted in _DOTTED_KEYS), (command, err)
+            self._right_or_refused(_probe_config(Path(tmp), key, value), [probe])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(probe=_TWO_CHANGES)
+    # values a one-key probe cannot reach: a sweep with a bad key beside it,
+    # a grid point out of range, a degree law past its population
+    @example(probe=(*_sweep("epsilon", "0.1,1"), ("model.alpha", "0.7")))
+    @example(probe=_sweep("alpha", "0.1,0.6"))
+    @example(probe=(*_sweep("avg_degree", "2,300"), ("model.population", "250")))
+    @example(probe=_sweep("epsilon", "0.1,1e9"))
+    @example(probe=(("graph.pmf", "1:0.5;30:0.5"), ("model.population", "20")))
+    def test_two_keys_changed(self, probe):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._right_or_refused(_config_with(Path(tmp), probe), probe)
+
+    @staticmethod
+    def _right_or_refused(cfg: Path, changes) -> None:
+        """Each command on `cfg` prints only finite numbers, or refuses naming a dotted key."""
+        # every probed sim.trials value is at most 2 or refused at load
+        trials = [] if "sim.trials" in dict(changes) else ["--trials", "2"]
+        for command, name in (("analytics", "analytics.txt"), ("strategy", "strategy.tsv"),
+                              ("simulate", "results.csv")):
+            out, err = cfg.parent / command, io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg), "--out", str(out), *trials])
+            err = err.getvalue()
+            assert "Traceback" not in err, (command, err)
+            if code == 0:
+                numbers = _numbers(out / name)
+                assert numbers and all(math.isfinite(x) for x in numbers), (command, numbers)
+            else:
+                assert (code, err.split(":")[0]) in ((1, "error"), (2, "config error")), \
+                    (command, code, err)
+                assert any(dotted in err for dotted in _DOTTED_KEYS), (command, err)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(probe=_INGEST_PROBES)
@@ -1014,20 +1063,30 @@ def _probe_config(directory: Path, key: str, value: str) -> Path:
     directory under `directory`: `afile/sub` lies under a regular file, and
     `taken` holds a directory at each `_UNWRITABLE` name.
     """
-    text = README_CONFIG.replace("model.population = 250", "model.population = 60")
-    if key == "graph.poisson_mean":
-        text += "graph.kind = config-model\n"
+    changes = [(key, value)]
     if key == "graph.path":
         (directory / value).write_text("# header\n10 20\n20 30 # inline\n")
-        text += "graph.kind = edge-list\n"
-        value = str(directory / value)
+        changes = [("graph.kind", "edge-list"), (key, str(directory / value))]
     if key == "output.directory":
         (directory / "afile").write_text("")
         for name in _UNWRITABLE:
             (directory / "taken" / name).mkdir(parents=True)
-        value = str(directory / value)
+        changes = [(key, str(directory / value))]
+    return _config_with(directory, changes)
+
+
+def _config_with(directory: Path, changes) -> Path:
+    """`directory`/probe.cfg: the 60-user README config with the (key, value) `changes` appended.
+
+    A change of graph.poisson_mean or graph.pmf puts the run on a
+    configuration-model graph.
+    """
+    text = README_CONFIG.replace("model.population = 250", "model.population = 60")
+    if {"graph.poisson_mean", "graph.pmf"} & {key for key, _ in changes}:
+        text += "graph.kind = config-model\n"
     path = directory / "probe.cfg"
-    path.write_text(text + f"{key} = {value}\n", encoding="utf-8")
+    path.write_text(text + "".join(f"{key} = {value}\n" for key, value in changes),
+                    encoding="utf-8")
     return path
 
 

@@ -751,6 +751,29 @@ class TestRunExperiment:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 0.5e6, peaks
 
+    def test_a_pass_holds_its_raw_words_or_its_keys(self):
+        # a README pass, one block, holds per user-trial 12 bytes of
+        # workspace (signal, move, lookup, three flags) and one 8-byte word:
+        # her raw word while it is split, then her table key in its place;
+        # per user and directed edge, a row of count words.  The widening
+        # add that makes the keys buffers about 126 KiB, so the bound allows
+        # 256 KiB over that.  A key array held beside the raw words adds 8
+        # bytes a user-trial, 398 KiB here, for a traced peak of 1781 KiB;
+        # one word at a time peaks at 1497 KiB, under a bound of 1608 KiB
+        cfg = default_config()
+        _, engine, _ = sim._build_experiment([cfg])
+        rows, n, m = engine.block, engine.graph.n, engine.graph.num_edges
+        assert engine.pass_blocks == 1
+        words = -(-rows * engine._lane.itemsize // 8)
+        held = 20 * rows * n + 8 * words * (3 * n + 2 * m + 1)
+        tracemalloc.start()
+        try:
+            engine.tally(cfg.sim.seed, 3 * rows, range(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < held + 256 * 1024, (peak, held)
+
     def test_repeat_runs_identical(self):
         cfg = apply_overrides(default_config(), ["sim.trials=80", "model.population=80"])
         assert simresult_csv(run_experiment([cfg])[0]) == simresult_csv(run_experiment([cfg])[0])
